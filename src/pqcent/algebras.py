@@ -189,10 +189,7 @@ def right_identities(a: Algebra) -> Optional[tuple[Vector, Subspace]]:
     rows, rhs = [], []
     for i in range(n):
         for k in range(n):
-            row = [_ZERO] * n
-            for m, c in a.by_left_factor[i][k]:
-                row[m] = c
-            rows.append(row)
+            rows.append(dict(a.by_left_factor[i][k]))
             rhs.append(Fraction(1 if i == k else 0))
     return solve_affine_rows(rows, rhs, n)
 
@@ -223,16 +220,9 @@ def identity(a: Algebra) -> Optional[Vector]:
     rows, rhs = [], []
     for i in range(n):
         for k in range(n):
-            row = [_ZERO] * n
-            for m, c in a.by_left_factor[i][k]:
-                row[m] = c
-            rows.append(row)
-            rhs.append(Fraction(1 if i == k else 0))
-            row = [_ZERO] * n
-            for m, c in a.by_right_factor[i][k]:
-                row[m] = c
-            rows.append(row)
-            rhs.append(Fraction(1 if i == k else 0))
+            delta = Fraction(1 if i == k else 0)
+            rows += [dict(a.by_left_factor[i][k]), dict(a.by_right_factor[i][k])]
+            rhs += [delta, delta]
     sol = solve_affine_rows(rows, rhs, n)
     if sol is None:
         return None

@@ -25,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
+from math import lcm
 from typing import Optional, Sequence
 
 from .algebras import Algebra, multiply
@@ -38,11 +40,42 @@ from .linalg import (
     matmul,
     nullspace_of_rows,
     subspace_contains,
-    subspace_intersect,
     zero_matrix,
 )
 
 _ZERO = Fraction(0)
+
+
+def _int_tables(a: Algebra) -> tuple:
+    """`products`, `by_right_factor` and `by_left_factor` of a with every
+    constant multiplied by the lcm of all their denominators, as ints.
+
+    Every identity solved here is homogeneous in the structure constants, so
+    this scales each equation row by a nonzero constant and leaves its
+    solutions alone: denominators are cleared once per algebra, not per row.
+    """
+    scale = lcm(*(c.denominator for plane in a.products
+                  for pairs in plane for _, c in pairs))
+
+    def scaled(table):
+        return tuple(
+            tuple(tuple((m, c.numerator * (scale // c.denominator))
+                        for m, c in pairs) for pairs in row)
+            for row in table
+        )
+
+    return scaled(a.products), scaled(a.by_right_factor), scaled(a.by_left_factor)
+
+
+def _emit(rows: list, terms) -> None:
+    """Append the {col: coeff} row summing the (col, coeff) `terms`,
+    unless it vanishes."""
+    row: dict[int, int] = {}
+    for col, c in terms:
+        row[col] = row.get(col, 0) + c
+    row = {col: c for col, c in row.items() if c}
+    if row:
+        rows.append(row)
 
 
 @dataclass(frozen=True)
@@ -178,19 +211,17 @@ def two_sided_mul_elements(a: Algebra) -> Subspace:
     algebra this is exactly the center; without a unit it can be larger.
     """
     n = a.dim
-    rows = []
+    prods, by_right, by_left = _int_tables(a)
+    rows: list = []
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                row = [_ZERO] * n
-                for l, c1 in a.products[i][j]:
-                    for m, c2 in a.by_left_factor[l][k]:
-                        row[m] += c1 * c2
-                for l, c2 in a.by_right_factor[j][k]:
-                    for m, c1 in a.by_left_factor[i][l]:
-                        row[m] -= c1 * c2
-                if any(row):
-                    rows.append(row)
+                _emit(rows, chain(
+                    ((m, c1 * c2) for l, c1 in prods[i][j]
+                     for m, c2 in by_left[l][k]),
+                    ((m, -c1 * c2) for l, c2 in by_right[j][k]
+                     for m, c1 in by_left[i][l]),
+                ))
     return nullspace_of_rows(rows, n)
 
 
@@ -198,39 +229,28 @@ def two_sided_mul_elements(a: Algebra) -> Subspace:
 # space solvers
 #
 # Unknowns are the flat entries t[k*n + m] = coefficient of b_k in T(b_m).
-# One scalar equation per basis pair (i, j) and output coordinate k.
+# One scalar equation per basis pair (i, j) and output coordinate k, built
+# as a sparse {col: int} row from the integer-scaled structure constants.
 # ---------------------------------------------------------------------------
 
 def _solve_rows(n: int, rows: list) -> OperatorSpace:
-    unique = []
-    seen = set()
-    for row in rows:
-        key = tuple(row)
-        if key not in seen:
-            seen.add(key)
-            unique.append(row)
-    return OperatorSpace(n, nullspace_of_rows(unique, n * n))
+    unique = {frozenset(row.items()): row for row in rows}
+    return OperatorSpace(n, nullspace_of_rows(list(unique.values()), n * n))
 
 
 def _weighted_rows(a: Algebra, p: int, q: int) -> list:
     n = a.dim
-    nn = n * n
-    rows = []
-    s = Fraction(p + q)
-    fp, fq = Fraction(p), Fraction(q)
+    prods, by_right, by_left = _int_tables(a)
+    s = p + q
+    rows: list = []
     for i in range(n):
         for j in range(n):
-            prod_ij = a.products[i][j]
             for k in range(n):
-                row = [_ZERO] * nn
-                for m, c in prod_ij:
-                    row[k * n + m] += s * c
-                for m, c in a.by_right_factor[j][k]:
-                    row[m * n + i] -= fp * c
-                for m, c in a.by_left_factor[i][k]:
-                    row[m * n + j] -= fq * c
-                if any(row):
-                    rows.append(row)
+                _emit(rows, chain(
+                    ((k * n + m, s * c) for m, c in prods[i][j]),
+                    ((m * n + i, -p * c) for m, c in by_right[j][k]),
+                    ((m * n + j, -q * c) for m, c in by_left[i][k]),
+                ))
     return rows
 
 
@@ -244,80 +264,71 @@ def pq_centralizers(a: Algebra, w: Weights) -> OperatorSpace:
 def pq_jordan_centralizers(a: Algebra, w: Weights) -> OperatorSpace:
     """Weighted Jordan centralizers, via the polarized identity."""
     n = a.dim
-    nn = n * n
-    rows = []
-    s = Fraction(w.p + w.q)
-    fp, fq = Fraction(w.p), Fraction(w.q)
+    prods, by_right, by_left = _int_tables(a)
+    p, q = w.p, w.q
+    s = p + q
+    rows: list = []
     for i in range(n):
         for j in range(i, n):
-            prod_ij = a.products[i][j]
-            prod_ji = a.products[j][i]
             for k in range(n):
-                row = [_ZERO] * nn
-                for m, c in prod_ij:
-                    row[k * n + m] += s * c
-                for m, c in prod_ji:
-                    row[k * n + m] += s * c
-                for m, c in a.by_right_factor[j][k]:
-                    row[m * n + i] -= fp * c
-                for m, c in a.by_right_factor[i][k]:
-                    row[m * n + j] -= fp * c
-                for m, c in a.by_left_factor[i][k]:
-                    row[m * n + j] -= fq * c
-                for m, c in a.by_left_factor[j][k]:
-                    row[m * n + i] -= fq * c
-                if any(row):
-                    rows.append(row)
+                _emit(rows, chain(
+                    ((k * n + m, s * c) for m, c in prods[i][j]),
+                    ((k * n + m, s * c) for m, c in prods[j][i]),
+                    ((m * n + i, -p * c) for m, c in by_right[j][k]),
+                    ((m * n + j, -p * c) for m, c in by_right[i][k]),
+                    ((m * n + j, -q * c) for m, c in by_left[i][k]),
+                    ((m * n + i, -q * c) for m, c in by_left[j][k]),
+                ))
     return _solve_rows(n, rows)
+
+
+def _left_rows(a: Algebra) -> list:
+    """Rows of T(ab) = T(a)b."""
+    n = a.dim
+    prods, by_right, _ = _int_tables(a)
+    rows: list = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                _emit(rows, chain(
+                    ((k * n + m, c) for m, c in prods[i][j]),
+                    ((m * n + i, -c) for m, c in by_right[j][k]),
+                ))
+    return rows
+
+
+def _right_rows(a: Algebra) -> list:
+    """Rows of T(ab) = a T(b)."""
+    n = a.dim
+    prods, _, by_left = _int_tables(a)
+    rows: list = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                _emit(rows, chain(
+                    ((k * n + m, c) for m, c in prods[i][j]),
+                    ((m * n + j, -c) for m, c in by_left[i][k]),
+                ))
+    return rows
 
 
 @lru_cache(maxsize=None)
 def left_centralizers(a: Algebra) -> OperatorSpace:
     """Solutions of T(ab) = T(a)b."""
-    n = a.dim
-    nn = n * n
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            prod_ij = a.products[i][j]
-            for k in range(n):
-                row = [_ZERO] * nn
-                for m, c in prod_ij:
-                    row[k * n + m] += c
-                for m, c in a.by_right_factor[j][k]:
-                    row[m * n + i] -= c
-                if any(row):
-                    rows.append(row)
-    return _solve_rows(n, rows)
+    return _solve_rows(a.dim, _left_rows(a))
 
 
 @lru_cache(maxsize=None)
 def right_centralizers(a: Algebra) -> OperatorSpace:
     """Solutions of T(ab) = a T(b)."""
-    n = a.dim
-    nn = n * n
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            prod_ij = a.products[i][j]
-            for k in range(n):
-                row = [_ZERO] * nn
-                for m, c in prod_ij:
-                    row[k * n + m] += c
-                for m, c in a.by_left_factor[i][k]:
-                    row[m * n + j] -= c
-                if any(row):
-                    rows.append(row)
-    return _solve_rows(n, rows)
+    return _solve_rows(a.dim, _right_rows(a))
 
 
 @lru_cache(maxsize=None)
 def two_sided_centralizers(a: Algebra) -> OperatorSpace:
-    """Operators that are left and right centralizers at once."""
-    meet = subspace_intersect(
-        left_centralizers(a).space, right_centralizers(a).space
-    )
-    return OperatorSpace(a.dim, meet)
+    """Operators that are left and right centralizers at once: one solve of
+    the stacked left and right rows."""
+    return _solve_rows(a.dim, _left_rows(a) + _right_rows(a))
 
 
 # ---------------------------------------------------------------------------

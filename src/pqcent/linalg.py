@@ -1,10 +1,10 @@
 """Exact linear algebra over the rationals.
 
 All scalars are `fractions.Fraction`, so every result is exact: no
-tolerances, no conditioning concerns. Row reduction internally runs on
-integer-scaled rows (clearing denominators keeps the hot loop in plain
-big-integer arithmetic), but public results always come back as reduced
-fractions.
+tolerances, no conditioning concerns. Row reduction runs on a sparse,
+fraction-free integer core: rows are `{col: int}` dicts (dense rows and
+`{col: value}` rows are both accepted and converted once), and Fractions
+are made only when the reduced rows come back out, as dense tuples.
 
 `Subspace` canonicalizes on construction: the stored basis is the reduced
 row echelon form of whatever spanning set was supplied. The canonical
@@ -145,92 +145,88 @@ def apply_matrix(m: Matrix, v: Sequence) -> Vector:
 
 
 # ---------------------------------------------------------------------------
-# integer echelon core
+# sparse integer echelon core
 #
-# Rows are scaled to integers, reduced incrementally against the pivot rows
-# found so far, and gcd-normalized after each combination so entries stay
-# small. Exactness is the contract; the integer detour is only a speedup.
+# Each input row becomes a {col: int} dict (zeros dropped, denominators
+# cleared once) and is reduced, fraction-free, against the pivot rows found
+# so far; each new pivot row is gcd-normalized so entries stay small.
+# Fractions appear only when the canonical RREF rows are emitted.
 # ---------------------------------------------------------------------------
 
-def _int_row(row: Sequence) -> list[int]:
-    fracs = [Fraction(v) for v in row]
-    scale = 1
-    for f in fracs:
-        if f.denominator != 1:
-            scale = lcm(scale, f.denominator)
-    return [int(f * scale) for f in fracs]
+def _sparse_row(row, ncols: int) -> dict[int, int]:
+    """A dense row of length `ncols`, or a {col: value} dict with columns in
+    [0, ncols), as {col: int} with zeros dropped and denominators cleared."""
+    if isinstance(row, dict):
+        if not all(0 <= c < ncols for c in row):
+            raise DimensionMismatch(f"a column of {sorted(row)} is outside [0, {ncols})")
+        items = row.items()
+    elif len(row) != ncols:
+        raise DimensionMismatch(f"row length {len(row)} != {ncols}")
+    else:
+        items = enumerate(row)
+    out = {c: v for c, v in items if v}
+    if all(type(v) is int for v in out.values()):
+        return out
+    fracs = {c: Fraction(v) for c, v in out.items()}
+    scale = lcm(*(f.denominator for f in fracs.values()))
+    return {c: f.numerator * (scale // f.denominator) for c, f in fracs.items() if f}
 
 
-def _normalize_int_row(row: list[int], lead: int) -> list[int]:
-    g = 0
-    for v in row:
-        if v:
-            g = gcd(g, v)
-    if g == 0:
-        return row
-    if row[lead] < 0:
-        g = -g
-    return [v // g for v in row]
+def _normalize(row: dict[int, int], lead: int) -> dict[int, int]:
+    """`row` divided by the gcd of its entries, with a positive entry at `lead`."""
+    g = gcd(*row.values()) if row[lead] > 0 else -gcd(*row.values())
+    return row if g == 1 else {c: v // g for c, v in row.items()}
 
 
-def _first_nonzero(row: list[int], start: int = 0) -> Optional[int]:
-    for i in range(start, len(row)):
-        if row[i]:
-            return i
-    return None
+def _eliminate(row: dict[int, int], p: dict[int, int], c: int) -> dict[int, int]:
+    """An integer combination of `row` and pivot row `p` that clears column c;
+    mutates `row` when the pivot's leading entry divides row[c]."""
+    g = gcd(p[c], row[c])
+    am, bm = p[c] // g, row[c] // g
+    if am != 1:
+        row = {k: am * v for k, v in row.items()}
+    for k, v in p.items():
+        x = row.get(k, 0) - bm * v
+        if x:
+            row[k] = x
+        else:
+            del row[k]
+    return row
 
 
-def _echelon_insert(row: list[int], pivot_rows: dict[int, list[int]]) -> bool:
+def _echelon_insert(row: dict[int, int], pivot_rows: dict[int, dict[int, int]]) -> None:
     """Reduce `row` against current pivots; install it if independent."""
-    c = _first_nonzero(row)
-    while c is not None:
-        p = pivot_rows.get(c)
-        if p is None:
-            pivot_rows[c] = _normalize_int_row(row, c)
-            return True
-        a, b = p[c], row[c]
-        g = gcd(a, b)
-        am, bm = a // g, b // g
-        row = [am * x - bm * y for x, y in zip(row, p)]
-        c = _first_nonzero(row, c + 1)
-    return False
+    while row:
+        c = min(row)
+        if c not in pivot_rows:
+            pivot_rows[c] = _normalize(row, c)
+            return
+        row = _eliminate(row, pivot_rows[c], c)
 
 
-def _back_eliminate(pivot_rows: dict[int, list[int]]) -> tuple[list[Vector], tuple[int, ...]]:
-    """Turn an echelon pivot map into RREF rows over Fraction (pivots = 1)."""
+def _back_eliminate(pivot_rows: dict, ncols: int) -> tuple[list[Vector], tuple[int, ...]]:
+    """Turn an echelon pivot map into dense RREF rows over Fraction (pivots = 1)."""
     cols = sorted(pivot_rows)
     rows = [pivot_rows[c] for c in cols]
     for i in range(len(rows) - 1, -1, -1):
-        c = cols[i]
-        p = rows[i]
-        a = p[c]
+        c, p = cols[i], rows[i]
         for j in range(i):
-            b = rows[j][c]
-            if b:
-                g = gcd(a, b)
-                am, bm = a // g, b // g
-                combined = [am * x - bm * y for x, y in zip(rows[j], p)]
-                rows[j] = _normalize_int_row(combined, cols[j])
+            if c in rows[j]:
+                rows[j] = _normalize(_eliminate(rows[j], p, c), cols[j])
     out = []
     for c, r in zip(cols, rows):
-        lead = Fraction(r[c])
-        out.append(tuple(Fraction(v) / lead for v in r))
+        dense = list(zero_vector(ncols))
+        for k, v in r.items():
+            dense[k] = Fraction(v, r[c])
+        out.append(tuple(dense))
     return out, tuple(cols)
 
 
-def _rref_of_rows(rows: Iterable[Sequence], ncols: int) -> tuple[list[Vector], tuple[int, ...]]:
-    pivot_rows: dict[int, list[int]] = {}
+def _rref_of_rows(rows: Iterable, ncols: int) -> tuple[list[Vector], tuple[int, ...]]:
+    pivot_rows: dict[int, dict[int, int]] = {}
     for r in rows:
-        if all(type(v) is int for v in r):
-            ir = list(r)
-        else:
-            ir = _int_row(r)
-        if len(ir) != ncols:
-            raise DimensionMismatch(f"row length {len(ir)} != {ncols}")
-        _echelon_insert(ir, pivot_rows)
-    if not pivot_rows:
-        return [], ()
-    return _back_eliminate(pivot_rows)
+        _echelon_insert(_sparse_row(r, ncols), pivot_rows)
+    return _back_eliminate(pivot_rows, ncols)
 
 
 # ---------------------------------------------------------------------------
@@ -250,19 +246,17 @@ def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     return Matrix(m.rows, m.cols, tuple(flat)), len(reduced), pivots
 
 
-def nullspace_of_rows(rows: Iterable[Sequence], ncols: int) -> "Subspace":
-    """Solution space of the homogeneous system given by `rows`."""
-    reduced, pivots = _rref_of_rows(rows, ncols)
+def _kernel(reduced: list[Vector], pivots: tuple[int, ...], ncols: int) -> "Subspace":
+    """Solutions of the RREF system `reduced` in its first `ncols` unknowns."""
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, p in zip(reduced, pivots):
-            v[p] = -r[f]
-        basis.append(tuple(v))
+    basis = [{f: 1, **{p: -r[f] for r, p in zip(reduced, pivots) if r[f]}}
+             for f in range(ncols) if f not in pivot_set]
     return Subspace.span(ncols, basis)
+
+
+def nullspace_of_rows(rows: Iterable, ncols: int) -> "Subspace":
+    """Solution space of the homogeneous system `rows` (dense or {col: value})."""
+    return _kernel(*_rref_of_rows(rows, ncols), ncols)
 
 
 def nullspace(m: Matrix) -> "Subspace":
@@ -270,23 +264,29 @@ def nullspace(m: Matrix) -> "Subspace":
 
 
 def solve_affine_rows(
-    rows: Sequence[Sequence], rhs: Sequence, ncols: int
+    rows: Sequence, rhs: Sequence, ncols: int
 ) -> Optional[tuple[Vector, "Subspace"]]:
     """Solve the affine system rows*x = rhs.
 
     Returns a particular solution (free variables set to zero) together
-    with the homogeneous solution space, or None when inconsistent.
+    with the homogeneous solution space, or None when inconsistent. One
+    elimination of [rows | rhs] yields both: when the system is consistent,
+    the left block of its RREF is the RREF of `rows`.
     """
     if len(rows) != len(rhs):
         raise DimensionMismatch("rhs length != number of rows")
-    augmented = [list(r) + [b] for r, b in zip(rows, rhs)]
+    augmented = []
+    for r, b in zip(rows, rhs):
+        if isinstance(r, dict) and ncols in r:
+            raise DimensionMismatch(f"column {ncols} outside [0, {ncols})")
+        augmented.append({**r, ncols: b} if isinstance(r, dict) else [*r, b])
     reduced, pivots = _rref_of_rows(augmented, ncols + 1)
     if ncols in pivots:
         return None  # a row reduced to 0 = 1
-    particular = [Fraction(0)] * ncols
+    particular = list(zero_vector(ncols))
     for r, p in zip(reduced, pivots):
         particular[p] = r[ncols]
-    return tuple(particular), nullspace_of_rows(rows, ncols)
+    return tuple(particular), _kernel(reduced, pivots, ncols)
 
 
 def solve_affine(m: Matrix, b: Sequence) -> Optional[tuple[Vector, "Subspace"]]:
@@ -318,7 +318,7 @@ class Subspace:
             last_pivot = p
 
     @classmethod
-    def span(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
+    def span(cls, ambient_dim: int, vectors: Iterable) -> "Subspace":
         reduced, _ = _rref_of_rows(vectors, ambient_dim)
         return cls(ambient_dim, tuple(reduced))
 

@@ -4,6 +4,7 @@ Every assertion runs in exact rational arithmetic. The module name sorts
 first in the test directory, so the timed criteria start from cold caches.
 """
 
+import hashlib
 import time
 from contextlib import contextmanager
 from random import Random
@@ -245,6 +246,11 @@ def test_criterion_10_full_suite(announce):
         assert first.counts["FAIL"] == 0
         second = run_suite()
         assert first.to_json() == second.to_json()
+        # the seed-0 report is pinned byte for byte: solver changes must not
+        # move a single canonical basis entry or witness
+        assert hashlib.sha256(first.to_json().encode()).hexdigest() == (
+            "de19931327526de283aca4cefdf763d46956d2272ce0c84ea36edc3735743b34"
+        )
 
 
 def test_acceptance_epilogue_consistency(catalog):

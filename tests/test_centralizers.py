@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pqcent.algebras import center, identity, multiply
+from pqcent.algebras import center, identity, make_algebra, multiply
 from pqcent.centralizers import (
     OperatorSpace,
     Weights,
@@ -44,6 +44,7 @@ from pqcent.linalg import (
     Subspace,
     basis_vector,
     full_space,
+    subspace_intersect,
     vec,
 )
 
@@ -216,6 +217,44 @@ def test_two_sided_mul_elements():
     assert two_sided_mul_elements(m) == center(m)
     c = colmat(2)
     assert two_sided_mul_elements(c) == full_space(2)
+
+
+def test_two_sided_is_meet_of_one_sided_spaces():
+    for name, a in fixtures().items():
+        meet = subspace_intersect(
+            left_centralizers(a).space, right_centralizers(a).space
+        )
+        assert two_sided_centralizers(a).space == meet, name
+
+
+def rescaled(a, s):
+    """a in the basis e_i = s[i] b_i, whose structure constants are fractions."""
+    n = a.dim
+    return make_algebra(n, [[[a.table[i][j][k] * s[i] * s[j] / s[k]
+                              for k in range(n)] for j in range(n)]
+                            for i in range(n)])
+
+
+def test_fractional_constants_give_the_rescaled_spaces():
+    # T(e_m) = sum_k t[k*n+m] s[m]/s[k] e_k, and an element v has coordinates
+    # v[k]/s[k] in the new basis; every solved space must transform that way
+    for name in ("matrix2", "colmat3", "dual_numbers", "group_s3"):
+        a = fixtures()[name]
+        n = a.dim
+        s = [F((-1) ** i * (i + 2), 2 * i + 3) for i in range(n)]
+        b = rescaled(a, s)
+        assert any(c.denominator != 1 for plane in b.table
+                   for row in plane for c in row), name
+        for solve in (lambda x: pq_centralizers(x, Weights(1, 2)),
+                      lambda x: pq_jordan_centralizers(x, Weights(3, 5)),
+                      left_centralizers, right_centralizers,
+                      two_sided_centralizers):
+            moved = [[t[k * n + m] * s[m] / s[k] for k in range(n) for m in range(n)]
+                     for t in solve(a).space.basis]
+            assert solve(b) == operator_space(n, moved), name
+        moved = [[v[k] / s[k] for k in range(n)]
+                 for v in two_sided_mul_elements(a).basis]
+        assert two_sided_mul_elements(b) == Subspace.span(n, moved), name
 
 
 def test_operator_space_wraps_canonical_subspace():

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,8 +19,13 @@ from pqcent.groups import (
     validate_group,
     verify_group_centralizer_structure,
 )
-from pqcent.centralizers import Weights
-from pqcent.linalg import basis_vector, full_space, subspace_equal
+from pqcent.centralizers import (
+    Weights,
+    pq_centralizers,
+    pq_jordan_centralizers,
+    two_sided_centralizers,
+)
+from pqcent.linalg import basis_vector, full_space, subspace_contains, subspace_equal
 from pqcent.reports import FAIL, PASS
 
 
@@ -143,3 +150,26 @@ def test_cyclic_groups_valid_with_n_classes(n):
     assert is_valid_group(t)
     assert len(conjugacy_classes(t)) == n
     assert class_sums(t) == full_space(n)
+
+
+def s4_table():
+    perms = list(permutations(range(4)))
+    index = {p: i for i, p in enumerate(perms)}
+    # g_i * g_j is the composite x -> g_i(g_j(x))
+    return cayley_table([
+        [index[tuple(g[h[x]] for x in range(4))] for h in perms] for g in perms
+    ], "s4")
+
+
+def test_s4_centralizer_dimensions_equal_class_count():
+    t = s4_table()
+    assert is_valid_group(t)
+    assert len(conjugacy_classes(t)) == 5
+    a = group_algebra(t)
+    cts = two_sided_centralizers(a).space
+    for w in (Weights(1, 2), Weights(2, 1)):
+        cpq = pq_centralizers(a, w).space
+        assert cpq.dim == 5 and subspace_contains(cpq, cts)
+    cj = pq_jordan_centralizers(a, Weights(1, 2)).space
+    cpq = pq_centralizers(a, Weights(1, 2)).space
+    assert cj.dim == 5 and subspace_contains(cj, cpq)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -13,8 +14,10 @@ from pqcent.linalg import (
     identity_matrix,
     matmul,
     nullspace,
+    nullspace_of_rows,
     rref,
     solve_affine,
+    solve_affine_rows,
     subspace_contains,
     subspace_equal,
     subspace_intersect,
@@ -240,3 +243,226 @@ def test_matmul_compatible_with_apply(a, b, data):
     v = vec(data.draw(st.lists(rationals, min_size=b.cols, max_size=b.cols)))
     assert apply_matrix(matmul(a, b), v) == apply_matrix(a, apply_matrix(b, v))
     assert transpose(matmul(a, b)) == matmul(transpose(b), transpose(a))
+
+
+# ---------------------------------------------------------------------------
+# differential tests of the sparse integer core
+#
+# The reference oracle is the dense elimination the package used before its
+# sparse core: integer-scaled dense list rows, reduced against the pivots
+# found so far, then back-substituted into Fraction RREF rows. It stays here
+# only as an independent second implementation; sympy is the third.
+# ---------------------------------------------------------------------------
+
+def _dense_int_row(row):
+    fracs = [Fraction(v) for v in row]
+    scale = lcm(*(f.denominator for f in fracs))
+    return [int(f * scale) for f in fracs]
+
+
+def _dense_normalize(row, lead):
+    g = 0
+    for v in row:
+        g = gcd(g, v)
+    if g == 0:
+        return row
+    if row[lead] < 0:
+        g = -g
+    return [v // g for v in row]
+
+
+def _dense_first_nonzero(row, start=0):
+    return next((i for i in range(start, len(row)) if row[i]), None)
+
+
+def oracle_rref(rows, ncols):
+    """(RREF rows as Fraction tuples, pivot columns) of dense `rows`."""
+    pivot_rows = {}
+    for r in rows:
+        row = _dense_int_row(r)
+        assert len(row) == ncols
+        c = _dense_first_nonzero(row)
+        while c is not None:
+            p = pivot_rows.get(c)
+            if p is None:
+                pivot_rows[c] = _dense_normalize(row, c)
+                break
+            g = gcd(p[c], row[c])
+            am, bm = p[c] // g, row[c] // g
+            row = [am * x - bm * y for x, y in zip(row, p)]
+            c = _dense_first_nonzero(row, c + 1)
+    cols = sorted(pivot_rows)
+    reduced = [pivot_rows[c] for c in cols]
+    for i in range(len(reduced) - 1, -1, -1):
+        c, p = cols[i], reduced[i]
+        for j in range(i):
+            b = reduced[j][c]
+            if b:
+                g = gcd(p[c], b)
+                am, bm = p[c] // g, b // g
+                combined = [am * x - bm * y for x, y in zip(reduced[j], p)]
+                reduced[j] = _dense_normalize(combined, cols[j])
+    out = [tuple(Fraction(v, r[c]) for v in r) for c, r in zip(cols, reduced)]
+    return out, tuple(cols)
+
+
+def oracle_nullspace(rows, ncols):
+    """Canonical (RREF) basis of the solutions of the dense system `rows`."""
+    reduced, pivots = oracle_rref(rows, ncols)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for r, p in zip(reduced, pivots):
+            v[p] = -r[f]
+        basis.append(v)
+    return tuple(oracle_rref(basis, ncols)[0])
+
+
+def oracle_solve_affine(rows, rhs, ncols):
+    reduced, pivots = oracle_rref([[*r, b] for r, b in zip(rows, rhs)], ncols + 1)
+    if ncols in pivots:
+        return None
+    particular = [Fraction(0)] * ncols
+    for r, p in zip(reduced, pivots):
+        particular[p] = r[ncols]
+    return tuple(particular), oracle_nullspace(rows, ncols)
+
+
+def sympy_canonical_span(vectors, ncols):
+    """RREF basis of the span of sympy column or row vectors."""
+    if not vectors:
+        return ()
+    reduced, pivots = sympy.Matrix.hstack(*vectors).T.rref()
+    return tuple(
+        tuple(Fraction(int(x.p), int(x.q)) for x in reduced.row(i))
+        for i in range(len(pivots))
+    )
+
+
+def sympy_matrix(rows, ncols):
+    return sympy.Matrix(len(rows), ncols,
+                        [sympy.Rational(Fraction(v)) for r in rows for v in r])
+
+
+# entries lean towards zero so rows are sparse, mixing the all-int fast path
+# with rows that carry denominators
+entries = st.one_of(
+    st.just(0), st.just(0), st.integers(-4, 4), st.just(F(0)), rationals
+)
+
+
+@st.composite
+def systems(draw, max_rows=6, max_cols=6):
+    """(ncols, dense rows) with optional duplicate and all-zero rows."""
+    ncols = draw(st.integers(1, max_cols))
+    rows = draw(st.lists(
+        st.lists(entries, min_size=ncols, max_size=ncols), max_size=max_rows
+    ))
+    if rows and draw(st.booleans()):
+        rows.append(list(draw(st.sampled_from(rows))))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * ncols)
+    return ncols, rows
+
+
+def as_sparse(rows, keep_zeros):
+    """The same rows as {col: value} dicts, explicit zeros kept or dropped."""
+    return [{c: v for c, v in enumerate(r) if keep_zeros or v} for r in rows]
+
+
+@settings(max_examples=80, deadline=None)
+@given(systems())
+def test_rref_agrees_with_dense_oracle_and_sympy(system):
+    ncols, rows = system
+    if not rows:
+        return
+    m = Matrix.from_rows(rows)
+    ours, rank, pivots = rref(m)
+    expected, expected_pivots = oracle_rref(rows, ncols)
+    assert pivots == expected_pivots and rank == len(expected)
+    assert ours.to_rows()[:rank] == expected
+    assert all(v == 0 for v in ours.entries[rank * ncols:])
+    sr, spivots = sympy_matrix(rows, ncols).rref()
+    assert pivots == spivots
+    assert [sympy.Rational(e) for e in ours.entries] == list(sr)
+
+
+@settings(max_examples=80, deadline=None)
+@given(systems(), st.booleans())
+def test_nullspace_of_rows_agrees_dense_sparse_oracle_sympy(system, keep_zeros):
+    ncols, rows = system
+    dense = nullspace_of_rows(rows, ncols)
+    sparse = nullspace_of_rows(as_sparse(rows, keep_zeros), ncols)
+    assert dense == sparse
+    assert dense.basis == oracle_nullspace(rows, ncols)
+    assert dense.basis == sympy_canonical_span(
+        sympy_matrix(rows, ncols).nullspace(), ncols
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(systems(), st.booleans())
+def test_span_agrees_dense_sparse_oracle_sympy(system, keep_zeros):
+    ncols, rows = system
+    s = Subspace.span(ncols, rows)
+    assert s == Subspace.span(ncols, as_sparse(rows, keep_zeros))
+    assert s.basis == tuple(oracle_rref(rows, ncols)[0])
+    nonzero = [sympy_matrix([r], ncols).T for r in rows if any(r)]
+    assert s.basis == sympy_canonical_span(nonzero, ncols)
+
+
+@settings(max_examples=80, deadline=None)
+@given(systems(), st.booleans(), st.data())
+def test_solve_affine_rows_agrees_dense_sparse_oracle_sympy(system, keep_zeros, data):
+    ncols, rows = system
+    rhs = data.draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+    ours = solve_affine_rows(rows, rhs, ncols)
+    assert ours == solve_affine_rows(as_sparse(rows, keep_zeros), rhs, ncols)
+    expected = oracle_solve_affine(rows, rhs, ncols)
+    if expected is None:
+        assert ours is None
+    else:
+        assert ours is not None
+        assert ours[0] == expected[0] and ours[1].basis == expected[1]
+    a = sympy_matrix(rows, ncols)
+    aug, spivots = a.row_join(sympy_matrix([[b] for b in rhs], 1)).rref()
+    assert (ours is None) == (ncols in spivots)
+    if ours is not None:
+        particular = [Fraction(0)] * ncols
+        for i, p in enumerate(spivots):
+            particular[p] = Fraction(int(aug[i, ncols].p), int(aug[i, ncols].q))
+        assert ours[0] == tuple(particular)
+        assert ours[1].basis == sympy_canonical_span(a.nullspace(), ncols)
+
+
+def test_solve_affine_rows_inconsistent_sparse_and_dense():
+    # x0 + x1 = 1 and 2x0 + 2x1 = 3 cannot both hold
+    assert solve_affine_rows([{0: 1, 1: 1}, {0: 2, 1: 2}], [1, 3], 2) is None
+    assert solve_affine_rows([[F(1, 2), F(1, 2)], [1, 1]], [1, 1], 2) is None
+    assert solve_affine_rows([{}], [1], 3) is None
+
+
+def test_duplicate_and_zero_sparse_rows():
+    rows = [{1: F(1, 3)}, {1: F(1, 3)}, {}, {0: 0, 2: 0}, {1: 2}]
+    s = nullspace_of_rows(rows, 3)
+    assert s.basis == ((F(1), F(0), F(0)), (F(0), F(0), F(1)))
+
+
+@pytest.mark.parametrize("bad", [{3: 1}, {-1: 1}, {0: 1, 7: F(1, 2)}])
+def test_sparse_row_column_out_of_range(bad):
+    with pytest.raises(DimensionMismatch):
+        nullspace_of_rows([bad], 3)
+    with pytest.raises(DimensionMismatch):
+        Subspace.span(3, [bad])
+    with pytest.raises(DimensionMismatch):
+        solve_affine_rows([bad], [1], 3)
+
+
+def test_dense_row_of_wrong_length():
+    with pytest.raises(DimensionMismatch):
+        nullspace_of_rows([[1, 2]], 3)
+    with pytest.raises(DimensionMismatch):
+        solve_affine_rows([[1, 2, 3, 4]], [0], 3)
