@@ -1,12 +1,15 @@
-"""Solvers for weighted, Jordan, and one-sided centralizer spaces.
+"""Solvers for the centralizer spaces cut out by one defining identity.
 
-For a fixed weight pair (p, q) the weighted centralizers are the linear
-operators T with
+Every space solved here is the set of linear operators T satisfying
 
-    (p+q) T(ab) = p T(a)b + q a T(b)      for all a, b,
+    s T(ab) = p T(a)b + q a T(b)      for all a, b,
 
-the Jordan variant imposes the same identity only on squares, and the
-one-sided spaces impose T(ab) = T(a)b (left) or T(ab) = a T(b) (right).
+for one integer triple (s, p, q), or the same identity on squares. Its
+instances are the weighted centralizers, (p+q, p, q) for a weight pair;
+left centralizers, (1, 1, 0); right centralizers, (1, 0, 1); and the Jordan
+variant, the weighted identity imposed only on squares. Two-sided
+centralizers satisfy the left and right identities at once.
+
 Each space is cut out by linear equations on the n^2 matrix entries of T,
 obtained by letting a, b run over basis pairs, and is solved exactly as a
 nullspace. Operators are stored as matrices whose columns are the images
@@ -15,8 +18,8 @@ row-major entries, so operator spaces are canonical subspaces of n^2-space.
 
 The defining conditions quantify over additive maps, but an additive map on
 a Q-vector space is automatically Q-linear, so solving for linear operators
-loses nothing. The Jordan condition is solved through its polarized form
-(p+q)T(ab+ba) = pT(a)b + pT(b)a + qaT(b) + qbT(a), which is equivalent to
+loses nothing. An identity on squares is solved through its polarized form
+s T(ab+ba) = p T(a)b + p T(b)a + q a T(b) + q b T(a), which is equivalent to
 the square condition for linear T because 2 is invertible.
 """
 
@@ -29,18 +32,14 @@ from itertools import chain
 from math import lcm
 from typing import Optional, Sequence
 
-from .algebras import Algebra, multiply
+from .algebras import Algebra
 from .linalg import (
+    DimensionMismatch,
     Matrix,
     Subspace,
     Vector,
-    apply_matrix,
     basis_vector,
-    identity_matrix,
-    matmul,
     nullspace_of_rows,
-    subspace_contains,
-    zero_matrix,
 )
 
 _ZERO = Fraction(0)
@@ -107,6 +106,43 @@ class Weights:
 
 
 @dataclass(frozen=True)
+class Identity:
+    """The identity s T(ab) = p T(a)b + q a T(b) on basis pairs a, b.
+
+    With `symmetric`, both sides are summed over ab and ba and the identity
+    is imposed on pairs i <= j: the polarized form of the identity on
+    squares.
+    """
+
+    s: int
+    p: int
+    q: int
+    symmetric: bool = False
+
+
+LEFT = Identity(1, 1, 0)
+RIGHT = Identity(1, 0, 1)
+
+
+def weighted(w: Weights) -> Identity:
+    """(p+q) T(ab) = p T(a)b + q a T(b)."""
+    return Identity(w.p + w.q, w.p, w.q)
+
+
+def jordan(w: Weights) -> Identity:
+    """The weighted identity on squares."""
+    return Identity(w.p + w.q, w.p, w.q, symmetric=True)
+
+
+def _pairs(n: int, e: Identity):
+    """Each basis pair (i, j) that e is imposed on, in row-major order, with
+    the ordered products summed there: (i, j) alone, or (i, j) and (j, i)."""
+    for i in range(n):
+        for j in range(i if e.symmetric else 0, n):
+            yield i, j, ((i, j), (j, i)) if e.symmetric else ((i, j),)
+
+
+@dataclass(frozen=True)
 class OperatorSpace:
     """A linear space of operators on an algebra, canonically represented.
 
@@ -135,23 +171,6 @@ class OperatorSpace:
 
 def operator_space(n: int, flats: Sequence[Sequence]) -> OperatorSpace:
     return OperatorSpace(n, Subspace.span(n * n, flats))
-
-
-def identity_operator(n: int) -> Matrix:
-    return identity_matrix(n)
-
-
-def zero_operator(n: int) -> Matrix:
-    return zero_matrix(n, n)
-
-
-def apply_operator(t: Matrix, x: Sequence) -> Vector:
-    return apply_matrix(t, x)
-
-
-def compose(s: Matrix, t: Matrix) -> Matrix:
-    """The operator x -> s(t(x))."""
-    return matmul(s, t)
 
 
 def right_mul(a: Algebra, x: Sequence) -> Matrix:
@@ -229,222 +248,115 @@ def two_sided_mul_elements(a: Algebra) -> Subspace:
 # space solvers
 #
 # Unknowns are the flat entries t[k*n + m] = coefficient of b_k in T(b_m).
-# One scalar equation per basis pair (i, j) and output coordinate k, built
-# as a sparse {col: int} row from the integer-scaled structure constants.
+# An identity gives one scalar equation per basis pair (i, j) and output
+# coordinate k, built as a sparse {col: int} row from the integer-scaled
+# structure constants; a space is the nullspace of the stacked rows of the
+# identities that define it.
 # ---------------------------------------------------------------------------
 
-def _solve_rows(n: int, rows: list) -> OperatorSpace:
-    unique = {frozenset(row.items()): row for row in rows}
-    return OperatorSpace(n, nullspace_of_rows(list(unique.values()), n * n))
-
-
-def _weighted_rows(a: Algebra, p: int, q: int) -> list:
+def _rows(a: Algebra, e: Identity) -> list:
     n = a.dim
     prods, by_right, by_left = _int_tables(a)
-    s = p + q
+    s, p, q = e.s, e.p, e.q
     rows: list = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                _emit(rows, chain(
-                    ((k * n + m, s * c) for m, c in prods[i][j]),
-                    ((m * n + i, -p * c) for m, c in by_right[j][k]),
-                    ((m * n + j, -q * c) for m, c in by_left[i][k]),
-                ))
+    for _, _, orders in _pairs(n, e):
+        for k in range(n):
+            terms = []
+            for x, y in orders:
+                if s:
+                    terms += [(k * n + m, s * c) for m, c in prods[x][y]]
+                if p:
+                    terms += [(m * n + x, -p * c) for m, c in by_right[y][k]]
+                if q:
+                    terms += [(m * n + y, -q * c) for m, c in by_left[x][k]]
+            _emit(rows, terms)
     return rows
+
+
+def _solve(a: Algebra, *identities: Identity) -> OperatorSpace:
+    """The operators satisfying every identity: one nullspace of their
+    stacked, deduplicated rows."""
+    n = a.dim
+    unique = {frozenset(row.items()): row
+              for e in identities for row in _rows(a, e)}
+    return OperatorSpace(n, nullspace_of_rows(list(unique.values()), n * n))
 
 
 @lru_cache(maxsize=None)
 def pq_centralizers(a: Algebra, w: Weights) -> OperatorSpace:
     """The space of (p, q)-weighted centralizers of a."""
-    return _solve_rows(a.dim, _weighted_rows(a, w.p, w.q))
+    return _solve(a, weighted(w))
 
 
 @lru_cache(maxsize=None)
 def pq_jordan_centralizers(a: Algebra, w: Weights) -> OperatorSpace:
     """Weighted Jordan centralizers, via the polarized identity."""
-    n = a.dim
-    prods, by_right, by_left = _int_tables(a)
-    p, q = w.p, w.q
-    s = p + q
-    rows: list = []
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(n):
-                _emit(rows, chain(
-                    ((k * n + m, s * c) for m, c in prods[i][j]),
-                    ((k * n + m, s * c) for m, c in prods[j][i]),
-                    ((m * n + i, -p * c) for m, c in by_right[j][k]),
-                    ((m * n + j, -p * c) for m, c in by_right[i][k]),
-                    ((m * n + j, -q * c) for m, c in by_left[i][k]),
-                    ((m * n + i, -q * c) for m, c in by_left[j][k]),
-                ))
-    return _solve_rows(n, rows)
-
-
-def _left_rows(a: Algebra) -> list:
-    """Rows of T(ab) = T(a)b."""
-    n = a.dim
-    prods, by_right, _ = _int_tables(a)
-    rows: list = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                _emit(rows, chain(
-                    ((k * n + m, c) for m, c in prods[i][j]),
-                    ((m * n + i, -c) for m, c in by_right[j][k]),
-                ))
-    return rows
-
-
-def _right_rows(a: Algebra) -> list:
-    """Rows of T(ab) = a T(b)."""
-    n = a.dim
-    prods, _, by_left = _int_tables(a)
-    rows: list = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                _emit(rows, chain(
-                    ((k * n + m, c) for m, c in prods[i][j]),
-                    ((m * n + j, -c) for m, c in by_left[i][k]),
-                ))
-    return rows
+    return _solve(a, jordan(w))
 
 
 @lru_cache(maxsize=None)
 def left_centralizers(a: Algebra) -> OperatorSpace:
     """Solutions of T(ab) = T(a)b."""
-    return _solve_rows(a.dim, _left_rows(a))
+    return _solve(a, LEFT)
 
 
 @lru_cache(maxsize=None)
 def right_centralizers(a: Algebra) -> OperatorSpace:
     """Solutions of T(ab) = a T(b)."""
-    return _solve_rows(a.dim, _right_rows(a))
+    return _solve(a, RIGHT)
 
 
 @lru_cache(maxsize=None)
 def two_sided_centralizers(a: Algebra) -> OperatorSpace:
     """Operators that are left and right centralizers at once: one solve of
     the stacked left and right rows."""
-    return _solve_rows(a.dim, _left_rows(a) + _right_rows(a))
+    return _solve(a, LEFT, RIGHT)
 
 
 # ---------------------------------------------------------------------------
-# membership predicates
+# membership
 #
-# Direct identity checks on basis pairs, independent of the solvers; each
-# returns the first failing (i, j, residual) for use as a report witness.
+# Direct evaluation of an identity on basis pairs, independent of the
+# solvers; the first failing (i, j, residual) serves as a report witness.
 # ---------------------------------------------------------------------------
 
-def _columns(t: Matrix) -> list[Vector]:
+def columns(t: Matrix) -> list[Vector]:
+    """The images T(b_m) of the basis vectors, in coordinates."""
     n = t.rows
     return [tuple(t.entries[k * n + m] for k in range(n)) for m in range(n)]
 
 
-def pq_residual(a: Algebra, t: Matrix, w: Weights
-                ) -> Optional[tuple[int, int, Vector]]:
+def residual(a: Algebra, t: Matrix, e: Identity
+             ) -> Optional[tuple[int, int, Vector]]:
+    """The first basis pair (i, j), in row-major order, on which t violates
+    e, with s T(ab) - p T(a)b - q a T(b) there (summed over ab and ba when
+    e is symmetric); None if t satisfies e on every pair."""
     n = a.dim
-    cols = _columns(t)
-    for i in range(n):
-        ei = basis_vector(n, i)
-        for j in range(n):
-            ej = basis_vector(n, j)
-            lhs = apply_matrix(t, multiply(a, ei, ej))
-            r1 = multiply(a, cols[i], ej)
-            r2 = multiply(a, ei, cols[j])
-            res = tuple(
-                (w.p + w.q) * l - w.p * x - w.q * y
-                for l, x, y in zip(lhs, r1, r2)
-            )
-            if any(res):
-                return i, j, res
+    if (t.rows, t.cols) != (n, n):
+        raise DimensionMismatch(
+            f"operator is {t.rows}x{t.cols}, algebra has dim {n}")
+    prods = a.products
+    # nonzero (index, weight * entry) of each column of t, per nonzero weight
+    nonzero = [[(m, v) for m, v in enumerate(col) if v] for col in columns(t)]
+    s_cols, p_cols, q_cols = (
+        [[(m, w * v) for m, v in col] for col in nonzero] if w else None
+        for w in (e.s, e.p, e.q)
+    )
+    for i, j, orders in _pairs(n, e):
+        res = [_ZERO] * n
+        for x, y in orders:
+            if s_cols is not None:
+                for m, c in prods[x][y]:
+                    for k, v in s_cols[m]:
+                        res[k] += c * v
+            if p_cols is not None:
+                for m, v in p_cols[x]:
+                    for k, c in prods[m][y]:
+                        res[k] -= v * c
+            if q_cols is not None:
+                for m, v in q_cols[y]:
+                    for k, c in prods[x][m]:
+                        res[k] -= v * c
+        if any(res):
+            return i, j, tuple(res)
     return None
-
-
-def jordan_residual(a: Algebra, t: Matrix, w: Weights
-                    ) -> Optional[tuple[int, int, Vector]]:
-    n = a.dim
-    cols = _columns(t)
-    for i in range(n):
-        ei = basis_vector(n, i)
-        for j in range(i, n):
-            ej = basis_vector(n, j)
-            both = tuple(
-                x + y for x, y in
-                zip(multiply(a, ei, ej), multiply(a, ej, ei))
-            )
-            lhs = apply_matrix(t, both)
-            res = tuple(
-                (w.p + w.q) * l
-                - w.p * (x1 + x2) - w.q * (y1 + y2)
-                for l, x1, x2, y1, y2 in zip(
-                    lhs,
-                    multiply(a, cols[i], ej),
-                    multiply(a, cols[j], ei),
-                    multiply(a, ei, cols[j]),
-                    multiply(a, ej, cols[i]),
-                )
-            )
-            if any(res):
-                return i, j, res
-    return None
-
-
-def left_residual(a: Algebra, t: Matrix) -> Optional[tuple[int, int, Vector]]:
-    n = a.dim
-    cols = _columns(t)
-    for i in range(n):
-        ei = basis_vector(n, i)
-        for j in range(n):
-            ej = basis_vector(n, j)
-            lhs = apply_matrix(t, multiply(a, ei, ej))
-            rhs = multiply(a, cols[i], ej)
-            res = tuple(l - r for l, r in zip(lhs, rhs))
-            if any(res):
-                return i, j, res
-    return None
-
-
-def right_residual(a: Algebra, t: Matrix) -> Optional[tuple[int, int, Vector]]:
-    n = a.dim
-    cols = _columns(t)
-    for i in range(n):
-        ei = basis_vector(n, i)
-        for j in range(n):
-            ej = basis_vector(n, j)
-            lhs = apply_matrix(t, multiply(a, ei, ej))
-            rhs = multiply(a, ei, cols[j])
-            res = tuple(l - r for l, r in zip(lhs, rhs))
-            if any(res):
-                return i, j, res
-    return None
-
-
-def is_pq_centralizer(a: Algebra, t: Matrix, w: Weights) -> bool:
-    return pq_residual(a, t, w) is None
-
-
-def is_pq_jordan_centralizer(a: Algebra, t: Matrix, w: Weights) -> bool:
-    return jordan_residual(a, t, w) is None
-
-
-def is_left_centralizer(a: Algebra, t: Matrix) -> bool:
-    return left_residual(a, t) is None
-
-
-def is_right_centralizer(a: Algebra, t: Matrix) -> bool:
-    return right_residual(a, t) is None
-
-
-def is_two_sided_centralizer(a: Algebra, t: Matrix) -> bool:
-    return left_residual(a, t) is None and right_residual(a, t) is None
-
-
-def inclusion_chain_holds(a: Algebra, w: Weights) -> bool:
-    """two-sided inside weighted inside weighted-Jordan."""
-    cts = two_sided_centralizers(a).space
-    cpq = pq_centralizers(a, w).space
-    cj = pq_jordan_centralizers(a, w).space
-    return subspace_contains(cpq, cts) and subspace_contains(cj, cpq)

@@ -16,6 +16,11 @@ FAIL = "FAIL"
 PRECONDITION_UNMET = "PRECONDITION_UNMET"
 
 
+def target_name(a) -> str:
+    """Report target label of an algebra: its name, or its dimension."""
+    return a.name or f"algebra(dim={a.dim})"
+
+
 def fmt_vector(v: Sequence) -> str:
     return "(" + ", ".join(str(Fraction(c)) for c in v) + ")"
 

@@ -29,15 +29,10 @@ from .groups import CayleyTable, group_tables, verify_group_centralizer_structur
 from .reports import FAIL, PASS, PRECONDITION_UNMET, Assertion, Report
 from .verify import (
     CHECK_IDS,
+    DEFAULT_WEIGHT_PAIRS,
     inclusion_chain_check,
     verify_commutative_weights_coincide,
 )
-
-DEFAULT_WEIGHT_PAIRS = ((1, 2), (2, 1), (3, 5), (7, 2))
-
-# every algebra-valued check, in report order
-ALGEBRA_CHECK_IDS = ("2.1", "2.3", "2.4", "3.1", "3.2", "5.1", "5.2", "5.3",
-                     "chain")
 
 RANDOM_MIXED_COUNT = 50
 RANDOM_COMMUTATIVE_COUNT = 25
@@ -89,12 +84,13 @@ class RunReport:
         return out
 
 
-def _run_algebra_checks(a: Algebra, weight_pairs, check_ids) -> list[Report]:
+def _run_algebra_checks(a: Algebra, weight_pairs) -> list[Report]:
+    """Every algebra-valued check, in `CHECK_IDS` order, at each weight pair."""
     out = []
     for pair in weight_pairs:
         w = Weights(*pair)
-        for cid in check_ids:
-            out.append(CHECK_IDS[cid](a, w))
+        for check in CHECK_IDS.values():
+            out.append(check(a, w))
     return out
 
 
@@ -161,7 +157,7 @@ def run_suite(targets: Optional[Sequence[str]] = None,
         randomized = False
 
     for a in algebra_targets:
-        reports.extend(_run_algebra_checks(a, weight_pairs, ALGEBRA_CHECK_IDS))
+        reports.extend(_run_algebra_checks(a, weight_pairs))
     for t in table_targets:
         for pair in weight_pairs:
             reports.append(verify_group_centralizer_structure(t, Weights(*pair)))

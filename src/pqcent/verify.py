@@ -27,35 +27,39 @@ from .algebras import (
     right_identity_samples,
     subspace_product,
 )
+from .arens import verify_bidual_extension
 from .centralizers import (
+    LEFT,
+    RIGHT,
+    Identity,
     OperatorSpace,
     Weights,
-    apply_operator,
-    compose,
-    identity_operator,
+    columns,
     left_mul,
-    left_residual,
     pq_centralizers,
     pq_jordan_centralizers,
-    pq_residual,
+    residual,
     right_mul,
     right_mul_image,
     right_mul_space,
-    right_residual,
     two_sided_centralizers,
     two_sided_mul_elements,
-    zero_operator,
+    weighted,
 )
 from .linalg import (
     Matrix,
     Subspace,
+    apply_matrix,
     basis_vector,
+    identity_matrix,
+    matmul,
     nullspace_of_rows,
     solve_affine_rows,
     subspace_contains,
     subspace_intersect,
     vadd,
     vsub,
+    zero_matrix,
 )
 from .reports import (
     Assertion,
@@ -63,16 +67,14 @@ from .reports import (
     fmt_vector,
     precondition_unmet,
     report_from_assertions,
+    target_name,
 )
 
 _ZERO = Fraction(0)
 
-# weight pairs used when a statement quantifies over admissible weights
-SAMPLED_WEIGHT_PAIRS = ((1, 2), (2, 1), (3, 5), (7, 2))
-
-
-def _target(a: Algebra) -> str:
-    return a.name or f"algebra(dim={a.dim})"
+# weight pairs of a default run, and those sampled when a statement
+# quantifies over admissible weights
+DEFAULT_WEIGHT_PAIRS = ((1, 2), (2, 1), (3, 5), (7, 2))
 
 
 def _spaces_equal(name: str, s: OperatorSpace, t: OperatorSpace) -> Assertion:
@@ -91,16 +93,11 @@ def _residual_assertion(name: str, res: Optional[tuple]) -> Assertion:
     return Assertion(name, ok, witness)
 
 
-def _columns(t: Matrix) -> list:
-    n = t.rows
-    return [tuple(t.entries[k * n + m] for k in range(n)) for m in range(n)]
-
-
 def _operator_candidates(a: Algebra, space: OperatorSpace):
     """zero, identity, and the solved basis, labeled for report lines."""
     n = a.dim
-    out = [("zero operator", zero_operator(n)),
-           ("identity operator", identity_operator(n))]
+    out = [("zero operator", zero_matrix(n, n)),
+           ("identity operator", identity_matrix(n))]
     out.extend(
         (f"basis operator {idx}", t) for idx, t in enumerate(space.operators())
     )
@@ -122,9 +119,8 @@ def verify_right_identity_collapse(a: Algebra, w: Weights) -> Report:
     """
     samples = right_identity_samples(a)
     if not samples:
-        return precondition_unmet("2.1", _target(a), w.pair, "no right identity")
+        return precondition_unmet("2.1", target_name(a), w.pair, "no right identity")
 
-    n = a.dim
     cpq = pq_centralizers(a, w)
     cts = two_sided_centralizers(a)
     assertions = [
@@ -143,31 +139,21 @@ def verify_right_identity_collapse(a: Algebra, w: Weights) -> Report:
 
     for idx, t in enumerate(cpq.operators()):
         assertions.append(_residual_assertion(
-            f"basis operator {idx} is a left centralizer", left_residual(a, t)
+            f"basis operator {idx} is a left centralizer", residual(a, t, LEFT)
         ))
         assertions.append(_residual_assertion(
-            f"basis operator {idx} is a right centralizer", right_residual(a, t)
+            f"basis operator {idx} is a right centralizer", residual(a, t, RIGHT)
         ))
-
-        cols = _columns(t)
-        bad = next(
-            (
-                (i, j)
-                for i in range(n)
-                for j in range(n)
-                if multiply(a, basis_vector(n, i), cols[j])
-                != multiply(a, cols[i], basis_vector(n, j))
-            ),
-            None,
-        )
+        # a T(b) = T(a) b is the identity with (s, p, q) = (0, 1, -1)
+        res = residual(a, t, Identity(0, 1, -1))
         assertions.append(Assertion(
             f"basis operator {idx} satisfies a*T(b) = T(a)*b on basis pairs",
-            bad is None,
-            None if bad is None else f"basis pair {bad}",
+            res is None,
+            None if res is None else f"basis pair {res[:2]}",
         ))
 
         for k, u in enumerate(samples):
-            ok = right_mul(a, apply_operator(t, u)) == t
+            ok = right_mul(a, apply_matrix(t, u)) == t
             assertions.append(Assertion(
                 f"basis operator {idx} equals right multiplication by its "
                 f"value at right identity sample {k}",
@@ -176,7 +162,7 @@ def verify_right_identity_collapse(a: Algebra, w: Weights) -> Report:
             ))
 
     return report_from_assertions(
-        "2.1", _target(a), w.pair, assertions,
+        "2.1", target_name(a), w.pair, assertions,
         f"space dim {cpq.dim}; {len(samples)} right identity samples",
     )
 
@@ -192,13 +178,13 @@ def verify_unital_center_correspondence(a: Algebra, w: Weights) -> Report:
     """
     one = identity(a)
     if one is None:
-        return precondition_unmet("2.3", _target(a), w.pair, "no two-sided identity")
+        return precondition_unmet("2.3", target_name(a), w.pair, "no two-sided identity")
 
     n = a.dim
     cpq = pq_centralizers(a, w)
     z = center(a)
     ops = cpq.operators()
-    images = [apply_operator(t, one) for t in ops]
+    images = [apply_matrix(t, one) for t in ops]
 
     assertions = [
         Assertion(
@@ -231,7 +217,7 @@ def verify_unital_center_correspondence(a: Algebra, w: Weights) -> Report:
             (r, s)
             for r in range(len(ops))
             for s in range(len(ops))
-            if apply_operator(compose(ops[r], ops[s]), one)
+            if apply_matrix(matmul(ops[r], ops[s]), one)
             != multiply(a, images[r], images[s])
         ),
         None,
@@ -243,7 +229,7 @@ def verify_unital_center_correspondence(a: Algebra, w: Weights) -> Report:
     ))
 
     return report_from_assertions(
-        "2.3", _target(a), w.pair, assertions, f"center dim {z.dim}"
+        "2.3", target_name(a), w.pair, assertions, f"center dim {z.dim}"
     )
 
 
@@ -265,15 +251,14 @@ def verify_equivalent_range_conditions(a: Algebra, w: Weights,
     if any(multiply(a, basis_vector(n, i), u) != basis_vector(n, i)
            for i in range(n)):
         return precondition_unmet(
-            "3.1", _target(a), w.pair, f"{fmt_vector(u)} is not a right identity"
+            "3.1", target_name(a), w.pair, f"{fmt_vector(u)} is not a right identity"
         )
-    res = pq_residual(a, t, w)
-    if res is not None:
+    if residual(a, t, weighted(w)) is not None:
         return precondition_unmet(
-            "3.1", _target(a), w.pair, "operator is not a weighted centralizer"
+            "3.1", target_name(a), w.pair, "operator is not a weighted centralizer"
         )
 
-    cols = _columns(t)
+    cols = columns(t)
     ran = Subspace.span(n, cols)
     left_ideal = Subspace.span(
         n, [multiply(a, u, basis_vector(n, i)) for i in range(n)]
@@ -290,7 +275,7 @@ def verify_equivalent_range_conditions(a: Algebra, w: Weights,
             rhs.append(t.entry(k, m))
     cond_b = solve_affine_rows(rows, rhs, n) is not None
 
-    tu = apply_operator(t, u)
+    tu = apply_matrix(t, u)
     cond_c = left_mul(a, tu) == t
     cond_d = center(a).contains_vector(tu)
 
@@ -305,7 +290,7 @@ def verify_equivalent_range_conditions(a: Algebra, w: Weights,
         None if shared else detail,
     )]
     return report_from_assertions(
-        "3.1", _target(a), w.pair, assertions, detail
+        "3.1", target_name(a), w.pair, assertions, detail
     )
 
 
@@ -314,7 +299,7 @@ def run_range_conditions_check(a: Algebra, w: Weights) -> Report:
     sampled right identity."""
     samples = right_identity_samples(a)
     if not samples:
-        return precondition_unmet("3.1", _target(a), w.pair, "no right identity")
+        return precondition_unmet("3.1", target_name(a), w.pair, "no right identity")
     assertions = []
     for label, t in _operator_candidates(a, pq_centralizers(a, w)):
         for k, u in enumerate(samples):
@@ -324,7 +309,7 @@ def run_range_conditions_check(a: Algebra, w: Weights) -> Report:
                     f"{label}, right identity sample {k}: {asrt.name}",
                     asrt.passed, asrt.witness,
                 ))
-    return report_from_assertions("3.1", _target(a), w.pair, assertions)
+    return report_from_assertions("3.1", target_name(a), w.pair, assertions)
 
 
 # ---------------------------------------------------------------------------
@@ -344,12 +329,12 @@ def verify_square_zero_iff_nilpotent_range(a: Algebra, w: Weights,
     A square-zero centralizer also has range inside the radical.
     """
     n = a.dim
-    if pq_residual(a, t, w) is not None:
+    if residual(a, t, weighted(w)) is not None:
         return precondition_unmet(
-            "3.2", _target(a), w.pair, "operator is not a weighted centralizer"
+            "3.2", target_name(a), w.pair, "operator is not a weighted centralizer"
         )
-    square_zero = compose(t, t) == zero_operator(n)
-    ran = Subspace.span(n, _columns(t))
+    square_zero = matmul(t, t) == zero_matrix(n, n)
+    ran = Subspace.span(n, columns(t))
     range_products = subspace_product(a, ran, ran)
     product_free = range_products.dim == 0
 
@@ -380,7 +365,7 @@ def verify_square_zero_iff_nilpotent_range(a: Algebra, w: Weights,
             "range lies inside the radical", inside,
             None if inside else f"range dim {ran.dim}, radical dim {radical(a).dim}",
         ))
-        cols = _columns(t)
+        cols = columns(t)
         bad = next(
             (i for i in range(n)
              if any(multiply(a, cols[i], cols[i]))),
@@ -394,7 +379,7 @@ def verify_square_zero_iff_nilpotent_range(a: Algebra, w: Weights,
         assertions.append(Assertion(
             "square-zero consequences are vacuous for this operator", True,
         ))
-    return report_from_assertions("3.2", _target(a), w.pair, assertions, note)
+    return report_from_assertions("3.2", target_name(a), w.pair, assertions, note)
 
 
 def run_square_zero_check(a: Algebra, w: Weights) -> Report:
@@ -408,7 +393,7 @@ def run_square_zero_check(a: Algebra, w: Weights) -> Report:
                 f"{label}: {asrt.name}", asrt.passed, asrt.witness,
             ))
     return report_from_assertions(
-        "3.2", _target(a), w.pair, assertions, "; ".join(notes)
+        "3.2", target_name(a), w.pair, assertions, "; ".join(notes)
     )
 
 
@@ -420,7 +405,7 @@ def verify_commutative_weights_coincide(a: Algebra, w: Weights) -> Report:
     """On a commutative algebra every weighted space, the Jordan space, and
     the equal-weights space all coincide with the two-sided space."""
     if not is_commutative(a):
-        return precondition_unmet("5.1", _target(a), w.pair, "algebra is not commutative")
+        return precondition_unmet("5.1", target_name(a), w.pair, "algebra is not commutative")
     cts = two_sided_centralizers(a)
     cj = pq_jordan_centralizers(a, w)
     c11 = pq_centralizers(a, Weights(1, 1, allow_equal=True))
@@ -428,14 +413,14 @@ def verify_commutative_weights_coincide(a: Algebra, w: Weights) -> Report:
         _spaces_equal("Jordan space equals equal-weights space", cj, c11),
         _spaces_equal("equal-weights space equals two-sided space", c11, cts),
     ]
-    pairs = dict.fromkeys((w.pair,) + SAMPLED_WEIGHT_PAIRS)
+    pairs = dict.fromkeys((w.pair,) + DEFAULT_WEIGHT_PAIRS)
     for p, q in pairs:
         assertions.append(_spaces_equal(
             f"({p},{q}) space equals two-sided space",
             pq_centralizers(a, Weights(p, q)), cts,
         ))
     return report_from_assertions(
-        "5.1", _target(a), w.pair, assertions, f"common dimension {cts.dim}"
+        "5.1", target_name(a), w.pair, assertions, f"common dimension {cts.dim}"
     )
 
 
@@ -448,17 +433,17 @@ def verify_jordan_reconstruction(a: Algebra, w: Weights) -> Report:
     T(a) = (a - ua) T(u) + u T(a) for all basis a and sampled u."""
     samples = right_identity_samples(a)
     if not samples:
-        return precondition_unmet("5.2", _target(a), w.pair, "no right identity")
+        return precondition_unmet("5.2", target_name(a), w.pair, "no right identity")
     n = a.dim
     cj = pq_jordan_centralizers(a, w)
     assertions = []
     for idx, t in enumerate(cj.operators()):
         for k, u in enumerate(samples):
-            tu = apply_operator(t, u)
+            tu = apply_matrix(t, u)
             bad = None
             for i in range(n):
                 e = basis_vector(n, i)
-                lhs = apply_operator(t, e)
+                lhs = apply_matrix(t, e)
                 v = vsub(e, multiply(a, u, e))
                 rhs = vadd(multiply(a, v, tu), multiply(a, u, lhs))
                 if lhs != rhs:
@@ -472,7 +457,7 @@ def verify_jordan_reconstruction(a: Algebra, w: Weights) -> Report:
                 else f"basis index {bad[0]}: residual {fmt_vector(bad[1])}",
             ))
     return report_from_assertions(
-        "5.2", _target(a), w.pair, assertions,
+        "5.2", target_name(a), w.pair, assertions,
         f"Jordan dim {cj.dim}; {len(samples)} right identity samples",
     )
 
@@ -490,7 +475,7 @@ def verify_central_image_implies_two_sided(a: Algebra, w: Weights) -> Report:
     """
     one = identity(a)
     if one is None:
-        return precondition_unmet("5.3", _target(a), w.pair, "no two-sided identity")
+        return precondition_unmet("5.3", target_name(a), w.pair, "no two-sided identity")
     n = a.dim
     cj = pq_jordan_centralizers(a, w)
     cts = two_sided_centralizers(a)
@@ -528,7 +513,7 @@ def verify_central_image_implies_two_sided(a: Algebra, w: Weights) -> Report:
         None if sanity else "a two-sided centralizer fell outside the cut",
     ))
     return report_from_assertions(
-        "5.3", _target(a), w.pair, assertions,
+        "5.3", target_name(a), w.pair, assertions,
         f"Jordan dim {cj.dim}; central-image part dim {central_part.dim}; "
         f"two-sided dim {cts.dim}",
     )
@@ -556,14 +541,9 @@ def inclusion_chain_check(a: Algebra, w: Weights) -> Report:
         ),
     ]
     return report_from_assertions(
-        "chain", _target(a), w.pair, assertions,
+        "chain", target_name(a), w.pair, assertions,
         f"dims {cts.dim} <= {cpq.dim} <= {cj.dim}",
     )
-
-
-def _lazy_bidual_check(a: Algebra, w: Weights) -> Report:
-    from .arens import verify_bidual_extension
-    return verify_bidual_extension(a, w)
 
 
 # check ids exposed through the command line; "4.2" targets Cayley tables
@@ -571,7 +551,7 @@ def _lazy_bidual_check(a: Algebra, w: Weights) -> Report:
 CHECK_IDS = {
     "2.1": verify_right_identity_collapse,
     "2.3": verify_unital_center_correspondence,
-    "2.4": _lazy_bidual_check,
+    "2.4": verify_bidual_extension,
     "3.1": run_range_conditions_check,
     "3.2": run_square_zero_check,
     "5.1": verify_commutative_weights_coincide,

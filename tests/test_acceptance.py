@@ -16,15 +16,11 @@ from pqcent.algebras import center, identity, is_commutative, is_unital, \
 from pqcent.arens import arens_basis_products, verify_bidual_extension
 from pqcent.centralizers import (
     Weights,
-    apply_operator,
-    compose,
-    identity_operator,
     pq_centralizers,
     right_mul,
     right_mul_image,
     right_mul_space,
     two_sided_centralizers,
-    zero_operator,
 )
 from pqcent.fixtures import fixtures, random_algebra, random_poly_quotient
 from pqcent.groups import (
@@ -34,7 +30,16 @@ from pqcent.groups import (
     is_abelian,
     verify_group_centralizer_structure,
 )
-from pqcent.linalg import Subspace, basis_vector, full_space, subspace_contains
+from pqcent.linalg import (
+    Subspace,
+    apply_matrix,
+    basis_vector,
+    full_space,
+    identity_matrix,
+    matmul,
+    subspace_contains,
+    zero_matrix,
+)
 from pqcent.suite import run_suite
 from pqcent.verify import (
     inclusion_chain_check,
@@ -160,7 +165,7 @@ def test_criterion_06_square_zero(announce, catalog):
                      "of index 2 inside the radical; both sides false for "
                      "the identity on the 2x2 matrix algebra"):
         rho_x = right_mul(dual, basis_vector(2, 1))
-        assert compose(rho_x, rho_x) == zero_operator(2)
+        assert matmul(rho_x, rho_x) == zero_matrix(2, 2)
         ran = Subspace.span(2, [(rho_x.entry(0, j), rho_x.entry(1, j))
                                 for j in range(2)])
         nilpotent, index = is_nilpotent_subspace(dual, ran)
@@ -170,8 +175,8 @@ def test_criterion_06_square_zero(announce, catalog):
             dual, Weights(1, 2), rho_x)
         assert report.status == "PASS"
 
-        ident = identity_operator(4)
-        assert compose(ident, ident) != zero_operator(4)
+        ident = identity_matrix(4)
+        assert matmul(ident, ident) != zero_matrix(4, 4)
         assert is_nilpotent_subspace(m2, full_space(4)) == (False, None)
         report = verify_square_zero_iff_nilpotent_range(
             m2, Weights(1, 2), ident)
@@ -230,7 +235,7 @@ def test_criterion_09_range_conditions(announce, catalog):
             assert report.status == "PASS", pair
         u = basis_vector(2, 0)
         single = verify_equivalent_range_conditions(
-            a, Weights(1, 2), identity_operator(2), u)
+            a, Weights(1, 2), identity_matrix(2), u)
         assert single.status == "PASS"
         assert "T(u) central: False" in single.note
 
@@ -264,4 +269,4 @@ def test_acceptance_epilogue_consistency(catalog):
         one = identity(a)
         if one is not None:
             for t in space.operators():
-                assert right_mul(a, apply_operator(t, one)) == t, name
+                assert right_mul(a, apply_matrix(t, one)) == t, name

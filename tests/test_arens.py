@@ -17,9 +17,9 @@ from pqcent.arens import (
     functional_times_element,
     verify_bidual_extension,
 )
-from pqcent.centralizers import Weights, compose
+from pqcent.centralizers import Weights
 from pqcent.fixtures import fixtures
-from pqcent.linalg import Matrix, basis_vector, vec
+from pqcent.linalg import Matrix, basis_vector, matmul, vec
 from pqcent.reports import PASS, PRECONDITION_UNMET
 
 W12 = Weights(1, 2)
@@ -110,7 +110,7 @@ def test_dual_pairing_is_the_coordinate_dot():
 def test_adjoint_is_contravariant():
     s = Matrix.from_rows([[1, 2], [0, 1]])
     t = Matrix.from_rows([[3, 0], [1, 1]])
-    assert adjoint(compose(s, t)) == compose(adjoint(t), adjoint(s))
+    assert adjoint(matmul(s, t)) == matmul(adjoint(t), adjoint(s))
 
 
 @given(st.lists(st.integers(-5, 5), min_size=9, max_size=9))

@@ -6,30 +6,26 @@ from hypothesis import given, settings, strategies as st
 
 from pqcent.algebras import center, identity, make_algebra, multiply
 from pqcent.centralizers import (
+    LEFT,
+    RIGHT,
     OperatorSpace,
     Weights,
-    apply_operator,
-    compose,
-    identity_operator,
-    inclusion_chain_holds,
-    is_left_centralizer,
-    is_pq_centralizer,
-    is_pq_jordan_centralizer,
-    is_right_centralizer,
-    is_two_sided_centralizer,
+    _solve,
+    jordan,
     left_centralizers,
     left_mul,
     left_mul_space,
     operator_space,
     pq_centralizers,
     pq_jordan_centralizers,
+    residual,
     right_centralizers,
     right_mul,
     right_mul_image,
     right_mul_space,
     two_sided_centralizers,
     two_sided_mul_elements,
-    zero_operator,
+    weighted,
 )
 from pqcent.fixtures import (
     colmat,
@@ -37,16 +33,23 @@ from pqcent.fixtures import (
     fixtures,
     matrix_algebra,
     random_algebra,
+    random_poly_quotient,
     zero_product,
 )
 from pqcent.linalg import (
+    DimensionMismatch,
     Matrix,
     Subspace,
+    apply_matrix,
     basis_vector,
     full_space,
+    identity_matrix,
+    matmul,
     subspace_intersect,
     vec,
+    zero_matrix,
 )
+from pqcent.verify import inclusion_chain_check
 
 F = Fraction
 
@@ -54,7 +57,7 @@ WEIGHT_PAIRS = ((1, 2), (2, 1), (3, 5), (7, 2))
 
 
 def flat_identity(n):
-    return identity_operator(n).entries
+    return identity_matrix(n).entries
 
 
 # ---------------------------------------------------------------------------
@@ -80,8 +83,8 @@ def test_weights_validation():
 
 def test_right_mul_of_zero_and_identity():
     a = matrix_algebra(2)
-    assert right_mul(a, vec([0] * 4)) == zero_operator(4)
-    assert right_mul(a, identity(a)) == identity_operator(4)
+    assert right_mul(a, vec([0] * 4)) == zero_matrix(4, 4)
+    assert right_mul(a, identity(a)) == identity_matrix(4)
 
 
 def test_colmat_right_mul_is_scalar():
@@ -104,8 +107,8 @@ def test_mul_operators_are_one_sided_centralizers():
     for name, a in fixtures().items():
         for i in range(a.dim):
             e = basis_vector(a.dim, i)
-            assert is_right_centralizer(a, right_mul(a, e)), name
-            assert is_left_centralizer(a, left_mul(a, e)), name
+            assert residual(a, right_mul(a, e), RIGHT) is None, name
+            assert residual(a, left_mul(a, e), LEFT) is None, name
 
 
 # ---------------------------------------------------------------------------
@@ -114,10 +117,10 @@ def test_mul_operators_are_one_sided_centralizers():
 
 def test_identity_operator_is_always_a_centralizer():
     for name, a in fixtures().items():
-        ident = identity_operator(a.dim)
+        ident = identity_matrix(a.dim)
         for p, q in WEIGHT_PAIRS:
             w = Weights(p, q)
-            assert is_pq_centralizer(a, ident, w), name
+            assert residual(a, ident, weighted(w)) is None, name
             assert pq_centralizers(a, w).contains_operator(ident), name
 
 
@@ -162,27 +165,50 @@ def test_solved_bases_satisfy_defining_identities():
     for name, a in fixtures().items():
         w = Weights(3, 5)
         for t in pq_centralizers(a, w).operators():
-            assert is_pq_centralizer(a, t, w), name
+            assert residual(a, t, weighted(w)) is None, name
         for t in pq_jordan_centralizers(a, w).operators():
-            assert is_pq_jordan_centralizer(a, t, w), name
+            assert residual(a, t, jordan(w)) is None, name
         for t in two_sided_centralizers(a).operators():
-            assert is_two_sided_centralizer(a, t), name
+            assert residual(a, t, LEFT) is None, name
+            assert residual(a, t, RIGHT) is None, name
 
 
 def test_membership_rejects_non_centralizers():
     a = matrix_algebra(2)
     w = Weights(1, 2)
     e11 = basis_vector(4, 0)
-    assert not is_pq_centralizer(a, right_mul(a, e11), w)
-    assert is_right_centralizer(a, right_mul(a, e11))
+    assert residual(a, right_mul(a, e11), weighted(w)) is not None
+    assert residual(a, right_mul(a, e11), RIGHT) is None
+
+
+def test_residual_witnesses_on_matrix2():
+    # first failing (i, j, residual) of each operator under each identity;
+    # values pinned from the per-variant residual functions this one replaced
+    a = fixtures()["matrix2"]
+    e0 = basis_vector(4, 0)
+    identities = (weighted(Weights(1, 2)), jordan(Weights(2, 1)), LEFT, RIGHT)
+    expected = [
+        (right_mul(a, e0), [(0, 1, (0, -1, 0, 0)), (0, 1, (0, -2, 0, 0)),
+                            (0, 1, (0, -1, 0, 0)), None]),
+        (left_mul(a, e0), [(1, 2, (2, 0, 0, 0)), (0, 2, (0, 0, -1, 0)),
+                           None, (1, 2, (1, 0, 0, 0))]),
+    ]
+    for t, cells in expected:
+        assert [residual(a, t, e) for e in identities] == cells
 
 
 def test_zero_operator_in_all_variants():
     a = matrix_algebra(2)
-    z = zero_operator(4)
-    assert is_pq_centralizer(a, z, Weights(1, 2))
-    assert is_pq_jordan_centralizer(a, z, Weights(1, 2))
-    assert is_two_sided_centralizer(a, z)
+    z = zero_matrix(4, 4)
+    assert residual(a, z, weighted(Weights(1, 2))) is None
+    assert residual(a, z, jordan(Weights(1, 2))) is None
+    assert residual(a, z, LEFT) is None
+    assert residual(a, z, RIGHT) is None
+
+
+def test_residual_rejects_operator_of_wrong_size():
+    with pytest.raises(DimensionMismatch):
+        residual(matrix_algebra(2), identity_matrix(3), LEFT)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +218,7 @@ def test_zero_operator_in_all_variants():
 def test_inclusion_chain_on_catalog():
     for name, a in fixtures().items():
         for p, q in WEIGHT_PAIRS:
-            assert inclusion_chain_holds(a, Weights(p, q)), (name, p, q)
+            assert inclusion_chain_check(a, Weights(p, q)).passed, (name, p, q)
 
 
 def test_weight_independence_under_right_identity():
@@ -263,7 +289,7 @@ def test_operator_space_wraps_canonical_subspace():
     s = operator_space(2, [[1, 0, 0, 1], [2, 0, 0, 2]])
     assert s.dim == 1
     ops = s.operators()
-    assert ops[0] == identity_operator(2)
+    assert ops[0] == identity_matrix(2)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +306,7 @@ def test_right_mul_antihomomorphism(seed, data):
     a = random_algebra(random.Random(seed))
     elem = st.lists(small_fraction, min_size=a.dim, max_size=a.dim).map(vec)
     x, y = data.draw(elem), data.draw(elem)
-    lhs = compose(right_mul(a, x), right_mul(a, y))
+    lhs = matmul(right_mul(a, x), right_mul(a, y))
     assert lhs == right_mul(a, multiply(a, y, x))
 
 
@@ -291,7 +317,7 @@ def test_left_mul_homomorphism(seed, data):
     a = random_algebra(random.Random(seed))
     elem = st.lists(small_fraction, min_size=a.dim, max_size=a.dim).map(vec)
     x, y = data.draw(elem), data.draw(elem)
-    lhs = compose(left_mul(a, x), left_mul(a, y))
+    lhs = matmul(left_mul(a, x), left_mul(a, y))
     assert lhs == left_mul(a, multiply(a, x, y))
 
 
@@ -300,7 +326,32 @@ def test_left_mul_homomorphism(seed, data):
 def test_random_algebra_chain(seed):
     import random
     a = random_algebra(random.Random(seed))
-    assert inclusion_chain_holds(a, Weights(1, 2))
+    assert inclusion_chain_check(a, Weights(1, 2)).passed
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 30), st.booleans(), st.data())
+def test_residual_agrees_with_solved_space(seed, commutative, data):
+    # an operator satisfies every identity of a space exactly when the
+    # solved space contains it: members and perturbed members alike
+    import random
+    rng = random.Random(seed)
+    a = random_poly_quotient(rng) if commutative else random_algebra(rng)
+    n = a.dim
+    w = data.draw(st.sampled_from([Weights(1, 2), Weights(2, 1), Weights(3, 5)]))
+    small = st.integers(-3, 3)
+    for identities in ((weighted(w),), (jordan(w),), (LEFT,), (RIGHT,),
+                       (LEFT, RIGHT)):
+        space = _solve(a, *identities)
+        coeffs = data.draw(st.lists(small, min_size=space.dim,
+                                    max_size=space.dim))
+        member = [sum((c * v[k] for c, v in zip(coeffs, space.space.basis)),
+                      F(0)) for k in range(n * n)]
+        bump = data.draw(st.lists(small, min_size=n * n, max_size=n * n))
+        for flat in (member, [x + d for x, d in zip(member, bump)]):
+            t = Matrix(n, n, tuple(flat))
+            satisfied = all(residual(a, t, e) is None for e in identities)
+            assert satisfied == space.contains_operator(t), identities
 
 
 def test_apply_operator_matches_columns():
@@ -308,7 +359,7 @@ def test_apply_operator_matches_columns():
     op = right_mul(a, vec([1, 2, 3, 4]))
     for i in range(4):
         e = basis_vector(4, i)
-        assert apply_operator(op, e) == multiply(a, e, vec([1, 2, 3, 4]))
+        assert apply_matrix(op, e) == multiply(a, e, vec([1, 2, 3, 4]))
 
 
 def test_solver_performance_on_matrix3():

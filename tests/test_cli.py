@@ -132,6 +132,7 @@ def test_arens_check_unmet_is_not_failure(capsys):
     ("5.2", "colmat3"),
     ("5.3", "matrix2"),
     ("4.2", "s3"),
+    ("chain", "matrix2"),
 ])
 def test_verify_each_check_id(theorem, target, capsys):
     assert main(["verify", target, "--theorem", theorem,

@@ -5,11 +5,8 @@ import json
 import pytest
 
 from pqcent.reports import FAIL, PASS, PRECONDITION_UNMET
-from pqcent.suite import (
-    ALGEBRA_CHECK_IDS,
-    DEFAULT_WEIGHT_PAIRS,
-    run_suite,
-)
+from pqcent.suite import run_suite
+from pqcent.verify import CHECK_IDS, DEFAULT_WEIGHT_PAIRS
 
 COLMAT2_TEXT = "dim 2\nmul 0 0 = 1 @0\nmul 1 0 = 1 @1\n"
 NON_ASSOCIATIVE_TEXT = "dim 2\nmul 0 0 = 1 @1\nmul 1 1 = 1 @0\n"
@@ -18,11 +15,11 @@ BAD_GROUP_TEXT = "order 2\n0 1\n0 1\n"
 
 def test_named_targets_run_every_check():
     rr = run_suite(targets=["colmat2", "c2"])
-    per_algebra = len(ALGEBRA_CHECK_IDS) * len(DEFAULT_WEIGHT_PAIRS)
+    per_algebra = len(CHECK_IDS) * len(DEFAULT_WEIGHT_PAIRS)
     per_table = len(DEFAULT_WEIGHT_PAIRS)
     assert len(rr.reports) == per_algebra + per_table
     assert rr.exit_code == 0
-    assert {r.check_id for r in rr.reports} == set(ALGEBRA_CHECK_IDS) | {"4.2"}
+    assert {r.check_id for r in rr.reports} == set(CHECK_IDS) | {"4.2"}
 
 
 def test_fixture_targets_all_pass():

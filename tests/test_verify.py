@@ -7,15 +7,14 @@ import pytest
 from pqcent.algebras import identity, multiply, radical
 from pqcent.centralizers import (
     Weights,
-    identity_operator,
     pq_centralizers,
-    pq_residual,
+    residual,
     right_mul,
     two_sided_centralizers,
-    zero_operator,
+    weighted,
 )
 from pqcent.fixtures import fixtures
-from pqcent.linalg import Matrix, basis_vector
+from pqcent.linalg import Matrix, basis_vector, identity_matrix, zero_matrix
 from pqcent.reports import PASS, PRECONDITION_UNMET
 from pqcent.verify import (
     CHECK_DESCRIPTIONS,
@@ -111,7 +110,7 @@ def test_center_correspondence_needs_identity(catalog):
 def test_range_conditions_all_false_on_colmat2(catalog):
     a = catalog["colmat2"]
     u = basis_vector(2, 0)
-    rep = verify_equivalent_range_conditions(a, W12, identity_operator(2), u)
+    rep = verify_equivalent_range_conditions(a, W12, identity_matrix(2), u)
     assert rep.status == PASS
     assert "range in u*A: False" in rep.note
     assert "T(u) central: False" in rep.note
@@ -120,7 +119,7 @@ def test_range_conditions_all_false_on_colmat2(catalog):
 def test_range_conditions_all_true_when_unital(catalog):
     a = catalog["matrix2"]
     one = identity(a)
-    rep = verify_equivalent_range_conditions(a, W23, identity_operator(4), one)
+    rep = verify_equivalent_range_conditions(a, W23, identity_matrix(4), one)
     assert rep.status == PASS
     assert "False" not in rep.note
 
@@ -128,7 +127,7 @@ def test_range_conditions_all_true_when_unital(catalog):
 def test_range_conditions_reject_bad_right_identity(catalog):
     a = catalog["colmat2"]
     rep = verify_equivalent_range_conditions(
-        a, W12, identity_operator(2), basis_vector(2, 1)
+        a, W12, identity_matrix(2), basis_vector(2, 1)
     )
     assert rep.status == PRECONDITION_UNMET
     assert "not a right identity" in rep.note
@@ -137,7 +136,7 @@ def test_range_conditions_reject_bad_right_identity(catalog):
 def test_range_conditions_reject_non_centralizer(catalog):
     a = catalog["colmat2"]
     t = Matrix.from_rows([[0, 0], [1, 0]])
-    assert pq_residual(a, t, W12) is not None
+    assert residual(a, t, weighted(W12)) is not None
     rep = verify_equivalent_range_conditions(a, W12, t, basis_vector(2, 0))
     assert rep.status == PRECONDITION_UNMET
 
@@ -168,7 +167,7 @@ def test_square_zero_on_dual_numbers(catalog):
 
 def test_square_zero_both_false_on_matrix2(catalog):
     a = catalog["matrix2"]
-    rep = verify_square_zero_iff_nilpotent_range(a, W23, identity_operator(4))
+    rep = verify_square_zero_iff_nilpotent_range(a, W23, identity_matrix(4))
     assert rep.status == PASS
     assert _assertion_names(rep) == [
         "square is zero iff all products of range elements vanish"
@@ -188,7 +187,7 @@ def test_square_zero_nonequivalence_needs_small_index(catalog):
 
 def test_square_zero_without_right_identity_checks_forward_only(catalog):
     a = catalog["zero2"]
-    rep = verify_square_zero_iff_nilpotent_range(a, W12, identity_operator(2))
+    rep = verify_square_zero_iff_nilpotent_range(a, W12, identity_matrix(2))
     assert rep.status == PASS
     assert all("iff" not in name for name in _assertion_names(rep))
 
@@ -208,7 +207,7 @@ def test_square_zero_driver_passes_across_catalog(catalog):
 
 def test_zero_operator_square_zero_case(catalog):
     a = catalog["dual_numbers"]
-    rep = verify_square_zero_iff_nilpotent_range(a, W12, zero_operator(2))
+    rep = verify_square_zero_iff_nilpotent_range(a, W12, zero_matrix(2, 2))
     assert rep.status == PASS
     assert "range dim 0" in rep.note
 
