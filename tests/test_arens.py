@@ -1,12 +1,16 @@
 """Staged bidual product: action oracles, embedding, and the lifted checks."""
 
+import hashlib
+import json
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pqcent.algebras import identity, multiply
+from pqcent import arens
+from pqcent.algebras import identity, make_algebra, multiply
 from pqcent.arens import (
     adjoint,
     arens_basis_products,
@@ -18,9 +22,10 @@ from pqcent.arens import (
     verify_bidual_extension,
 )
 from pqcent.centralizers import Weights
-from pqcent.fixtures import fixtures
-from pqcent.linalg import Matrix, basis_vector, matmul, vec
-from pqcent.reports import PASS, PRECONDITION_UNMET
+from pqcent.fixtures import fixtures, random_algebra, random_poly_quotient
+from pqcent.linalg import DimensionMismatch, Matrix, basis_vector, matmul, vec
+from pqcent.reports import FAIL, PASS, PRECONDITION_UNMET
+from pqcent.verify import DEFAULT_WEIGHT_PAIRS
 
 W12 = Weights(1, 2)
 
@@ -65,12 +70,15 @@ def test_embedded_identity_acts_trivially_on_dual(catalog):
             assert bidual_times_functional(a, one, f) == f, name
 
 
-def test_staged_product_extends_algebra_product(catalog):
-    for name, a in catalog.items():
+def test_staged_product_extends_algebra_product():
+    # on a finite-dimensional algebra the first Arens product is its
+    # product, so the staged table equals the structure constants
+    for name, a in _oracle_algebras().items():
         n = a.dim
         products = arens_basis_products(a)
         for i in range(n):
             for j in range(n):
+                assert products[i][j] == tuple(a.table[i][j]), (name, i, j)
                 assert products[i][j] == multiply(
                     a, basis_vector(n, i), basis_vector(n, j)
                 ), (name, i, j)
@@ -153,3 +161,189 @@ def test_bidual_extension_needs_right_identity(catalog):
 def test_basis_product_table_is_cached(catalog):
     a = catalog["colmat2"]
     assert arens_basis_products(a) is arens_basis_products(a)
+
+
+# ---------------------------------------------------------------------------
+# reference: the unoptimised staged pipeline, kept as a differential oracle
+# ---------------------------------------------------------------------------
+
+_ZERO = Fraction(0)
+
+
+def _ref_dual_pairing(f, x):
+    return sum((fk * xk for fk, xk in zip(f, x)), _ZERO)
+
+
+def _ref_functional_times_element(a, f, x):
+    n = a.dim
+    out = [_ZERO] * n
+    for j in range(n):
+        acc = _ZERO
+        for i, xi in enumerate(x):
+            if xi:
+                for k, c in a.products[i][j]:
+                    acc += f[k] * xi * c
+        out[j] = acc
+    return vec(out)
+
+
+def _ref_bidual_times_functional(a, h, f):
+    n = a.dim
+    return vec(
+        _ref_dual_pairing(
+            h, _ref_functional_times_element(a, f, basis_vector(n, j))
+        )
+        for j in range(n)
+    )
+
+
+def _ref_arens_product(a, big_f, big_h):
+    n = a.dim
+    return vec(
+        _ref_dual_pairing(
+            big_f, _ref_bidual_times_functional(a, big_h, basis_vector(n, i))
+        )
+        for i in range(n)
+    )
+
+
+def _ref_arens_basis_products(a):
+    n = a.dim
+    return tuple(
+        tuple(
+            _ref_arens_product(a, basis_vector(n, i), basis_vector(n, j))
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+
+
+def _rescaled(a, s):
+    """a in the basis e_i = s[i] b_i, whose structure constants are fractions."""
+    n = a.dim
+    return make_algebra(n, [[[a.table[i][j][k] * s[i] * s[j] / s[k]
+                              for k in range(n)] for j in range(n)]
+                            for i in range(n)])
+
+
+def _oracle_algebras():
+    algebras = dict(fixtures())
+    rng = Random(20240)
+    for d in range(10):
+        algebras[f"random_algebra {d}"] = random_algebra(rng)
+        algebras[f"random_poly {d}"] = random_poly_quotient(rng)
+    for name in ("matrix2", "group_s3"):
+        a = algebras[name]
+        s = [Fraction((-1) ** i * (i + 2), 2 * i + 3) for i in range(a.dim)]
+        algebras[f"rescaled {name}"] = _rescaled(a, s)
+    return algebras
+
+
+def _dense_with_zeros(n, shift):
+    """A dense Fraction vector with a zero in every third coordinate."""
+    return vec(
+        0 if (k + shift) % 3 == 0 else Fraction((-1) ** k * (k + shift), k + 2)
+        for k in range(n)
+    )
+
+
+def test_staged_actions_match_the_reference_pipeline():
+    algebras = _oracle_algebras()
+    assert any(c.denominator != 1 for plane in algebras["rescaled matrix2"].table
+               for row in plane for c in row)
+    for name, a in algebras.items():
+        n = a.dim
+        assert arens_basis_products(a) == _ref_arens_basis_products(a), name
+        f, x = _dense_with_zeros(n, 1), _dense_with_zeros(n, 2)
+        assert any(v == 0 for v in f + x) or n < 2, name
+        assert functional_times_element(a, f, x) == \
+            _ref_functional_times_element(a, f, x), name
+        assert bidual_times_functional(a, x, f) == \
+            _ref_bidual_times_functional(a, x, f), name
+        assert arens_product(a, f, x) == _ref_arens_product(a, f, x), name
+        assert dual_pairing(f, x) == _ref_dual_pairing(f, x), name
+
+
+def test_dual_pairing_rejects_wrong_length():
+    with pytest.raises(DimensionMismatch):
+        dual_pairing((1, 2, 3), (1,))
+
+
+def test_functional_times_element_rejects_wrong_length(catalog):
+    a = catalog["matrix2"]
+    with pytest.raises(DimensionMismatch):
+        functional_times_element(a, basis_vector(4, 0), (1, 0))
+    with pytest.raises(DimensionMismatch):
+        functional_times_element(a, (1, 0), basis_vector(4, 0))
+
+
+def test_bidual_times_functional_rejects_wrong_length(catalog):
+    a = catalog["matrix2"]
+    with pytest.raises(DimensionMismatch):
+        bidual_times_functional(a, (1, 0), basis_vector(4, 0))
+    with pytest.raises(DimensionMismatch):
+        bidual_times_functional(a, basis_vector(4, 0), (1, 0, 0, 0, 0))
+
+
+def test_arens_product_rejects_wrong_length(catalog):
+    a = catalog["matrix2"]
+    with pytest.raises(DimensionMismatch):
+        arens_product(a, basis_vector(4, 0), (1,))
+    with pytest.raises(DimensionMismatch):
+        arens_product(a, (1, 0, 0), basis_vector(4, 0))
+
+
+# ---------------------------------------------------------------------------
+# stage mutations: check 2.4 must notice a wrong stage
+# ---------------------------------------------------------------------------
+
+def _opposite_action(a, f, x):
+    """(f.x)(y) = f(y x), the opposite of stage 1."""
+    n = a.dim
+    out = [_ZERO] * n
+    for j in range(n):
+        for i, xi in enumerate(x):
+            for k, c in a.products[j][i]:
+                out[j] += f[k] * xi * c
+    return tuple(out)
+
+
+def _swapped(stage):
+    return lambda a, first, second: stage(a, second, first)
+
+
+@pytest.fixture
+def fresh_table_cache():
+    arens_basis_products.cache_clear()
+    yield
+    arens_basis_products.cache_clear()
+
+
+# the basis table is built from stages 1 and 2 and reads stage 3 as a
+# pairing, so a wrong stage 1 or 2 must break the table assertion itself;
+# the full stage 3 runs on the dense samples
+@pytest.mark.parametrize("stage, mutant, failing", [
+    ("functional_times_element", lambda stage: _opposite_action,
+     "staged product extends the algebra product"),
+    ("bidual_times_functional", _swapped,
+     "staged product extends the algebra product"),
+    ("arens_product", _swapped, "dense pipeline sample"),
+])
+def test_bidual_extension_fails_on_a_mutated_stage(
+        catalog, monkeypatch, fresh_table_cache, stage, mutant, failing):
+    monkeypatch.setattr(arens, stage, mutant(getattr(arens, stage)))
+    rep = verify_bidual_extension(catalog["matrix2"], W12)
+    assert rep.status == FAIL, stage
+    assert any(failing in x.name and not x.passed for x in rep.assertions), stage
+
+
+def test_bidual_extension_report_bytes_are_pinned():
+    reports = [
+        verify_bidual_extension(a, Weights(*p)).to_dict()
+        for a in fixtures().values()
+        for p in DEFAULT_WEIGHT_PAIRS
+    ]
+    text = json.dumps(reports, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "f1d77f83489a555fdb65e802ee49ed8a75a46dc9d46ad30a19ecc1cfcda4a24d"
+    )
