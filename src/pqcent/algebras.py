@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, wraps
 from typing import Optional, Sequence
 
 from .linalg import (
@@ -42,8 +42,23 @@ class NonAssociativeError(ValueError):
         )
 
 
-# eq=False: algebras hash and compare by identity, which lets the solvers
-# lru_cache per algebra object without hashing the whole tensor.
+def cached(fn):
+    """Cache fn(x, *args) in x.__dict__, beside the cached_property tables,
+    keyed by (fn, *args): a derived result is freed with its object.
+    Arguments are positional and hashable."""
+    @wraps(fn)
+    def wrapper(x, *args):
+        store = x.__dict__.setdefault("_cache", {})
+        key = (fn, *args)
+        if key not in store:
+            store[key] = fn(x, *args)
+        return store[key]
+
+    return wrapper
+
+
+# eq=False: algebras hash and compare by identity, so an algebra's cached
+# results are its own; an equal but distinct algebra is solved afresh.
 @dataclass(frozen=True, eq=False)
 class Algebra:
     dim: int
@@ -178,6 +193,16 @@ def multiply(a: Algebra, x: Sequence, y: Sequence) -> Vector:
     return tuple(out)
 
 
+def _units(a: Algebra, *factors) -> Optional[tuple[Vector, Subspace]]:
+    """Affine set of u with b_i u = b_i (from by_left_factor) and/or
+    u b_i = b_i (from by_right_factor) for every i: one row per (i, k, table)."""
+    n = a.dim
+    keys = [(i, k, f) for i in range(n) for k in range(n) for f in factors]
+    return solve_affine_rows([dict(f[i][k]) for i, k, f in keys],
+                             [Fraction(i == k) for i, k, _ in keys], n)
+
+
+@cached
 def right_identities(a: Algebra) -> Optional[tuple[Vector, Subspace]]:
     """Affine set of all u with x*u = x for every x, or None.
 
@@ -185,13 +210,7 @@ def right_identities(a: Algebra) -> Optional[tuple[Vector, Subspace]]:
     identity is particular + h with h in the subspace. The set is genuinely
     non-unique on some algebras, so callers must not assume a point.
     """
-    n = a.dim
-    rows, rhs = [], []
-    for i in range(n):
-        for k in range(n):
-            rows.append(dict(a.by_left_factor[i][k]))
-            rhs.append(Fraction(1 if i == k else 0))
-    return solve_affine_rows(rows, rhs, n)
+    return _units(a, a.by_left_factor)
 
 
 def right_identity_samples(a: Algebra) -> tuple[Vector, ...]:
@@ -214,16 +233,10 @@ def right_identity_samples(a: Algebra) -> tuple[Vector, ...]:
     return tuple(samples)
 
 
+@cached
 def identity(a: Algebra) -> Optional[Vector]:
     """The two-sided identity element, if one exists."""
-    n = a.dim
-    rows, rhs = [], []
-    for i in range(n):
-        for k in range(n):
-            delta = Fraction(1 if i == k else 0)
-            rows += [dict(a.by_left_factor[i][k]), dict(a.by_right_factor[i][k])]
-            rhs += [delta, delta]
-    sol = solve_affine_rows(rows, rhs, n)
+    sol = _units(a, a.by_left_factor, a.by_right_factor)
     if sol is None:
         return None
     particular, homogeneous = sol
@@ -244,21 +257,29 @@ def is_commutative(a: Algebra) -> bool:
     )
 
 
-@lru_cache(maxsize=None)
-def center(a: Algebra) -> Subspace:
-    """Elements commuting with the whole algebra."""
+def _commutant_rows(a: Algebra, elements) -> list:
+    """Rows of x t = t x in the coordinates of x, one per output coordinate
+    and element t, each t given by its nonzero (j, t_j) pairs."""
     n = a.dim
     rows = []
-    for j in range(n):
+    for t in elements:
         for k in range(n):
             row = [_ZERO] * n
-            for m, c in a.by_right_factor[j][k]:
-                row[m] += c
-            for m, c in a.by_left_factor[j][k]:
-                row[m] -= c
+            for j, tj in t:
+                for m, c in a.by_right_factor[j][k]:
+                    row[m] += tj * c
+                for m, c in a.by_left_factor[j][k]:
+                    row[m] -= tj * c
             if any(row):
                 rows.append(row)
-    return nullspace_of_rows(rows, n)
+    return rows
+
+
+@cached
+def center(a: Algebra) -> Subspace:
+    """Elements commuting with the whole algebra."""
+    elements = [((j, 1),) for j in range(a.dim)]
+    return nullspace_of_rows(_commutant_rows(a, elements), a.dim)
 
 
 def relative_center(a: Algebra, s: Subspace, t: Subspace) -> Subspace:
@@ -266,23 +287,12 @@ def relative_center(a: Algebra, s: Subspace, t: Subspace) -> Subspace:
     n = a.dim
     if s.ambient_dim != n or t.ambient_dim != n:
         raise DimensionMismatch("subspaces must live in the algebra")
-    rows = []
-    for tv in t.basis:
-        for k in range(n):
-            row = [_ZERO] * n
-            for j, tj in enumerate(tv):
-                if not tj:
-                    continue
-                for m, c in a.by_right_factor[j][k]:
-                    row[m] += tj * c
-                for m, c in a.by_left_factor[j][k]:
-                    row[m] -= tj * c
-            if any(row):
-                rows.append(row)
+    rows = _commutant_rows(
+        a, [[(j, tj) for j, tj in enumerate(tv) if tj] for tv in t.basis])
     return subspace_intersect(s, nullspace_of_rows(rows, n))
 
 
-@lru_cache(maxsize=None)
+@cached
 def radical(a: Algebra) -> Subspace:
     """Jacobson radical, via the trace form of the unitization.
 

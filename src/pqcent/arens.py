@@ -26,10 +26,9 @@ structure constants: that equality is what check 2.4 asserts.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
-from .algebras import Algebra, multiply, right_identity_samples
+from .algebras import Algebra, cached, multiply, right_identity_samples
 from .centralizers import (
     LEFT,
     RIGHT,
@@ -123,7 +122,7 @@ def double_adjoint(t: Matrix) -> Matrix:
     return transpose(transpose(t))
 
 
-@lru_cache(maxsize=None)
+@cached
 def arens_basis_products(a: Algebra) -> tuple:
     """Staged products of all pairs of double-dual basis vectors.
 

@@ -27,24 +27,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain
 from math import lcm
 from typing import Optional, Sequence
 
-from .algebras import Algebra
+from .algebras import Algebra, cached
 from .linalg import (
     DimensionMismatch,
     Matrix,
     Subspace,
     Vector,
-    basis_vector,
+    full_space,
     nullspace_of_rows,
 )
 
 _ZERO = Fraction(0)
 
 
+@cached
 def _int_tables(a: Algebra) -> tuple:
     """`products`, `by_right_factor` and `by_left_factor` of a with every
     constant multiplied by the lcm of all their denominators, as ints.
@@ -173,47 +173,40 @@ def operator_space(n: int, flats: Sequence[Sequence]) -> OperatorSpace:
     return OperatorSpace(n, Subspace.span(n * n, flats))
 
 
-def right_mul(a: Algebra, x: Sequence) -> Matrix:
-    """Right multiplication operator b -> b*x."""
+def _mul_operator(a: Algebra, x: Sequence, by_factor) -> Matrix:
+    """sum_j x_j M_j, where by_factor[j][k] holds the sparse rows of M_j,
+    the matrix of multiplication by b_j on one side."""
     n = a.dim
     entries = [_ZERO] * (n * n)
     for j, xj in enumerate(x):
         if not xj:
             continue
         for k in range(n):
-            for m, c in a.by_right_factor[j][k]:
+            for m, c in by_factor[j][k]:
                 entries[k * n + m] += xj * c
     return Matrix(n, n, tuple(entries))
 
 
+def right_mul(a: Algebra, x: Sequence) -> Matrix:
+    """Right multiplication operator b -> b*x."""
+    return _mul_operator(a, x, a.by_right_factor)
+
+
 def left_mul(a: Algebra, x: Sequence) -> Matrix:
     """Left multiplication operator b -> x*b."""
-    n = a.dim
-    entries = [_ZERO] * (n * n)
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        for k in range(n):
-            for m, c in a.by_left_factor[i][k]:
-                entries[k * n + m] += xi * c
-    return Matrix(n, n, tuple(entries))
+    return _mul_operator(a, x, a.by_left_factor)
 
 
-@lru_cache(maxsize=None)
+@cached
 def right_mul_space(a: Algebra) -> OperatorSpace:
     """All right multiplication operators, as an operator space."""
-    n = a.dim
-    return operator_space(
-        n, [right_mul(a, basis_vector(n, i)).entries for i in range(n)]
-    )
+    return right_mul_image(a, full_space(a.dim))
 
 
-@lru_cache(maxsize=None)
+@cached
 def left_mul_space(a: Algebra) -> OperatorSpace:
     n = a.dim
-    return operator_space(
-        n, [left_mul(a, basis_vector(n, i)).entries for i in range(n)]
-    )
+    return operator_space(n, [left_mul(a, v).entries for v in full_space(n).basis])
 
 
 def right_mul_image(a: Algebra, s: Subspace) -> OperatorSpace:
@@ -221,7 +214,7 @@ def right_mul_image(a: Algebra, s: Subspace) -> OperatorSpace:
     return operator_space(a.dim, [right_mul(a, v).entries for v in s.basis])
 
 
-@lru_cache(maxsize=None)
+@cached
 def two_sided_mul_elements(a: Algebra) -> Subspace:
     """Elements v whose right multiplication is a two-sided centralizer.
 
@@ -282,31 +275,31 @@ def _solve(a: Algebra, *identities: Identity) -> OperatorSpace:
     return OperatorSpace(n, nullspace_of_rows(list(unique.values()), n * n))
 
 
-@lru_cache(maxsize=None)
+@cached
 def pq_centralizers(a: Algebra, w: Weights) -> OperatorSpace:
     """The space of (p, q)-weighted centralizers of a."""
     return _solve(a, weighted(w))
 
 
-@lru_cache(maxsize=None)
+@cached
 def pq_jordan_centralizers(a: Algebra, w: Weights) -> OperatorSpace:
     """Weighted Jordan centralizers, via the polarized identity."""
     return _solve(a, jordan(w))
 
 
-@lru_cache(maxsize=None)
+@cached
 def left_centralizers(a: Algebra) -> OperatorSpace:
     """Solutions of T(ab) = T(a)b."""
     return _solve(a, LEFT)
 
 
-@lru_cache(maxsize=None)
+@cached
 def right_centralizers(a: Algebra) -> OperatorSpace:
     """Solutions of T(ab) = a T(b)."""
     return _solve(a, RIGHT)
 
 
-@lru_cache(maxsize=None)
+@cached
 def two_sided_centralizers(a: Algebra) -> OperatorSpace:
     """Operators that are left and right centralizers at once: one solve of
     the stacked left and right rows."""

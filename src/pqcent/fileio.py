@@ -119,11 +119,21 @@ def _parse_index(token: str, dim: int, lineno: int) -> int:
     return value
 
 
+def _parse_file(path: str, parse, error: type):
+    """parse(text, name=<file stem>) on the file's UTF-8 text; an undecodable
+    byte raises `error` at its line."""
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(raw.count(b"\n", 0, exc.start) + 1,
+                    f"invalid UTF-8 byte 0x{raw[exc.start]:02x}") from None
+    return parse(text, name=os.path.splitext(os.path.basename(path))[0])
+
+
 def parse_algebra_file(path: str) -> Algebra:
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
-    name = os.path.splitext(os.path.basename(path))[0]
-    return parse_algebra_text(text, name=name)
+    return _parse_file(path, parse_algebra_text, AlgebraFormatError)
 
 
 def serialize_algebra(a: Algebra) -> str:
@@ -182,10 +192,7 @@ def parse_cayley_text(text: str, name: str = "") -> CayleyTable:
 
 
 def parse_cayley_file(path: str) -> CayleyTable:
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
-    name = os.path.splitext(os.path.basename(path))[0]
-    return parse_cayley_text(text, name=name)
+    return _parse_file(path, parse_cayley_text, CayleyFormatError)
 
 
 def serialize_cayley(t: CayleyTable) -> str:

@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import permutations
 from typing import Optional
 
-from .algebras import Algebra, center, make_algebra
+from .algebras import Algebra, cached, center, make_algebra
 from .centralizers import Weights, pq_centralizers, right_mul_image
 from .linalg import Subspace, full_space, subspace_equal
 from .reports import (
@@ -80,6 +80,7 @@ def inverse_map(t: CayleyTable) -> Optional[tuple[int, ...]]:
     return tuple(inv)
 
 
+@cached
 def validate_group(t: CayleyTable) -> Report:
     """Check the group axioms, one assertion per axiom, with witnesses."""
     n = t.order
@@ -142,7 +143,7 @@ def is_abelian(t: CayleyTable) -> bool:
     )
 
 
-@lru_cache(maxsize=None)
+@cached
 def group_algebra(t: CayleyTable) -> Algebra:
     """The rational group algebra: basis = point masses, product = convolution."""
     if not is_valid_group(t):

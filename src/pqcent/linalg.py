@@ -50,11 +50,6 @@ def vsub(x: Vector, y: Vector) -> Vector:
     return tuple(a - b for a, b in zip(x, y))
 
 
-def vscale(c, x: Vector) -> Vector:
-    c = Fraction(c)
-    return tuple(c * a for a in x)
-
-
 def is_zero_vector(x: Vector) -> bool:
     return all(a == 0 for a in x)
 

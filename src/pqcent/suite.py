@@ -112,7 +112,8 @@ def _resolve_targets(targets: Sequence[str]):
         elif target in named_tables:
             tables.append(named_tables[target])
         elif os.path.exists(target):
-            with open(target, encoding="utf-8") as handle:
+            # the parser reports undecodable bytes; sniffing needs no exact text
+            with open(target, encoding="utf-8", errors="replace") as handle:
                 text = handle.read()
             try:
                 if sniff_is_cayley(text):

@@ -36,6 +36,7 @@ from .centralizers import (
     Weights,
     columns,
     left_mul,
+    left_mul_space,
     pq_centralizers,
     pq_jordan_centralizers,
     residual,
@@ -54,7 +55,6 @@ from .linalg import (
     identity_matrix,
     matmul,
     nullspace_of_rows,
-    solve_affine_rows,
     subspace_contains,
     subspace_intersect,
     vadd,
@@ -265,15 +265,7 @@ def verify_equivalent_range_conditions(a: Algebra, w: Weights,
     )
     cond_a = subspace_contains(left_ideal, ran)
 
-    rows, rhs = [], []
-    for k in range(n):
-        for m in range(n):
-            row = [_ZERO] * n
-            for i, c in a.by_right_factor[m][k]:
-                row[i] = c
-            rows.append(row)
-            rhs.append(t.entry(k, m))
-    cond_b = solve_affine_rows(rows, rhs, n) is not None
+    cond_b = left_mul_space(a).contains_operator(t)
 
     tu = apply_matrix(t, u)
     cond_c = left_mul(a, tu) == t

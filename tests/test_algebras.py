@@ -1,9 +1,12 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pqcent.algebras import (
+    Algebra,
     NonAssociativeError,
     center,
     identity,
@@ -18,6 +21,8 @@ from pqcent.algebras import (
     right_identity_samples,
     subspace_product,
 )
+from pqcent.arens import verify_bidual_extension
+from pqcent.centralizers import Weights, pq_centralizers
 from pqcent.fixtures import (
     colmat,
     direct_sum,
@@ -32,6 +37,7 @@ from pqcent.fixtures import (
     truncated_poly,
     zero_product,
 )
+from pqcent.groups import cyclic_table, group_algebra
 from pqcent.linalg import (
     Subspace,
     basis_vector,
@@ -345,3 +351,31 @@ def test_identity_implies_unique_right_identity():
         particular, homogeneous = right_identities(a)
         assert homogeneous.dim == 0, name
         assert particular == e, name
+
+
+# ---------------------------------------------------------------------------
+# per-object cache
+# ---------------------------------------------------------------------------
+
+def test_cached_results_are_freed_with_their_object():
+    a = matrix_algebra(2)
+    pq_centralizers(a, Weights(1, 2))
+    center(a)
+    radical(a)
+    right_identities(a)
+    verify_bidual_extension(a, Weights(1, 2))
+    t = cyclic_table(3)
+    g = group_algebra(t)
+    refs = [weakref.ref(x) for x in (a, t, g)]
+    del a, t, g
+    gc.collect()
+    assert [r() for r in refs] == [None, None, None]
+
+
+def test_cache_is_keyed_by_object_and_argument_values():
+    a = matrix_algebra(2)
+    assert pq_centralizers(a, Weights(1, 2)) is pq_centralizers(a, Weights(1, 2))
+    assert pq_centralizers(a, Weights(2, 1)) is not pq_centralizers(a, Weights(1, 2))
+    twin = Algebra(a.dim, a.table, a.name)
+    assert pq_centralizers(twin, Weights(1, 2)) is not pq_centralizers(a, Weights(1, 2))
+    assert pq_centralizers(twin, Weights(1, 2)) == pq_centralizers(a, Weights(1, 2))

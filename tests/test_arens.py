@@ -22,7 +22,12 @@ from pqcent.arens import (
     verify_bidual_extension,
 )
 from pqcent.centralizers import Weights
-from pqcent.fixtures import fixtures, random_algebra, random_poly_quotient
+from pqcent.fixtures import (
+    fixtures,
+    matrix_algebra,
+    random_algebra,
+    random_poly_quotient,
+)
 from pqcent.linalg import DimensionMismatch, Matrix, basis_vector, matmul, vec
 from pqcent.reports import FAIL, PASS, PRECONDITION_UNMET
 from pqcent.verify import DEFAULT_WEIGHT_PAIRS
@@ -312,13 +317,6 @@ def _swapped(stage):
     return lambda a, first, second: stage(a, second, first)
 
 
-@pytest.fixture
-def fresh_table_cache():
-    arens_basis_products.cache_clear()
-    yield
-    arens_basis_products.cache_clear()
-
-
 # the basis table is built from stages 1 and 2 and reads stage 3 as a
 # pairing, so a wrong stage 1 or 2 must break the table assertion itself;
 # the full stage 3 runs on the dense samples
@@ -330,9 +328,10 @@ def fresh_table_cache():
     ("arens_product", _swapped, "dense pipeline sample"),
 ])
 def test_bidual_extension_fails_on_a_mutated_stage(
-        catalog, monkeypatch, fresh_table_cache, stage, mutant, failing):
+        monkeypatch, stage, mutant, failing):
     monkeypatch.setattr(arens, stage, mutant(getattr(arens, stage)))
-    rep = verify_bidual_extension(catalog["matrix2"], W12)
+    # a fresh algebra, so its basis table is built by the mutated stages
+    rep = verify_bidual_extension(matrix_algebra(2), W12)
     assert rep.status == FAIL, stage
     assert any(failing in x.name and not x.passed for x in rep.assertions), stage
 

@@ -30,6 +30,15 @@ def test_check_rejects_bad_file(tmp_path, capsys):
     assert "invalid rational" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["check", "group"])
+def test_non_utf8_file_is_an_input_error(tmp_path, capsys, command):
+    path = tmp_path / "bad.alg"
+    path.write_bytes(b"# ok\n\xff\xfe\x00dim 2\n")
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: line 2: invalid UTF-8 byte 0xff\n")
+
+
 def test_check_unknown_target(capsys):
     assert main(["check", "nope"]) == 2
     assert "unknown fixture" in capsys.readouterr().err

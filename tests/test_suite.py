@@ -64,6 +64,17 @@ def test_non_associative_file_recorded_not_raised(tmp_path):
     assert any(r.check_id == "2.1" and r.status == PASS for r in rr.reports)
 
 
+def test_non_utf8_file_recorded_not_raised(tmp_path):
+    path = tmp_path / "bad.alg"
+    path.write_bytes(b"\xff\xfe\x00dim 2\n")
+    rr = run_suite(targets=[str(path)], weight_pairs=((1, 2),))
+    assert [r.check_id for r in rr.reports] == ["parse"]
+    assert rr.reports[0].status == FAIL
+    assert rr.reports[0].failures()[0].witness == (
+        "line 1: invalid UTF-8 byte 0xff")
+    assert rr.exit_code == 1
+
+
 def test_invalid_group_file_fails_run(tmp_path):
     path = tmp_path / "bad.cay"
     path.write_text(BAD_GROUP_TEXT, encoding="utf-8")
