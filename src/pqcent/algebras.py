@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, wraps
+from math import lcm
 from typing import Optional, Sequence
 
 from .linalg import (
@@ -110,6 +111,38 @@ class Algebra:
             for i in range(n)
         )
 
+    @cached_property
+    def scale(self) -> int:
+        """The lcm of the denominators of all structure constants."""
+        return lcm(*(c.denominator for plane in self.products
+                     for pairs in plane for _, c in pairs))
+
+    def _scaled(self, table) -> tuple:
+        s = self.scale
+        return tuple(
+            tuple(tuple((m, c.numerator * (s // c.denominator))
+                        for m, c in pairs) for pairs in row)
+            for row in table
+        )
+
+    # The int_ views hold every constant multiplied by `scale`, as ints.
+    # Associativity and every centralizer identity are homogeneous in the
+    # structure constants, so scaling them all by one nonzero integer leaves
+    # each verdict and each solution space alone: denominators are cleared
+    # once per algebra, not per product.
+
+    @cached_property
+    def int_products(self) -> tuple:
+        return self._scaled(self.products)
+
+    @cached_property
+    def int_by_right_factor(self) -> tuple:
+        return self._scaled(self.by_right_factor)
+
+    @cached_property
+    def int_by_left_factor(self) -> tuple:
+        return self._scaled(self.by_left_factor)
+
     def basis_name(self, i: int) -> str:
         if self.basis_names is not None:
             return self.basis_names[i]
@@ -130,25 +163,29 @@ def _normalize_table(dim: int, constants) -> Table:
         for row in plane:
             if len(row) != dim:
                 raise ValueError("structure constants must be dim x dim x dim")
-            rows.append(tuple(Fraction(c) for c in row))
+            rows.append(tuple(
+                c if type(c) is Fraction else Fraction(c) for c in row))
         planes.append(tuple(rows))
     return tuple(planes)
 
 
 def _check_associativity(a: Algebra) -> None:
+    """Raise on the first basis triple (i, j, k), in row-major order, with
+    (b_i b_j) b_k != b_i (b_j b_k). Both sides are quadratic in the structure
+    constants, so the scan runs exactly on the integer-scaled ones."""
     n = a.dim
-    prod = a.products
+    prod = a.int_products
     for i in range(n):
         for j in range(n):
             left_factors = prod[i][j]
             for k in range(n):
-                acc: dict[int, Fraction] = {}
+                acc: dict[int, int] = {}
                 for m, c in left_factors:
                     for l, c2 in prod[m][k]:
-                        acc[l] = acc.get(l, _ZERO) + c * c2
+                        acc[l] = acc.get(l, 0) + c * c2
                 for m, c in prod[j][k]:
                     for l, c2 in prod[i][m]:
-                        acc[l] = acc.get(l, _ZERO) - c * c2
+                        acc[l] = acc.get(l, 0) - c * c2
                 if any(acc.values()):
                     raise NonAssociativeError((i, j, k))
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import lcm
 from typing import Optional, Sequence
 
 from .algebras import Algebra, cached
@@ -42,28 +41,6 @@ from .linalg import (
 )
 
 _ZERO = Fraction(0)
-
-
-@cached
-def _int_tables(a: Algebra) -> tuple:
-    """`products`, `by_right_factor` and `by_left_factor` of a with every
-    constant multiplied by the lcm of all their denominators, as ints.
-
-    Every identity solved here is homogeneous in the structure constants, so
-    this scales each equation row by a nonzero constant and leaves its
-    solutions alone: denominators are cleared once per algebra, not per row.
-    """
-    scale = lcm(*(c.denominator for plane in a.products
-                  for pairs in plane for _, c in pairs))
-
-    def scaled(table):
-        return tuple(
-            tuple(tuple((m, c.numerator * (scale // c.denominator))
-                        for m, c in pairs) for pairs in row)
-            for row in table
-        )
-
-    return scaled(a.products), scaled(a.by_right_factor), scaled(a.by_left_factor)
 
 
 def _emit(rows: list, terms) -> None:
@@ -223,7 +200,8 @@ def two_sided_mul_elements(a: Algebra) -> Subspace:
     algebra this is exactly the center; without a unit it can be larger.
     """
     n = a.dim
-    prods, by_right, by_left = _int_tables(a)
+    prods, by_right, by_left = (
+        a.int_products, a.int_by_right_factor, a.int_by_left_factor)
     rows: list = []
     for i in range(n):
         for j in range(n):
@@ -249,7 +227,8 @@ def two_sided_mul_elements(a: Algebra) -> Subspace:
 
 def _rows(a: Algebra, e: Identity) -> list:
     n = a.dim
-    prods, by_right, by_left = _int_tables(a)
+    prods, by_right, by_left = (
+        a.int_products, a.int_by_right_factor, a.int_by_left_factor)
     s, p, q = e.s, e.p, e.q
     rows: list = []
     for _, _, orders in _pairs(n, e):

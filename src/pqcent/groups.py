@@ -149,13 +149,16 @@ def group_algebra(t: CayleyTable) -> Algebra:
     if not is_valid_group(t):
         raise ValueError("not a group; run validate_group for details")
     n = t.order
-    constants = [
-        [
-            [Fraction(1 if t.table[i][j] == k else 0) for k in range(n)]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    # the n^3 constants are references to two shared Fractions
+    zero, one = Fraction(0), Fraction(1)
+    constants = []
+    for row in t.table:
+        plane = []
+        for k in row:
+            line = [zero] * n
+            line[k] = one
+            plane.append(line)
+        constants.append(plane)
     return make_algebra(
         n, constants,
         name=f"group[{t.name or t.order}]",

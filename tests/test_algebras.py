@@ -1,4 +1,5 @@
 import gc
+import random
 import weakref
 from fractions import Fraction
 
@@ -8,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from pqcent.algebras import (
     Algebra,
     NonAssociativeError,
+    _check_associativity,
+    _normalize_table,
     center,
     identity,
     is_commutative,
@@ -341,6 +344,107 @@ def test_multiplication_is_bilinear_and_associative(seed, data):
     assert lhs == rhs
     scaled = multiply(a, vec([s * c for c in x]), y)
     assert scaled == vec([s * c for c in multiply(a, x, y)])
+
+
+# ---------------------------------------------------------------------------
+# integer-scaled associativity scan against the Fraction scan
+# ---------------------------------------------------------------------------
+
+_ZERO = Fraction(0)
+
+
+def _ref_check_associativity(a: Algebra) -> None:
+    n = a.dim
+    prod = a.products
+    for i in range(n):
+        for j in range(n):
+            left_factors = prod[i][j]
+            for k in range(n):
+                acc: dict[int, Fraction] = {}
+                for m, c in left_factors:
+                    for l, c2 in prod[m][k]:
+                        acc[l] = acc.get(l, _ZERO) + c * c2
+                for m, c in prod[j][k]:
+                    for l, c2 in prod[i][m]:
+                        acc[l] = acc.get(l, _ZERO) - c * c2
+                if any(acc.values()):
+                    raise NonAssociativeError((i, j, k))
+
+
+def _witness(check, table):
+    """The triple `check` raises on for an unvalidated algebra, or None."""
+    n = len(table)
+    try:
+        check(Algebra(n, _normalize_table(n, table)))
+    except NonAssociativeError as exc:
+        return exc.triple
+    return None
+
+
+def _rescaled(a, s):
+    """a's table in the basis e_i = s[i] b_i."""
+    n = a.dim
+    return [[[a.table[i][j][k] * s[i] * s[j] / s[k] for k in range(n)]
+             for j in range(n)] for i in range(n)]
+
+
+def _scan_inputs():
+    tables = {name: a.table for name, a in fixtures().items()}
+    rng = random.Random(606)
+    for d in range(15):
+        tables[f"random_algebra {d}"] = random_algebra(rng).table
+        tables[f"random_poly {d}"] = random_poly_quotient(rng).table
+    for name in ("matrix2", "colmat3", "group_s3", "trunc_poly3"):
+        a = fixtures()[name]
+        s = [F((-1) ** i * (i + 2), 2 * i + 3) for i in range(a.dim)]
+        tables[f"rescaled {name}"] = _rescaled(a, s)
+    return tables
+
+
+def test_integer_scan_matches_fraction_scan():
+    tables = _scan_inputs()
+    assert any(c.denominator != 1 and c < 0
+               for c in _normalize_table(4, tables["rescaled matrix2"])[1][2])
+    for name, table in tables.items():
+        assert _witness(_check_associativity, table) is None, name
+        assert _witness(_ref_check_associativity, table) is None, name
+    rng = random.Random(2718)
+    names = sorted(tables)
+    values = [F(0), F(1), F(-1), F(2), F(1, 2), F(-3, 4), F(5, 3)]
+    verdicts = set()
+    for _ in range(320):
+        name = rng.choice(names)
+        table = [[list(row) for row in plane] for plane in tables[name]]
+        n = len(table)
+        i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        table[i][j][k] = rng.choice([v for v in values if v != table[i][j][k]])
+        got = _witness(_check_associativity, table)
+        assert got == _witness(_ref_check_associativity, table), (name, i, j, k)
+        verdicts.add(got is None)
+    assert verdicts == {True, False}
+
+
+def test_scaled_products_are_integer_multiples():
+    for name, table in _scan_inputs().items():
+        a = make_algebra(len(table), table)
+        for plane, int_plane in zip(a.products, a.int_products):
+            for pairs, int_pairs in zip(plane, int_plane):
+                assert [(m, F(c, a.scale)) for m, c in int_pairs] == list(pairs)
+        assert all(type(c) is int for plane in a.int_by_left_factor
+                   for row in plane for _, c in row), name
+
+
+def test_normalize_table_keeps_fractions_and_converts_the_rest():
+    class Half(Fraction):
+        pass
+
+    half, two = F(1, 2), F(2)
+    (((c,),),) = _normalize_table(1, [[[half]]])
+    assert c is half
+    (((c,),),) = _normalize_table(1, [[[Half(1, 2)]]])
+    assert type(c) is Fraction and c == half
+    (((c,),),) = _normalize_table(1, [[[2]]])
+    assert type(c) is Fraction and c == two
 
 
 def test_identity_implies_unique_right_identity():
