@@ -22,6 +22,7 @@ from .algebras import (
     identity,
     is_commutative,
     is_nilpotent_subspace,
+    is_unital,
     multiply,
     radical,
     right_identity_samples,
@@ -394,26 +395,41 @@ def run_square_zero_check(a: Algebra, w: Weights) -> Report:
 # ---------------------------------------------------------------------------
 
 def verify_commutative_weights_coincide(a: Algebra, w: Weights) -> Report:
-    """On a commutative algebra every weighted space, the Jordan space, and
-    the equal-weights space all coincide with the two-sided space."""
+    """On a commutative algebra the Jordan space equals the equal-weights
+    space, and every weighted space with p != q equals the two-sided space;
+    on a unital one the equal-weights space equals the two-sided space too.
+
+    With ab = ba, T(a)b = bT(a) and aT(b) = T(b)a:
+    - Jordan = (1,1): the polarized identity (p+q) T(ab+ba) = p T(a)b +
+      p T(b)a + q aT(b) + q bT(a) becomes 2(p+q) T(ab) = (p+q)(T(a)b + aT(b)).
+    - (p,q) = two-sided for p != q: subtracting the identity at (b, a) from
+      the one at (a, b) leaves (p-q)(T(a)b - aT(b)) = 0, so T(a)b = aT(b)
+      = T(ab); two-sided operators satisfy every weighted identity.
+    - (1,1) = two-sided needs an identity: 2T(a) = 2T(a1) = T(a) + aT(1)
+      gives T = L_{T(1)}. Without one it can fail: Q[S] for S = {0,1,2,3}
+      with 0 absorbing, 2*3 = 3*2 = 1 and every other product 0 has (1,1)
+      space of dimension 5 and two-sided space of dimension 4.
+    """
     if not is_commutative(a):
         return precondition_unmet("5.1", target_name(a), w.pair, "algebra is not commutative")
     cts = two_sided_centralizers(a)
     cj = pq_jordan_centralizers(a, w)
     c11 = pq_centralizers(a, Weights(1, 1, allow_equal=True))
-    assertions = [
-        _spaces_equal("Jordan space equals equal-weights space", cj, c11),
-        _spaces_equal("equal-weights space equals two-sided space", c11, cts),
-    ]
+    assertions = [_spaces_equal("Jordan space equals equal-weights space", cj, c11)]
+    note = f"common dimension {cts.dim}"
+    if is_unital(a):
+        assertions.append(_spaces_equal(
+            "equal-weights space equals two-sided space", c11, cts))
+    else:
+        note += ("; equal-weights space not compared with the two-sided "
+                 f"space: no identity (dims {c11.dim} and {cts.dim})")
     pairs = dict.fromkeys((w.pair,) + DEFAULT_WEIGHT_PAIRS)
     for p, q in pairs:
         assertions.append(_spaces_equal(
             f"({p},{q}) space equals two-sided space",
             pq_centralizers(a, Weights(p, q)), cts,
         ))
-    return report_from_assertions(
-        "5.1", target_name(a), w.pair, assertions, f"common dimension {cts.dim}"
-    )
+    return report_from_assertions("5.1", target_name(a), w.pair, assertions, note)
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +575,7 @@ CHECK_DESCRIPTIONS = {
     "3.1": "four range conditions are a single equivalence",
     "3.2": "square-zero centralizers are exactly those with nilpotent range",
     "4.2": "group algebras: weighted centralizers are right multiplications by class sums",
-    "5.1": "commutative case: Jordan, equal-weight, and two-sided spaces coincide",
+    "5.1": "commutative case: Jordan equals equal-weight, weighted equals two-sided (and equal-weight too when unital)",
     "5.2": "Jordan values split against a right identity",
     "5.3": "central image at the identity forces two-sidedness",
     "chain": "two-sided inside weighted inside Jordan",

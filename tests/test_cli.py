@@ -149,6 +149,21 @@ def test_verify_each_check_id(theorem, target, capsys):
     assert f"check={theorem}" in capsys.readouterr().out
 
 
+def test_verify_commutative_semigroup_algebra_without_identity(
+        tmp_path, capsys, monkeypatch):
+    # Q[S], S = {0,1,2,3}: 0 absorbing, 2*3 = 3*2 = 1, every other product 0
+    s = [[0] * 4, [0] * 4, [0, 0, 0, 1], [0, 0, 1, 0]]
+    path = tmp_path / "sg4.alg"
+    path.write_text("dim 4\n" + "".join(
+        f"mul {i} {j} = 1 @{s[i][j]}\n" for i in range(4) for j in range(4)))
+    monkeypatch.setenv("PQCENT_VERBOSE", "1")
+    assert main(["verify", str(path), "--theorem", "5.1",
+                 "--p", "1", "--q", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "PASS check=5.1" in out
+    assert "no identity (dims 5 and 4)" in out
+
+
 def test_verify_rejects_unknown_theorem(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "colmat2", "--theorem", "9.9", "--p", "1", "--q", "2"])

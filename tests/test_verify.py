@@ -4,7 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from pqcent.algebras import identity, multiply, radical
+from pqcent.algebras import (
+    identity,
+    is_commutative,
+    make_algebra,
+    multiply,
+    radical,
+)
 from pqcent.centralizers import (
     Weights,
     pq_centralizers,
@@ -228,6 +234,46 @@ def test_commutative_weights_on_sum_field_field(catalog):
     assert "common dimension 2" in rep.note
     names = _assertion_names(rep)
     assert "(7,2) space equals two-sided space" in names
+
+
+# Q[S] for commutative semigroups S = {0, 1, 2, 3} in which 0 is absorbing
+# and 1 annihilates everything, given by the rows of 2 and 3 in S's table:
+# commutative, associative, no identity, and (1,1) space != two-sided space
+SEMIGROUP_GAPS = {
+    "sg4_swap": ((0, 0, 0, 1), (0, 0, 1, 0)),
+    "sg4_nil": ((0, 0, 0, 1), (0, 0, 1, 1)),
+    "sg4_idempotents": ((0, 0, 1, 0), (0, 0, 0, 1)),
+}
+
+
+def _semigroup_algebra(rows):
+    s = ((0,) * 4, (0,) * 4) + rows
+    return make_algebra(4, [[[int(s[i][j] == k) for k in range(4)]
+                             for j in range(4)] for i in range(4)])
+
+
+@pytest.mark.parametrize("name", SEMIGROUP_GAPS)
+def test_commutative_weights_without_identity(name):
+    a = _semigroup_algebra(SEMIGROUP_GAPS[name])
+    assert is_commutative(a) and identity(a) is None
+    assert pq_centralizers(a, Weights(1, 1, allow_equal=True)).dim == 5
+    assert two_sided_centralizers(a).dim == 4
+    for w in (W12, Weights(3, 5)):
+        rep = verify_commutative_weights_coincide(a, w)
+        assert rep.status == PASS
+        names = _assertion_names(rep)
+        assert "Jordan space equals equal-weights space" in names
+        assert "equal-weights space equals two-sided space" not in names
+        assert f"({w.p},{w.q}) space equals two-sided space" in names
+        assert "(7,2) space equals two-sided space" in names
+        assert "not compared with the two-sided space: no identity" in rep.note
+        assert "(dims 5 and 4)" in rep.note
+
+
+def test_commutative_weights_compare_equal_weights_when_unital(catalog):
+    rep = verify_commutative_weights_coincide(catalog["trunc_poly3"], W12)
+    assert "equal-weights space equals two-sided space" in _assertion_names(rep)
+    assert "not compared" not in rep.note
 
 
 def test_commutative_weights_need_commutativity(catalog):
