@@ -43,7 +43,10 @@ class CayleyFormatError(ValueError):
 
 
 def _significant_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    """(line number, stripped text) of each non-blank line outside comments.
+    Lines end at '\n' only, as in the line of an undecodable byte; other
+    Unicode line breaks are whitespace inside a line."""
+    for lineno, raw in enumerate(text.split("\n"), 1):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, line

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pqcent.algebras import NonAssociativeError
 from pqcent.fileio import (
@@ -99,6 +100,19 @@ def test_line_numbers_in_errors():
     assert err is not None and err.line == 3
 
 
+@pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"])
+def test_line_numbers_count_newlines_only(brk):
+    with pytest.raises(AlgebraFormatError) as exc:
+        parse_algebra_text(f"dim 1{brk}\n# c{brk}omment\nmul 0 0 = 1/0 @0\n")
+    assert exc.value.line == 3
+    with pytest.raises(CayleyFormatError) as exc:
+        parse_cayley_text(f"order 1{brk}\n{brk}\n5\n")
+    assert exc.value.line == 3
+    assert parse_algebra_text(f"dim 1\r\nmul 0 0 = 1 {brk}@0\r\n").table \
+        == ((((Fraction(1),),),))
+    assert parse_cayley_text(f"order 1{brk}\n0{brk}\n").table == ((0,),)
+
+
 def test_algebra_round_trip_catalog():
     for name, a in fixtures().items():
         again = parse_algebra_text(serialize_algebra(a), name=a.name)
@@ -156,3 +170,51 @@ def test_sniff_distinguishes_formats():
     assert sniff_is_cayley("# comment\norder 2\n0 1\n1 0\n")
     assert not sniff_is_cayley(COLMAT2_TEXT)
     assert not sniff_is_cayley("# only comments\n")
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: malformed text raises only the format (or associativity) errors
+# ---------------------------------------------------------------------------
+
+# numbers come only from this list, so no header asks for more than 5;
+# the junk alphabet has no decimal digits (int() reads every Unicode one)
+# and no '_' (int() reads '1_0')
+_NUMBERS = ["0", "1", "2", "3", "4", "5", "-1", "1/2", "-3/4", "1/0", "2/-3",
+            "1.5", "1e3", "+2", "0x1", "nan", "inf"]
+_WORDS = ["dim", "order", "mul", "=", "+", "#", "@", "@0", "@1", "@3", "@4",
+          "@-1", "@x", "@1/2"]
+_JUNK = st.text(st.characters(blacklist_categories=("Nd", "Cs"),
+                              blacklist_characters="_"), max_size=4)
+_SMALL = st.sampled_from(["0", "1", "2", "3"])
+_LINE = st.one_of(
+    st.lists(st.one_of(st.sampled_from(_NUMBERS + _WORDS), _JUNK),
+             max_size=8).map(" ".join),
+    st.tuples(_SMALL, _SMALL, st.sampled_from(_NUMBERS), _SMALL)
+      .map(lambda t: "mul {} {} = {} @{}".format(*t)),
+    st.lists(_SMALL, min_size=1, max_size=4).map(" ".join),
+)
+
+
+def _text(headers):
+    return st.tuples(st.sampled_from(headers), st.lists(_LINE, max_size=10)) \
+        .map(lambda parts: parts[0] + "\n".join(parts[1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_text(["", "dim 1\n", "dim 2\n", "dim 3\n", "dim 4\n"]))
+def test_fuzz_algebra_parser_raises_only_input_errors(text):
+    try:
+        a = parse_algebra_text(text)
+    except (AlgebraFormatError, NonAssociativeError):
+        return
+    assert 1 <= a.dim <= 5
+
+
+@settings(max_examples=300, deadline=None)
+@given(_text(["", "order 1\n", "order 2\n", "order 3\n", "order 4\n"]))
+def test_fuzz_cayley_parser_raises_only_input_errors(text):
+    try:
+        t = parse_cayley_text(text)
+    except CayleyFormatError:
+        return
+    assert 1 <= t.order <= 5
