@@ -118,18 +118,19 @@ class Algebra:
                      for pairs in plane for _, c in pairs))
 
     def _scaled(self, table) -> tuple:
+        """A sparse view with every constant multiplied by `scale`, as ints.
+
+        Associativity and every centralizer identity are homogeneous in the
+        structure constants, so scaling them all by one nonzero integer
+        leaves each verdict and each solution space alone: denominators are
+        cleared once per algebra, not per product.
+        """
         s = self.scale
         return tuple(
             tuple(tuple((m, c.numerator * (s // c.denominator))
                         for m, c in pairs) for pairs in row)
             for row in table
         )
-
-    # The int_ views hold every constant multiplied by `scale`, as ints.
-    # Associativity and every centralizer identity are homogeneous in the
-    # structure constants, so scaling them all by one nonzero integer leaves
-    # each verdict and each solution space alone: denominators are cleared
-    # once per algebra, not per product.
 
     @cached_property
     def int_products(self) -> tuple:

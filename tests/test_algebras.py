@@ -353,6 +353,7 @@ def test_multiplication_is_bilinear_and_associative(seed, data):
 _ZERO = Fraction(0)
 
 
+# the scan on Fraction constants, kept verbatim as the reference
 def _ref_check_associativity(a: Algebra) -> None:
     n = a.dim
     prod = a.products
