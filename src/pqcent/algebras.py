@@ -26,8 +26,6 @@ from .linalg import (
     vadd,
 )
 
-Table = tuple[tuple[tuple[Fraction, ...], ...], ...]
-
 _ZERO = Fraction(0)
 
 
@@ -62,21 +60,39 @@ def cached(fn):
 # results are its own; an equal but distinct algebra is solved afresh.
 @dataclass(frozen=True, eq=False)
 class Algebra:
+    """products[i][j] = (k, c[i][j][k]) pairs of b_i * b_j, sorted by k,
+    with no zeros: the one stored form of the structure constants."""
     dim: int
-    table: Table
+    products: tuple
     name: str = ""
     basis_names: Optional[tuple[str, ...]] = None
 
-    @cached_property
-    def products(self) -> tuple:
-        """products[i][j] = nonzero (k, c[i][j][k]) pairs of b_i * b_j."""
-        return tuple(
-            tuple(
-                tuple((k, c) for k, c in enumerate(row) if c)
-                for row in plane
-            )
-            for plane in self.table
-        )
+    @property
+    def table(self) -> tuple:
+        """The dense c[i][j][k] view, built afresh on each access."""
+        dense = []
+        for row in self.products:
+            plane = []
+            for pairs in row:
+                line = [_ZERO] * self.dim
+                for k, c in pairs:
+                    line[k] = c
+                plane.append(tuple(line))
+            dense.append(tuple(plane))
+        return tuple(dense)
+
+    def _regroup(self, by_right: bool) -> tuple:
+        """products regrouped by one factor in one pass over the nonzeros:
+        each (k, c) of products[i][j] goes to view[x][k] as (m, c), with
+        (x, m) = (j, i) if by_right else (i, j), so m ascends in each list."""
+        n = self.dim
+        view = [[[] for _ in range(n)] for _ in range(n)]
+        for i, row in enumerate(self.products):
+            for j, pairs in enumerate(row):
+                x, m = (j, i) if by_right else (i, j)
+                for k, c in pairs:
+                    view[x][k].append((m, c))
+        return tuple(tuple(map(tuple, plane)) for plane in view)
 
     @cached_property
     def by_right_factor(self) -> tuple:
@@ -84,32 +100,12 @@ class Algebra:
 
         These are the sparse rows of the right-multiplication-by-b_j matrix.
         """
-        n = self.dim
-        return tuple(
-            tuple(
-                tuple(
-                    (m, self.table[m][j][k]) for m in range(n)
-                    if self.table[m][j][k]
-                )
-                for k in range(n)
-            )
-            for j in range(n)
-        )
+        return self._regroup(True)
 
     @cached_property
     def by_left_factor(self) -> tuple:
         """by_left_factor[i][k] = nonzero (m, c[i][m][k]) pairs."""
-        n = self.dim
-        return tuple(
-            tuple(
-                tuple(
-                    (m, self.table[i][m][k]) for m in range(n)
-                    if self.table[i][m][k]
-                )
-                for k in range(n)
-            )
-            for i in range(n)
-        )
+        return self._regroup(False)
 
     @cached_property
     def scale(self) -> int:
@@ -153,21 +149,19 @@ class Algebra:
         return f"Algebra({self.name or '?'}, dim={self.dim})"
 
 
-def _normalize_table(dim: int, constants) -> Table:
-    if len(constants) != dim:
-        raise ValueError(f"expected {dim} planes of structure constants")
-    planes = []
-    for plane in constants:
-        if len(plane) != dim:
-            raise ValueError("structure constants must be dim x dim x dim")
-        rows = []
-        for row in plane:
-            if len(row) != dim:
-                raise ValueError("structure constants must be dim x dim x dim")
-            rows.append(tuple(
-                c if type(c) is Fraction else Fraction(c) for c in row))
-        planes.append(tuple(rows))
-    return tuple(planes)
+def normalize_products(dim: int, terms) -> tuple:
+    """Canonical products from {(i, j): (k, c) pairs}: repeated k are summed,
+    zeros dropped, pairs sorted by k. An exact Fraction is kept as it is;
+    any other value is converted."""
+    products = [[()] * dim for _ in range(dim)]
+    for (i, j), pairs in terms.items():
+        acc: dict[int, Fraction] = {}
+        for k, c in pairs:
+            if c:
+                c = c if type(c) is Fraction else Fraction(c)
+                acc[k] = acc[k] + c if k in acc else c
+        products[i][j] = tuple((k, acc[k]) for k in sorted(acc) if acc[k])
+    return tuple(map(tuple, products))
 
 
 def _check_associativity(a: Algebra) -> None:
@@ -180,6 +174,8 @@ def _check_associativity(a: Algebra) -> None:
         for j in range(n):
             left_factors = prod[i][j]
             for k in range(n):
+                if not (left_factors or prod[j][k]):
+                    continue  # both sides are sums over empty products
                 acc: dict[int, int] = {}
                 for m, c in left_factors:
                     for l, c2 in prod[m][k]:
@@ -191,18 +187,31 @@ def _check_associativity(a: Algebra) -> None:
                     raise NonAssociativeError((i, j, k))
 
 
-def make_algebra(dim: int, structure_constants, *, name: str = "",
-                 basis_names: Optional[Sequence[str]] = None) -> Algebra:
-    """Build a validated algebra from a dim x dim x dim constant array."""
+def algebra_from_terms(dim: int, terms, *, name: str = "",
+                       basis_names: Optional[Sequence[str]] = None) -> Algebra:
+    """Build a validated algebra from {(i, j): (k, c) pairs} of the basis
+    products b_i * b_j; omitted pairs multiply to zero."""
     if dim < 1:
         raise ValueError("algebra dimension must be at least 1")
-    table = _normalize_table(dim, structure_constants)
     names = tuple(basis_names) if basis_names is not None else None
     if names is not None and len(names) != dim:
         raise ValueError("need one basis name per dimension")
-    a = Algebra(dim, table, name, names)
+    a = Algebra(dim, normalize_products(dim, terms), name, names)
     _check_associativity(a)
     return a
+
+
+def make_algebra(dim: int, structure_constants, *, name: str = "",
+                 basis_names: Optional[Sequence[str]] = None) -> Algebra:
+    """Build a validated algebra from a dim x dim x dim constant array."""
+    if len(structure_constants) != dim or any(
+            len(plane) != dim or any(len(row) != dim for row in plane)
+            for plane in structure_constants):
+        raise ValueError("structure constants must be dim x dim x dim")
+    terms = {(i, j): enumerate(row)
+             for i, plane in enumerate(structure_constants)
+             for j, row in enumerate(plane)}
+    return algebra_from_terms(dim, terms, name=name, basis_names=basis_names)
 
 
 def _check_element(a: Algebra, x: Sequence) -> None:
@@ -290,7 +299,7 @@ def is_unital(a: Algebra) -> bool:
 def is_commutative(a: Algebra) -> bool:
     n = a.dim
     return all(
-        a.table[i][j] == a.table[j][i]
+        a.products[i][j] == a.products[j][i]
         for i in range(n) for j in range(i + 1, n)
     )
 

@@ -28,7 +28,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .algebras import Algebra, cached, multiply, right_identity_samples
+from .algebras import (Algebra, cached, multiply, normalize_products,
+                       right_identity_samples)
 from .centralizers import (
     LEFT,
     RIGHT,
@@ -187,7 +188,9 @@ def verify_bidual_extension(a: Algebra, w: Weights) -> Report:
     spot_products = [arens_product(a, big_f, big_h) for big_f, big_h in spot_pairs]
 
     # the double-dual basis under the staged product, as an algebra
-    bidual = Algebra(n, products, name=f"bidual of {target_name(a)}")
+    bidual = Algebra(n, normalize_products(n, {
+        (i, j): enumerate(products[i][j]) for i in range(n) for j in range(n)
+    }), name=f"bidual of {target_name(a)}")
     basis = [basis_vector(n, i) for i in range(n)]
     cpq = pq_centralizers(a, w)
     for idx, t in enumerate(cpq.operators()):

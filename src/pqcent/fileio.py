@@ -11,6 +11,7 @@ Algebra format (sparse, diff-friendly):
 multiply to zero. Coefficients are rationals written `a` or `a/b`.
 
 Cayley format: a line `order n` followed by n rows of n 0-based indices.
+Both headers accept 1 <= n <= MAX_DIM.
 Parsing checks syntax and index ranges only; the group axioms are the job
 of `groups.validate_group`.
 """
@@ -20,10 +21,14 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 
-from .algebras import Algebra, make_algebra
+from .algebras import Algebra, algebra_from_terms
 from .groups import CayleyTable, cayley_table
 
-_ZERO = Fraction(0)
+# Largest `dim` or `order` a header may ask for. Work grows as n^2 products
+# and an n^3 associativity scan, so a huge header would hang or exhaust
+# memory; 256 is twice the order-120 group algebra the solvers aim at. One
+# value serves every caller, so it is a constant rather than an option.
+MAX_DIM = 256
 
 
 class AlgebraFormatError(ValueError):
@@ -62,8 +67,7 @@ def _parse_rational(token: str, lineno: int) -> Fraction:
 def parse_algebra_text(text: str, name: str = "") -> Algebra:
     """Parse the algebra format; associativity is validated on construction."""
     dim = None
-    table = None
-    seen: set[tuple[int, int]] = set()
+    terms: dict[tuple[int, int], list] = {}
     for lineno, line in _significant_lines(text):
         tokens = line.split()
         if dim is None:
@@ -74,9 +78,9 @@ def parse_algebra_text(text: str, name: str = "") -> Algebra:
             except ValueError:
                 raise AlgebraFormatError(
                     lineno, f"invalid dimension '{tokens[1]}'") from None
-            if dim < 1:
-                raise AlgebraFormatError(lineno, "dimension must be positive")
-            table = [[[_ZERO] * dim for _ in range(dim)] for _ in range(dim)]
+            if not 1 <= dim <= MAX_DIM:
+                raise AlgebraFormatError(
+                    lineno, f"dimension must be between 1 and {MAX_DIM}")
             continue
         if tokens[0] != "mul":
             raise AlgebraFormatError(lineno, f"expected 'mul', got '{tokens[0]}'")
@@ -84,9 +88,9 @@ def parse_algebra_text(text: str, name: str = "") -> Algebra:
             raise AlgebraFormatError(lineno, "expected 'mul i j = c @k [+ ...]'")
         i = _parse_index(tokens[1], dim, lineno)
         j = _parse_index(tokens[2], dim, lineno)
-        if (i, j) in seen:
+        if (i, j) in terms:
             raise AlgebraFormatError(lineno, f"duplicate product {i} {j}")
-        seen.add((i, j))
+        pairs = terms[i, j] = []
         rest = tokens[4:]
         pos = 0
         while True:
@@ -98,7 +102,7 @@ def parse_algebra_text(text: str, name: str = "") -> Algebra:
                 raise AlgebraFormatError(
                     lineno, f"expected '@<index>', got '{target}'")
             k = _parse_index(target[1:], dim, lineno)
-            table[i][j][k] += coeff
+            pairs.append((k, coeff))
             pos += 2
             if pos == len(rest):
                 break
@@ -108,7 +112,7 @@ def parse_algebra_text(text: str, name: str = "") -> Algebra:
             pos += 1
     if dim is None:
         raise AlgebraFormatError(1, "missing 'dim' line")
-    return make_algebra(dim, table, name=name)
+    return algebra_from_terms(dim, terms, name=name)
 
 
 def _parse_index(token: str, dim: int, lineno: int) -> int:
@@ -155,7 +159,7 @@ def serialize_algebra(a: Algebra) -> str:
 
 
 def parse_cayley_text(text: str, name: str = "") -> CayleyTable:
-    order = None
+    order = header = None
     rows: list[list[int]] = []
     for lineno, line in _significant_lines(text):
         tokens = line.split()
@@ -167,8 +171,10 @@ def parse_cayley_text(text: str, name: str = "") -> CayleyTable:
             except ValueError:
                 raise CayleyFormatError(
                     lineno, f"invalid order '{tokens[1]}'") from None
-            if order < 1:
-                raise CayleyFormatError(lineno, "order must be positive")
+            if not 1 <= order <= MAX_DIM:
+                raise CayleyFormatError(
+                    lineno, f"order must be between 1 and {MAX_DIM}")
+            header = lineno
             continue
         if len(rows) == order:
             raise CayleyFormatError(lineno, f"more than {order} rows")
@@ -190,7 +196,8 @@ def parse_cayley_text(text: str, name: str = "") -> CayleyTable:
     if order is None:
         raise CayleyFormatError(1, "missing 'order' line")
     if len(rows) != order:
-        raise CayleyFormatError(1, f"expected {order} rows, got {len(rows)}")
+        raise CayleyFormatError(
+            header, f"expected {order} rows, got {len(rows)}")
     return cayley_table(rows, name=name)
 
 

@@ -11,10 +11,11 @@ associative by design; raw random structure constants almost never are.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebras import Algebra, make_algebra
+from .algebras import Algebra, algebra_from_terms, make_algebra
 from .groups import group_algebra, group_tables
 
 _ZERO = Fraction(0)
@@ -28,16 +29,11 @@ def field() -> Algebra:
 
 def matrix_algebra(n: int) -> Algebra:
     """Full n x n matrix algebra; basis = matrix units, row-major."""
-    dim = n * n
-    table = [[[_ZERO] * dim for _ in range(dim)] for _ in range(dim)]
-    for r in range(n):
-        for s in range(n):
-            for t in range(n):
-                for u in range(n):
-                    if s == t:
-                        table[r * n + s][t * n + u][r * n + u] = _ONE
+    terms = {(r * n + s, s * n + u): ((r * n + u, _ONE),)
+             for r in range(n) for s in range(n) for u in range(n)}
     names = tuple(f"E{r + 1}{s + 1}" for r in range(n) for s in range(n))
-    return make_algebra(dim, table, name=f"matrix{n}", basis_names=names)
+    return algebra_from_terms(n * n, terms, name=f"matrix{n}",
+                              basis_names=names)
 
 
 def colmat(n: int) -> Algebra:
@@ -47,15 +43,9 @@ def colmat(n: int) -> Algebra:
     rest) is a right identity, and there is no two-sided identity, which
     makes this the canonical non-unital testbed.
     """
-    table = [
-        [
-            [_ONE if j == 0 and k == i else _ZERO for k in range(n)]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    terms = {(i, 0): ((i, _ONE),) for i in range(n)}
     names = tuple(f"f{i + 1}" for i in range(n))
-    return make_algebra(n, table, name=f"colmat{n}", basis_names=names)
+    return algebra_from_terms(n, terms, name=f"colmat{n}", basis_names=names)
 
 
 def poly_quotient(monic_tail, name: str = "") -> Algebra:
@@ -77,9 +67,10 @@ def poly_quotient(monic_tail, name: str = "") -> Algebra:
         reps.append(tuple(
             shifted[i] - top * tail[i] for i in range(d)
         ))
-    table = [[reps[i + j] for j in range(d)] for i in range(d)]
+    terms = {(i, j): enumerate(reps[i + j]) for i in range(d) for j in range(d)}
     names = tuple("1" if i == 0 else ("x" if i == 1 else f"x^{i}") for i in range(d))
-    return make_algebra(d, table, name=name or f"poly_quotient{d}", basis_names=names)
+    return algebra_from_terms(d, terms, name=name or f"poly_quotient{d}",
+                              basis_names=names)
 
 
 def truncated_poly(n: int) -> Algebra:
@@ -95,32 +86,23 @@ def dual_numbers() -> Algebra:
 
 def zero_product(n: int) -> Algebra:
     """All products vanish."""
-    z = [[[_ZERO] * n for _ in range(n)] for _ in range(n)]
-    return make_algebra(n, z, name=f"zero{n}")
+    return algebra_from_terms(n, {}, name=f"zero{n}")
 
 
 def direct_sum(a: Algebra, b: Algebra, name: str = "") -> Algebra:
-    dim = a.dim + b.dim
-    table = [[[_ZERO] * dim for _ in range(dim)] for _ in range(dim)]
-    for i in range(a.dim):
-        for j in range(a.dim):
-            for k in range(a.dim):
-                table[i][j][k] = a.table[i][j][k]
-    off = a.dim
-    for i in range(b.dim):
-        for j in range(b.dim):
-            for k in range(b.dim):
-                table[off + i][off + j][off + k] = b.table[i][j][k]
+    terms = {(o + i, o + j): [(o + k, c) for k, c in pairs]
+             for o, x in ((0, a), (a.dim, b))
+             for i, row in enumerate(x.products) for j, pairs in enumerate(row)}
     label = name or f"sum({a.name or '?'},{b.name or '?'})"
-    return make_algebra(dim, table, name=label)
+    return algebra_from_terms(a.dim + b.dim, terms, name=label)
 
 
 def opposite(a: Algebra, name: str = "") -> Algebra:
     """Same space, reversed multiplication."""
     n = a.dim
-    table = [[a.table[j][i] for j in range(n)] for i in range(n)]
-    return make_algebra(
-        n, table, name=name or f"opposite({a.name or '?'})",
+    terms = {(i, j): a.products[j][i] for i in range(n) for j in range(n)}
+    return algebra_from_terms(
+        n, terms, name=name or f"opposite({a.name or '?'})",
         basis_names=a.basis_names,
     )
 
@@ -188,5 +170,5 @@ def random_algebra(rng: random.Random, name: str = "") -> Algebra:
     else:
         a = direct_sum(field(), colmat(rng.randint(2, 3)))
     if name:
-        a = Algebra(a.dim, a.table, name, a.basis_names)
+        a = replace(a, name=name)
     return a

@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import permutations
 from typing import Optional
 
-from .algebras import Algebra, cached, center, make_algebra
+from .algebras import Algebra, algebra_from_terms, cached, center
 from .centralizers import Weights, pq_centralizers, right_mul_image
 from .linalg import Subspace, full_space, subspace_equal
 from .reports import (
@@ -149,18 +149,11 @@ def group_algebra(t: CayleyTable) -> Algebra:
     if not is_valid_group(t):
         raise ValueError("not a group; run validate_group for details")
     n = t.order
-    # the n^3 constants are references to two shared Fractions
-    zero, one = Fraction(0), Fraction(1)
-    constants = []
-    for row in t.table:
-        plane = []
-        for k in row:
-            line = [zero] * n
-            line[k] = one
-            plane.append(line)
-        constants.append(plane)
-    return make_algebra(
-        n, constants,
+    one = Fraction(1)
+    terms = {(i, j): ((k, one),)
+             for i, row in enumerate(t.table) for j, k in enumerate(row)}
+    return algebra_from_terms(
+        n, terms,
         name=f"group[{t.name or t.order}]",
         basis_names=tuple(f"g{i}" for i in range(n)),
     )

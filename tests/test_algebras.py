@@ -1,7 +1,10 @@
 import gc
+import hashlib
 import random
+import tracemalloc
 import weakref
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +13,7 @@ from pqcent.algebras import (
     Algebra,
     NonAssociativeError,
     _check_associativity,
-    _normalize_table,
+    algebra_from_terms,
     center,
     identity,
     is_commutative,
@@ -18,6 +21,7 @@ from pqcent.algebras import (
     is_unital,
     make_algebra,
     multiply,
+    normalize_products,
     radical,
     relative_center,
     right_identities,
@@ -26,6 +30,7 @@ from pqcent.algebras import (
 )
 from pqcent.arens import verify_bidual_extension
 from pqcent.centralizers import Weights, pq_centralizers
+from pqcent.fileio import parse_algebra_text, serialize_algebra
 from pqcent.fixtures import (
     colmat,
     direct_sum,
@@ -372,11 +377,17 @@ def _ref_check_associativity(a: Algebra) -> None:
                     raise NonAssociativeError((i, j, k))
 
 
+def _dense_terms(table):
+    return {(i, j): enumerate(row)
+            for i, plane in enumerate(table) for j, row in enumerate(plane)}
+
+
 def _witness(check, table):
     """The triple `check` raises on for an unvalidated algebra, or None."""
     n = len(table)
     try:
-        check(Algebra(n, _normalize_table(n, table)))
+        check(Algebra(dim=n,
+                      products=normalize_products(n, _dense_terms(table))))
     except NonAssociativeError as exc:
         return exc.triple
     return None
@@ -404,8 +415,8 @@ def _scan_inputs():
 
 def test_integer_scan_matches_fraction_scan():
     tables = _scan_inputs()
-    assert any(c.denominator != 1 and c < 0
-               for c in _normalize_table(4, tables["rescaled matrix2"])[1][2])
+    assert any(c.denominator != 1 and c < 0 for _, c in normalize_products(
+        4, _dense_terms(tables["rescaled matrix2"]))[1][2])
     for name, table in tables.items():
         assert _witness(_check_associativity, table) is None, name
         assert _witness(_ref_check_associativity, table) is None, name
@@ -440,12 +451,177 @@ def test_normalize_table_keeps_fractions_and_converts_the_rest():
         pass
 
     half, two = F(1, 2), F(2)
-    (((c,),),) = _normalize_table(1, [[[half]]])
+    ((((_, c),),),) = normalize_products(1, {(0, 0): [(0, half)]})
     assert c is half
-    (((c,),),) = _normalize_table(1, [[[Half(1, 2)]]])
+    ((((_, c),),),) = normalize_products(1, {(0, 0): [(0, Half(1, 2))]})
     assert type(c) is Fraction and c == half
-    (((c,),),) = _normalize_table(1, [[[2]]])
+    ((((_, c),),),) = normalize_products(1, {(0, 0): [(0, 2)]})
     assert type(c) is Fraction and c == two
+
+
+# ---------------------------------------------------------------------------
+# sparse products against the dense table and its walks
+# ---------------------------------------------------------------------------
+
+# the dense table and the sparse views walked from it, kept verbatim from
+# when `Algebra` stored the table, as the reference for the sparse form
+def _ref_normalize_table(dim: int, constants):
+    if len(constants) != dim:
+        raise ValueError(f"expected {dim} planes of structure constants")
+    planes = []
+    for plane in constants:
+        if len(plane) != dim:
+            raise ValueError("structure constants must be dim x dim x dim")
+        rows = []
+        for row in plane:
+            if len(row) != dim:
+                raise ValueError("structure constants must be dim x dim x dim")
+            rows.append(tuple(
+                c if type(c) is Fraction else Fraction(c) for c in row))
+        planes.append(tuple(rows))
+    return tuple(planes)
+
+
+def _ref_products(table):
+    return tuple(
+        tuple(
+            tuple((k, c) for k, c in enumerate(row) if c)
+            for row in plane
+        )
+        for plane in table
+    )
+
+
+def _ref_by_right_factor(n, table):
+    return tuple(
+        tuple(
+            tuple(
+                (m, table[m][j][k]) for m in range(n)
+                if table[m][j][k]
+            )
+            for k in range(n)
+        )
+        for j in range(n)
+    )
+
+
+def _ref_by_left_factor(n, table):
+    return tuple(
+        tuple(
+            tuple(
+                (m, table[i][m][k]) for m in range(n)
+                if table[i][m][k]
+            )
+            for k in range(n)
+        )
+        for i in range(n)
+    )
+
+
+def _ref_scale(products):
+    return lcm(*(c.denominator for plane in products
+                 for pairs in plane for _, c in pairs))
+
+
+def _ref_scaled(s, table):
+    return tuple(
+        tuple(tuple((m, c.numerator * (s // c.denominator))
+                    for m, c in pairs) for pairs in row)
+        for row in table
+    )
+
+
+def _assert_matches_reference(a, constants, label):
+    n = a.dim
+    table = _ref_normalize_table(n, constants)
+    products = _ref_products(table)
+    right = _ref_by_right_factor(n, table)
+    left = _ref_by_left_factor(n, table)
+    s = _ref_scale(products)
+    assert a.table == table, label
+    assert a.products == products, label
+    assert a.by_right_factor == right, label
+    assert a.by_left_factor == left, label
+    assert a.scale == s, label
+    assert a.int_products == _ref_scaled(s, products), label
+    assert a.int_by_right_factor == _ref_scaled(s, right), label
+    assert a.int_by_left_factor == _ref_scaled(s, left), label
+
+
+def _sparse_terms(a):
+    return {(i, j): pairs
+            for i, row in enumerate(a.products) for j, pairs in enumerate(row)}
+
+
+def _sparse_inputs():
+    """The catalog, 15 seeded draws of each random family, and the four
+    rescaled bases built through `make_algebra`."""
+    algebras = dict(fixtures())
+    rng = random.Random(606)
+    for d in range(15):
+        algebras[f"random_algebra {d}"] = random_algebra(rng, name=f"r{d}")
+        algebras[f"random_poly {d}"] = random_poly_quotient(rng)
+    for name in ("matrix2", "colmat3", "group_s3", "trunc_poly3"):
+        a = fixtures()[name]
+        s = [F((-1) ** i * (i + 2), 2 * i + 3) for i in range(a.dim)]
+        algebras[f"rescaled {name}"] = make_algebra(
+            a.dim, _rescaled(a, s), name=f"rescaled {name}")
+    return algebras
+
+
+def _messy_text(a):
+    """a in the text format with each product's terms in descending k, each
+    coefficient c written as (c + 1) @k + -1 @k, and a cancelling pair on
+    every basis pair, including those whose product is zero."""
+    lines = [f"dim {a.dim}"]
+    for i, row in enumerate(a.products):
+        for j, pairs in enumerate(row):
+            terms = [f"{c + 1} @{k} + -1 @{k}" for k, c in reversed(pairs)]
+            terms.append(f"1 @{j} + -1 @{j}")
+            lines.append(f"mul {i} {j} = " + " + ".join(terms))
+    return "\n".join(lines) + "\n"
+
+
+def test_sparse_products_match_the_dense_reference():
+    algebras = _sparse_inputs()
+    # bytes measured when `Algebra` stored the dense table
+    tables = repr([a.table for a in algebras.values()])
+    assert hashlib.sha256(tables.encode()).hexdigest() == (
+        "c1d5dbe18aee25444c4d9bcb2e44874f732850b5f2a563ba884562a7436b82f4")
+    text = "".join(serialize_algebra(a) for a in algebras.values())
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "1c36c527fd5b19ce74cef1efcf3eed28d30aec01c521ec9bbab873347d1ed117")
+    assert any(len(pairs) > 1 for a in algebras.values()
+               for row in a.products for pairs in row)
+    for name, a in algebras.items():
+        _assert_matches_reference(a, a.table, name)
+        _assert_matches_reference(make_algebra(a.dim, a.table), a.table, name)
+        again = parse_algebra_text(_messy_text(a), name=a.name)
+        _assert_matches_reference(again, a.table, f"parsed {name}")
+        assert serialize_algebra(again) == serialize_algebra(a), name
+
+
+def test_parsed_terms_are_summed_sorted_and_cancelled():
+    assert parse_algebra_text("dim 1\nmul 0 0 = 1 @0 + -1 @0\n").products \
+        == (((),),)
+    a = parse_algebra_text(
+        "dim 2\nmul 0 0 = 1 @0\nmul 0 1 = 1/2 @1 + 1/2 @1 + 0 @0\n"
+        "mul 1 0 = 3 @1 + -2 @1\nmul 1 1 = 2 @1 + -2 @1\n")
+    assert a.products == ((((0, 1),), ((1, 1),)), (((1, 1),), ()))
+    _assert_matches_reference(a, dual_numbers().table, "dual numbers")
+
+
+def test_parsing_a_large_dimension_allocates_no_dense_table():
+    # a dense dim-120 table holds 120^3 references, about 14 MB; parsing
+    # this text peaked at 29.5 MB when `Algebra` stored one
+    tracemalloc.start()
+    try:
+        a = parse_algebra_text("dim 120\nmul 0 0 = 1 @0\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert a.products[0][0] == ((0, 1),) and a.products[0][1] == ()
+    assert peak < 1_000_000, peak
 
 
 def test_identity_implies_unique_right_identity():
@@ -481,6 +657,6 @@ def test_cache_is_keyed_by_object_and_argument_values():
     a = matrix_algebra(2)
     assert pq_centralizers(a, Weights(1, 2)) is pq_centralizers(a, Weights(1, 2))
     assert pq_centralizers(a, Weights(2, 1)) is not pq_centralizers(a, Weights(1, 2))
-    twin = Algebra(a.dim, a.table, a.name)
+    twin = algebra_from_terms(a.dim, _sparse_terms(a), name=a.name)
     assert pq_centralizers(twin, Weights(1, 2)) is not pq_centralizers(a, Weights(1, 2))
     assert pq_centralizers(twin, Weights(1, 2)) == pq_centralizers(a, Weights(1, 2))

@@ -39,6 +39,15 @@ def test_non_utf8_file_is_an_input_error(tmp_path, capsys, command):
         f"error: {path}: line 2: invalid UTF-8 byte 0xff\n")
 
 
+@pytest.mark.parametrize("command, header", [("check", "dim"),
+                                             ("group", "order")])
+def test_oversized_header_is_an_input_error(tmp_path, capsys, command, header):
+    path = tmp_path / "big.txt"
+    path.write_text(f"# huge\n{header} 100000000\n", encoding="utf-8")
+    assert main([command, str(path)]) == 2
+    assert "line 2:" in capsys.readouterr().err
+
+
 def test_check_unknown_target(capsys):
     assert main(["check", "nope"]) == 2
     assert "unknown fixture" in capsys.readouterr().err

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from pqcent.algebras import NonAssociativeError
 from pqcent.fileio import (
+    MAX_DIM,
     AlgebraFormatError,
     CayleyFormatError,
     parse_algebra_file,
@@ -155,6 +156,32 @@ def test_cayley_shape_errors():
                  "0 1\n1 0\n", "order x\n"):
         with pytest.raises(CayleyFormatError):
             parse_cayley_text(text)
+
+
+def test_cayley_missing_rows_reported_at_the_header():
+    with pytest.raises(CayleyFormatError) as exc:
+        parse_cayley_text("# c\n\norder 2\n0 1\n")
+    assert exc.value.line == 3
+    assert str(exc.value) == "line 3: expected 2 rows, got 1"
+
+
+@pytest.mark.parametrize("header", ["dim", "order"])
+def test_header_size_is_capped(header):
+    parse = parse_algebra_text if header == "dim" else parse_cayley_text
+    error = AlgebraFormatError if header == "dim" else CayleyFormatError
+    for size, line in ((10 ** 12, 1), (MAX_DIM + 1, 1), (0, 1)):
+        with pytest.raises(error) as exc:
+            parse(f"{header} {size}\n")
+        assert exc.value.line == line
+    with pytest.raises(error) as exc:
+        parse(f"# a\n\n# b\n{header} 1000000000000\n")
+    assert exc.value.line == 4
+    assert f"between 1 and {MAX_DIM}" in str(exc.value)
+
+
+def test_largest_header_is_accepted():
+    a = parse_algebra_text(f"dim {MAX_DIM}\n")
+    assert a.dim == MAX_DIM and a.products[MAX_DIM - 1][0] == ()
 
 
 def test_cayley_round_trip(tmp_path):

@@ -75,6 +75,17 @@ def test_non_utf8_file_recorded_not_raised(tmp_path):
     assert rr.exit_code == 1
 
 
+@pytest.mark.parametrize("header", ["dim", "order"])
+def test_oversized_header_recorded_not_raised(tmp_path, header):
+    path = tmp_path / "big.txt"
+    path.write_text(f"{header} 100000000\n", encoding="utf-8")
+    rr = run_suite(targets=[str(path)], weight_pairs=((1, 2),))
+    assert [r.check_id for r in rr.reports] == ["parse"]
+    assert rr.reports[0].status == FAIL
+    assert rr.reports[0].failures()[0].witness.startswith("line 1: ")
+    assert rr.exit_code == 1
+
+
 def test_invalid_group_file_fails_run(tmp_path):
     path = tmp_path / "bad.cay"
     path.write_text(BAD_GROUP_TEXT, encoding="utf-8")
