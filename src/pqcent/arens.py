@@ -16,17 +16,21 @@ through the staged actions rather than through that shortcut.
 Cost on an n-dimensional algebra: the basis product table makes one
 stage-2 call per pair (e_j**, e_k*), n^2 in all, each running stage 1 n
 times, and reads stage 3 on F = e_i** as the pairing e_i**(e_j**.e_k*);
-it is O(n^4) and built once per algebra. Check 2.4 then runs the full
+it is O(n^4) and built once per algebra. Check 2.4 runs the full
 three-stage `arens_product` only on its two dense sample pairs, once per
-check, and stage 1 O(n^2) times per solved operator in the adjoint scan.
-The table is still computed from the staged actions, never read off the
-structure constants: that equality is what check 2.4 asserts.
+algebra. Stage 1 runs once per basis pair (e_r*, e_i), n^2 in all, into a
+cached dual-module table, and the adjoint scan evaluates the transposed
+identity per solved operator from that table and the sparse rows and
+columns of the operator, in integers. Both tables are still computed from
+the staged actions, never read off the structure constants: that equality
+is what check 2.4 asserts.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from math import lcm
+from typing import Optional, Sequence
 
 from .algebras import (Algebra, cached, multiply, normalize_products,
                        right_identity_samples)
@@ -147,6 +151,100 @@ def arens_basis_products(a: Algebra) -> tuple:
     )
 
 
+@cached
+def dual_module_table(a: Algebra) -> tuple:
+    """dual[r][i] = nonzero (j, c) pairs of the functional e_r*.e_i.
+
+    Stage 1 runs once per basis pair. Every c is scaled to an integer by
+    one lcm of the table's denominators; the transposed identity is linear
+    in the table, so the scaling changes no verdict.
+    """
+    n = a.dim
+    basis = [basis_vector(n, i) for i in range(n)]
+    acts = [[functional_times_element(a, f, e) for e in basis] for f in basis]
+    scale = lcm(*(c.denominator for row in acts for v in row for c in v if c))
+    return tuple(
+        tuple(
+            tuple((j, c.numerator * (scale // c.denominator))
+                  for j, c in enumerate(v) if c)
+            for v in row
+        )
+        for row in acts
+    )
+
+
+def _integer_rows(t: Matrix) -> list[list[tuple[int, int]]]:
+    """Nonzero (k, t[r][k]) pairs of each row r of t, scaled to integers by
+    one lcm of its denominators."""
+    den = lcm(*(v.denominator for v in t.entries if v))
+    return [[(k, v.numerator * (den // v.denominator))
+             for k, v in enumerate(t.row(r)) if v] for r in range(t.rows)]
+
+
+def _adjoint_witness(a: Algebra, t: Matrix, p: int, q: int
+                     ) -> Optional[tuple[int, int]]:
+    """The first (r, i), in row-major order, on which the adjoint of t
+    fails (p+q)(T*f_r).e_i = p f_r.(T e_i) + q T*(f_r.e_i) on the dual
+    basis f_r and the basis e_i; None if it holds on every pair.
+
+    Evaluated sparsely from the dual-module table: T*f_r is row r of t,
+    T e_i is column i, and T* applied to a functional g is sum_l g_l row l.
+    """
+    n = a.dim
+    dual = dual_module_table(a)
+    rows = _integer_rows(t)
+    cols = [[] for _ in range(n)]
+    for k, row in enumerate(rows):
+        for m, v in row:
+            cols[m].append((k, v))
+    for r in range(n):
+        lhs_terms = [(k, (p + q) * v) for k, v in rows[r]]
+        for i in range(n):
+            res = [0] * n
+            for k, v in lhs_terms:
+                for j, c in dual[k][i]:
+                    res[j] += v * c
+            for m, v in cols[i]:
+                for j, c in dual[r][m]:
+                    res[j] -= p * v * c
+            for l, c in dual[r][i]:
+                for j, v in rows[l]:
+                    res[j] -= q * c * v
+            if any(res):
+                return r, i
+    return None
+
+
+@cached
+def _staged_samples(a: Algebra) -> tuple:
+    """The operator-independent half of check 2.4, once per algebra: the
+    first basis pair on which the staged table differs from the algebra
+    product (or None), the two dense sample pairs with their full
+    three-stage products, and the double-dual basis as an algebra."""
+    n = a.dim
+    products = arens_basis_products(a)
+    bad = next(
+        (
+            (i, j)
+            for i in range(n)
+            for j in range(n)
+            if products[i][j]
+            != multiply(a, basis_vector(n, i), basis_vector(n, j))
+        ),
+        None,
+    )
+    spot_pairs = (
+        (vec([1] * n), vec((-1) ** k for k in range(n))),
+        (vec(range(1, n + 1)), vec([1] * n)),
+    )
+    spot_products = tuple(
+        arens_product(a, big_f, big_h) for big_f, big_h in spot_pairs)
+    bidual = Algebra(n, normalize_products(n, {
+        (i, j): enumerate(products[i][j]) for i in range(n) for j in range(n)
+    }), name=f"bidual of {target_name(a)}")
+    return bad, spot_pairs, spot_products, bidual
+
+
 def verify_bidual_extension(a: Algebra, w: Weights) -> Report:
     """Check id 2.4: each weighted centralizer lifts through the double
     adjoint to a centralizer-like map of the bidual, which is then an
@@ -159,39 +257,14 @@ def verify_bidual_extension(a: Algebra, w: Weights) -> Report:
     if not right_identity_samples(a):
         return precondition_unmet("2.4", target_name(a), w.pair, "no right identity")
 
-    n = a.dim
     p, q = w.pair
-    products = arens_basis_products(a)
-
-    bad = next(
-        (
-            (i, j)
-            for i in range(n)
-            for j in range(n)
-            if products[i][j]
-            != multiply(a, basis_vector(n, i), basis_vector(n, j))
-        ),
-        None,
-    )
+    bad, spot_pairs, spot_products, bidual = _staged_samples(a)
     assertions = [Assertion(
         "staged product extends the algebra product on embedded basis pairs",
         bad is None,
         None if bad is None else f"basis pair {bad}",
     )]
 
-    spot_pairs = (
-        (vec([1] * n), vec((-1) ** k for k in range(n))),
-        (vec(range(1, n + 1)), vec([1] * n)),
-    )
-
-    # the full pipeline on the dense pairs does not depend on the operator
-    spot_products = [arens_product(a, big_f, big_h) for big_f, big_h in spot_pairs]
-
-    # the double-dual basis under the staged product, as an algebra
-    bidual = Algebra(n, normalize_products(n, {
-        (i, j): enumerate(products[i][j]) for i in range(n) for j in range(n)
-    }), name=f"bidual of {target_name(a)}")
-    basis = [basis_vector(n, i) for i in range(n)]
     cpq = pq_centralizers(a, w)
     for idx, t in enumerate(cpq.operators()):
         tdd = double_adjoint(t)
@@ -225,29 +298,7 @@ def verify_bidual_extension(a: Algebra, w: Weights) -> Report:
                 else f"F = {fmt_vector(big_f)}, H = {fmt_vector(big_h)}",
             ))
 
-        tstar = adjoint(t)
-        t_basis = [apply_matrix(t, e) for e in basis]
-        bad_adj = None
-        for r, f in enumerate(basis):
-            tstar_f = apply_matrix(tstar, f)
-            for i, (e, te) in enumerate(zip(basis, t_basis)):
-                lhs = tuple(
-                    (p + q) * v for v in functional_times_element(a, tstar_f, e)
-                )
-                rhs = tuple(
-                    p * x + q * y
-                    for x, y in zip(
-                        functional_times_element(a, f, te),
-                        apply_matrix(
-                            tstar, functional_times_element(a, f, e)
-                        ),
-                    )
-                )
-                if lhs != rhs:
-                    bad_adj = (r, i)
-                    break
-            if bad_adj:
-                break
+        bad_adj = _adjoint_witness(a, t, p, q)
         assertions.append(Assertion(
             f"basis operator {idx}: adjoint satisfies the transposed "
             f"weighted identity on the dual",

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from math import lcm
 from typing import Optional, Sequence
 
 from .algebras import Algebra, cached
@@ -307,15 +308,20 @@ def residual(a: Algebra, t: Matrix, e: Identity
     if (t.rows, t.cols) != (n, n):
         raise DimensionMismatch(
             f"operator is {t.rows}x{t.cols}, algebra has dim {n}")
-    prods = a.products
+    # t scaled to integers by one lcm of its denominators: the residual is
+    # linear in t and in the structure constants, so reading both scaled
+    # changes no zero pattern, and Fractions are made only for a witness
+    den = lcm(*(v.denominator for v in t.entries if v))
+    prods = a.int_products
     # nonzero (index, weight * entry) of each column of t, per nonzero weight
-    nonzero = [[(m, v) for m, v in enumerate(col) if v] for col in columns(t)]
+    nonzero = [[(m, v.numerator * (den // v.denominator))
+                for m, v in enumerate(col) if v] for col in columns(t)]
     s_cols, p_cols, q_cols = (
         [[(m, w * v) for m, v in col] for col in nonzero] if w else None
         for w in (e.s, e.p, e.q)
     )
     for i, j, orders in _pairs(n, e):
-        res = [_ZERO] * n
+        res = [0] * n
         for x, y in orders:
             if s_cols is not None:
                 for m, c in prods[x][y]:
@@ -330,5 +336,5 @@ def residual(a: Algebra, t: Matrix, e: Identity
                     for k, c in prods[x][m]:
                         res[k] -= v * c
         if any(res):
-            return i, j, tuple(res)
+            return i, j, tuple(Fraction(x, a.scale * den) for x in res)
     return None

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -321,22 +322,28 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def sparse_rows(self) -> tuple:
+        """(pivot, nonzero (index, entry) pairs) of each basis row."""
+        rows = []
+        for row in self.basis:
+            pairs = tuple((i, v) for i, v in enumerate(row) if v)
+            rows.append((pairs[0][0], pairs))
+        return tuple(rows)
+
     def pivots(self) -> tuple[int, ...]:
-        return tuple(
-            next(i for i, v in enumerate(row) if v != 0) for row in self.basis
-        )
+        return tuple(p for p, _ in self.sparse_rows)
 
     def reduce_vector(self, v: Sequence) -> Vector:
         """Remainder of v after eliminating all basis pivots."""
         w = list(vec(v))
         if len(w) != self.ambient_dim:
             raise DimensionMismatch("vector length != ambient dimension")
-        for row, p in zip(self.basis, self.pivots()):
+        for p, pairs in self.sparse_rows:
             c = w[p]
             if c:
-                for i, rv in enumerate(row):
-                    if rv:
-                        w[i] -= c * rv
+                for i, rv in pairs:
+                    w[i] -= c * rv
         return tuple(w)
 
     def contains_vector(self, v: Sequence) -> bool:
