@@ -253,9 +253,10 @@ def test_criterion_10_full_suite(announce):
         assert first.to_json() == second.to_json()
         # the seed-0 report is pinned byte for byte: solver changes must not
         # move a single canonical basis entry or witness (re-pinned when
-        # check 5.1 stopped asserting (1,1) = two-sided on non-unital zero2)
+        # check 5.1 stopped asserting (1,1) = two-sided on non-unital zero2,
+        # and when check 2.4 dropped its double-adjoint tautology)
         assert hashlib.sha256(first.to_json().encode()).hexdigest() == (
-            "291af2ed5d2c4dd695e153a7d8423f9841a90eeeaa479ddd30ff6b08c09e61f1"
+            "c95ceef4f38abc56657330c63d37820ca911365abadd20f007cf72f18fac7247"
         )
 
 
