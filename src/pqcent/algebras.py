@@ -170,12 +170,13 @@ def _check_associativity(a: Algebra) -> None:
     constants, so the scan runs exactly on the integer-scaled ones."""
     n = a.dim
     prod = a.int_products
+    # with b_i b_j = 0, only the k with b_j b_k != 0 can give a nonzero
+    # side: every other triple compares two empty sums
+    nonempty = [[k for k in range(n) if prod[j][k]] for j in range(n)]
     for i in range(n):
         for j in range(n):
             left_factors = prod[i][j]
-            for k in range(n):
-                if not (left_factors or prod[j][k]):
-                    continue  # both sides are sums over empty products
+            for k in range(n) if left_factors else nonempty[j]:
                 acc: dict[int, int] = {}
                 for m, c in left_factors:
                     for l, c2 in prod[m][k]:
