@@ -30,7 +30,6 @@ is what check 2.4 asserts.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence
 
 from .algebras import (Algebra, cached, multiply, normalize_products,
@@ -49,6 +48,7 @@ from .linalg import (
     Vector,
     apply_matrix,
     basis_vector,
+    clear_denominators,
     vec,
 )
 from .reports import (
@@ -151,24 +151,12 @@ def dual_module_table(a: Algebra) -> tuple:
     """
     n = a.dim
     basis = [basis_vector(n, i) for i in range(n)]
-    acts = [[functional_times_element(a, f, e) for e in basis] for f in basis]
-    scale = lcm(*(c.denominator for row in acts for v in row for c in v if c))
-    return tuple(
-        tuple(
-            tuple((j, c.numerator * (scale // c.denominator))
-                  for j, c in enumerate(v) if c)
-            for v in row
-        )
-        for row in acts
-    )
-
-
-def _integer_rows(t: Matrix) -> list[list[tuple[int, int]]]:
-    """Nonzero (k, t[r][k]) pairs of each row r of t, scaled to integers by
-    one lcm of its denominators."""
-    den = lcm(*(v.denominator for v in t.entries if v))
-    return [[(k, v.numerator * (den // v.denominator))
-             for k, v in enumerate(t.row(r)) if v] for r in range(t.rows)]
+    _, ints = clear_denominators([
+        c for f in basis for e in basis
+        for c in functional_times_element(a, f, e)])
+    pairs = [tuple((j, c) for j, c in enumerate(ints[x * n:(x + 1) * n]) if c)
+             for x in range(n * n)]
+    return tuple(tuple(pairs[r * n:(r + 1) * n]) for r in range(n))
 
 
 def _adjoint_witness(a: Algebra, t: Matrix, p: int, q: int
@@ -182,11 +170,11 @@ def _adjoint_witness(a: Algebra, t: Matrix, p: int, q: int
     """
     n = a.dim
     dual = dual_module_table(a)
-    rows = _integer_rows(t)
-    cols = [[] for _ in range(n)]
-    for k, row in enumerate(rows):
-        for m, v in row:
-            cols[m].append((k, v))
+    _, ints = clear_denominators(t.entries)
+    rows = [[(k, ints[r * n + k]) for k in range(n) if ints[r * n + k]]
+            for r in range(n)]
+    cols = [[(k, ints[k * n + m]) for k in range(n) if ints[k * n + m]]
+            for m in range(n)]
     for r in range(n):
         lhs_terms = [(k, (p + q) * v) for k, v in rows[r]]
         for i in range(n):

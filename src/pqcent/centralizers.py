@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import lcm
 from typing import Optional, Sequence
 
 from .algebras import Algebra, cached
@@ -37,6 +36,7 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    clear_denominators,
     full_space,
     nullspace_of_rows,
 )
@@ -311,11 +311,11 @@ def residual(a: Algebra, t: Matrix, e: Identity
     # t scaled to integers by one lcm of its denominators: the residual is
     # linear in t and in the structure constants, so reading both scaled
     # changes no zero pattern, and Fractions are made only for a witness
-    den = lcm(*(v.denominator for v in t.entries if v))
+    den, ints = clear_denominators(t.entries)
     prods = a.int_products
     # nonzero (index, weight * entry) of each column of t, per nonzero weight
-    nonzero = [[(m, v.numerator * (den // v.denominator))
-                for m, v in enumerate(col) if v] for col in columns(t)]
+    nonzero = [[(k, ints[k * n + m]) for k in range(n) if ints[k * n + m]]
+               for m in range(n)]
     s_cols, p_cols, q_cols = (
         [[(m, w * v) for m, v in col] for col in nonzero] if w else None
         for w in (e.s, e.p, e.q)

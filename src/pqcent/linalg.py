@@ -55,6 +55,13 @@ def is_zero_vector(x: Vector) -> bool:
     return all(a == 0 for a in x)
 
 
+def clear_denominators(values: Sequence) -> tuple[int, list[int]]:
+    """The lcm d of the denominators of the rationals `values`, and the
+    integers d * v for v in `values`."""
+    d = lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
+
+
 # ---------------------------------------------------------------------------
 # matrices
 # ---------------------------------------------------------------------------
@@ -163,9 +170,8 @@ def _sparse_row(row, ncols: int) -> dict[int, int]:
     out = {c: v for c, v in items if v}
     if all(type(v) is int for v in out.values()):
         return out
-    fracs = {c: Fraction(v) for c, v in out.items()}
-    scale = lcm(*(f.denominator for f in fracs.values()))
-    return {c: f.numerator * (scale // f.denominator) for c, f in fracs.items() if f}
+    _, ints = clear_denominators([Fraction(v) for v in out.values()])
+    return {c: v for c, v in zip(out, ints) if v}
 
 
 def _normalize(row: dict[int, int], lead: int) -> dict[int, int]:

@@ -174,6 +174,23 @@ def test_basis_product_table_is_cached(catalog):
     assert arens_basis_products(a) is arens_basis_products(a)
 
 
+def test_dual_module_table_runs_stage_one_once_per_basis_pair(monkeypatch):
+    calls = []
+    stage = arens.functional_times_element
+    monkeypatch.setattr(arens, "functional_times_element",
+                        lambda a, f, x: calls.append(1) or stage(a, f, x))
+    a = matrix_algebra(2)
+    n = a.dim
+    table = arens.dual_module_table(a)
+    assert len(calls) == n * n
+    assert arens.dual_module_table(a) is table
+    # e_r*.e_i is the functional y -> e_r*(e_i y), i.e. j -> c[i][j][r]
+    for r in range(n):
+        for i in range(n):
+            assert table[r][i] == tuple(
+                (j, a.table[i][j][r]) for j in range(n) if a.table[i][j][r])
+
+
 # ---------------------------------------------------------------------------
 # reference: the unoptimised staged pipeline, kept as a differential oracle
 # ---------------------------------------------------------------------------
