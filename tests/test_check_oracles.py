@@ -156,9 +156,9 @@ IDENTITIES = tuple(
 
 
 def _partial_member(a, pair, rng, keep):
-    """A random operator that satisfy the weighted identity at the pairs
+    """A random operator that satisfies the weighted identity at the pairs
     (b_i, b_j) and output coordinates k with keep(i, k) only. With i == 0
-    they pass the first pair row of `residual`; with k == 0 they pass the
+    it passes the first pair row of `residual`; with k == 0 it passes the
     first functional row of the adjoint scan, so a scan that swaps p and q
     fails before the true one."""
     n = a.dim
