@@ -19,10 +19,12 @@ stage-2 call per pair (e_j**, e_k*), n^2 in all, each running stage 1 n
 times, and reads stage 3 on F = e_i** as the pairing e_i**(e_j**.e_k*);
 it is O(n^4) and built once per algebra. Check 2.4 runs the full
 three-stage `arens_product` only on its two dense sample pairs, once per
-algebra. Stage 1 runs once per basis pair (e_r*, e_i), n^2 in all, into a
-cached dual-module table, and the adjoint scan evaluates the transposed
-identity per solved operator from that table and the sparse rows and
-columns of the operator, in integers. Both tables are still computed from
+algebra, and evaluates the weighted identity on those samples per solved
+operator in integers, from the bidual's scaled constants. Stage 1 runs
+once per basis pair (e_r*, e_i), n^2 in all, into a cached dual-module
+table, and the adjoint scan evaluates the transposed identity per solved
+operator from that table and the sparse rows and columns of the
+operator, in integers. Both tables are still computed from
 the staged actions, never read off the structure constants: that equality
 is what check 2.4 asserts.
 """
@@ -30,7 +32,7 @@ is what check 2.4 asserts.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .algebras import (Algebra, cached, multiply, normalize_products,
                        right_identity_samples)
@@ -46,7 +48,6 @@ from .linalg import (
     DimensionMismatch,
     Matrix,
     Vector,
-    apply_matrix,
     basis_vector,
     clear_denominators,
     vec,
@@ -159,6 +160,15 @@ def dual_module_table(a: Algebra) -> tuple:
     return tuple(tuple(pairs[r * n:(r + 1) * n]) for r in range(n))
 
 
+def _int_rows(t: Matrix) -> list:
+    """Nonzero (column, entry) pairs of each row of t, scaled to integers
+    by one lcm of its denominators."""
+    n = t.rows
+    _, ints = clear_denominators(t.entries)
+    return [[(k, ints[r * n + k]) for k in range(n) if ints[r * n + k]]
+            for r in range(n)]
+
+
 def _adjoint_witness(a: Algebra, t: Matrix, p: int, q: int
                      ) -> Optional[tuple[int, int]]:
     """The first (r, i), in row-major order, on which the adjoint of t
@@ -170,11 +180,11 @@ def _adjoint_witness(a: Algebra, t: Matrix, p: int, q: int
     """
     n = a.dim
     dual = dual_module_table(a)
-    _, ints = clear_denominators(t.entries)
-    rows = [[(k, ints[r * n + k]) for k in range(n) if ints[r * n + k]]
-            for r in range(n)]
-    cols = [[(k, ints[k * n + m]) for k in range(n) if ints[k * n + m]]
-            for m in range(n)]
+    rows = _int_rows(t)
+    cols: list = [[] for _ in range(n)]
+    for k, row in enumerate(rows):
+        for m, v in row:
+            cols[m].append((k, v))
     for r in range(n):
         lhs_terms = [(k, (p + q) * v) for k, v in rows[r]]
         for i in range(n):
@@ -193,12 +203,57 @@ def _adjoint_witness(a: Algebra, t: Matrix, p: int, q: int
     return None
 
 
+def _apply_int(rows: list, x: Sequence) -> list:
+    """The sparse integer rows applied to the vector x."""
+    return [sum(v * x[m] for m, v in row) for row in rows]
+
+
+class _Sample(NamedTuple):
+    """One dense sample pair (F, H) of check 2.4, integer vectors with
+    coordinates f and h: the staged product F * H is fh / den, and
+    right_h, left_f are the sparse rows of x -> x*H and x -> F*x under the
+    bidual's integer-scaled product."""
+
+    f: list
+    h: list
+    den: int
+    fh: list
+    right_h: list
+    left_f: list
+
+
+def _sample(a: Algebra, bidual: Algebra, f: list, h: list) -> _Sample:
+    n = a.dim
+    den, fh = clear_denominators(arens_product(a, vec(f), vec(h)))
+    right = [[0] * n for _ in range(n)]
+    left = [[0] * n for _ in range(n)]
+    for i, plane in enumerate(bidual.int_products):
+        for j, pairs in enumerate(plane):
+            for k, c in pairs:
+                right[k][i] += h[j] * c
+                left[k][j] += f[i] * c
+    return _Sample(f, h, den, fh,
+                   *([[(m, v) for m, v in enumerate(row) if v] for row in mat]
+                     for mat in (right, left)))
+
+
+def _sample_holds(rows: list, s: _Sample, scale: int, p: int, q: int) -> bool:
+    """(p+q) T(F * H) = p (TF)*H + q F*(TH) for the operator with integer
+    rows `rows`, where * is the bidual product with constants scaled by
+    `scale`; both sides are multiplied by the product of the scales."""
+    lhs = _apply_int(rows, s.fh)
+    rhs_p = _apply_int(s.right_h, _apply_int(rows, s.f))
+    rhs_q = _apply_int(s.left_f, _apply_int(rows, s.h))
+    return all(scale * (p + q) * x == s.den * (p * y + q * z)
+               for x, y, z in zip(lhs, rhs_p, rhs_q))
+
+
 @cached
 def _staged_samples(a: Algebra) -> tuple:
     """The operator-independent half of check 2.4, once per algebra: the
     first basis pair on which the staged table differs from the algebra
-    product (or None), the two dense sample pairs with their full
-    three-stage products, and the double-dual basis as an algebra."""
+    product (or None), the two dense samples with their full three-stage
+    products, and the double-dual basis as an algebra."""
     n = a.dim
     products = arens_basis_products(a)
     bad = next(
@@ -211,16 +266,14 @@ def _staged_samples(a: Algebra) -> tuple:
         ),
         None,
     )
-    spot_pairs = (
-        (vec([1] * n), vec((-1) ** k for k in range(n))),
-        (vec(range(1, n + 1)), vec([1] * n)),
-    )
-    spot_products = tuple(
-        arens_product(a, big_f, big_h) for big_f, big_h in spot_pairs)
     bidual = Algebra(n, normalize_products(n, {
         (i, j): enumerate(products[i][j]) for i in range(n) for j in range(n)
     }), name=f"bidual of {target_name(a)}")
-    return bad, spot_pairs, spot_products, bidual
+    samples = tuple(_sample(a, bidual, f, h) for f, h in (
+        ([1] * n, [(-1) ** k for k in range(n)]),
+        (list(range(1, n + 1)), [1] * n),
+    ))
+    return bad, samples, bidual
 
 
 def verify_bidual_extension(a: Algebra, w: Weights) -> Report:
@@ -236,7 +289,7 @@ def verify_bidual_extension(a: Algebra, w: Weights) -> Report:
         return precondition_unmet("2.4", target_name(a), w.pair, "no right identity")
 
     p, q = w.pair
-    bad, spot_pairs, spot_products, bidual = _staged_samples(a)
+    bad, samples, bidual = _staged_samples(a)
     assertions = [Assertion(
         "staged product extends the algebra product on embedded basis pairs",
         bad is None,
@@ -253,21 +306,15 @@ def verify_bidual_extension(a: Algebra, w: Weights) -> Report:
             None if res is None else f"basis pair {res[:2]}",
         ))
 
-        for s, ((big_f, big_h), fh) in enumerate(zip(spot_pairs, spot_products)):
-            lhs = tuple((p + q) * v for v in apply_matrix(t, fh))
-            rhs = tuple(
-                p * x + q * y
-                for x, y in zip(
-                    multiply(bidual, apply_matrix(t, big_f), big_h),
-                    multiply(bidual, big_f, apply_matrix(t, big_h)),
-                )
-            )
+        rows = _int_rows(t)
+        for k, sample in enumerate(samples):
+            ok = _sample_holds(rows, sample, bidual.scale, p, q)
             assertions.append(Assertion(
                 f"basis operator {idx}: weighted identity holds on dense "
-                f"pipeline sample {s}",
-                lhs == rhs,
-                None if lhs == rhs
-                else f"F = {fmt_vector(big_f)}, H = {fmt_vector(big_h)}",
+                f"pipeline sample {k}",
+                ok,
+                None if ok
+                else f"F = {fmt_vector(sample.f)}, H = {fmt_vector(sample.h)}",
             ))
 
         bad_adj = _adjoint_witness(a, t, p, q)

@@ -45,12 +45,15 @@ _ZERO = Fraction(0)
 
 
 def _emit(rows: list, terms) -> None:
-    """Append the {col: coeff} row summing the (col, coeff) `terms`,
-    unless it vanishes."""
+    """Append the {col: coeff} row summing the (col, coeff) `terms`, each
+    coeff nonzero, unless it vanishes."""
     row: dict[int, int] = {}
     for col, c in terms:
-        row[col] = row.get(col, 0) + c
-    row = {col: c for col, c in row.items() if c}
+        v = row.get(col, 0) + c
+        if v:
+            row[col] = v
+        else:
+            del row[col]
     if row:
         rows.append(row)
 
@@ -230,19 +233,30 @@ def _rows(a: Algebra, e: Identity) -> list:
     n = a.dim
     prods, by_right, by_left = (
         a.int_products, a.int_by_right_factor, a.int_by_left_factor)
-    s, p, q = e.s, e.p, e.q
     rows: list = []
     for _, _, orders in _pairs(n, e):
         for k in range(n):
-            terms = []
+            # one {col: int} row, summed in place; entries that cancel are
+            # dropped as they reach zero
+            row: dict[int, int] = {}
             for x, y in orders:
-                if s:
-                    terms += [(k * n + m, s * c) for m, c in prods[x][y]]
-                if p:
-                    terms += [(m * n + x, -p * c) for m, c in by_right[y][k]]
-                if q:
-                    terms += [(m * n + y, -q * c) for m, c in by_left[x][k]]
-            _emit(rows, terms)
+                # (first column, column stride, weight, (m, c) pairs) of the
+                # s T(ab), -p T(a)b and -q a T(b) terms
+                for base, step, w, pairs in (
+                    (k * n, 1, e.s, prods[x][y]),
+                    (x, n, -e.p, by_right[y][k]),
+                    (y, n, -e.q, by_left[x][k]),
+                ):
+                    if w:
+                        for m, c in pairs:
+                            col = base + step * m
+                            v = row.get(col, 0) + w * c
+                            if v:
+                                row[col] = v
+                            else:
+                                del row[col]
+            if row:
+                rows.append(row)
     return rows
 
 

@@ -3,8 +3,12 @@
 All scalars are `fractions.Fraction`, so every result is exact: no
 tolerances, no conditioning concerns. Row reduction runs on a sparse,
 fraction-free integer core: rows are `{col: int}` dicts (dense rows and
-`{col: value}` rows are both accepted and converted once), and Fractions
-are made only when the reduced rows come back out, as dense tuples.
+`{col: value}` rows are both accepted and converted once). Kernels are
+built in integers too: the reduced echelon gives one integer kernel row
+per free column, and those rows are canonicalized on the same core. Dense
+Fraction tuples are made only for the rows a caller gets back: an emitted
+subspace basis or the output of `rref`. Containment tests reduce sparse
+vectors against the nonzero entries of the basis rows.
 
 `Subspace` canonicalizes on construction: the stored basis is the reduced
 row echelon form of whatever spanning set was supplied. The canonical
@@ -153,14 +157,16 @@ def apply_matrix(m: Matrix, v: Sequence) -> Vector:
 # Each input row becomes a {col: int} dict (zeros dropped, denominators
 # cleared once) and is reduced, fraction-free, against the pivot rows found
 # so far; each new pivot row is gcd-normalized so entries stay small.
-# Fractions appear only when the canonical RREF rows are emitted.
+# `_reduce` back-eliminates the pivot map in place, still in integers, and
+# Fractions appear only when `_back_eliminate` emits canonical RREF rows.
 # ---------------------------------------------------------------------------
 
 def _sparse_row(row, ncols: int) -> dict[int, int]:
     """A dense row of length `ncols`, or a {col: value} dict with columns in
-    [0, ncols), as {col: int} with zeros dropped and denominators cleared."""
+    [0, ncols), as a new {col: int} dict with zeros dropped and denominators
+    cleared."""
     if isinstance(row, dict):
-        if not all(0 <= c < ncols for c in row):
+        if row and (min(row) < 0 or max(row) >= ncols):
             raise DimensionMismatch(f"a column of {sorted(row)} is outside [0, {ncols})")
         items = row.items()
     elif len(row) != ncols:
@@ -168,7 +174,7 @@ def _sparse_row(row, ncols: int) -> dict[int, int]:
     else:
         items = enumerate(row)
     out = {c: v for c, v in items if v}
-    if all(type(v) is int for v in out.values()):
+    if set(map(type, out.values())) <= {int}:
         return out
     _, ints = clear_denominators([Fraction(v) for v in out.values()])
     return {c: v for c, v in zip(out, ints) if v}
@@ -206,17 +212,34 @@ def _echelon_insert(row: dict[int, int], pivot_rows: dict[int, dict[int, int]]) 
         row = _eliminate(row, pivot_rows[c], c)
 
 
+def _echelon(rows: Iterable, ncols: int) -> dict[int, dict[int, int]]:
+    """The integer echelon pivot map of `rows`, keyed by pivot column."""
+    pivot_rows: dict[int, dict[int, int]] = {}
+    for r in rows:
+        _echelon_insert(_sparse_row(r, ncols), pivot_rows)
+    return pivot_rows
+
+
+def _reduce(pivot_rows: dict[int, dict[int, int]]) -> None:
+    """Back-eliminate an echelon pivot map in place, so each pivot row is
+    zero at every other pivot column (integer RREF, pivots not yet 1)."""
+    cols = sorted(pivot_rows)
+    for i in range(len(cols) - 1, -1, -1):
+        c = cols[i]
+        p = pivot_rows[c]
+        for j in range(i):
+            r = pivot_rows[cols[j]]
+            if c in r:
+                pivot_rows[cols[j]] = _normalize(_eliminate(r, p, c), cols[j])
+
+
 def _back_eliminate(pivot_rows: dict, ncols: int) -> tuple[list[Vector], tuple[int, ...]]:
     """Turn an echelon pivot map into dense RREF rows over Fraction (pivots = 1)."""
+    _reduce(pivot_rows)
     cols = sorted(pivot_rows)
-    rows = [pivot_rows[c] for c in cols]
-    for i in range(len(rows) - 1, -1, -1):
-        c, p = cols[i], rows[i]
-        for j in range(i):
-            if c in rows[j]:
-                rows[j] = _normalize(_eliminate(rows[j], p, c), cols[j])
     out = []
-    for c, r in zip(cols, rows):
+    for c in cols:
+        r = pivot_rows[c]
         dense = list(zero_vector(ncols))
         for k, v in r.items():
             dense[k] = Fraction(v, r[c])
@@ -225,10 +248,29 @@ def _back_eliminate(pivot_rows: dict, ncols: int) -> tuple[list[Vector], tuple[i
 
 
 def _rref_of_rows(rows: Iterable, ncols: int) -> tuple[list[Vector], tuple[int, ...]]:
-    pivot_rows: dict[int, dict[int, int]] = {}
-    for r in rows:
-        _echelon_insert(_sparse_row(r, ncols), pivot_rows)
-    return _back_eliminate(pivot_rows, ncols)
+    return _back_eliminate(_echelon(rows, ncols), ncols)
+
+
+def _kernel(pivot_rows: dict[int, dict[int, int]], ncols: int) -> "Subspace":
+    """Solutions, in the first `ncols` unknowns, of the system whose pivot map
+    `_reduce` has brought to integer RREF.
+
+    Each free column f gives the kernel row f -> d, p -> -R_p[f] d / R_p[p]
+    over the pivot rows R_p with R_p[f] != 0, where d is the lcm of their
+    leads; the rows are then canonicalized on the echelon core.
+    """
+    touching: dict[int, list] = {f: [] for f in range(ncols) if f not in pivot_rows}
+    for p, r in pivot_rows.items():
+        for f, v in r.items():
+            if f in touching:
+                touching[f].append((p, v, r[p]))
+    kernel_rows: dict[int, dict[int, int]] = {}
+    for f, entries in touching.items():
+        d = lcm(*(lead for _, _, lead in entries))
+        row = {p: -v * (d // lead) for p, v, lead in entries}
+        row[f] = d
+        _echelon_insert(row, kernel_rows)
+    return Subspace(ncols, tuple(_back_eliminate(kernel_rows, ncols)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -248,17 +290,11 @@ def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     return Matrix(m.rows, m.cols, tuple(flat)), len(reduced), pivots
 
 
-def _kernel(reduced: list[Vector], pivots: tuple[int, ...], ncols: int) -> "Subspace":
-    """Solutions of the RREF system `reduced` in its first `ncols` unknowns."""
-    pivot_set = set(pivots)
-    basis = [{f: 1, **{p: -r[f] for r, p in zip(reduced, pivots) if r[f]}}
-             for f in range(ncols) if f not in pivot_set]
-    return Subspace.span(ncols, basis)
-
-
 def nullspace_of_rows(rows: Iterable, ncols: int) -> "Subspace":
     """Solution space of the homogeneous system `rows` (dense or {col: value})."""
-    return _kernel(*_rref_of_rows(rows, ncols), ncols)
+    pivot_rows = _echelon(rows, ncols)
+    _reduce(pivot_rows)
+    return _kernel(pivot_rows, ncols)
 
 
 def nullspace(m: Matrix) -> "Subspace":
@@ -282,13 +318,15 @@ def solve_affine_rows(
         if isinstance(r, dict) and ncols in r:
             raise DimensionMismatch(f"column {ncols} outside [0, {ncols})")
         augmented.append({**r, ncols: b} if isinstance(r, dict) else [*r, b])
-    reduced, pivots = _rref_of_rows(augmented, ncols + 1)
-    if ncols in pivots:
+    pivot_rows = _echelon(augmented, ncols + 1)
+    if ncols in pivot_rows:
         return None  # a row reduced to 0 = 1
+    _reduce(pivot_rows)
     particular = list(zero_vector(ncols))
-    for r, p in zip(reduced, pivots):
-        particular[p] = r[ncols]
-    return tuple(particular), _kernel(reduced, pivots, ncols)
+    for p, r in pivot_rows.items():
+        if ncols in r:
+            particular[p] = Fraction(r[ncols], r[p])
+    return tuple(particular), _kernel(pivot_rows, ncols)
 
 
 def solve_affine(m: Matrix, b: Sequence) -> Optional[tuple[Vector, "Subspace"]]:
@@ -352,8 +390,23 @@ class Subspace:
                     w[i] -= c * rv
         return tuple(w)
 
+    def _reduce_sparse(self, w: dict) -> dict:
+        """Remainder of the {index: entry} vector `w`, reduced in place."""
+        for p, pairs in self.sparse_rows:
+            c = w.get(p)
+            if c:
+                for i, rv in pairs:
+                    x = w.get(i, 0) - c * rv
+                    if x:
+                        w[i] = x
+                    else:
+                        del w[i]
+        return w
+
     def contains_vector(self, v: Sequence) -> bool:
-        return is_zero_vector(self.reduce_vector(v))
+        if len(v) != self.ambient_dim:
+            raise DimensionMismatch("vector length != ambient dimension")
+        return not self._reduce_sparse({i: x for i, x in enumerate(v) if x})
 
 
 def full_space(n: int) -> Subspace:
@@ -379,7 +432,9 @@ def subspace_equal(s: Subspace, t: Subspace) -> bool:
 def subspace_contains(s: Subspace, t: Subspace) -> bool:
     """True when t is a subspace of s."""
     _check_ambient(s, t)
-    return all(s.contains_vector(v) for v in t.basis)
+    if t.dim > s.dim:
+        return False
+    return not any(s._reduce_sparse(dict(pairs)) for _, pairs in t.sparse_rows)
 
 
 def subspace_sum(s: Subspace, t: Subspace) -> Subspace:

@@ -1,6 +1,7 @@
 """Differential tests of the sparse integer check helpers against the dense
 Fraction code they replaced, kept here verbatim as `_ref_` oracles: the
-adjoint scan of check 2.4, `residual`, and `Subspace.reduce_vector`."""
+adjoint scan and the dense samples of check 2.4, `residual`, and
+`Subspace.reduce_vector`."""
 
 from fractions import Fraction
 from functools import cache
@@ -8,8 +9,14 @@ from random import Random
 
 import pytest
 
-from pqcent.algebras import make_algebra
-from pqcent.arens import _adjoint_witness, functional_times_element
+from pqcent.algebras import make_algebra, multiply
+from pqcent.arens import (
+    _adjoint_witness,
+    _int_rows,
+    _sample_holds,
+    _staged_samples,
+    functional_times_element,
+)
 from pqcent.centralizers import (
     LEFT,
     RIGHT,
@@ -68,6 +75,18 @@ def _ref_adjoint_scan(a, t, p, q):
         if bad_adj:
             break
     return bad_adj
+
+
+def _ref_dense_sample(bidual, t, big_f, big_h, fh, p, q):
+    lhs = tuple((p + q) * v for v in apply_matrix(t, fh))
+    rhs = tuple(
+        p * x + q * y
+        for x, y in zip(
+            multiply(bidual, apply_matrix(t, big_f), big_h),
+            multiply(bidual, big_f, apply_matrix(t, big_h)),
+        )
+    )
+    return lhs == rhs
 
 
 def _ref_pairs(n, e):
@@ -225,6 +244,9 @@ def test_inputs_cover_fractional_constants_and_failures():
     ops = _operators("matrix2")
     assert any(residual(a, t, weighted(Weights(1, 2))) is None for t in ops)
     assert any(residual(a, t, weighted(Weights(1, 2))) is not None for t in ops)
+    _, samples, bidual = _staged_samples(a)
+    assert {_sample_holds(_int_rows(t), s, bidual.scale, 1, 2)
+            for t in ops for s in samples} == {True, False}
 
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
@@ -234,6 +256,20 @@ def test_sparse_adjoint_scan_matches_the_dense_scan(name):
         for p, q in DEFAULT_WEIGHT_PAIRS:
             assert _adjoint_witness(a, t, p, q) == \
                 _ref_adjoint_scan(a, t, p, q), (name, t, p, q)
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_integer_dense_samples_match_the_fraction_samples(name):
+    a = ALGEBRAS[name]
+    _, samples, bidual = _staged_samples(a)
+    for t in _operators(name):
+        rows = _int_rows(t)
+        for s in samples:
+            fh = tuple(Fraction(v, s.den) for v in s.fh)
+            for p, q in DEFAULT_WEIGHT_PAIRS:
+                assert _sample_holds(rows, s, bidual.scale, p, q) == \
+                    _ref_dense_sample(bidual, t, vec(s.f), vec(s.h), fh, p, q), \
+                    (name, t, p, q)
 
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))

@@ -1,12 +1,23 @@
+import copy
 from fractions import Fraction
+from itertools import permutations
 from math import gcd, lcm
+from random import Random
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from pqcent.centralizers import LEFT, RIGHT, Weights, _rows, jordan, weighted
+from pqcent.fixtures import fixtures
+from pqcent.groups import cayley_table, group_algebra
 from pqcent.linalg import (
     DimensionMismatch,
+    _echelon_insert,
+    _eliminate,
+    _normalize,
+    _sparse_row,
+    is_zero_vector,
     Matrix,
     Subspace,
     apply_matrix,
@@ -25,6 +36,7 @@ from pqcent.linalg import (
     transpose,
     vec,
     zero_subspace,
+    zero_vector,
 )
 
 F = Fraction
@@ -466,3 +478,177 @@ def test_dense_row_of_wrong_length():
         nullspace_of_rows([[1, 2]], 3)
     with pytest.raises(DimensionMismatch):
         solve_affine_rows([[1, 2, 3, 4]], [0], 3)
+
+
+# ---------------------------------------------------------------------------
+# differential tests of the integer kernel
+#
+# The `_ref_` oracle is the kernel path the package used before kernel rows
+# were built in integers: back-substitute every pivot row into a dense
+# Fraction RREF row, read each free column's kernel vector off those rows,
+# and canonicalize the vectors with a second elimination in `Subspace.span`.
+# ---------------------------------------------------------------------------
+
+def _ref_back_eliminate(pivot_rows, ncols):
+    cols = sorted(pivot_rows)
+    rows = [pivot_rows[c] for c in cols]
+    for i in range(len(rows) - 1, -1, -1):
+        c, p = cols[i], rows[i]
+        for j in range(i):
+            if c in rows[j]:
+                rows[j] = _normalize(_eliminate(rows[j], p, c), cols[j])
+    out = []
+    for c, r in zip(cols, rows):
+        dense = list(zero_vector(ncols))
+        for k, v in r.items():
+            dense[k] = Fraction(v, r[c])
+        out.append(tuple(dense))
+    return out, tuple(cols)
+
+
+def _ref_rref_of_rows(rows, ncols):
+    pivot_rows = {}
+    for r in rows:
+        _echelon_insert(_sparse_row(r, ncols), pivot_rows)
+    return _ref_back_eliminate(pivot_rows, ncols)
+
+
+def _ref_kernel(reduced, pivots, ncols):
+    pivot_set = set(pivots)
+    basis = [{f: 1, **{p: -r[f] for r, p in zip(reduced, pivots) if r[f]}}
+             for f in range(ncols) if f not in pivot_set]
+    return Subspace.span(ncols, basis)
+
+
+def _ref_nullspace_of_rows(rows, ncols):
+    return _ref_kernel(*_ref_rref_of_rows(rows, ncols), ncols)
+
+
+def _ref_solve_affine_rows(rows, rhs, ncols):
+    augmented = [{**r, ncols: b} if isinstance(r, dict) else [*r, b]
+                 for r, b in zip(rows, rhs)]
+    reduced, pivots = _ref_rref_of_rows(augmented, ncols + 1)
+    if ncols in pivots:
+        return None
+    particular = list(zero_vector(ncols))
+    for r, p in zip(reduced, pivots):
+        particular[p] = r[ncols]
+    return tuple(particular), _ref_kernel(reduced, pivots, ncols)
+
+
+@settings(max_examples=80, deadline=None)
+@given(systems(), st.booleans(), st.data())
+def test_integer_kernel_matches_the_dense_kernel(system, keep_zeros, data):
+    ncols, rows = system
+    sparse = as_sparse(rows, keep_zeros)
+    expected = _ref_nullspace_of_rows(rows, ncols)
+    assert nullspace_of_rows(rows, ncols) == expected
+    assert nullspace_of_rows(sparse, ncols) == expected
+    rhs = data.draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+    assert solve_affine_rows(rows, rhs, ncols) == \
+        _ref_solve_affine_rows(rows, rhs, ncols)
+    assert solve_affine_rows(sparse, rhs, ncols) == \
+        _ref_solve_affine_rows(rows, rhs, ncols)
+
+
+def test_kernel_rows_are_scaled_by_the_lcm_of_their_leads():
+    # x0 = -x2/2 and x1 = -x2/3: the free column's kernel vector needs
+    # both leads cleared, (-3, -2, 6) up to scale
+    rows = [[2, 0, 1], [0, 3, 1]]
+    expected = ((F(1), F(2, 3), F(-2)),)
+    assert nullspace_of_rows(rows, 3).basis == expected
+    assert _ref_nullspace_of_rows(rows, 3).basis == expected
+    particular, homogeneous = solve_affine_rows(rows, [1, 1], 3)
+    assert particular == (F(1, 2), F(1, 3), F(0))
+    assert homogeneous.basis == expected
+
+
+def _s4():
+    perms = list(permutations(range(4)))
+    index = {p: i for i, p in enumerate(perms)}
+    return group_algebra(cayley_table([
+        [index[tuple(g[h[x]] for x in range(4))] for h in perms] for g in perms
+    ], "s4"))
+
+
+def _solver_systems():
+    """(label, deduplicated solver rows, n^2) of the weighted, Jordan and
+    two-sided identities at (1, 2), on the catalog and on S4."""
+    w = Weights(1, 2)
+    algebras = {**fixtures(), "s4": _s4()}
+    out = []
+    for name, a in algebras.items():
+        for label, ids in (("weighted", (weighted(w),)),
+                           ("jordan", (jordan(w),)),
+                           ("two-sided", (LEFT, RIGHT))):
+            unique = {frozenset(row.items()): row
+                      for e in ids for row in _rows(a, e)}
+            out.append((f"{name} {label}", list(unique.values()), a.dim ** 2))
+    return out
+
+
+SOLVER_SYSTEMS = _solver_systems()
+
+
+@pytest.mark.parametrize("label, rows, ncols", SOLVER_SYSTEMS,
+                         ids=[label for label, _, _ in SOLVER_SYSTEMS])
+def test_integer_kernel_matches_the_dense_kernel_on_solver_rows(
+        label, rows, ncols):
+    before = copy.deepcopy(rows)
+    assert nullspace_of_rows(rows, ncols) == \
+        _ref_nullspace_of_rows(rows, ncols), label
+    # a consistent right-hand side, rows * x for a seeded integer x, and
+    # one that is inconsistent whenever the rows are dependent
+    rng = Random(label)
+    x = [rng.randint(-2, 2) for _ in range(ncols)]
+    for rhs in ([sum(v * x[c] for c, v in r.items()) for r in rows],
+                [F(1, 1 + i % 3) for i in range(len(rows))]):
+        assert solve_affine_rows(rows, rhs, ncols) == \
+            _ref_solve_affine_rows(rows, rhs, ncols), label
+    assert rows == before, label
+
+
+@settings(max_examples=60, deadline=None)
+@given(systems(), st.booleans(), st.data())
+def test_solvers_do_not_mutate_dict_rows(system, keep_zeros, data):
+    ncols, rows = system
+    sparse = as_sparse(rows, keep_zeros)
+    before = copy.deepcopy(sparse)
+    nullspace_of_rows(sparse, ncols)
+    assert sparse == before
+    rhs = data.draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+    solve_affine_rows(sparse, rhs, ncols)
+    assert sparse == before
+
+
+def _dense_contains(s, t):
+    return all(is_zero_vector(s.reduce_vector(v)) for v in t.basis)
+
+
+@settings(max_examples=80, deadline=None)
+@given(subspaces(), subspaces(), st.lists(rationals, min_size=4, max_size=4))
+def test_sparse_containment_matches_dense_reduction(s, t, v):
+    assert subspace_contains(s, t) == _dense_contains(s, t)
+    assert subspace_contains(t, s) == _dense_contains(t, s)
+    for x in [v, *t.basis]:
+        assert s.contains_vector(x) == is_zero_vector(s.reduce_vector(x))
+
+
+def test_sparse_containment_of_a_larger_subspace():
+    line = Subspace.span(3, [[1, 1, 0]])
+    plane = Subspace.span(3, [[1, 1, 0], [0, 0, 1]])
+    assert subspace_contains(plane, line) and _dense_contains(plane, line)
+    assert not subspace_contains(line, plane)
+    assert not _dense_contains(line, plane)
+    assert subspace_contains(full_space(3), plane)
+    assert not subspace_contains(zero_subspace(3), line)
+    assert subspace_contains(line, zero_subspace(3))
+
+
+@pytest.mark.parametrize("v", [[1, 0], [1, 0, 0, 0], []])
+def test_contains_vector_of_the_wrong_length(v):
+    s = Subspace.span(3, [[1, 2, 0]])
+    with pytest.raises(DimensionMismatch):
+        s.contains_vector(v)
+    with pytest.raises(DimensionMismatch):
+        s.reduce_vector(v)
