@@ -72,7 +72,10 @@ class Weights:
     allow_equal: bool = False
 
     def __post_init__(self):
-        if not (isinstance(self.p, int) and isinstance(self.q, int)):
+        # bool is an int subclass: Weights(True, 2) would share the cache
+        # entry of Weights(1, 2) and report its weights as [true, 2]
+        if not all(isinstance(x, int) and not isinstance(x, bool)
+                   for x in (self.p, self.q)):
             raise TypeError("weights must be integers")
         if self.p < 1 or self.q < 1:
             raise ValueError("weights must be positive")

@@ -1,18 +1,19 @@
 """Exact linear algebra over the rationals.
 
-All scalars are `fractions.Fraction`, so every result is exact: no
-tolerances, no conditioning concerns. Row reduction runs on a sparse,
-fraction-free integer core: rows are `{col: int}` dicts (dense rows and
-`{col: value}` rows are both accepted and converted once). Kernels are
-built in integers too: the reduced echelon gives one integer kernel row
-per free column, and those rows are canonicalized on the same core. Dense
-Fraction tuples are made only for the rows a caller gets back: an emitted
-subspace basis or the output of `rref`. Containment tests reduce sparse
-vectors against the nonzero entries of the basis rows.
+Every result is exact: no floats, no tolerances, no conditioning concerns.
+Row reduction runs on a sparse, fraction-free integer core: rows are
+`{col: int}` dicts (dense rows and `{col: value}` rows are both accepted and
+converted once). Kernels are built in integers too: the reduced echelon
+gives one integer kernel row per free column, and those rows are
+canonicalized on the same core.
 
-`Subspace` canonicalizes on construction: the stored basis is the reduced
-row echelon form of whatever spanning set was supplied. The canonical
-form is unique per span, so `==` on subspaces is mathematical equality.
+`Subspace` holds the canonical integer form of a span: its reduced row
+echelon basis, each row scaled to a primitive integer row with a positive
+pivot entry. The form is unique per span, so `==` and `hash` on subspaces
+are mathematical equality, and containment reduces integer vectors against
+the rows. Fractions are made only where a caller reads them: the dense
+`Subspace.basis` (built on first read), `reduce_vector`, the particular
+solution of `solve_affine_rows`, and the matrix `rref` returns.
 """
 
 from __future__ import annotations
@@ -157,8 +158,8 @@ def apply_matrix(m: Matrix, v: Sequence) -> Vector:
 # Each input row becomes a {col: int} dict (zeros dropped, denominators
 # cleared once) and is reduced, fraction-free, against the pivot rows found
 # so far; each new pivot row is gcd-normalized so entries stay small.
-# `_reduce` back-eliminates the pivot map in place, still in integers, and
-# Fractions appear only when `_back_eliminate` emits canonical RREF rows.
+# `_reduce` back-eliminates the pivot map in place, still in integers; only
+# `rref` turns it into dense Fraction rows, through `_back_eliminate`.
 # ---------------------------------------------------------------------------
 
 def _sparse_row(row, ncols: int) -> dict[int, int]:
@@ -247,10 +248,6 @@ def _back_eliminate(pivot_rows: dict, ncols: int) -> tuple[list[Vector], tuple[i
     return out, tuple(cols)
 
 
-def _rref_of_rows(rows: Iterable, ncols: int) -> tuple[list[Vector], tuple[int, ...]]:
-    return _back_eliminate(_echelon(rows, ncols), ncols)
-
-
 def _kernel(pivot_rows: dict[int, dict[int, int]], ncols: int) -> "Subspace":
     """Solutions, in the first `ncols` unknowns, of the system whose pivot map
     `_reduce` has brought to integer RREF.
@@ -270,7 +267,8 @@ def _kernel(pivot_rows: dict[int, dict[int, int]], ncols: int) -> "Subspace":
         row = {p: -v * (d // lead) for p, v, lead in entries}
         row[f] = d
         _echelon_insert(row, kernel_rows)
-    return Subspace(ncols, tuple(_back_eliminate(kernel_rows, ncols)[0]))
+    _reduce(kernel_rows)
+    return Subspace._from_pivot_rows(ncols, kernel_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +280,7 @@ def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
 
     The returned matrix has the shape of `m`, zero rows at the bottom.
     """
-    reduced, pivots = _rref_of_rows(m.to_rows(), m.cols)
+    reduced, pivots = _back_eliminate(_echelon(m.to_rows(), m.cols), m.cols)
     flat: list[Fraction] = []
     for r in reduced:
         flat.extend(r)
@@ -337,80 +335,134 @@ def solve_affine(m: Matrix, b: Sequence) -> Optional[tuple[Vector, "Subspace"]]:
 # subspaces
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+def _check_rows(n: int, rows: tuple) -> None:
+    """Raise ValueError unless `rows` is the canonical integer form of a
+    subspace of Q^n. O(nnz)."""
+    pivots = {p for p, _ in rows}
+    last = -1
+    for p, pairs in rows:
+        cols, vals = zip(*pairs) if pairs else ((), ())
+        if not (cols and last < p == cols[0] and vals[0] > 0 and cols[-1] < n
+                and cols == tuple(sorted(set(cols))) and 0 not in vals
+                and gcd(*vals) == 1 and pivots.isdisjoint(cols[1:])):
+            raise ValueError("basis is not in reduced row echelon form")
+        last = p
+
+
+@dataclass(frozen=True, init=False)
 class Subspace:
-    """A linear subspace of Q^n held in canonical (RREF basis) form."""
+    """A linear subspace of Q^n held in canonical integer form.
+
+    `rows` is the reduced row echelon basis, each row scaled to the
+    primitive integer row whose pivot (first) entry is positive:
+    `((pivot, ((col, int), ...)), ...)`, pivots and columns increasing.
+    The form is unique per span, so `==` and `hash` are span equality.
+    `Subspace(n, basis)` takes the Fraction RREF basis itself and raises
+    ValueError for anything else; `basis` gives it back, built on first
+    read.
+    """
 
     ambient_dim: int
-    basis: tuple[Vector, ...]
+    rows: tuple
 
-    def __post_init__(self):
-        last_pivot = -1
-        for row in self.basis:
-            if len(row) != self.ambient_dim:
+    def __init__(self, ambient_dim: int, basis: Iterable[Sequence]):
+        rows = []
+        for row in basis:
+            if len(row) != ambient_dim:
                 raise ValueError("basis vector of wrong length")
-            p = next((i for i, v in enumerate(row) if v != 0), None)
-            if p is None or p <= last_pivot or row[p] != 1:
+            pairs = [(i, v) for i, v in enumerate(row) if v]
+            if not pairs or pairs[0][1] != 1:
                 raise ValueError("basis is not in reduced row echelon form")
-            for other in self.basis:
-                if other is not row and other[p] != 0:
-                    raise ValueError("basis is not in reduced row echelon form")
-            last_pivot = p
+            _, ints = clear_denominators([v for _, v in pairs])
+            rows.append((pairs[0][0], tuple(zip((i for i, _ in pairs), ints))))
+        self._install(ambient_dim, tuple(rows))
+
+    def _install(self, ambient_dim: int, rows: tuple) -> None:
+        _check_rows(ambient_dim, rows)
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "rows", rows)
+
+    @classmethod
+    def _from_rows(cls, ambient_dim: int, rows: tuple) -> "Subspace":
+        s = cls.__new__(cls)
+        s._install(ambient_dim, rows)
+        return s
+
+    @classmethod
+    def _from_pivot_rows(cls, ambient_dim: int,
+                         pivot_rows: dict[int, dict[int, int]]) -> "Subspace":
+        """The span of a pivot map that `_reduce` has brought to integer RREF."""
+        return cls._from_rows(ambient_dim, tuple(
+            (p, tuple(sorted(pivot_rows[p].items()))) for p in sorted(pivot_rows)
+        ))
 
     @classmethod
     def span(cls, ambient_dim: int, vectors: Iterable) -> "Subspace":
-        reduced, _ = _rref_of_rows(vectors, ambient_dim)
-        return cls(ambient_dim, tuple(reduced))
+        pivot_rows = _echelon(vectors, ambient_dim)
+        _reduce(pivot_rows)
+        return cls._from_pivot_rows(ambient_dim, pivot_rows)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     @cached_property
-    def sparse_rows(self) -> tuple:
-        """(pivot, nonzero (index, entry) pairs) of each basis row."""
-        rows = []
-        for row in self.basis:
-            pairs = tuple((i, v) for i, v in enumerate(row) if v)
-            rows.append((pairs[0][0], pairs))
-        return tuple(rows)
+    def basis(self) -> tuple[Vector, ...]:
+        """The RREF basis as dense Fraction rows (pivot entries 1)."""
+        out = []
+        for _, pairs in self.rows:
+            lead = pairs[0][1]
+            dense = list(zero_vector(self.ambient_dim))
+            for i, v in pairs:
+                dense[i] = Fraction(v, lead)
+            out.append(tuple(dense))
+        return tuple(out)
 
     def pivots(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.sparse_rows)
+        return tuple(p for p, _ in self.rows)
+
+    def _remainder(self, w: dict[int, int]) -> tuple[int, dict[int, int]]:
+        """(L, L times the remainder of the integer {index: entry} vector `w`
+        after eliminating every pivot), L the lcm of the pivot entries of
+        the rows that meet `w`. `w` may be reduced in place.
+
+        A row is zero at every other pivot, so eliminating it leaves the
+        other pivot entries of `w` alone, and after scaling by L each of
+        them is a multiple of its row's pivot entry.
+        """
+        meeting = [pairs for p, pairs in self.rows if p in w]
+        scale = lcm(*(pairs[0][1] for pairs in meeting))
+        if scale != 1:
+            w = {i: scale * x for i, x in w.items()}
+        for pairs in meeting:
+            p, lead = pairs[0]
+            c = w[p] // lead
+            for i, v in pairs:
+                x = w.get(i, 0) - c * v
+                if x:
+                    w[i] = x
+                else:
+                    del w[i]
+        return scale, w
 
     def reduce_vector(self, v: Sequence) -> Vector:
         """Remainder of v after eliminating all basis pivots."""
-        w = list(vec(v))
-        if len(w) != self.ambient_dim:
-            raise DimensionMismatch("vector length != ambient dimension")
-        for p, pairs in self.sparse_rows:
-            c = w[p]
-            if c:
-                for i, rv in pairs:
-                    w[i] -= c * rv
-        return tuple(w)
-
-    def _reduce_sparse(self, w: dict) -> dict:
-        """Remainder of the {index: entry} vector `w`, reduced in place."""
-        for p, pairs in self.sparse_rows:
-            c = w.get(p)
-            if c:
-                for i, rv in pairs:
-                    x = w.get(i, 0) - c * rv
-                    if x:
-                        w[i] = x
-                    else:
-                        del w[i]
-        return w
-
-    def contains_vector(self, v: Sequence) -> bool:
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector length != ambient dimension")
-        return not self._reduce_sparse({i: x for i, x in enumerate(v) if x})
+        nonzero = [(i, x) for i, x in enumerate(v) if x]
+        d, ints = clear_denominators([x for _, x in nonzero])
+        scale, w = self._remainder(dict(zip((i for i, _ in nonzero), ints)))
+        out = list(zero_vector(self.ambient_dim))
+        for i, x in w.items():
+            out[i] = Fraction(x, scale * d)
+        return tuple(out)
+
+    def contains_vector(self, v: Sequence) -> bool:
+        return not self._remainder(_sparse_row(v, self.ambient_dim))[1]
 
 
 def full_space(n: int) -> Subspace:
-    return Subspace(n, tuple(basis_vector(n, i) for i in range(n)))
+    return Subspace._from_rows(n, tuple((i, ((i, 1),)) for i in range(n)))
 
 
 def zero_subspace(n: int) -> Subspace:
@@ -426,20 +478,21 @@ def _check_ambient(s: Subspace, t: Subspace) -> None:
 
 def subspace_equal(s: Subspace, t: Subspace) -> bool:
     _check_ambient(s, t)
-    return s.basis == t.basis
+    return s.rows == t.rows
 
 
 def subspace_contains(s: Subspace, t: Subspace) -> bool:
     """True when t is a subspace of s."""
     _check_ambient(s, t)
-    if t.dim > s.dim:
-        return False
-    return not any(s._reduce_sparse(dict(pairs)) for _, pairs in t.sparse_rows)
+    if t.dim >= s.dim:
+        # a subspace of s with the dimension of s is s itself
+        return t.rows == s.rows
+    return not any(s._remainder(dict(pairs))[1] for _, pairs in t.rows)
 
 
 def subspace_sum(s: Subspace, t: Subspace) -> Subspace:
     _check_ambient(s, t)
-    return Subspace.span(s.ambient_dim, list(s.basis) + list(t.basis))
+    return Subspace.span(s.ambient_dim, [dict(pairs) for _, pairs in s.rows + t.rows])
 
 
 def subspace_intersect(s: Subspace, t: Subspace) -> Subspace:
@@ -447,9 +500,8 @@ def subspace_intersect(s: Subspace, t: Subspace) -> Subspace:
     whose left block vanished carry an intersection basis in the right block."""
     _check_ambient(s, t)
     n = s.ambient_dim
-    zero = zero_vector(n)
-    stacked = [list(v) + list(v) for v in s.basis]
-    stacked += [list(w) + list(zero) for w in t.basis]
-    reduced, _ = _rref_of_rows(stacked, 2 * n)
-    hits = [r[n:] for r in reduced if is_zero_vector(r[:n])]
-    return Subspace.span(n, hits)
+    stacked = [dict(pairs + tuple((i + n, v) for i, v in pairs)) for _, pairs in s.rows]
+    stacked += [dict(pairs) for _, pairs in t.rows]
+    pivot_rows = _echelon(stacked, 2 * n)
+    return Subspace.span(n, [{i - n: v for i, v in r.items()}
+                             for p, r in pivot_rows.items() if p >= n])

@@ -174,6 +174,22 @@ def verify_right_identity_collapse(a: Algebra, w: Weights) -> Report:
 # check id 2.3
 # ---------------------------------------------------------------------------
 
+def _nonmultiplicative_pair(a: Algebra, ops, images) -> Optional[tuple[int, int]]:
+    """The first operator pair (r, s), in row-major order, with
+    T_r(T_s(1)) != T_r(1) T_s(1), where images[s] = T_s(1); None if there
+    is none. T_r(T_s(1)) is (T_r T_s)(1) without forming the product."""
+    return next(
+        (
+            (r, s)
+            for r in range(len(ops))
+            for s in range(len(ops))
+            if apply_matrix(ops[r], images[s])
+            != multiply(a, images[r], images[s])
+        ),
+        None,
+    )
+
+
 def verify_unital_center_correspondence(a: Algebra, w: Weights) -> Report:
     """On a unital algebra, evaluation at the identity is a multiplicative
     linear bijection from the weighted centralizers onto the center, and
@@ -218,16 +234,7 @@ def verify_unital_center_correspondence(a: Algebra, w: Weights) -> Report:
             ok_r and ok_l,
             None if (ok_r and ok_l) else f"image {fmt_vector(img)}",
         ))
-    bad = next(
-        (
-            (r, s)
-            for r in range(len(ops))
-            for s in range(len(ops))
-            if apply_matrix(matmul(ops[r], ops[s]), one)
-            != multiply(a, images[r], images[s])
-        ),
-        None,
-    )
+    bad = _nonmultiplicative_pair(a, ops, images)
     assertions.append(Assertion(
         "evaluation at the identity is multiplicative on basis pairs",
         bad is None,

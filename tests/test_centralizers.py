@@ -77,6 +77,16 @@ def test_weights_validation():
     assert Weights(3, 5).pair == (3, 5)
 
 
+@pytest.mark.parametrize("p, q", [(True, 2), (1, False), (True, True)])
+def test_weights_reject_booleans(p, q):
+    # True == 1 and hash(True) == hash(1): accepted, Weights(True, 2) would
+    # share the cache entry of Weights(1, 2) and report "weights": [true, 2]
+    with pytest.raises(TypeError):
+        Weights(p, q)
+    with pytest.raises(TypeError):
+        Weights(p, q, allow_equal=True)
+
+
 # ---------------------------------------------------------------------------
 # multiplication operators
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Differential tests of the sparse integer check helpers against the dense
 Fraction code they replaced, kept here verbatim as `_ref_` oracles: the
-adjoint scan and the dense samples of check 2.4, `residual`, and
-`Subspace.reduce_vector`."""
+adjoint scan and the dense samples of check 2.4, `residual`,
+`Subspace.reduce_vector`, and check 2.3's multiplicativity scan."""
 
 from fractions import Fraction
 from functools import cache
@@ -9,7 +9,7 @@ from random import Random
 
 import pytest
 
-from pqcent.algebras import make_algebra, multiply
+from pqcent.algebras import identity, make_algebra, multiply
 from pqcent.arens import (
     _adjoint_witness,
     _int_rows,
@@ -35,11 +35,12 @@ from pqcent.linalg import (
     Matrix,
     apply_matrix,
     basis_vector,
+    matmul,
     nullspace_of_rows,
     transpose,
     vec,
 )
-from pqcent.verify import DEFAULT_WEIGHT_PAIRS
+from pqcent.verify import DEFAULT_WEIGHT_PAIRS, _nonmultiplicative_pair
 
 _ZERO = Fraction(0)
 
@@ -138,6 +139,20 @@ def _ref_reduce_vector(s, v):
                 if rv:
                     w[i] -= c * rv
     return tuple(w)
+
+
+def _ref_nonmultiplicative_pair(a, ops, one):
+    images = [apply_matrix(t, one) for t in ops]
+    return next(
+        (
+            (r, s)
+            for r in range(len(ops))
+            for s in range(len(ops))
+            if apply_matrix(matmul(ops[r], ops[s]), one)
+            != multiply(a, images[r], images[s])
+        ),
+        None,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -291,3 +306,52 @@ def test_sparse_reduce_vector_matches_the_dense_reduction(name):
         assert s.pivots() == _ref_pivots(s), name
         for v in vectors:
             assert s.reduce_vector(v) == _ref_reduce_vector(s, v), name
+
+
+UNITAL = sorted(name for name, a in ALGEBRAS.items() if identity(a) is not None)
+
+
+def test_unital_inputs_cover_the_unital_catalog():
+    unital_catalog = {name for name, a in fixtures().items()
+                      if identity(a) is not None}
+    assert unital_catalog and unital_catalog <= set(UNITAL)
+
+
+@pytest.mark.parametrize("name", UNITAL)
+def test_multiplicativity_scan_matches_the_matmul_scan(name):
+    a = ALGEBRAS[name]
+    n = a.dim
+    one = identity(a)
+    rng = Random(name)
+    solved = [list(pq_centralizers(a, Weights(*pair)).operators())
+              for pair in DEFAULT_WEIGHT_PAIRS]
+    # each solved list with one operator moved by 1/3 in an entry of a
+    # column that T(1) reads
+    support = [m for m in range(n) if one[m]]
+    mutated = []
+    for ops in solved:
+        r = rng.randrange(len(ops))
+        entries = list(ops[r].entries)
+        entries[rng.randrange(n) * n + rng.choice(support)] += Fraction(1, 3)
+        mutated.append(ops[:r] + [Matrix(n, n, tuple(entries))] + ops[r + 1:])
+    for ops in solved + mutated + [_operators(name)]:
+        images = [apply_matrix(t, one) for t in ops]
+        assert _nonmultiplicative_pair(a, ops, images) == \
+            _ref_nonmultiplicative_pair(a, ops, one), name
+    assert all(_nonmultiplicative_pair(
+        a, ops, [apply_matrix(t, one) for t in ops]) is None for ops in solved)
+
+
+def test_multiplicativity_scan_finds_the_mutated_operator():
+    a = ALGEBRAS["group_s3"]
+    n = a.dim
+    one = identity(a)
+    ops = list(pq_centralizers(a, Weights(1, 2)).operators())
+    # T_1 with b_0 added to T(b_3): every pair before (1, 2), in row-major
+    # order, still multiplies
+    entries = list(ops[1].entries)
+    entries[0 * n + 3] += 1
+    ops[1] = Matrix(n, n, tuple(entries))
+    images = [apply_matrix(t, one) for t in ops]
+    assert _nonmultiplicative_pair(a, ops, images) == (1, 2)
+    assert _ref_nonmultiplicative_pair(a, ops, one) == (1, 2)

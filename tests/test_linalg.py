@@ -1,5 +1,6 @@
 import copy
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 from math import gcd, lcm
 from random import Random
@@ -21,6 +22,7 @@ from pqcent.linalg import (
     Matrix,
     Subspace,
     apply_matrix,
+    basis_vector,
     full_space,
     identity_matrix,
     matmul,
@@ -203,6 +205,13 @@ def test_subspace_rejects_non_canonical_basis():
         Subspace(2, ((F(2), F(0)),))
     with pytest.raises(ValueError):
         Subspace(2, ((F(0), F(1)), (F(1), F(0))))
+    for basis in (((F(1), F(1)), (F(0), F(1))),   # entry in a pivot column
+                  ((F(0), F(0)),),                # zero row
+                  ((F(1), F(0)), (F(1), F(0))),   # repeated pivot
+                  ((F(-1), F(2)),),               # negative pivot entry
+                  ((F(1), F(0), F(0)),)):         # wrong length
+        with pytest.raises(ValueError):
+            Subspace(2, basis)
 
 
 @settings(max_examples=60, deadline=None)
@@ -513,11 +522,20 @@ def _ref_rref_of_rows(rows, ncols):
     return _ref_back_eliminate(pivot_rows, ncols)
 
 
-def _ref_kernel(reduced, pivots, ncols):
+def _ref_span(vectors, ncols):
+    """The dense Fraction RREF basis of the span of `vectors`."""
+    return tuple(_ref_rref_of_rows(vectors, ncols)[0])
+
+
+def _ref_kernel_basis(reduced, pivots, ncols):
     pivot_set = set(pivots)
     basis = [{f: 1, **{p: -r[f] for r, p in zip(reduced, pivots) if r[f]}}
              for f in range(ncols) if f not in pivot_set]
-    return Subspace.span(ncols, basis)
+    return _ref_span(basis, ncols)
+
+
+def _ref_kernel(reduced, pivots, ncols):
+    return Subspace(ncols, _ref_kernel_basis(reduced, pivots, ncols))
 
 
 def _ref_nullspace_of_rows(rows, ncols):
@@ -590,13 +608,20 @@ def _solver_systems():
 SOLVER_SYSTEMS = _solver_systems()
 
 
+@cache
+def _ref_solver_kernel(label):
+    """The dense RREF basis of the solution space of a solver system."""
+    _, rows, ncols = next(x for x in SOLVER_SYSTEMS if x[0] == label)
+    return _ref_kernel_basis(*_ref_rref_of_rows(rows, ncols), ncols)
+
+
 @pytest.mark.parametrize("label, rows, ncols", SOLVER_SYSTEMS,
                          ids=[label for label, _, _ in SOLVER_SYSTEMS])
 def test_integer_kernel_matches_the_dense_kernel_on_solver_rows(
         label, rows, ncols):
     before = copy.deepcopy(rows)
     assert nullspace_of_rows(rows, ncols) == \
-        _ref_nullspace_of_rows(rows, ncols), label
+        Subspace(ncols, _ref_solver_kernel(label)), label
     # a consistent right-hand side, rows * x for a seeded integer x, and
     # one that is inconsistent whenever the rows are dependent
     rng = Random(label)
@@ -652,3 +677,162 @@ def test_contains_vector_of_the_wrong_length(v):
         s.contains_vector(v)
     with pytest.raises(DimensionMismatch):
         s.reduce_vector(v)
+
+
+# ---------------------------------------------------------------------------
+# differential tests of the integer-canonical Subspace
+#
+# The oracle is the dense Fraction path `Subspace` stored before it kept its
+# canonical integer rows: `_ref_back_eliminate` gives the RREF basis, and
+# containment, sums and Zassenhaus intersections are dense Fraction
+# reductions of those rows. sympy gives the intersection dimensions.
+# ---------------------------------------------------------------------------
+
+def _ref_pivots(basis):
+    return tuple(next(i for i, x in enumerate(r) if x) for r in basis)
+
+
+def _ref_reduce(basis, v):
+    w = list(vec(v))
+    for row, p in zip(basis, _ref_pivots(basis)):
+        c = w[p]
+        if c:
+            w = [x - c * r for x, r in zip(w, row)]
+    return tuple(w)
+
+
+def _ref_contains(basis, v):
+    return is_zero_vector(_ref_reduce(basis, v))
+
+
+def _ref_intersect(sb, tb, n):
+    zero = [F(0)] * n
+    stacked = [list(v) + list(v) for v in sb] + [list(w) + zero for w in tb]
+    reduced, _ = _ref_rref_of_rows(stacked, 2 * n)
+    return _ref_span([r[n:] for r in reduced if is_zero_vector(r[:n])], n)
+
+
+def _check_against_dense(s, t, sb, tb, probes):
+    """The integer subspaces s and t against their dense RREF bases."""
+    n = s.ambient_dim
+    for space, basis in ((s, sb), (t, tb)):
+        assert space.basis == basis
+        assert space.dim == len(basis)
+        assert space.pivots() == _ref_pivots(basis)
+        rebuilt = Subspace(n, basis)
+        assert space == rebuilt and hash(space) == hash(rebuilt)
+    assert (s == t) == (sb == tb) == subspace_equal(s, t)
+    if sb == tb:
+        assert hash(s) == hash(t)
+    assert subspace_contains(s, t) == all(_ref_contains(sb, v) for v in tb)
+    assert subspace_contains(t, s) == all(_ref_contains(tb, v) for v in sb)
+    for v in [*probes, *tb]:
+        assert s.contains_vector(v) == _ref_contains(sb, v)
+        assert s.reduce_vector(v) == _ref_reduce(sb, v)
+    assert subspace_sum(s, t).basis == _ref_span([*sb, *tb], n)
+    meet = subspace_intersect(s, t)
+    assert meet.basis == _ref_intersect(sb, tb, n)
+    rank = sympy_matrix([*sb, *tb], n).rank() if sb or tb else 0
+    assert meet.dim == len(sb) + len(tb) - rank
+
+
+@settings(max_examples=80, deadline=None)
+@given(systems(), st.data())
+def test_integer_subspace_matches_the_dense_subspace(system, data):
+    ncols, rows = system
+    vectors = st.lists(entries, min_size=ncols, max_size=ncols)
+    other = data.draw(st.lists(vectors, max_size=5))
+    probes = data.draw(st.lists(vectors, max_size=3))
+    s, t = Subspace.span(ncols, rows), Subspace.span(ncols, other)
+    sb = _ref_span(rows, ncols)
+    _check_against_dense(s, t, sb, _ref_span(other, ncols), probes)
+    # a subspace against one of its own subspaces and against itself
+    inner = Subspace.span(ncols, rows[::2])
+    _check_against_dense(s, inner, sb, _ref_span(rows[::2], ncols), probes)
+    _check_against_dense(s, s, sb, sb, probes)
+
+
+SOLVER_ALGEBRAS = sorted({label.rsplit(" ", 1)[0] for label, _, _ in SOLVER_SYSTEMS})
+
+
+@pytest.mark.parametrize("name", SOLVER_ALGEBRAS)
+def test_integer_subspace_matches_the_dense_subspace_on_solver_spaces(name):
+    labels = [f"{name} {kind}" for kind in ("weighted", "jordan", "two-sided")]
+    spaces = {}
+    for label, rows, ncols in SOLVER_SYSTEMS:
+        if label in labels:
+            spaces[label] = nullspace_of_rows(rows, ncols)
+    for first, second in ((0, 1), (2, 0), (2, 1)):
+        s, t = spaces[labels[first]], spaces[labels[second]]
+        sb, tb = (_ref_solver_kernel(labels[first]),
+                  _ref_solver_kernel(labels[second]))
+        n = s.ambient_dim
+        # an off-span probe: a basis vector of t with one entry moved
+        probes = [basis_vector(n, 0), basis_vector(n, n - 1)]
+        if tb:
+            moved = list(tb[-1])
+            moved[-1] += F(1, 3)
+            probes.append(moved)
+        _check_against_dense(s, t, sb, tb, probes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(systems(), st.data())
+def test_two_spanning_sets_of_one_span_are_equal_and_hash_equal(system, data):
+    ncols, rows = system
+    scales = data.draw(st.lists(st.sampled_from([F(-3), F(1, 2), F(2, 5), 7]),
+                                min_size=len(rows), max_size=len(rows)))
+    # the rows reversed and rescaled, with their sum added: the same span
+    other = [[c * x for x in r] for c, r in zip(scales, reversed(rows))]
+    other.append([sum(col, F(0)) for col in zip(*rows)] if rows else [0] * ncols)
+    s, t = Subspace.span(ncols, rows), Subspace.span(ncols, as_sparse(other, False))
+    assert s == t and hash(s) == hash(t) and s.rows == t.rows
+    assert Subspace(ncols, s.basis) == s == Subspace.span(ncols, s.basis)
+    assert hash(Subspace(ncols, s.basis)) == hash(s)
+
+
+def test_two_spanning_sets_example():
+    s = Subspace.span(3, [[1, 2, 0], [0, 1, 1]])
+    t = Subspace.span(3, [[1, 3, 1], [2, 5, 1], [0, 0, 0]])
+    u = Subspace.span(3, [{0: F(-1, 2), 1: -1}, {1: F(2, 3), 2: F(2, 3)}])
+    assert s == t == u and hash(s) == hash(t) == hash(u)
+    # the reduced basis (1, 0, -2), (0, 1, 1) is stored as primitive rows
+    assert s.rows == ((0, ((0, 1), (2, -2))), (1, ((1, 1), (2, 1))))
+    assert s.basis == ((F(1), F(0), F(-2)), (F(0), F(1), F(1)))
+
+
+def test_canonical_rows_are_primitive_with_a_positive_pivot():
+    # the RREF rows are (1, -2, 0, 3), already primitive, and
+    # (0, 0, 1, -2/3), stored as (0, 0, 3, -2)
+    s = Subspace.span(4, [[F(2, 3), F(-4, 3), 0, 2], [0, 0, -6, 4]])
+    assert s.rows == ((0, ((0, 1), (1, -2), (3, 3))),
+                      (2, ((2, 3), (3, -2))))
+    assert s == Subspace.span(4, [[-1, 2, 0, -3], [0, 0, 9, -6]])
+    assert s.basis[1] == (F(0), F(0), F(1), F(-2, 3))
+
+
+@pytest.mark.parametrize("rows", [
+    ((0, ((0, 2), (1, 4))),),                     # gcd 2
+    ((0, ((0, -1), (1, 2))),),                    # negative pivot entry
+    ((1, ((0, 1), (1, 2))),),                     # first entry is not the pivot
+    ((0, ((0, 1), (1, 0))),),                     # explicit zero
+    ((0, ((1, 1), (0, 1))),),                     # columns not increasing
+    ((0, ((0, 1), (2, 1))),),                     # column outside [0, 2)
+    ((1, ((1, 1),)), (0, ((0, 1),))),             # pivots not increasing
+    ((0, ((0, 1), (1, 1))), (1, ((1, 1),))),      # entry in a pivot column
+    ((0, ()),),                                   # empty row
+])
+def test_integer_form_validation_rejects_non_canonical_rows(rows):
+    with pytest.raises(ValueError):
+        Subspace._from_rows(2, rows)
+
+
+def test_basis_is_built_on_first_read_only():
+    s = Subspace.span(3, [[2, 4, 0], [0, 3, 3]])
+    assert "basis" not in vars(s)
+    assert subspace_contains(s, Subspace.span(3, [[1, 3, 1]]))
+    assert s.contains_vector((F(1), F(3), F(1)))
+    assert s == Subspace.span(3, [[1, 0, -2], [0, 1, 1]])
+    assert "basis" not in vars(s)
+    assert s.basis == ((F(1), F(0), F(-2)), (F(0), F(1), F(1)))
+    assert "basis" in vars(s)
