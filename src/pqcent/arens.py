@@ -39,18 +39,18 @@ from .algebras import (Algebra, cached, multiply, normalize_products,
 from .centralizers import (
     LEFT,
     RIGHT,
+    IntOperator,
     Weights,
+    combine_columns,
     pq_centralizers,
     residual,
     weighted,
 )
 from .linalg import (
     DimensionMismatch,
-    Matrix,
     Vector,
     basis_vector,
     clear_denominators,
-    vec,
 )
 from .reports import (
     Assertion,
@@ -160,16 +160,7 @@ def dual_module_table(a: Algebra) -> tuple:
     return tuple(tuple(pairs[r * n:(r + 1) * n]) for r in range(n))
 
 
-def _int_rows(t: Matrix) -> list:
-    """Nonzero (column, entry) pairs of each row of t, scaled to integers
-    by one lcm of its denominators."""
-    n = t.rows
-    _, ints = clear_denominators(t.entries)
-    return [[(k, ints[r * n + k]) for k in range(n) if ints[r * n + k]]
-            for r in range(n)]
-
-
-def _adjoint_witness(a: Algebra, t: Matrix, p: int, q: int
+def _adjoint_witness(a: Algebra, t: IntOperator, p: int, q: int
                      ) -> Optional[tuple[int, int]]:
     """The first (r, i), in row-major order, on which the adjoint of t
     fails (p+q)(T*f_r).e_i = p f_r.(T e_i) + q T*(f_r.e_i) on the dual
@@ -180,11 +171,11 @@ def _adjoint_witness(a: Algebra, t: Matrix, p: int, q: int
     """
     n = a.dim
     dual = dual_module_table(a)
-    rows = _int_rows(t)
-    cols: list = [[] for _ in range(n)]
-    for k, row in enumerate(rows):
-        for m, v in row:
-            cols[m].append((k, v))
+    cols = t.cols
+    rows: list = [[] for _ in range(n)]
+    for m, col in enumerate(cols):
+        for k, v in col:
+            rows[k].append((m, v))
     for r in range(n):
         lhs_terms = [(k, (p + q) * v) for k, v in rows[r]]
         for i in range(n):
@@ -203,16 +194,11 @@ def _adjoint_witness(a: Algebra, t: Matrix, p: int, q: int
     return None
 
 
-def _apply_int(rows: list, x: Sequence) -> list:
-    """The sparse integer rows applied to the vector x."""
-    return [sum(v * x[m] for m, v in row) for row in rows]
-
-
 class _Sample(NamedTuple):
     """One dense sample pair (F, H) of check 2.4, integer vectors with
     coordinates f and h: the staged product F * H is fh / den, and
-    right_h, left_f are the sparse rows of x -> x*H and x -> F*x under the
-    bidual's integer-scaled product."""
+    right_h, left_f are the sparse integer columns of x -> x*H and
+    x -> F*x under the bidual's integer-scaled product."""
 
     f: list
     h: list
@@ -224,26 +210,28 @@ class _Sample(NamedTuple):
 
 def _sample(a: Algebra, bidual: Algebra, f: list, h: list) -> _Sample:
     n = a.dim
-    den, fh = clear_denominators(arens_product(a, vec(f), vec(h)))
+    den, fh = clear_denominators(arens_product(a, f, h))
     right = [[0] * n for _ in range(n)]
     left = [[0] * n for _ in range(n)]
     for i, plane in enumerate(bidual.int_products):
         for j, pairs in enumerate(plane):
             for k, c in pairs:
-                right[k][i] += h[j] * c
-                left[k][j] += f[i] * c
+                right[i][k] += h[j] * c
+                left[j][k] += f[i] * c
     return _Sample(f, h, den, fh,
-                   *([[(m, v) for m, v in enumerate(row) if v] for row in mat]
+                   *([[(k, v) for k, v in enumerate(col) if v] for col in mat]
                      for mat in (right, left)))
 
 
-def _sample_holds(rows: list, s: _Sample, scale: int, p: int, q: int) -> bool:
-    """(p+q) T(F * H) = p (TF)*H + q F*(TH) for the operator with integer
-    rows `rows`, where * is the bidual product with constants scaled by
-    `scale`; both sides are multiplied by the product of the scales."""
-    lhs = _apply_int(rows, s.fh)
-    rhs_p = _apply_int(s.right_h, _apply_int(rows, s.f))
-    rhs_q = _apply_int(s.left_f, _apply_int(rows, s.h))
+def _sample_holds(t: IntOperator, s: _Sample, scale: int, p: int, q: int
+                  ) -> bool:
+    """(p+q) T(F * H) = p (TF)*H + q F*(TH), where * is the bidual product
+    with constants scaled by `scale`; both sides are multiplied by the
+    product of the scales and t.den."""
+    tf, th, lhs = (combine_columns(t.cols, enumerate(x))
+                   for x in (s.f, s.h, s.fh))
+    rhs_p = combine_columns(s.right_h, enumerate(tf))
+    rhs_q = combine_columns(s.left_f, enumerate(th))
     return all(scale * (p + q) * x == s.den * (p * y + q * z)
                for x, y, z in zip(lhs, rhs_p, rhs_q))
 
@@ -297,7 +285,7 @@ def verify_bidual_extension(a: Algebra, w: Weights) -> Report:
     )]
 
     cpq = pq_centralizers(a, w)
-    for idx, t in enumerate(cpq.operators()):
+    for idx, t in enumerate(cpq.int_operators):
         res = residual(bidual, t, weighted(w))
         assertions.append(Assertion(
             f"basis operator {idx}: weighted identity holds on all "
@@ -306,9 +294,8 @@ def verify_bidual_extension(a: Algebra, w: Weights) -> Report:
             None if res is None else f"basis pair {res[:2]}",
         ))
 
-        rows = _int_rows(t)
         for k, sample in enumerate(samples):
-            ok = _sample_holds(rows, sample, bidual.scale, p, q)
+            ok = _sample_holds(t, sample, bidual.scale, p, q)
             assertions.append(Assertion(
                 f"basis operator {idx}: weighted identity holds on dense "
                 f"pipeline sample {k}",

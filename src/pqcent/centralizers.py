@@ -12,9 +12,12 @@ centralizers satisfy the left and right identities at once.
 
 Each space is cut out by linear equations on the n^2 matrix entries of T,
 obtained by letting a, b run over basis pairs, and is solved exactly as a
-nullspace. Operators are stored as matrices whose columns are the images
-of the basis vectors; an operator T corresponds to the flat vector of its
-row-major entries, so operator spaces are canonical subspaces of n^2-space.
+nullspace. An operator T corresponds to the flat vector of the row-major
+entries of its matrix, whose columns are the images of the basis vectors,
+so operator spaces are canonical subspaces of n^2-space. The checks read
+each operator in one canonical integer form, `IntOperator(den, cols)`,
+taken straight from the primitive rows of the solved subspace; a dense
+Fraction `Matrix` is rendered from it only for callers that ask for one.
 
 The defining conditions quantify over additive maps, but an additive map on
 a Q-vector space is automatically Q-linear, so solving for linear operators
@@ -27,8 +30,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
-from typing import Optional, Sequence
+from math import gcd
+from typing import NamedTuple, Optional, Sequence
 
 from .algebras import Algebra, cached
 from .linalg import (
@@ -126,6 +131,74 @@ def _pairs(n: int, e: Identity):
             yield i, j, ((i, j), (j, i)) if e.symmetric else ((i, j),)
 
 
+class IntOperator(NamedTuple):
+    """An operator T in canonical integer form.
+
+    cols[m] holds the nonzero (k, int) entries of den * T(b_m), k
+    ascending, and den > 0 shares no factor with all the entries: the form
+    is unique per operator, so `==` is operator equality.
+    """
+
+    den: int
+    cols: tuple
+
+
+def int_operator(t) -> IntOperator:
+    """The integer form of the n x n Matrix t; an IntOperator is returned
+    as it is.
+
+    Scaling by the lcm d of the denominators leaves no factor common to d
+    and every entry, so the form is canonical without a gcd.
+    """
+    if isinstance(t, IntOperator):
+        return t
+    n = t.rows
+    if t.cols != n:
+        raise DimensionMismatch(f"operator is {t.rows}x{t.cols}, not square")
+    den, ints = clear_denominators(t.entries)
+    return IntOperator(den, tuple(
+        tuple((k, ints[k * n + m]) for k in range(n) if ints[k * n + m])
+        for m in range(n)))
+
+
+def operator_matrix(t: IntOperator) -> Matrix:
+    """The n x n Matrix of t, entry (k, m) the b_k coordinate of T(b_m)."""
+    n = len(t.cols)
+    entries = [_ZERO] * (n * n)
+    for m, col in enumerate(t.cols):
+        for k, v in col:
+            entries[k * n + m] = Fraction(v, t.den)
+    return Matrix(n, n, tuple(entries))
+
+
+def combine_columns(cols: Sequence, terms) -> list[int]:
+    """The sum of v * cols[k] over the (k, v) `terms`, for sparse integer
+    columns of a square matrix, as a dense list."""
+    y = [0] * len(cols)
+    for k, v in terms:
+        if v:
+            for j, c in cols[k]:
+                y[j] += v * c
+    return y
+
+
+def apply_operator(t: IntOperator, x: Sequence) -> Vector:
+    """T(x), with one Fraction made per nonzero entry."""
+    if len(x) != len(t.cols):
+        raise DimensionMismatch(
+            f"operator has {len(t.cols)} columns, vector has {len(x)}")
+    d, xs = clear_denominators(x)
+    y = combine_columns(t.cols, enumerate(xs))
+    d *= t.den
+    return tuple(Fraction(v, d) if v else _ZERO for v in y)
+
+
+def _flat(t: IntOperator) -> dict[int, int]:
+    """den * T as a {k*n + m: int} row in flattened operator coordinates."""
+    n = len(t.cols)
+    return {k * n + m: v for m, col in enumerate(t.cols) for k, v in col}
+
+
 @dataclass(frozen=True)
 class OperatorSpace:
     """A linear space of operators on an algebra, canonically represented.
@@ -145,40 +218,69 @@ class OperatorSpace:
     def dim(self) -> int:
         return self.space.dim
 
-    def operators(self) -> tuple[Matrix, ...]:
+    @cached_property
+    def int_operators(self) -> tuple[IntOperator, ...]:
+        """The canonical basis as integer operators, read off the primitive
+        rows of the subspace: each row's pivot entry is its den."""
         n = self.algebra_dim
-        return tuple(Matrix(n, n, v) for v in self.space.basis)
+        out = []
+        for _, pairs in self.space.rows:
+            cols: list = [[] for _ in range(n)]
+            for i, v in pairs:
+                k, m = divmod(i, n)
+                cols[m].append((k, v))
+            out.append(IntOperator(pairs[0][1], tuple(map(tuple, cols))))
+        return tuple(out)
 
-    def contains_operator(self, t: Matrix) -> bool:
-        return self.space.contains_vector(t.entries)
+    def operators(self) -> tuple[Matrix, ...]:
+        return tuple(map(operator_matrix, self.int_operators))
+
+    def contains_operator(self, t) -> bool:
+        """Whether the Matrix or IntOperator t lies in the space."""
+        return self.space.contains_vector(_flat(int_operator(t)))
 
 
-def operator_space(n: int, flats: Sequence[Sequence]) -> OperatorSpace:
+def operator_space(n: int, flats: Sequence) -> OperatorSpace:
     return OperatorSpace(n, Subspace.span(n * n, flats))
 
 
-def _mul_operator(a: Algebra, x: Sequence, by_factor) -> Matrix:
-    """sum_j x_j M_j, where by_factor[j][k] holds the sparse rows of M_j,
-    the matrix of multiplication by b_j on one side."""
+def _mul_int(a: Algebra, x: Sequence, by_factor) -> IntOperator:
+    """sum_j x_j M_j, where by_factor[j][k] holds the sparse integer rows
+    of a.scale * M_j, the matrix of multiplication by b_j on one side."""
     n = a.dim
-    entries = [_ZERO] * (n * n)
-    for j, xj in enumerate(x):
-        if not xj:
-            continue
-        for k in range(n):
-            for m, c in by_factor[j][k]:
-                entries[k * n + m] += xj * c
-    return Matrix(n, n, tuple(entries))
+    if len(x) != n:
+        raise DimensionMismatch(f"element of length {len(x)}, algebra dim {n}")
+    d, xs = clear_denominators(x)
+    cols = [[0] * n for _ in range(n)]
+    for xj, plane in zip(xs, by_factor):
+        if xj:
+            for k, pairs in enumerate(plane):
+                for m, c in pairs:
+                    cols[m][k] += xj * c
+    den = a.scale * d
+    g = gcd(den, *(v for col in cols for v in col))
+    return IntOperator(den // g, tuple(
+        tuple((k, v // g) for k, v in enumerate(col) if v) for col in cols))
+
+
+def right_mul_int(a: Algebra, x: Sequence) -> IntOperator:
+    """Right multiplication b -> b*x, in integer form."""
+    return _mul_int(a, x, a.int_by_right_factor)
+
+
+def left_mul_int(a: Algebra, x: Sequence) -> IntOperator:
+    """Left multiplication b -> x*b, in integer form."""
+    return _mul_int(a, x, a.int_by_left_factor)
 
 
 def right_mul(a: Algebra, x: Sequence) -> Matrix:
     """Right multiplication operator b -> b*x."""
-    return _mul_operator(a, x, a.by_right_factor)
+    return operator_matrix(right_mul_int(a, x))
 
 
 def left_mul(a: Algebra, x: Sequence) -> Matrix:
     """Left multiplication operator b -> x*b."""
-    return _mul_operator(a, x, a.by_left_factor)
+    return operator_matrix(left_mul_int(a, x))
 
 
 @cached
@@ -189,13 +291,13 @@ def right_mul_space(a: Algebra) -> OperatorSpace:
 
 @cached
 def left_mul_space(a: Algebra) -> OperatorSpace:
-    n = a.dim
-    return operator_space(n, [left_mul(a, v).entries for v in full_space(n).basis])
+    return operator_space(a.dim, [_flat(left_mul_int(a, v))
+                                  for v in full_space(a.dim).basis])
 
 
 def right_mul_image(a: Algebra, s: Subspace) -> OperatorSpace:
     """The operator space of right multiplications by elements of s."""
-    return operator_space(a.dim, [right_mul(a, v).entries for v in s.basis])
+    return operator_space(a.dim, [_flat(right_mul_int(a, v)) for v in s.basis])
 
 
 @cached
@@ -310,31 +412,24 @@ def two_sided_centralizers(a: Algebra) -> OperatorSpace:
 # solvers; the first failing (i, j, residual) serves as a report witness.
 # ---------------------------------------------------------------------------
 
-def columns(t: Matrix) -> list[Vector]:
-    """The images T(b_m) of the basis vectors, in coordinates."""
-    n = t.rows
-    return [tuple(t.entries[k * n + m] for k in range(n)) for m in range(n)]
-
-
-def residual(a: Algebra, t: Matrix, e: Identity
+def residual(a: Algebra, t, e: Identity
              ) -> Optional[tuple[int, int, Vector]]:
-    """The first basis pair (i, j), in row-major order, on which t violates
-    e, with s T(ab) - p T(a)b - q a T(b) there (summed over ab and ba when
-    e is symmetric); None if t satisfies e on every pair."""
+    """The first basis pair (i, j), in row-major order, on which the
+    operator t (a Matrix or an IntOperator) violates e, with
+    s T(ab) - p T(a)b - q a T(b) there (summed over ab and ba when e is
+    symmetric); None if t satisfies e on every pair."""
     n = a.dim
-    if (t.rows, t.cols) != (n, n):
+    t = int_operator(t)
+    if len(t.cols) != n:
         raise DimensionMismatch(
-            f"operator is {t.rows}x{t.cols}, algebra has dim {n}")
-    # t scaled to integers by one lcm of its denominators: the residual is
-    # linear in t and in the structure constants, so reading both scaled
-    # changes no zero pattern, and Fractions are made only for a witness
-    den, ints = clear_denominators(t.entries)
+            f"operator has {len(t.cols)} columns, algebra has dim {n}")
+    # the residual is linear in t and in the structure constants, so reading
+    # both scaled changes no zero pattern, and Fractions are made only for
+    # a witness
     prods = a.int_products
     # nonzero (index, weight * entry) of each column of t, per nonzero weight
-    nonzero = [[(k, ints[k * n + m]) for k in range(n) if ints[k * n + m]]
-               for m in range(n)]
     s_cols, p_cols, q_cols = (
-        [[(m, w * v) for m, v in col] for col in nonzero] if w else None
+        [[(m, w * v) for m, v in col] for col in t.cols] if w else None
         for w in (e.s, e.p, e.q)
     )
     for i, j, orders in _pairs(n, e):
@@ -353,5 +448,5 @@ def residual(a: Algebra, t: Matrix, e: Identity
                     for k, c in prods[x][m]:
                         res[k] -= v * c
         if any(res):
-            return i, j, tuple(Fraction(x, a.scale * den) for x in res)
+            return i, j, tuple(Fraction(x, a.scale * t.den) for x in res)
     return None

@@ -12,8 +12,9 @@ echelon basis, each row scaled to a primitive integer row with a positive
 pivot entry. The form is unique per span, so `==` and `hash` on subspaces
 are mathematical equality, and containment reduces integer vectors against
 the rows. Fractions are made only where a caller reads them: the dense
-`Subspace.basis` (built on first read), `reduce_vector`, the particular
-solution of `solve_affine_rows`, and the matrix `rref` returns.
+`Subspace.basis` (built on first read), `reduce_vector`, and the particular
+solution of `solve_affine_rows`. `Matrix` is only a dense value type for
+callers that print or compare operators; no kernel here computes with it.
 """
 
 from __future__ import annotations
@@ -24,8 +25,10 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-Rational = Fraction
 Vector = tuple[Fraction, ...]
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class DimensionMismatch(ValueError):
@@ -36,28 +39,17 @@ class DimensionMismatch(ValueError):
 # vector helpers
 # ---------------------------------------------------------------------------
 
-def vec(values: Iterable) -> Vector:
-    return tuple(Fraction(v) for v in values)
-
-
 def zero_vector(n: int) -> Vector:
-    return (Fraction(0),) * n
+    return (_ZERO,) * n
 
 
 def basis_vector(n: int, i: int) -> Vector:
-    return tuple(Fraction(1 if j == i else 0) for j in range(n))
+    """The i-th standard basis vector, built from shared 0 and 1 constants."""
+    return tuple(_ONE if j == i else _ZERO for j in range(n))
 
 
 def vadd(x: Vector, y: Vector) -> Vector:
     return tuple(a + b for a, b in zip(x, y))
-
-
-def vsub(x: Vector, y: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(x, y))
-
-
-def is_zero_vector(x: Vector) -> bool:
-    return all(a == 0 for a in x)
 
 
 def clear_denominators(values: Sequence) -> tuple[int, list[int]]:
@@ -109,57 +101,14 @@ class Matrix:
         return self.entries[i * self.cols + j]
 
 
-def identity_matrix(n: int) -> Matrix:
-    return Matrix(n, n, tuple(
-        Fraction(1 if i == j else 0) for i in range(n) for j in range(n)
-    ))
-
-
-def zero_matrix(rows: int, cols: int) -> Matrix:
-    return Matrix(rows, cols, (Fraction(0),) * (rows * cols))
-
-
-def transpose(m: Matrix) -> Matrix:
-    return Matrix(m.cols, m.rows, tuple(
-        m.entries[i * m.cols + j] for j in range(m.cols) for i in range(m.rows)
-    ))
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    if a.cols != b.rows:
-        raise DimensionMismatch(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    flat = []
-    for i in range(a.rows):
-        arow = a.row(i)
-        for j in range(b.cols):
-            flat.append(sum(
-                (arow[k] * b.entries[k * b.cols + j] for k in range(a.cols) if arow[k]),
-                Fraction(0),
-            ))
-    return Matrix(a.rows, b.cols, tuple(flat))
-
-
-def apply_matrix(m: Matrix, v: Sequence) -> Vector:
-    if m.cols != len(v):
-        raise DimensionMismatch(f"matrix has {m.cols} columns, vector has {len(v)}")
-    out = []
-    for i in range(m.rows):
-        base = i * m.cols
-        out.append(sum(
-            (m.entries[base + j] * vj for j, vj in enumerate(v) if vj),
-            Fraction(0),
-        ))
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # sparse integer echelon core
 #
 # Each input row becomes a {col: int} dict (zeros dropped, denominators
 # cleared once) and is reduced, fraction-free, against the pivot rows found
 # so far; each new pivot row is gcd-normalized so entries stay small.
-# `_reduce` back-eliminates the pivot map in place, still in integers; only
-# `rref` turns it into dense Fraction rows, through `_back_eliminate`.
+# `_reduce` back-eliminates the pivot map in place, still in integers, and
+# `Subspace._from_pivot_rows` reads the result as the canonical form.
 # ---------------------------------------------------------------------------
 
 def _sparse_row(row, ncols: int) -> dict[int, int]:
@@ -234,20 +183,6 @@ def _reduce(pivot_rows: dict[int, dict[int, int]]) -> None:
                 pivot_rows[cols[j]] = _normalize(_eliminate(r, p, c), cols[j])
 
 
-def _back_eliminate(pivot_rows: dict, ncols: int) -> tuple[list[Vector], tuple[int, ...]]:
-    """Turn an echelon pivot map into dense RREF rows over Fraction (pivots = 1)."""
-    _reduce(pivot_rows)
-    cols = sorted(pivot_rows)
-    out = []
-    for c in cols:
-        r = pivot_rows[c]
-        dense = list(zero_vector(ncols))
-        for k, v in r.items():
-            dense[k] = Fraction(v, r[c])
-        out.append(tuple(dense))
-    return out, tuple(cols)
-
-
 def _kernel(pivot_rows: dict[int, dict[int, int]], ncols: int) -> "Subspace":
     """Solutions, in the first `ncols` unknowns, of the system whose pivot map
     `_reduce` has brought to integer RREF.
@@ -275,28 +210,11 @@ def _kernel(pivot_rows: dict[int, dict[int, int]], ncols: int) -> "Subspace":
 # public solvers
 # ---------------------------------------------------------------------------
 
-def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
-    """Reduced row echelon form of `m`, with its rank and pivot columns.
-
-    The returned matrix has the shape of `m`, zero rows at the bottom.
-    """
-    reduced, pivots = _back_eliminate(_echelon(m.to_rows(), m.cols), m.cols)
-    flat: list[Fraction] = []
-    for r in reduced:
-        flat.extend(r)
-    flat.extend(zero_vector(m.cols) * (m.rows - len(reduced)))
-    return Matrix(m.rows, m.cols, tuple(flat)), len(reduced), pivots
-
-
 def nullspace_of_rows(rows: Iterable, ncols: int) -> "Subspace":
     """Solution space of the homogeneous system `rows` (dense or {col: value})."""
     pivot_rows = _echelon(rows, ncols)
     _reduce(pivot_rows)
     return _kernel(pivot_rows, ncols)
-
-
-def nullspace(m: Matrix) -> "Subspace":
-    return nullspace_of_rows(m.to_rows(), m.cols)
 
 
 def solve_affine_rows(
@@ -325,10 +243,6 @@ def solve_affine_rows(
         if ncols in r:
             particular[p] = Fraction(r[ncols], r[p])
     return tuple(particular), _kernel(pivot_rows, ncols)
-
-
-def solve_affine(m: Matrix, b: Sequence) -> Optional[tuple[Vector, "Subspace"]]:
-    return solve_affine_rows(m.to_rows(), vec(b), m.cols)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ at the extreme displacements along each homogeneous basis direction.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional
 
 from .algebras import (
@@ -33,16 +32,19 @@ from .centralizers import (
     LEFT,
     RIGHT,
     Identity,
+    IntOperator,
     OperatorSpace,
     Weights,
-    columns,
-    left_mul,
+    apply_operator,
+    combine_columns,
+    int_operator,
+    left_mul_int,
     left_mul_space,
     pq_centralizers,
     pq_jordan_centralizers,
     residual,
-    right_mul,
     right_mul_image,
+    right_mul_int,
     right_mul_space,
     two_sided_centralizers,
     two_sided_mul_elements,
@@ -51,16 +53,10 @@ from .centralizers import (
 from .linalg import (
     Matrix,
     Subspace,
-    apply_matrix,
     basis_vector,
-    identity_matrix,
-    matmul,
     nullspace_of_rows,
     subspace_contains,
     subspace_intersect,
-    vadd,
-    vsub,
-    zero_matrix,
 )
 from .reports import (
     Assertion,
@@ -70,8 +66,6 @@ from .reports import (
     report_from_assertions,
     target_name,
 )
-
-_ZERO = Fraction(0)
 
 # weight pairs of a default run, and those sampled when a statement
 # quantifies over admissible weights
@@ -97,11 +91,11 @@ def _residual_assertion(name: str, res: Optional[tuple]) -> Assertion:
 def _operator_candidates(a: Algebra, space: OperatorSpace):
     """zero, identity, and the solved basis, labeled for report lines."""
     n = a.dim
-    out = [("zero operator", zero_matrix(n, n)),
-           ("identity operator", identity_matrix(n))]
-    out.extend(
-        (f"basis operator {idx}", t) for idx, t in enumerate(space.operators())
-    )
+    ident = IntOperator(1, tuple(((m, 1),) for m in range(n)))
+    out = [("zero operator", IntOperator(1, ((),) * n)),
+           ("identity operator", ident)]
+    out.extend((f"basis operator {idx}", t)
+               for idx, t in enumerate(space.int_operators))
     return out
 
 
@@ -140,7 +134,7 @@ def verify_right_identity_collapse(a: Algebra, w: Weights) -> Report:
         ),
     ]
 
-    for idx, t in enumerate(cpq.operators()):
+    for idx, t in enumerate(cpq.int_operators):
         assertions.append(_residual_assertion(
             f"basis operator {idx} is a left centralizer", residual(a, t, LEFT)
         ))
@@ -156,7 +150,7 @@ def verify_right_identity_collapse(a: Algebra, w: Weights) -> Report:
         ))
 
         for k, u in enumerate(samples):
-            ok = right_mul(a, apply_matrix(t, u)) == t
+            ok = right_mul_int(a, apply_operator(t, u)) == t
             assertions.append(Assertion(
                 f"basis operator {idx} equals right multiplication by its "
                 f"value at right identity sample {k}",
@@ -183,7 +177,7 @@ def _nonmultiplicative_pair(a: Algebra, ops, images) -> Optional[tuple[int, int]
             (r, s)
             for r in range(len(ops))
             for s in range(len(ops))
-            if apply_matrix(ops[r], images[s])
+            if apply_operator(ops[r], images[s])
             != multiply(a, images[r], images[s])
         ),
         None,
@@ -202,8 +196,8 @@ def verify_unital_center_correspondence(a: Algebra, w: Weights) -> Report:
     n = a.dim
     cpq = pq_centralizers(a, w)
     z = center(a)
-    ops = cpq.operators()
-    images = [apply_matrix(t, one) for t in ops]
+    ops = cpq.int_operators
+    images = [apply_operator(t, one) for t in ops]
     image_span = Subspace.span(n, images)
     spans_center = image_span == z
 
@@ -227,8 +221,8 @@ def verify_unital_center_correspondence(a: Algebra, w: Weights) -> Report:
             in_center,
             None if in_center else f"image {fmt_vector(img)}",
         ))
-        ok_r = right_mul(a, img) == t
-        ok_l = left_mul(a, img) == t
+        ok_r = right_mul_int(a, img) == t
+        ok_l = left_mul_int(a, img) == t
         assertions.append(Assertion(
             f"basis operator {idx} is two-sided multiplication by its image",
             ok_r and ok_l,
@@ -251,7 +245,7 @@ def verify_unital_center_correspondence(a: Algebra, w: Weights) -> Report:
 # ---------------------------------------------------------------------------
 
 def verify_equivalent_range_conditions(a: Algebra, w: Weights,
-                                       t: Matrix, u) -> Report:
+                                       t: Matrix | IntOperator, u) -> Report:
     """For a weighted centralizer T and right identity u, the four range
     conditions are an equivalence; all must carry one shared truth value:
 
@@ -266,13 +260,13 @@ def verify_equivalent_range_conditions(a: Algebra, w: Weights,
         return precondition_unmet(
             "3.1", target_name(a), w.pair, f"{fmt_vector(u)} is not a right identity"
         )
+    t = int_operator(t)
     if residual(a, t, weighted(w)) is not None:
         return precondition_unmet(
             "3.1", target_name(a), w.pair, "operator is not a weighted centralizer"
         )
 
-    cols = columns(t)
-    ran = Subspace.span(n, cols)
+    ran = Subspace.span(n, map(dict, t.cols))
     left_ideal = Subspace.span(
         n, [multiply(a, u, basis_vector(n, i)) for i in range(n)]
     )
@@ -280,8 +274,8 @@ def verify_equivalent_range_conditions(a: Algebra, w: Weights,
 
     cond_b = left_mul_space(a).contains_operator(t)
 
-    tu = apply_matrix(t, u)
-    cond_c = left_mul(a, tu) == t
+    tu = apply_operator(t, u)
+    cond_c = left_mul_int(a, tu) == t
     cond_d = center(a).contains_vector(tu)
 
     values = (cond_a, cond_b, cond_c, cond_d)
@@ -322,7 +316,7 @@ def run_range_conditions_check(a: Algebra, w: Weights) -> Report:
 # ---------------------------------------------------------------------------
 
 def verify_square_zero_iff_nilpotent_range(a: Algebra, w: Weights,
-                                           t: Matrix) -> Report:
+                                           t: Matrix | IntOperator) -> Report:
     """T.T = 0 exactly when the range of T is nilpotent of index at most 2,
     i.e. all products of range elements vanish.
 
@@ -334,12 +328,14 @@ def verify_square_zero_iff_nilpotent_range(a: Algebra, w: Weights,
     A square-zero centralizer also has range inside the radical.
     """
     n = a.dim
+    t = int_operator(t)
     if residual(a, t, weighted(w)) is not None:
         return precondition_unmet(
             "3.2", target_name(a), w.pair, "operator is not a weighted centralizer"
         )
-    square_zero = matmul(t, t) == zero_matrix(n, n)
-    ran = Subspace.span(n, columns(t))
+    # den^2 T(T(b_m)) = sum over the (k, v) of column m of v * den T(b_k)
+    square_zero = not any(any(combine_columns(t.cols, col)) for col in t.cols)
+    ran = Subspace.span(n, map(dict, t.cols))
     range_products = subspace_product(a, ran, ran)
     product_free = range_products.dim == 0
 
@@ -370,12 +366,9 @@ def verify_square_zero_iff_nilpotent_range(a: Algebra, w: Weights,
             "range lies inside the radical", inside,
             None if inside else f"range dim {ran.dim}, radical dim {radical(a).dim}",
         ))
-        cols = columns(t)
+        images = (apply_operator(t, basis_vector(n, i)) for i in range(n))
         bad = next(
-            (i for i in range(n)
-             if any(multiply(a, cols[i], cols[i]))),
-            None,
-        )
+            (i for i, v in enumerate(images) if any(multiply(a, v, v))), None)
         assertions.append(Assertion(
             "images of basis vectors square to zero", bad is None,
             None if bad is None else f"basis index {bad}",
@@ -457,17 +450,18 @@ def verify_jordan_reconstruction(a: Algebra, w: Weights) -> Report:
     n = a.dim
     cj = pq_jordan_centralizers(a, w)
     assertions = []
-    for idx, t in enumerate(cj.operators()):
+    for idx, t in enumerate(cj.int_operators):
         for k, u in enumerate(samples):
-            tu = apply_matrix(t, u)
+            tu = apply_operator(t, u)
             bad = None
             for i in range(n):
                 e = basis_vector(n, i)
-                lhs = apply_matrix(t, e)
-                v = vsub(e, multiply(a, u, e))
-                rhs = vadd(multiply(a, v, tu), multiply(a, u, lhs))
-                if lhs != rhs:
-                    bad = (i, vsub(lhs, rhs))
+                lhs = apply_operator(t, e)
+                v = tuple(x - y for x, y in zip(e, multiply(a, u, e)))
+                res = tuple(x - y - z for x, y, z in zip(
+                    lhs, multiply(a, v, tu), multiply(a, u, lhs)))
+                if any(res):
+                    bad = (i, res)
                     break
             assertions.append(Assertion(
                 f"basis operator {idx}, right identity sample {k}: "
@@ -504,18 +498,12 @@ def verify_central_image_implies_two_sided(a: Algebra, w: Weights) -> Report:
     # residual of reduction against the center basis is linear in its
     # argument; T(1) is central iff that residual of T(1) vanishes
     proj_cols = [z.reduce_vector(basis_vector(n, i)) for i in range(n)]
+    support = [(m, om) for m, om in enumerate(one) if om]
     rows = []
     for r in range(n):
-        row = [_ZERO] * (n * n)
-        nonzero = False
-        for i in range(n):
-            pri = proj_cols[i][r]
-            if pri:
-                for m, om in enumerate(one):
-                    if om:
-                        row[i * n + m] += pri * om
-                        nonzero = True
-        if nonzero:
+        row = {i * n + m: proj_cols[i][r] * om
+               for i in range(n) if proj_cols[i][r] for m, om in support}
+        if row:
             rows.append(row)
     central_part = subspace_intersect(cj.space, nullspace_of_rows(rows, n * n))
 

@@ -1,7 +1,11 @@
 """Differential tests of the sparse integer check helpers against the dense
 Fraction code they replaced, kept here verbatim as `_ref_` oracles: the
 adjoint scan and the dense samples of check 2.4, `residual`,
-`Subspace.reduce_vector`, and check 2.3's multiplicativity scan."""
+`Subspace.reduce_vector`, and check 2.3's multiplicativity scan.
+
+The helpers read operators in their canonical integer form, so each test
+passes `int_operator(t)` where its oracle takes the dense `Matrix` t; the
+dense matrix products of the oracles come from `dense_ref`."""
 
 from fractions import Fraction
 from functools import cache
@@ -9,10 +13,10 @@ from random import Random
 
 import pytest
 
+from dense_ref import _ref_apply_matrix, _ref_matmul, _ref_transpose, _ref_vec
 from pqcent.algebras import identity, make_algebra, multiply
 from pqcent.arens import (
     _adjoint_witness,
-    _int_rows,
     _sample_holds,
     _staged_samples,
     functional_times_element,
@@ -22,7 +26,7 @@ from pqcent.centralizers import (
     RIGHT,
     Identity,
     Weights,
-    columns,
+    int_operator,
     jordan,
     pq_centralizers,
     pq_jordan_centralizers,
@@ -31,15 +35,7 @@ from pqcent.centralizers import (
     weighted,
 )
 from pqcent.fixtures import fixtures, random_algebra, random_poly_quotient
-from pqcent.linalg import (
-    Matrix,
-    apply_matrix,
-    basis_vector,
-    matmul,
-    nullspace_of_rows,
-    transpose,
-    vec,
-)
+from pqcent.linalg import Matrix, basis_vector, nullspace_of_rows
 from pqcent.verify import DEFAULT_WEIGHT_PAIRS, _nonmultiplicative_pair
 
 _ZERO = Fraction(0)
@@ -52,11 +48,11 @@ _ZERO = Fraction(0)
 def _ref_adjoint_scan(a, t, p, q):
     n = a.dim
     basis = [basis_vector(n, i) for i in range(n)]
-    tstar = transpose(t)
-    t_basis = [apply_matrix(t, e) for e in basis]
+    tstar = _ref_transpose(t)
+    t_basis = [_ref_apply_matrix(t, e) for e in basis]
     bad_adj = None
     for r, f in enumerate(basis):
-        tstar_f = apply_matrix(tstar, f)
+        tstar_f = _ref_apply_matrix(tstar, f)
         for i, (e, te) in enumerate(zip(basis, t_basis)):
             lhs = tuple(
                 (p + q) * v for v in functional_times_element(a, tstar_f, e)
@@ -65,7 +61,7 @@ def _ref_adjoint_scan(a, t, p, q):
                 p * x + q * y
                 for x, y in zip(
                     functional_times_element(a, f, te),
-                    apply_matrix(
+                    _ref_apply_matrix(
                         tstar, functional_times_element(a, f, e)
                     ),
                 )
@@ -79,12 +75,12 @@ def _ref_adjoint_scan(a, t, p, q):
 
 
 def _ref_dense_sample(bidual, t, big_f, big_h, fh, p, q):
-    lhs = tuple((p + q) * v for v in apply_matrix(t, fh))
+    lhs = tuple((p + q) * v for v in _ref_apply_matrix(t, fh))
     rhs = tuple(
         p * x + q * y
         for x, y in zip(
-            multiply(bidual, apply_matrix(t, big_f), big_h),
-            multiply(bidual, big_f, apply_matrix(t, big_h)),
+            multiply(bidual, _ref_apply_matrix(t, big_f), big_h),
+            multiply(bidual, big_f, _ref_apply_matrix(t, big_h)),
         )
     )
     return lhs == rhs
@@ -96,10 +92,16 @@ def _ref_pairs(n, e):
             yield i, j, ((i, j), (j, i)) if e.symmetric else ((i, j),)
 
 
+def _ref_columns(t):
+    n = t.rows
+    return [tuple(t.entries[k * n + m] for k in range(n)) for m in range(n)]
+
+
 def _ref_residual(a, t, e):
     n = a.dim
     prods = a.products
-    nonzero = [[(m, v) for m, v in enumerate(col) if v] for col in columns(t)]
+    nonzero = [[(m, v) for m, v in enumerate(col) if v]
+               for col in _ref_columns(t)]
     s_cols, p_cols, q_cols = (
         [[(m, w * v) for m, v in col] for col in nonzero] if w else None
         for w in (e.s, e.p, e.q)
@@ -131,7 +133,7 @@ def _ref_pivots(s):
 
 
 def _ref_reduce_vector(s, v):
-    w = list(vec(v))
+    w = list(_ref_vec(v))
     for row, p in zip(s.basis, _ref_pivots(s)):
         c = w[p]
         if c:
@@ -142,13 +144,13 @@ def _ref_reduce_vector(s, v):
 
 
 def _ref_nonmultiplicative_pair(a, ops, one):
-    images = [apply_matrix(t, one) for t in ops]
+    images = [_ref_apply_matrix(t, one) for t in ops]
     return next(
         (
             (r, s)
             for r in range(len(ops))
             for s in range(len(ops))
-            if apply_matrix(matmul(ops[r], ops[s]), one)
+            if _ref_apply_matrix(_ref_matmul(ops[r], ops[s]), one)
             != multiply(a, images[r], images[s])
         ),
         None,
@@ -260,7 +262,7 @@ def test_inputs_cover_fractional_constants_and_failures():
     assert any(residual(a, t, weighted(Weights(1, 2))) is None for t in ops)
     assert any(residual(a, t, weighted(Weights(1, 2))) is not None for t in ops)
     _, samples, bidual = _staged_samples(a)
-    assert {_sample_holds(_int_rows(t), s, bidual.scale, 1, 2)
+    assert {_sample_holds(int_operator(t), s, bidual.scale, 1, 2)
             for t in ops for s in samples} == {True, False}
 
 
@@ -269,7 +271,7 @@ def test_sparse_adjoint_scan_matches_the_dense_scan(name):
     a = ALGEBRAS[name]
     for t in _operators(name):
         for p, q in DEFAULT_WEIGHT_PAIRS:
-            assert _adjoint_witness(a, t, p, q) == \
+            assert _adjoint_witness(a, int_operator(t), p, q) == \
                 _ref_adjoint_scan(a, t, p, q), (name, t, p, q)
 
 
@@ -278,12 +280,13 @@ def test_integer_dense_samples_match_the_fraction_samples(name):
     a = ALGEBRAS[name]
     _, samples, bidual = _staged_samples(a)
     for t in _operators(name):
-        rows = _int_rows(t)
+        it = int_operator(t)
         for s in samples:
             fh = tuple(Fraction(v, s.den) for v in s.fh)
             for p, q in DEFAULT_WEIGHT_PAIRS:
-                assert _sample_holds(rows, s, bidual.scale, p, q) == \
-                    _ref_dense_sample(bidual, t, vec(s.f), vec(s.h), fh, p, q), \
+                assert _sample_holds(it, s, bidual.scale, p, q) == \
+                    _ref_dense_sample(bidual, t, _ref_vec(s.f), _ref_vec(s.h),
+                                      fh, p, q), \
                     (name, t, p, q)
 
 
@@ -292,7 +295,8 @@ def test_integer_residual_matches_the_fraction_residual(name):
     a = ALGEBRAS[name]
     for t in _operators(name):
         for e in IDENTITIES:
-            assert residual(a, t, e) == _ref_residual(a, t, e), (name, t, e)
+            assert residual(a, int_operator(t), e) == _ref_residual(a, t, e), \
+                (name, t, e)
 
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
@@ -335,11 +339,13 @@ def test_multiplicativity_scan_matches_the_matmul_scan(name):
         entries[rng.randrange(n) * n + rng.choice(support)] += Fraction(1, 3)
         mutated.append(ops[:r] + [Matrix(n, n, tuple(entries))] + ops[r + 1:])
     for ops in solved + mutated + [_operators(name)]:
-        images = [apply_matrix(t, one) for t in ops]
-        assert _nonmultiplicative_pair(a, ops, images) == \
+        images = [_ref_apply_matrix(t, one) for t in ops]
+        assert _nonmultiplicative_pair(
+            a, [int_operator(t) for t in ops], images) == \
             _ref_nonmultiplicative_pair(a, ops, one), name
     assert all(_nonmultiplicative_pair(
-        a, ops, [apply_matrix(t, one) for t in ops]) is None for ops in solved)
+        a, [int_operator(t) for t in ops],
+        [_ref_apply_matrix(t, one) for t in ops]) is None for ops in solved)
 
 
 def test_multiplicativity_scan_finds_the_mutated_operator():
@@ -352,6 +358,7 @@ def test_multiplicativity_scan_finds_the_mutated_operator():
     entries = list(ops[1].entries)
     entries[0 * n + 3] += 1
     ops[1] = Matrix(n, n, tuple(entries))
-    images = [apply_matrix(t, one) for t in ops]
-    assert _nonmultiplicative_pair(a, ops, images) == (1, 2)
+    images = [_ref_apply_matrix(t, one) for t in ops]
+    assert _nonmultiplicative_pair(
+        a, [int_operator(t) for t in ops], images) == (1, 2)
     assert _ref_nonmultiplicative_pair(a, ops, one) == (1, 2)

@@ -1,10 +1,13 @@
 """Command-line behavior: outputs, exit codes, and file round-trips."""
 
+import hashlib
 import json
 
 import pytest
 
 from pqcent.cli import main
+from pqcent.fileio import serialize_algebra
+from pqcent.fixtures import fixtures
 from pqcent.suite import run_suite
 
 COLMAT2_TEXT = "dim 2\nmul 0 0 = 1 @0\nmul 1 0 = 1 @1\n"
@@ -206,3 +209,28 @@ def test_suite_report_matches_library_run(tmp_path, capsys):
     assert written == run_suite(seed=7).to_json()
     doc = json.loads(written)
     assert doc["seed"] == 7
+
+
+CENTRALIZER_VARIANTS = (
+    ["--p", "1", "--q", "2"],
+    ["--jordan", "--p", "3", "--q", "5"],
+    ["--two-sided"],
+    ["--left"],
+    ["--right"],
+)
+
+
+def test_centralizers_output_is_pinned(tmp_path, capsys):
+    # every printed operator entry of every variant over the serialized
+    # catalog, pinned byte for byte: the dense matrices are rendered from
+    # the integer operator form, which must not move a single entry
+    digest = hashlib.sha256()
+    for name, a in sorted(fixtures().items()):
+        path = tmp_path / f"{name}.alg"
+        path.write_text(serialize_algebra(a), encoding="utf-8")
+        for flags in CENTRALIZER_VARIANTS:
+            assert main(["centralizers", str(path), *flags]) == 0, (name, flags)
+            digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == (
+        "558a0e1a364b6039d13c8edb955cf2b66482c1a4714f141e771ee6e48dd149cd"
+    )

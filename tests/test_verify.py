@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from dense_ref import _ref_identity_matrix, _ref_zero_matrix
 from pqcent.algebras import (
     identity,
     is_commutative,
@@ -20,7 +21,7 @@ from pqcent.centralizers import (
     weighted,
 )
 from pqcent.fixtures import fixtures
-from pqcent.linalg import Matrix, basis_vector, identity_matrix, zero_matrix
+from pqcent.linalg import Matrix, basis_vector
 from pqcent.reports import PASS, PRECONDITION_UNMET
 from pqcent.verify import (
     CHECK_DESCRIPTIONS,
@@ -116,7 +117,7 @@ def test_center_correspondence_needs_identity(catalog):
 def test_range_conditions_all_false_on_colmat2(catalog):
     a = catalog["colmat2"]
     u = basis_vector(2, 0)
-    rep = verify_equivalent_range_conditions(a, W12, identity_matrix(2), u)
+    rep = verify_equivalent_range_conditions(a, W12, _ref_identity_matrix(2), u)
     assert rep.status == PASS
     assert "range in u*A: False" in rep.note
     assert "T(u) central: False" in rep.note
@@ -125,7 +126,7 @@ def test_range_conditions_all_false_on_colmat2(catalog):
 def test_range_conditions_all_true_when_unital(catalog):
     a = catalog["matrix2"]
     one = identity(a)
-    rep = verify_equivalent_range_conditions(a, W23, identity_matrix(4), one)
+    rep = verify_equivalent_range_conditions(a, W23, _ref_identity_matrix(4), one)
     assert rep.status == PASS
     assert "False" not in rep.note
 
@@ -133,7 +134,7 @@ def test_range_conditions_all_true_when_unital(catalog):
 def test_range_conditions_reject_bad_right_identity(catalog):
     a = catalog["colmat2"]
     rep = verify_equivalent_range_conditions(
-        a, W12, identity_matrix(2), basis_vector(2, 1)
+        a, W12, _ref_identity_matrix(2), basis_vector(2, 1)
     )
     assert rep.status == PRECONDITION_UNMET
     assert "not a right identity" in rep.note
@@ -173,7 +174,7 @@ def test_square_zero_on_dual_numbers(catalog):
 
 def test_square_zero_both_false_on_matrix2(catalog):
     a = catalog["matrix2"]
-    rep = verify_square_zero_iff_nilpotent_range(a, W23, identity_matrix(4))
+    rep = verify_square_zero_iff_nilpotent_range(a, W23, _ref_identity_matrix(4))
     assert rep.status == PASS
     assert _assertion_names(rep) == [
         "square is zero iff all products of range elements vanish"
@@ -193,7 +194,7 @@ def test_square_zero_nonequivalence_needs_small_index(catalog):
 
 def test_square_zero_without_right_identity_checks_forward_only(catalog):
     a = catalog["zero2"]
-    rep = verify_square_zero_iff_nilpotent_range(a, W12, identity_matrix(2))
+    rep = verify_square_zero_iff_nilpotent_range(a, W12, _ref_identity_matrix(2))
     assert rep.status == PASS
     assert all("iff" not in name for name in _assertion_names(rep))
 
@@ -213,7 +214,7 @@ def test_square_zero_driver_passes_across_catalog(catalog):
 
 def test_zero_operator_square_zero_case(catalog):
     a = catalog["dual_numbers"]
-    rep = verify_square_zero_iff_nilpotent_range(a, W12, zero_matrix(2, 2))
+    rep = verify_square_zero_iff_nilpotent_range(a, W12, _ref_zero_matrix(2, 2))
     assert rep.status == PASS
     assert "range dim 0" in rep.note
 
