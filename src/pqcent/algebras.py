@@ -375,13 +375,26 @@ def radical(a: Algebra) -> Subspace:
 
 
 def subspace_product(a: Algebra, s: Subspace, t: Subspace) -> Subspace:
-    """Span of all products s_i * t_j over the two bases."""
+    """Span of all products s_i * t_j over the two bases.
+
+    The products are taken of the primitive integer rows of s and t against
+    the integer-scaled constants: each is a nonzero multiple of the product
+    of the basis vectors, so the span is the same.
+    """
     n = a.dim
     if s.ambient_dim != n or t.ambient_dim != n:
         raise DimensionMismatch("subspaces must live in the algebra")
-    return Subspace.span(
-        n, [multiply(a, u, v) for u in s.basis for v in t.basis]
-    )
+    prods = a.int_products
+    products = []
+    for _, u in s.rows:
+        for _, v in t.rows:
+            acc: dict[int, int] = {}
+            for i, x in u:
+                for j, y in v:
+                    for k, c in prods[i][j]:
+                        acc[k] = acc.get(k, 0) + x * y * c
+            products.append(acc)
+    return Subspace.span(n, products)
 
 
 def is_nilpotent_subspace(a: Algebra, s: Subspace) -> tuple[bool, Optional[int]]:

@@ -19,6 +19,14 @@ each operator in one canonical integer form, `IntOperator(den, cols)`,
 taken straight from the primitive rows of the solved subspace; a dense
 Fraction `Matrix` is rendered from it only for callers that ask for one.
 
+The spaces are solved along the chain two-sided ⊆ weighted ⊆ Jordan, each
+inside the next larger one. A polarized Jordan row is the sum of the
+weighted rows of (a, b) and (b, a), and a weighted row is p times a left
+row plus q times a right row. So the weighted rows are imposed only on
+the Jordan space, and the left rows only on the (1,2) weighted space,
+where they cut out the two-sided space. Each refined solve works in as
+many unknowns as the enclosing space has dimensions, not in n^2.
+
 The defining conditions quantify over additive maps, but an additive map on
 a Q-vector space is automatically Q-linear, so solving for linear operators
 loses nothing. An identity on squares is solved through its polarized form
@@ -331,7 +339,7 @@ def two_sided_mul_elements(a: Algebra) -> Subspace:
 # An identity gives one scalar equation per basis pair (i, j) and output
 # coordinate k, built as a sparse {col: int} row from the integer-scaled
 # structure constants; a space is the nullspace of the stacked rows of the
-# identities that define it.
+# identities that define it, inside the space that encloses it.
 # ---------------------------------------------------------------------------
 
 def _rows(a: Algebra, e: Identity) -> list:
@@ -365,19 +373,28 @@ def _rows(a: Algebra, e: Identity) -> list:
     return rows
 
 
-def _solve(a: Algebra, *identities: Identity) -> OperatorSpace:
-    """The operators satisfying every identity: one nullspace of their
-    stacked, deduplicated rows."""
+def _solve(a: Algebra, *identities: Identity,
+           within: Optional[OperatorSpace] = None) -> OperatorSpace:
+    """The operators in `within` (every operator when None) that satisfy
+    every identity: one refined nullspace of their stacked rows.
+
+    The rows are not deduplicated. A duplicate row is projected onto the
+    few unknowns of the enclosing space (in a root solve, once past the
+    first 2 n^2 rows) and reduces to zero there, for less than hashing
+    every row would cost.
+    """
     n = a.dim
-    unique = {frozenset(row.items()): row
-              for e in identities for row in _rows(a, e)}
-    return OperatorSpace(n, nullspace_of_rows(list(unique.values()), n * n))
+    rows = [row for e in identities for row in _rows(a, e)]
+    return OperatorSpace(n, nullspace_of_rows(
+        rows, n * n, within=None if within is None else within.space))
 
 
 @cached
 def pq_centralizers(a: Algebra, w: Weights) -> OperatorSpace:
-    """The space of (p, q)-weighted centralizers of a."""
-    return _solve(a, weighted(w))
+    """The space of (p, q)-weighted centralizers of a, solved inside the
+    Jordan space: the polarized Jordan rows are sums of two weighted rows,
+    so every weighted centralizer is a Jordan one."""
+    return _solve(a, weighted(w), within=pq_jordan_centralizers(a, w))
 
 
 @cached
@@ -400,9 +417,15 @@ def right_centralizers(a: Algebra) -> OperatorSpace:
 
 @cached
 def two_sided_centralizers(a: Algebra) -> OperatorSpace:
-    """Operators that are left and right centralizers at once: one solve of
-    the stacked left and right rows."""
-    return _solve(a, LEFT, RIGHT)
+    """Operators that are left and right centralizers at once, solved inside
+    the (1,2) weighted space.
+
+    A weighted row is p times a left row plus q times a right row. So every
+    two-sided centralizer is weighted, and inside the weighted space a left
+    row vanishes exactly where its right row does: the left rows alone cut
+    out the two-sided space there.
+    """
+    return _solve(a, LEFT, within=pq_centralizers(a, Weights(1, 2)))
 
 
 # ---------------------------------------------------------------------------

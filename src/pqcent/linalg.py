@@ -7,6 +7,14 @@ converted once). Kernels are built in integers too: the reduced echelon
 gives one integer kernel row per free column, and those rows are
 canonicalized on the same core.
 
+A kernel is refined rather than eliminated in full: ker(A) within K is
+K * ker(A * K), where K holds the integer basis rows of an enclosing space.
+`nullspace_of_rows` takes K from its caller, or from the kernel of the
+first 2 * ncols rows, and projects every other row onto dim K unknowns. A
+long system mostly repeats the rank of its first rows, and a row that adds
+nothing costs one sparse projection instead of an elimination in ncols
+columns.
+
 `Subspace` holds the canonical integer form of a span: its reduced row
 echelon basis, each row scaled to a primitive integer row with a positive
 pivot entry. The form is unique per span, so `==` and `hash` on subspaces
@@ -22,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -126,7 +135,8 @@ def _sparse_row(row, ncols: int) -> dict[int, int]:
     out = {c: v for c, v in items if v}
     if set(map(type, out.values())) <= {int}:
         return out
-    _, ints = clear_denominators([Fraction(v) for v in out.values()])
+    _, ints = clear_denominators([v if type(v) in (int, Fraction) else Fraction(v)
+                                  for v in out.values()])
     return {c: v for c, v in zip(out, ints) if v}
 
 
@@ -172,15 +182,23 @@ def _echelon(rows: Iterable, ncols: int) -> dict[int, dict[int, int]]:
 
 def _reduce(pivot_rows: dict[int, dict[int, int]]) -> None:
     """Back-eliminate an echelon pivot map in place, so each pivot row is
-    zero at every other pivot column (integer RREF, pivots not yet 1)."""
-    cols = sorted(pivot_rows)
-    for i in range(len(cols) - 1, -1, -1):
-        c = cols[i]
+    zero at every other pivot column (integer RREF, pivots not yet 1).
+
+    Pivot columns are cleared from the last to the first. By then the row of
+    pivot c is zero at every later pivot column, so subtracting it clears c
+    and touches only non-pivot columns: entries at pivot columns are never
+    created. The rows meeting each pivot column are therefore indexed once,
+    in O(nnz), and no pair of pivot rows is ever scanned.
+    """
+    meeting: dict[int, list[int]] = {c: [] for c in pivot_rows}
+    for q, r in pivot_rows.items():
+        for c in r:
+            if c != q and c in meeting:
+                meeting[c].append(q)
+    for c in sorted(pivot_rows, reverse=True):
         p = pivot_rows[c]
-        for j in range(i):
-            r = pivot_rows[cols[j]]
-            if c in r:
-                pivot_rows[cols[j]] = _normalize(_eliminate(r, p, c), cols[j])
+        for q in meeting[c]:
+            pivot_rows[q] = _normalize(_eliminate(pivot_rows[q], p, c), q)
 
 
 def _kernel(pivot_rows: dict[int, dict[int, int]], ncols: int) -> "Subspace":
@@ -210,11 +228,74 @@ def _kernel(pivot_rows: dict[int, dict[int, int]], ncols: int) -> "Subspace":
 # public solvers
 # ---------------------------------------------------------------------------
 
-def nullspace_of_rows(rows: Iterable, ncols: int) -> "Subspace":
-    """Solution space of the homogeneous system `rows` (dense or {col: value})."""
-    pivot_rows = _echelon(rows, ncols)
+def _refine(rows: Iterable, ncols: int, within: "Subspace") -> "Subspace":
+    """The solutions of `rows` that lie in `within`.
+
+    A vector of `within` is x = sum_i y_i R_i over its primitive rows R_i,
+    and a row a vanishes on it exactly when sum_i (a . R_i) y_i = 0. So each
+    row is projected through a column -> (i, R_i[col]) index onto within.dim
+    unknowns, the projected rows are echelonized there, and the kernel's
+    integer y are mapped back to sum_i y_i R_i and canonicalized. When every
+    projected row vanishes, `within` is the answer as it stands.
+
+    Most rows project to zero, so an all-int dict row is projected as it
+    is: the index has a key for every column in [0, ncols), and a
+    KeyError is a column outside that range. Any other row is converted by
+    `_sparse_row` first.
+    """
+    index: dict[int, list[tuple[int, int]]] = {c: [] for c in range(ncols)}
+    for i, (_, pairs) in enumerate(within.rows):
+        for c, v in pairs:
+            index[c].append((i, v))
+    pivot_rows: dict[int, dict[int, int]] = {}
+    for row in rows:
+        if type(row) is not dict or not set(map(type, row.values())) <= {int}:
+            row = _sparse_row(row, ncols)
+        projected: dict[int, int] = {}
+        try:
+            for c, v in row.items():
+                for i, x in index[c]:
+                    projected[i] = projected.get(i, 0) + v * x
+        except KeyError:
+            raise DimensionMismatch(
+                f"a column of {sorted(row)} is outside [0, {ncols})") from None
+        projected = {i: v for i, v in projected.items() if v}
+        if projected:
+            _echelon_insert(projected, pivot_rows)
+    if not pivot_rows:
+        return within
     _reduce(pivot_rows)
-    return _kernel(pivot_rows, ncols)
+    spanning = [pairs for _, pairs in within.rows]
+    mapped = []
+    for _, ys in _kernel(pivot_rows, within.dim).rows:
+        x: dict[int, int] = {}
+        for i, y in ys:
+            for c, v in spanning[i]:
+                x[c] = x.get(c, 0) + y * v
+        mapped.append(x)
+    return Subspace.span(ncols, mapped)
+
+
+def nullspace_of_rows(rows: Iterable, ncols: int,
+                      within: Optional["Subspace"] = None) -> "Subspace":
+    """Solution space of the homogeneous system `rows` (dense or {col: value}),
+    intersected with `within` when one is given.
+
+    Without `within`, the first 2 * ncols rows are echelonized and their
+    kernel serves as `within`, so the remaining rows are solved in as many
+    unknowns as that kernel has dimensions: in a long system most rows add
+    no rank, and there each costs a projection instead of an elimination
+    in ncols columns.
+    """
+    rows = iter(rows)
+    if within is None:
+        pivot_rows = _echelon(islice(rows, 2 * ncols), ncols)
+        _reduce(pivot_rows)
+        within = _kernel(pivot_rows, ncols)
+    elif within.ambient_dim != ncols:
+        raise DimensionMismatch(
+            f"subspace of {within.ambient_dim}-space for {ncols} unknowns")
+    return _refine(rows, ncols, within)
 
 
 def solve_affine_rows(

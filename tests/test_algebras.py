@@ -263,6 +263,32 @@ def test_subspace_product_examples():
     assert subspace_product(d, x, x) == zero_subspace(2)
 
 
+def _ref_subspace_product(a, s, t):
+    """The span of the dense products of the Fraction bases."""
+    return Subspace.span(a.dim, [multiply(a, u, v) for u in s.basis for v in t.basis])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 30), st.data())
+def test_subspace_product_matches_the_dense_products(seed, data):
+    rng = random.Random(seed)
+    a = random_algebra(rng)
+    # a rescaled basis e_i = s_i b_i gives fractional structure constants
+    scales = [Fraction(rng.choice([-3, 1, 2, 5]), rng.choice([1, 2, 7]))
+              for _ in range(a.dim)]
+    b = make_algebra(a.dim, [[[a.table[i][j][k] * scales[i] * scales[j] / scales[k]
+                               for k in range(a.dim)] for j in range(a.dim)]
+                             for i in range(a.dim)])
+    vectors = st.lists(st.lists(st.fractions(-3, 3, max_denominator=4),
+                                min_size=a.dim, max_size=a.dim), max_size=3)
+    s = Subspace.span(a.dim, data.draw(vectors))
+    t = Subspace.span(a.dim, data.draw(vectors))
+    for x in (a, b):
+        for left, right in ((s, t), (t, s), (s, full_space(a.dim))):
+            assert subspace_product(x, left, right) == \
+                _ref_subspace_product(x, left, right)
+
+
 def test_nilpotency_examples():
     a = dual_numbers()
     assert is_nilpotent_subspace(a, zero_subspace(2)) == (True, 1)

@@ -1,7 +1,9 @@
 import time
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from dense_ref import (
@@ -11,12 +13,21 @@ from dense_ref import (
     _ref_vec,
     _ref_zero_matrix,
 )
-from pqcent.algebras import center, identity, make_algebra, multiply
+from pqcent.algebras import (
+    algebra_from_terms,
+    center,
+    identity,
+    is_commutative,
+    make_algebra,
+    multiply,
+    right_identities,
+)
 from pqcent.centralizers import (
     LEFT,
     RIGHT,
     OperatorSpace,
     Weights,
+    _rows,
     _solve,
     jordan,
     left_centralizers,
@@ -43,15 +54,19 @@ from pqcent.fixtures import (
     random_poly_quotient,
     zero_product,
 )
+from pqcent.groups import cayley_table, group_algebra
 from pqcent.linalg import (
     DimensionMismatch,
     Matrix,
     Subspace,
+    _echelon,
+    _kernel,
+    _reduce,
     basis_vector,
     full_space,
     subspace_intersect,
 )
-from pqcent.verify import inclusion_chain_check
+from pqcent.verify import DEFAULT_WEIGHT_PAIRS, inclusion_chain_check
 
 F = Fraction
 
@@ -302,6 +317,86 @@ def test_operator_space_wraps_canonical_subspace():
     assert s.dim == 1
     ops = s.operators()
     assert ops[0] == _ref_identity_matrix(2)
+
+
+# ---------------------------------------------------------------------------
+# the solve chain against full-row solves
+#
+# `_ref_solve` is the solve from before spaces were solved inside one
+# another: the deduplicated rows of every identity, eliminated in all n^2
+# columns at once, with no prefix kernel and no enclosing space.
+# ---------------------------------------------------------------------------
+
+def _ref_solve(a, *identities):
+    n = a.dim
+    unique = {frozenset(row.items()): row
+              for e in identities for row in _rows(a, e)}
+    pivot_rows = _echelon(unique.values(), n * n)
+    _reduce(pivot_rows)
+    return OperatorSpace(n, _kernel(pivot_rows, n * n))
+
+
+def _s4():
+    perms = list(permutations(range(4)))
+    index = {p: i for i, p in enumerate(perms)}
+    return group_algebra(cayley_table([
+        [index[tuple(g[h[x]] for x in range(4))] for h in perms] for g in perms
+    ], "s4"))
+
+
+CHAIN_ALGEBRAS = {**fixtures(), "s4": _s4()}
+CHAIN_WEIGHTS = tuple(Weights(p, q, allow_equal=p == q)
+                      for p, q in (*DEFAULT_WEIGHT_PAIRS, (1, 1)))
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_ALGEBRAS))
+def test_chained_solves_match_full_row_solves(name):
+    a = CHAIN_ALGEBRAS[name]
+    two_sided = _ref_solve(a, LEFT, RIGHT)
+    assert two_sided_centralizers(a) == two_sided
+    for w in CHAIN_WEIGHTS:
+        assert pq_jordan_centralizers(a, w) == _ref_solve(a, jordan(w)), w
+        assert pq_centralizers(a, w) == _ref_solve(a, weighted(w)), w
+        # a weighted row is p times a left row plus q times a right row, so
+        # inside any weighted space the left rows alone cut out the
+        # two-sided space
+        assert _solve(a, LEFT, within=pq_centralizers(a, w)) == two_sided, w
+
+
+# Q[S] for order-4 semigroups S, b_i b_j = b_{S[i][j]}, in which 3 is a right
+# identity; the algebras are neither unital nor commutative, and their
+# (1,2) Jordan space is strictly larger than the weighted one, so solving
+# inside it really cuts the space down
+RIGHT_IDENTITY_SEMIGROUPS = {
+    "sg4_right_unit_a": ((0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 2), (0, 0, 2, 3)),
+    "sg4_right_unit_b": ((0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 2), (0, 1, 1, 3)),
+    "sg4_right_unit_c": ((0, 0, 0, 0), (0, 0, 1, 1), (0, 1, 2, 2), (0, 1, 3, 3)),
+}
+
+
+def _sympy_nullity(a, *identities):
+    rows = [row for e in identities for row in _rows(a, e)]
+    n2 = a.dim ** 2
+    return n2 - sympy.Matrix([[r.get(c, 0) for c in range(n2)]
+                              for r in rows]).rank()
+
+
+@pytest.mark.parametrize("name", RIGHT_IDENTITY_SEMIGROUPS)
+def test_semigroup_algebras_with_a_strict_jordan_gap(name):
+    table = RIGHT_IDENTITY_SEMIGROUPS[name]
+    a = algebra_from_terms(4, {(i, j): ((table[i][j], 1),)
+                               for i in range(4) for j in range(4)})
+    assert all(table[i][3] == i for i in range(4))
+    assert right_identities(a) is not None
+    assert identity(a) is None and not is_commutative(a)
+    w = Weights(1, 2)
+    spaces = ((two_sided_centralizers(a), (LEFT, RIGHT)),
+              (pq_centralizers(a, w), (weighted(w),)),
+              (pq_jordan_centralizers(a, w), (jordan(w),)))
+    assert tuple(space.dim for space, _ in spaces) == (3, 3, 4)
+    for space, identities in spaces:
+        assert space == _ref_solve(a, *identities)
+        assert space.dim == _sympy_nullity(a, *identities)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from pqcent.linalg import (
     _echelon_insert,
     _eliminate,
     _normalize,
+    _reduce,
     _sparse_row,
     Matrix,
     Subspace,
@@ -572,6 +573,95 @@ def test_integer_kernel_matches_the_dense_kernel(system, keep_zeros, data):
         _ref_solve_affine_rows(rows, rhs, ncols)
 
 
+# ---------------------------------------------------------------------------
+# kernel refinement
+#
+# `nullspace_of_rows` echelonizes a prefix of 2 * ncols rows and solves the
+# rest inside the prefix kernel, or solves every row inside a given
+# `within`. Systems longer than 2 * ncols make the prefix path run; the
+# oracle is the full dense kernel, intersected with `within` by Zassenhaus.
+# ---------------------------------------------------------------------------
+
+@st.composite
+def long_systems(draw, max_cols=4):
+    """(ncols, dense rows) with between 2 * ncols + 1 and 2 * ncols + 8 rows."""
+    ncols = draw(st.integers(1, max_cols))
+    nrows = draw(st.integers(2 * ncols + 1, 2 * ncols + 8))
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    return ncols, rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(long_systems(), st.booleans(), st.data())
+def test_refined_kernel_is_the_kernel_met_with_within(system, keep_zeros, data):
+    ncols, rows = system
+    sparse = as_sparse(rows, keep_zeros)
+    kernel = _ref_nullspace_of_rows(rows, ncols)
+    assert nullspace_of_rows(rows, ncols) == kernel
+    assert nullspace_of_rows(sparse, ncols) == kernel
+    assert nullspace_of_rows(iter(sparse), ncols) == kernel
+    vectors = st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                       max_size=ncols)
+    other = Subspace.span(ncols, data.draw(vectors))
+    # a random space, which may miss kernel vectors, and one that holds the
+    # whole kernel
+    for within in (other, subspace_sum(kernel, other)):
+        expected = subspace_intersect(kernel, within)
+        assert nullspace_of_rows(rows, ncols, within=within) == expected
+        assert nullspace_of_rows(sparse, ncols, within=within) == expected
+    assert nullspace_of_rows(rows, ncols, within=kernel) is kernel
+    assert nullspace_of_rows([], ncols, within=other) is other
+
+
+def test_refinement_validates_rows_after_the_prefix():
+    rows = [[1, 0]] * 4 + [{0: 1, 2: 1}]
+    with pytest.raises(DimensionMismatch):
+        nullspace_of_rows(rows, 2)
+    with pytest.raises(DimensionMismatch):
+        nullspace_of_rows([[1, 0, 0]], 2, within=full_space(2))
+    with pytest.raises(DimensionMismatch):
+        nullspace_of_rows([[1, 0]], 2, within=full_space(3))
+
+
+def _ref_reduce_pairs(pivot_rows):
+    """Back-elimination over every pair of pivot rows, as `_reduce` did
+    before it indexed the rows meeting each pivot column."""
+    cols = sorted(pivot_rows)
+    for i in range(len(cols) - 1, -1, -1):
+        c = cols[i]
+        p = pivot_rows[c]
+        for j in range(i):
+            r = pivot_rows[cols[j]]
+            if c in r:
+                pivot_rows[cols[j]] = _normalize(_eliminate(r, p, c), cols[j])
+
+
+def _pivot_map(rows, ncols):
+    pivot_rows = {}
+    for r in rows:
+        _echelon_insert(_sparse_row(r, ncols), pivot_rows)
+    return pivot_rows
+
+
+def _copy_map(pivot_rows):
+    return {c: dict(r) for c, r in pivot_rows.items()}
+
+
+def _check_back_elimination(pivot_rows):
+    expected = _copy_map(pivot_rows)
+    _reduce(pivot_rows)
+    _ref_reduce_pairs(expected)
+    assert pivot_rows == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(systems(max_rows=10, max_cols=8))
+def test_indexed_back_elimination_gives_the_pairwise_pivot_map(system):
+    ncols, rows = system
+    _check_back_elimination(_pivot_map(rows, ncols))
+
+
 def test_kernel_rows_are_scaled_by_the_lcm_of_their_leads():
     # x0 = -x2/2 and x1 = -x2/3: the free column's kernel vector needs
     # both leads cleared, (-3, -2, 6) up to scale
@@ -612,10 +702,19 @@ SOLVER_SYSTEMS = _solver_systems()
 
 
 @cache
+def _solver_pivot_map(label):
+    """The echelon pivot map of a solver system, before back-elimination;
+    callers reduce a copy."""
+    _, rows, ncols = next(x for x in SOLVER_SYSTEMS if x[0] == label)
+    return _pivot_map(rows, ncols)
+
+
+@cache
 def _ref_solver_kernel(label):
     """The dense RREF basis of the solution space of a solver system."""
-    _, rows, ncols = next(x for x in SOLVER_SYSTEMS if x[0] == label)
-    return _ref_kernel_basis(*_ref_rref_of_rows(rows, ncols), ncols)
+    ncols = next(x for x in SOLVER_SYSTEMS if x[0] == label)[2]
+    return _ref_kernel_basis(
+        *_ref_back_eliminate(_copy_map(_solver_pivot_map(label)), ncols), ncols)
 
 
 @pytest.mark.parametrize("label, rows, ncols", SOLVER_SYSTEMS,
@@ -625,6 +724,7 @@ def test_integer_kernel_matches_the_dense_kernel_on_solver_rows(
     before = copy.deepcopy(rows)
     assert nullspace_of_rows(rows, ncols) == \
         Subspace(ncols, _ref_solver_kernel(label)), label
+    _check_back_elimination(_copy_map(_solver_pivot_map(label)))
     # a consistent right-hand side, rows * x for a seeded integer x, and
     # one that is inconsistent whenever the rows are dependent
     rng = Random(label)
