@@ -5,13 +5,13 @@ against its closed form.
 
     python3 scripts/solve_rungs.py
 
-The rungs are the group algebras of S4 (order 24) and S4 x C2 (order 48),
-the matrix algebra M5 and Q[x]/(x^24). Each is unital and semiprime or
-commutative, so all three spaces are the multiplications by its center:
-the class counts 5 and 10, 1 for M5 and 24 for Q[x]/(x^24). Besides the
-three standalone solves, J+W+Z runs the three in one process, where the
-weighted solve reuses the Jordan space and the two-sided solve reuses the
-weighted one.
+The rungs are the group algebras of S4 (order 24), S4 x C2 (order 48) and
+S5 (order 120), the matrix algebra M5 and Q[x]/(x^24). Each is unital and
+semiprime or commutative, so all three spaces are the multiplications by
+its center: the class counts 5, 10 and 7, 1 for M5 and 24 for
+Q[x]/(x^24). Besides the three standalone solves, J+W+Z runs the three in
+one process, where the weighted solve reuses the Jordan space and the
+two-sided solve reuses the weighted one.
 
 Each line gives the CPU seconds of the solves alone (the algebra is built
 before the clock starts) and the process's peak RSS. The exit status is 1
@@ -36,22 +36,23 @@ from pqcent.fixtures import matrix_algebra, truncated_poly
 from pqcent.groups import cayley_table, group_algebra
 
 
-def _s4_times(order: int):
-    """The group algebra of S4 x C_order."""
-    elems = [(p, c) for p in permutations(range(4)) for c in range(order)]
+def _sym_times(k: int, order: int):
+    """The group algebra of S_k x C_order."""
+    elems = [(p, c) for p in permutations(range(k)) for c in range(order)]
     index = {e: i for i, e in enumerate(elems)}
     return group_algebra(cayley_table([
         [index[(tuple(p[x] for x in p2), (c + c2) % order)] for p2, c2 in elems]
         for p, c in elems
-    ], f"s4xc{order}"))
+    ], f"s{k}xc{order}"))
 
 
 # name -> (builder, closed-form dimension of every space)
 RUNGS = {
-    "S4": (lambda: _s4_times(1), 5),
+    "S4": (lambda: _sym_times(4, 1), 5),
     "M5": (lambda: matrix_algebra(5), 1),
     "Q[x]/(x^24)": (lambda: truncated_poly(24), 24),
-    "S4xC2": (lambda: _s4_times(2), 10),
+    "S4xC2": (lambda: _sym_times(4, 2), 10),
+    "S5": (lambda: _sym_times(5, 1), 7),
 }
 W12 = Weights(1, 2)
 SOLVES = {

@@ -23,9 +23,17 @@ The spaces are solved along the chain two-sided ⊆ weighted ⊆ Jordan, each
 inside the next larger one. A polarized Jordan row is the sum of the
 weighted rows of (a, b) and (b, a), and a weighted row is p times a left
 row plus q times a right row. So the weighted rows are imposed only on
-the Jordan space, and the left rows only on the (1,2) weighted space,
-where they cut out the two-sided space. Each refined solve works in as
-many unknowns as the enclosing space has dimensions, not in n^2.
+the Jordan space, and there only on the pairs i < j, since on it the row
+of (b, a) is minus that of (a, b) and the row of (a, a) vanishes. The
+left rows are imposed only on the (1,2) weighted space, where they cut
+out the two-sided space.
+
+Every solve is staged. It starts from its enclosing space K (the full
+n^2-space for a root solve) and walks the basis pairs in blocks, one per
+first index. A block's rows are evaluated straight onto the integer rows
+of K, so they reach the elimination in dim K unknowns; when the block's
+kernel is smaller, K becomes K * kernel. A solve holds one block of rows
+at a time, never the n^3 rows of its identity.
 
 The defining conditions quantify over additive maps, but an additive map on
 a Q-vector space is automatically Q-linear, so solving for linear operators
@@ -50,7 +58,9 @@ from .linalg import (
     Subspace,
     Vector,
     clear_denominators,
+    column_index,
     full_space,
+    lift,
     nullspace_of_rows,
 )
 
@@ -131,12 +141,18 @@ def jordan(w: Weights) -> Identity:
     return Identity(w.p + w.q, w.p, w.q, symmetric=True)
 
 
+def _block(n: int, e: Identity, i: int, upper: bool = False):
+    """Each basis pair (i, j) with first index i that e is imposed on, j
+    ascending, with the ordered products summed there: (i, j) alone, or
+    (i, j) and (j, i). With `upper`, only the pairs with i < j."""
+    for j in range(i + 1 if upper else i if e.symmetric else 0, n):
+        yield i, j, ((i, j), (j, i)) if e.symmetric else ((i, j),)
+
+
 def _pairs(n: int, e: Identity):
-    """Each basis pair (i, j) that e is imposed on, in row-major order, with
-    the ordered products summed there: (i, j) alone, or (i, j) and (j, i)."""
+    """Each basis pair (i, j) that e is imposed on, in row-major order."""
     for i in range(n):
-        for j in range(i if e.symmetric else 0, n):
-            yield i, j, ((i, j), (j, i)) if e.symmetric else ((i, j),)
+        yield from _block(n, e, i)
 
 
 class IntOperator(NamedTuple):
@@ -337,64 +353,92 @@ def two_sided_mul_elements(a: Algebra) -> Subspace:
 #
 # Unknowns are the flat entries t[k*n + m] = coefficient of b_k in T(b_m).
 # An identity gives one scalar equation per basis pair (i, j) and output
-# coordinate k, built as a sparse {col: int} row from the integer-scaled
-# structure constants; a space is the nullspace of the stacked rows of the
-# identities that define it, inside the space that encloses it.
+# coordinate k, evaluated from the integer-scaled structure constants on
+# the integer rows of the enclosing space; a space is the common kernel of
+# the rows of the identities that define it, inside the space that
+# encloses it.
 # ---------------------------------------------------------------------------
 
-def _rows(a: Algebra, e: Identity) -> list:
+def _rows(a: Algebra, e: Identity, pairs=None, index=None):
+    """e's row on each (i, j, orders) of `pairs` (every pair of e when None)
+    and output coordinate k, projected through a `column_index` of a space
+    K: a {basis index of K: int} row, the row times K. With no index, K is
+    the full space and the rows are {col: int} rows in n^2 columns. Rows
+    that vanish are not yielded."""
     n = a.dim
     prods, by_right, by_left = (
         a.int_products, a.int_by_right_factor, a.int_by_left_factor)
-    rows: list = []
-    for _, _, orders in _pairs(n, e):
+    if index is None:
+        index = column_index(full_space(n * n))
+    s, p, q = e.s, -e.p, -e.q
+    for _, _, orders in _pairs(n, e) if pairs is None else pairs:
         for k in range(n):
-            # one {col: int} row, summed in place; entries that cancel are
-            # dropped as they reach zero
+            # the s T(ab), -p T(a)b and -q a T(b) terms of one row: each
+            # (m, c) of the constants adds weight * c times the index
+            # entries of the unknown it multiplies; zeros are dropped last
             row: dict[int, int] = {}
+            get = row.get
             for x, y in orders:
-                # (first column, column stride, weight, (m, c) pairs) of the
-                # s T(ab), -p T(a)b and -q a T(b) terms
-                for base, step, w, pairs in (
-                    (k * n, 1, e.s, prods[x][y]),
-                    (x, n, -e.p, by_right[y][k]),
-                    (y, n, -e.q, by_left[x][k]),
-                ):
-                    if w:
-                        for m, c in pairs:
-                            col = base + step * m
-                            v = row.get(col, 0) + w * c
-                            if v:
-                                row[col] = v
-                            else:
-                                del row[col]
-            if row:
-                rows.append(row)
-    return rows
+                if s:
+                    for m, c in prods[x][y]:
+                        for col, r in index[k * n + m]:
+                            row[col] = get(col, 0) + s * c * r
+                if p:
+                    for m, c in by_right[y][k]:
+                        for col, r in index[x + n * m]:
+                            row[col] = get(col, 0) + p * c * r
+                if q:
+                    for m, c in by_left[x][k]:
+                        for col, r in index[y + n * m]:
+                            row[col] = get(col, 0) + q * c * r
+            if any(row.values()):
+                yield {col: v for col, v in row.items() if v}
 
 
 def _solve(a: Algebra, *identities: Identity,
-           within: Optional[OperatorSpace] = None) -> OperatorSpace:
+           within: Optional[OperatorSpace] = None,
+           upper: bool = False) -> OperatorSpace:
     """The operators in `within` (every operator when None) that satisfy
-    every identity: one refined nullspace of their stacked rows.
+    every identity, each imposed on its pairs i < j alone with `upper`.
 
-    The rows are not deduplicated. A duplicate row is projected onto the
-    few unknowns of the enclosing space (in a root solve, once past the
-    first 2 n^2 rows) and reduces to zero there, for less than hashing
-    every row would cost.
+    The space K starts as `within` and is refined one block of rows at a
+    time, a block per first index i of the pairs. The block's rows are
+    evaluated straight onto the primitive rows of K, and the kernel of the
+    projected block, in dim K unknowns, gives K * ker: the new K. The
+    column index of K is rebuilt only when K shrinks, and the walk stops
+    once K = 0. Only one block of rows is held at a time.
+
+    The rows are not deduplicated. A duplicate row reduces to zero in the
+    block's dim K unknowns, for less than hashing every row would cost.
     """
     n = a.dim
-    rows = [row for e in identities for row in _rows(a, e)]
-    return OperatorSpace(n, nullspace_of_rows(
-        rows, n * n, within=None if within is None else within.space))
+    if within is not None and within.algebra_dim != n:
+        raise DimensionMismatch(
+            f"enclosing space on dim {within.algebra_dim}, algebra has dim {n}")
+    space = full_space(n * n) if within is None else within.space
+    index = column_index(space)
+    for e in identities:
+        for i in range(n):
+            if not space.dim:
+                break
+            rows = list(_rows(a, e, _block(n, e, i, upper), index))
+            if rows:
+                kernel = nullspace_of_rows(rows, space.dim)
+                if kernel.dim < space.dim:
+                    space = lift(space, kernel)
+                    index = column_index(space)
+    return OperatorSpace(n, space)
 
 
 @cached
 def pq_centralizers(a: Algebra, w: Weights) -> OperatorSpace:
     """The space of (p, q)-weighted centralizers of a, solved inside the
     Jordan space: the polarized Jordan rows are sums of two weighted rows,
-    so every weighted centralizer is a Jordan one."""
-    return _solve(a, weighted(w), within=pq_jordan_centralizers(a, w))
+    so every weighted centralizer is a Jordan one. On the Jordan space the
+    weighted row of (j, i) is minus that of (i, j), and the row of (i, i)
+    vanishes, so the weighted identity is imposed on the pairs i < j."""
+    return _solve(a, weighted(w), within=pq_jordan_centralizers(a, w),
+                  upper=True)
 
 
 @cached

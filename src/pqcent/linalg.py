@@ -13,7 +13,10 @@ K * ker(A * K), where K holds the integer basis rows of an enclosing space.
 first 2 * ncols rows, and projects every other row onto dim K unknowns. A
 long system mostly repeats the rank of its first rows, and a row that adds
 nothing costs one sparse projection instead of an elimination in ncols
-columns.
+columns. `column_index` and `lift` are the two halves of that step for a
+caller that projects its rows itself: the centralizer solvers evaluate
+each block of rows straight onto K, hand the projected block to
+`nullspace_of_rows` in dim K unknowns, and lift its kernel back.
 
 `Subspace` holds the canonical integer form of a span: its reduced row
 echelon basis, each row scaled to a primitive integer row with a positive
@@ -228,25 +231,51 @@ def _kernel(pivot_rows: dict[int, dict[int, int]], ncols: int) -> "Subspace":
 # public solvers
 # ---------------------------------------------------------------------------
 
+def column_index(s: "Subspace") -> dict[int, list[tuple[int, int]]]:
+    """For each column c in [0, s.ambient_dim), the (i, R_i[c]) over the
+    primitive rows R_i of s that meet c: a row a is projected onto s as
+    sum_c a[c] * R_i[c] into unknown i."""
+    index: dict[int, list[tuple[int, int]]] = {c: [] for c in range(s.ambient_dim)}
+    for i, (_, pairs) in enumerate(s.rows):
+        for c, v in pairs:
+            index[c].append((i, v))
+    return index
+
+
+def lift(within: "Subspace", kernel: "Subspace") -> "Subspace":
+    """The vectors sum_i y_i R_i over the primitive rows R_i of `within`,
+    for y in `kernel`, a subspace of Q^within.dim: `within` * `kernel`,
+    canonicalized."""
+    if kernel.ambient_dim != within.dim:
+        raise DimensionMismatch(
+            f"kernel in {kernel.ambient_dim}-space for a {within.dim}-dim subspace")
+    spanning = [pairs for _, pairs in within.rows]
+    mapped = []
+    for _, ys in kernel.rows:
+        x: dict[int, int] = {}
+        for i, y in ys:
+            for c, v in spanning[i]:
+                x[c] = x.get(c, 0) + y * v
+        mapped.append(x)
+    return Subspace.span(within.ambient_dim, mapped)
+
+
 def _refine(rows: Iterable, ncols: int, within: "Subspace") -> "Subspace":
     """The solutions of `rows` that lie in `within`.
 
     A vector of `within` is x = sum_i y_i R_i over its primitive rows R_i,
     and a row a vanishes on it exactly when sum_i (a . R_i) y_i = 0. So each
-    row is projected through a column -> (i, R_i[col]) index onto within.dim
-    unknowns, the projected rows are echelonized there, and the kernel's
-    integer y are mapped back to sum_i y_i R_i and canonicalized. When every
-    projected row vanishes, `within` is the answer as it stands.
+    row is projected through `column_index(within)` onto within.dim
+    unknowns, the projected rows are echelonized there, and the kernel is
+    lifted back. When every projected row vanishes, `within` is the answer
+    as it stands.
 
     Most rows project to zero, so an all-int dict row is projected as it
     is: the index has a key for every column in [0, ncols), and a
     KeyError is a column outside that range. Any other row is converted by
     `_sparse_row` first.
     """
-    index: dict[int, list[tuple[int, int]]] = {c: [] for c in range(ncols)}
-    for i, (_, pairs) in enumerate(within.rows):
-        for c, v in pairs:
-            index[c].append((i, v))
+    index = column_index(within)
     pivot_rows: dict[int, dict[int, int]] = {}
     for row in rows:
         if type(row) is not dict or not set(map(type, row.values())) <= {int}:
@@ -265,15 +294,7 @@ def _refine(rows: Iterable, ncols: int, within: "Subspace") -> "Subspace":
     if not pivot_rows:
         return within
     _reduce(pivot_rows)
-    spanning = [pairs for _, pairs in within.rows]
-    mapped = []
-    for _, ys in _kernel(pivot_rows, within.dim).rows:
-        x: dict[int, int] = {}
-        for i, y in ys:
-            for c, v in spanning[i]:
-                x[c] = x.get(c, 0) + y * v
-        mapped.append(x)
-    return Subspace.span(ncols, mapped)
+    return lift(within, _kernel(pivot_rows, within.dim))
 
 
 def nullspace_of_rows(rows: Iterable, ncols: int,

@@ -13,7 +13,8 @@ at the extreme displacements along each homogeneous basis direction.
 
 from __future__ import annotations
 
-from typing import Optional
+from fractions import Fraction
+from typing import Optional, Sequence
 
 from .algebras import (
     Algebra,
@@ -53,7 +54,9 @@ from .centralizers import (
 from .linalg import (
     Matrix,
     Subspace,
+    Vector,
     basis_vector,
+    clear_denominators,
     nullspace_of_rows,
     subspace_contains,
     subspace_intersect,
@@ -244,6 +247,44 @@ def verify_unital_center_correspondence(a: Algebra, w: Weights) -> Report:
 # check id 3.1
 # ---------------------------------------------------------------------------
 
+def _left_ideal(a: Algebra, u) -> Optional[Subspace]:
+    """u*A, or None when u is not a right identity of a."""
+    n = a.dim
+    if any(multiply(a, basis_vector(n, i), u) != basis_vector(n, i)
+           for i in range(n)):
+        return None
+    return Subspace.span(
+        n, [multiply(a, u, basis_vector(n, i)) for i in range(n)])
+
+
+def _range_conditions(a: Algebra, w: Weights, t: IntOperator):
+    """For a weighted centralizer t, the check 3.1 report at a right
+    identity u with left ideal u*A, as a function of (u, u*A). The parts
+    that do not depend on u are computed once."""
+    ran = Subspace.span(a.dim, map(dict, t.cols))
+    cond_b = left_mul_space(a).contains_operator(t)
+
+    def at(u, left_ideal: Subspace) -> Report:
+        cond_a = subspace_contains(left_ideal, ran)
+        tu = apply_operator(t, u)
+        cond_c = left_mul_int(a, tu) == t
+        cond_d = center(a).contains_vector(tu)
+        shared = len({cond_a, cond_b, cond_c, cond_d}) == 1
+        detail = (
+            f"range in u*A: {cond_a}; left multiplication: {cond_b}; "
+            f"left multiplication by T(u): {cond_c}; T(u) central: {cond_d}"
+        )
+        assertions = [Assertion(
+            "four range conditions share one truth value", shared,
+            None if shared else detail,
+        )]
+        return report_from_assertions(
+            "3.1", target_name(a), w.pair, assertions, detail
+        )
+
+    return at
+
+
 def verify_equivalent_range_conditions(a: Algebra, w: Weights,
                                        t: Matrix | IntOperator, u) -> Report:
     """For a weighted centralizer T and right identity u, the four range
@@ -254,9 +295,8 @@ def verify_equivalent_range_conditions(a: Algebra, w: Weights,
       (c) T is left multiplication by T(u)
       (d) T(u) is central
     """
-    n = a.dim
-    if any(multiply(a, basis_vector(n, i), u) != basis_vector(n, i)
-           for i in range(n)):
+    left_ideal = _left_ideal(a, u)
+    if left_ideal is None:
         return precondition_unmet(
             "3.1", target_name(a), w.pair, f"{fmt_vector(u)} is not a right identity"
         )
@@ -265,45 +305,26 @@ def verify_equivalent_range_conditions(a: Algebra, w: Weights,
         return precondition_unmet(
             "3.1", target_name(a), w.pair, "operator is not a weighted centralizer"
         )
-
-    ran = Subspace.span(n, map(dict, t.cols))
-    left_ideal = Subspace.span(
-        n, [multiply(a, u, basis_vector(n, i)) for i in range(n)]
-    )
-    cond_a = subspace_contains(left_ideal, ran)
-
-    cond_b = left_mul_space(a).contains_operator(t)
-
-    tu = apply_operator(t, u)
-    cond_c = left_mul_int(a, tu) == t
-    cond_d = center(a).contains_vector(tu)
-
-    values = (cond_a, cond_b, cond_c, cond_d)
-    shared = len(set(values)) == 1
-    detail = (
-        f"range in u*A: {cond_a}; left multiplication: {cond_b}; "
-        f"left multiplication by T(u): {cond_c}; T(u) central: {cond_d}"
-    )
-    assertions = [Assertion(
-        "four range conditions share one truth value", shared,
-        None if shared else detail,
-    )]
-    return report_from_assertions(
-        "3.1", target_name(a), w.pair, assertions, detail
-    )
+    return _range_conditions(a, w, t)(u, left_ideal)
 
 
 def run_range_conditions_check(a: Algebra, w: Weights) -> Report:
     """Check id 3.1 over zero, identity, and the solved basis, at every
-    sampled right identity."""
+    sampled right identity. A pair whose precondition fails contributes
+    no assertion, as its report from `verify_equivalent_range_conditions`
+    would have none."""
     samples = right_identity_samples(a)
     if not samples:
         return precondition_unmet("3.1", target_name(a), w.pair, "no right identity")
+    ideals = [(k, u, left_ideal) for k, u in enumerate(samples)
+              if (left_ideal := _left_ideal(a, u)) is not None]
     assertions = []
     for label, t in _operator_candidates(a, pq_centralizers(a, w)):
-        for k, u in enumerate(samples):
-            sub = verify_equivalent_range_conditions(a, w, t, u)
-            for asrt in sub.assertions:
+        if residual(a, t, weighted(w)) is not None:
+            continue
+        at = _range_conditions(a, w, t)
+        for k, u, left_ideal in ideals:
+            for asrt in at(u, left_ideal).assertions:
                 assertions.append(Assertion(
                     f"{label}, right identity sample {k}: {asrt.name}",
                     asrt.passed, asrt.witness,
@@ -441,28 +462,59 @@ def verify_commutative_weights_coincide(a: Algebra, w: Weights) -> Report:
 # check id 5.2
 # ---------------------------------------------------------------------------
 
+def _int_mul(a: Algebra, x: Sequence[int], y: Sequence[int]) -> list[int]:
+    """a.scale * x * y, for integer coefficient lists x and y."""
+    prods = a.int_products
+    out = [0] * a.dim
+    for i, xi in enumerate(x):
+        if xi:
+            for j, yj in enumerate(y):
+                if yj:
+                    for k, c in prods[i][j]:
+                        out[k] += xi * yj * c
+    return out
+
+
+def _reconstruction_residual(a: Algebra, t: IntOperator, u
+                             ) -> Optional[tuple[int, Vector]]:
+    """The first basis index i with T(b_i) != (b_i - u b_i) T(u) + u T(b_i),
+    with T(b_i) minus the right side there; None when there is none.
+
+    Evaluated on the integer columns of t and the integer-scaled constants,
+    times L = den * (d * scale)^2, d the lcm of the denominators of u:
+    Fractions are made only for a witness.
+    """
+    n = a.dim
+    d, us = clear_denominators(u)
+    ds = d * a.scale
+    tu = combine_columns(t.cols, enumerate(us))  # den d T(u)
+    for i in range(n):
+        ti = [0] * n  # den T(b_i)
+        for k, v in t.cols[i]:
+            ti[k] = v
+        unit = [0] * n
+        unit[i] = 1
+        # ds (b_i - u b_i)
+        v = [ds * (k == i) - x for k, x in enumerate(_int_mul(a, us, unit))]
+        vt = _int_mul(a, v, tu)  # den ds^2 (b_i - u b_i) T(u)
+        ut = _int_mul(a, us, ti)  # den ds u T(b_i)
+        res = [ds * (ds * x - y) - z for x, y, z in zip(ti, ut, vt)]
+        if any(res):
+            return i, tuple(Fraction(r, t.den * ds * ds) for r in res)
+    return None
+
+
 def verify_jordan_reconstruction(a: Algebra, w: Weights) -> Report:
     """Every Jordan-centralizer value decomposes against a right identity:
     T(a) = (a - ua) T(u) + u T(a) for all basis a and sampled u."""
     samples = right_identity_samples(a)
     if not samples:
         return precondition_unmet("5.2", target_name(a), w.pair, "no right identity")
-    n = a.dim
     cj = pq_jordan_centralizers(a, w)
     assertions = []
     for idx, t in enumerate(cj.int_operators):
         for k, u in enumerate(samples):
-            tu = apply_operator(t, u)
-            bad = None
-            for i in range(n):
-                e = basis_vector(n, i)
-                lhs = apply_operator(t, e)
-                v = tuple(x - y for x, y in zip(e, multiply(a, u, e)))
-                res = tuple(x - y - z for x, y, z in zip(
-                    lhs, multiply(a, v, tu), multiply(a, u, lhs)))
-                if any(res):
-                    bad = (i, res)
-                    break
+            bad = _reconstruction_residual(a, t, u)
             assertions.append(Assertion(
                 f"basis operator {idx}, right identity sample {k}: "
                 f"values split as (a - ua)T(u) + uT(a)",

@@ -399,6 +399,63 @@ def test_semigroup_algebras_with_a_strict_jordan_gap(name):
         assert space.dim == _sympy_nullity(a, *identities)
 
 
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2 ** 30), st.booleans())
+def test_staged_solves_match_full_row_solves(seed, commutative):
+    import random
+    rng = random.Random(seed)
+    a = random_poly_quotient(rng) if commutative else random_algebra(rng)
+    two_sided = _ref_solve(a, LEFT, RIGHT)
+    assert _solve(a, LEFT, RIGHT) == two_sided
+    assert two_sided_centralizers(a) == two_sided
+    for w in CHAIN_WEIGHTS:
+        j, pq = _ref_solve(a, jordan(w)), _ref_solve(a, weighted(w))
+        assert _solve(a, jordan(w)) == j, w
+        assert _solve(a, weighted(w)) == pq, w
+        assert _solve(a, weighted(w), within=j, upper=True) == pq, w
+        assert pq_centralizers(a, w) == pq, w
+
+
+UPPER_ALGEBRAS = {**CHAIN_ALGEBRAS, **{
+    name: algebra_from_terms(4, {(i, j): ((table[i][j], 1),)
+                                 for i in range(4) for j in range(4)})
+    for name, table in RIGHT_IDENTITY_SEMIGROUPS.items()}}
+
+
+@pytest.mark.parametrize("name", sorted(UPPER_ALGEBRAS))
+def test_weighted_refine_on_pairs_above_the_diagonal(name):
+    # inside the Jordan space the weighted row of (j, i) is minus that of
+    # (i, j) and the row of (i, i) vanishes, so the pairs i < j suffice
+    a = UPPER_ALGEBRAS[name]
+    for w in CHAIN_WEIGHTS:
+        j = pq_jordan_centralizers(a, w)
+        assert _solve(a, weighted(w), within=j, upper=True) == \
+            _solve(a, weighted(w), within=j), w
+
+
+def test_solves_hand_linalg_one_block_at_a_time(monkeypatch):
+    # every system a solve eliminates is one block of rows, the pairs with
+    # one first index, in the unknowns of the current enclosing space
+    import pqcent.centralizers as centralizers
+    a = CHAIN_ALGEBRAS["s4"]
+    n = a.dim
+    w = Weights(1, 2)
+    expected = pq_jordan_centralizers(a, w), left_centralizers(a)
+    systems = []
+    real = centralizers.nullspace_of_rows
+
+    def recording(rows, ncols, within=None):
+        assert within is None
+        systems.append((len(rows), ncols))
+        return real(rows, ncols)
+
+    monkeypatch.setattr(centralizers, "nullspace_of_rows", recording)
+    assert (_solve(a, jordan(w)), _solve(a, LEFT)) == expected
+    # n^2 unknowns only in the first block of each of the two root solves
+    assert [ncols for _, ncols in systems].count(n * n) == 2
+    assert all(rows <= n * n for rows, _ in systems)
+
+
 # ---------------------------------------------------------------------------
 # hypothesis: multiplication operators compose contravariantly
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Differential tests of the sparse integer check helpers against the dense
 Fraction code they replaced, kept here verbatim as `_ref_` oracles: the
 adjoint scan and the dense samples of check 2.4, `residual`,
-`Subspace.reduce_vector`, and check 2.3's multiplicativity scan.
+`Subspace.reduce_vector`, check 2.3's multiplicativity scan, and check
+5.2's reconstruction residual.
 
 The helpers read operators in their canonical integer form, so each test
 passes `int_operator(t)` where its oracle takes the dense `Matrix` t; the
@@ -14,7 +15,12 @@ from random import Random
 import pytest
 
 from dense_ref import _ref_apply_matrix, _ref_matmul, _ref_transpose, _ref_vec
-from pqcent.algebras import identity, make_algebra, multiply
+from pqcent.algebras import (
+    identity,
+    make_algebra,
+    multiply,
+    right_identity_samples,
+)
 from pqcent.arens import (
     _adjoint_witness,
     _sample_holds,
@@ -36,7 +42,11 @@ from pqcent.centralizers import (
 )
 from pqcent.fixtures import fixtures, random_algebra, random_poly_quotient
 from pqcent.linalg import Matrix, basis_vector, nullspace_of_rows
-from pqcent.verify import DEFAULT_WEIGHT_PAIRS, _nonmultiplicative_pair
+from pqcent.verify import (
+    DEFAULT_WEIGHT_PAIRS,
+    _nonmultiplicative_pair,
+    _reconstruction_residual,
+)
 
 _ZERO = Fraction(0)
 
@@ -155,6 +165,20 @@ def _ref_nonmultiplicative_pair(a, ops, one):
         ),
         None,
     )
+
+
+def _ref_reconstruction_residual(a, t, u):
+    n = a.dim
+    tu = _ref_apply_matrix(t, u)
+    for i in range(n):
+        e = basis_vector(n, i)
+        lhs = _ref_apply_matrix(t, e)
+        v = tuple(x - y for x, y in zip(e, multiply(a, u, e)))
+        res = tuple(x - y - z for x, y, z in zip(
+            lhs, multiply(a, v, tu), multiply(a, u, lhs)))
+        if any(res):
+            return i, res
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -362,3 +386,23 @@ def test_multiplicativity_scan_finds_the_mutated_operator():
     assert _nonmultiplicative_pair(
         a, [int_operator(t) for t in ops], images) == (1, 2)
     assert _ref_nonmultiplicative_pair(a, ops, one) == (1, 2)
+
+
+RIGHT_UNITAL = sorted(name for name, a in ALGEBRAS.items()
+                      if right_identity_samples(a))
+
+
+@pytest.mark.parametrize("name", RIGHT_UNITAL)
+def test_integer_reconstruction_matches_the_fraction_reconstruction(name):
+    a = ALGEBRAS[name]
+    ops = _operators(name) + [t for pair in DEFAULT_WEIGHT_PAIRS for t in
+                              pq_jordan_centralizers(a, Weights(*pair)).operators()]
+    found = set()
+    for t in ops:
+        for u in right_identity_samples(a):
+            got = _reconstruction_residual(a, int_operator(t), u)
+            assert got == _ref_reconstruction_residual(a, t, u), (name, t, u)
+            found.add(got is None)
+    # with a unit u = 1 the split is T(a) = 0 T(1) + T(a) for every T;
+    # without one, the random operators give witnesses
+    assert found == ({True} if identity(a) is not None else {True, False}), name
