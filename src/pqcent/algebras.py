@@ -140,11 +140,6 @@ class Algebra:
     def int_by_left_factor(self) -> tuple:
         return self._scaled(self.by_left_factor)
 
-    def basis_name(self, i: int) -> str:
-        if self.basis_names is not None:
-            return self.basis_names[i]
-        return f"b{i}"
-
     def __repr__(self):
         return f"Algebra({self.name or '?'}, dim={self.dim})"
 
@@ -307,18 +302,19 @@ def is_commutative(a: Algebra) -> bool:
 
 def _commutant_rows(a: Algebra, elements) -> list:
     """Rows of x t = t x in the coordinates of x, one per output coordinate
-    and element t, each t given by its nonzero (j, t_j) pairs."""
-    n = a.dim
+    and element t, each t given by its nonzero (j, t_j) pairs: {m: int}
+    rows of the integer-scaled constants, zeros dropped."""
     rows = []
     for t in elements:
-        for k in range(n):
-            row = [_ZERO] * n
+        for k in range(a.dim):
+            row: dict[int, int] = {}
             for j, tj in t:
-                for m, c in a.by_right_factor[j][k]:
-                    row[m] += tj * c
-                for m, c in a.by_left_factor[j][k]:
-                    row[m] -= tj * c
-            if any(row):
+                for m, c in a.int_by_right_factor[j][k]:
+                    row[m] = row.get(m, 0) + tj * c
+                for m, c in a.int_by_left_factor[j][k]:
+                    row[m] = row.get(m, 0) - tj * c
+            row = {m: v for m, v in row.items() if v}
+            if row:
                 rows.append(row)
     return rows
 
@@ -335,8 +331,7 @@ def relative_center(a: Algebra, s: Subspace, t: Subspace) -> Subspace:
     n = a.dim
     if s.ambient_dim != n or t.ambient_dim != n:
         raise DimensionMismatch("subspaces must live in the algebra")
-    rows = _commutant_rows(
-        a, [[(j, tj) for j, tj in enumerate(tv) if tj] for tv in t.basis])
+    rows = _commutant_rows(a, [pairs for _, pairs in t.rows])
     return subspace_intersect(s, nullspace_of_rows(rows, n))
 
 

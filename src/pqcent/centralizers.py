@@ -26,7 +26,8 @@ row plus q times a right row. So the weighted rows are imposed only on
 the Jordan space, and there only on the pairs i < j, since on it the row
 of (b, a) is minus that of (a, b) and the row of (a, a) vanishes. The
 left rows are imposed only on the (1,2) weighted space, where they cut
-out the two-sided space.
+out the two-sided space, and on the right multiplication space, where
+they cut out the right multiplications that are two-sided.
 
 Every solve is staged. It starts from its enclosing space K (the full
 n^2-space for a root solve) and walks the basis pairs in blocks, one per
@@ -47,7 +48,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
@@ -65,20 +65,6 @@ from .linalg import (
 )
 
 _ZERO = Fraction(0)
-
-
-def _emit(rows: list, terms) -> None:
-    """Append the {col: coeff} row summing the (col, coeff) `terms`, each
-    coeff nonzero, unless it vanishes."""
-    row: dict[int, int] = {}
-    for col, c in terms:
-        v = row.get(col, 0) + c
-        if v:
-            row[col] = v
-        else:
-            del row[col]
-    if row:
-        rows.append(row)
 
 
 @dataclass(frozen=True)
@@ -324,30 +310,6 @@ def right_mul_image(a: Algebra, s: Subspace) -> OperatorSpace:
     return operator_space(a.dim, [_flat(right_mul_int(a, v)) for v in s.basis])
 
 
-@cached
-def two_sided_mul_elements(a: Algebra) -> Subspace:
-    """Elements v whose right multiplication is a two-sided centralizer.
-
-    Right multiplication is always a right centralizer by associativity;
-    the extra condition is (xy)v = (xv)y on all basis pairs. On a unital
-    algebra this is exactly the center; without a unit it can be larger.
-    """
-    n = a.dim
-    prods, by_right, by_left = (
-        a.int_products, a.int_by_right_factor, a.int_by_left_factor)
-    rows: list = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                _emit(rows, chain(
-                    ((m, c1 * c2) for l, c1 in prods[i][j]
-                     for m, c2 in by_left[l][k]),
-                    ((m, -c1 * c2) for l, c2 in by_right[j][k]
-                     for m, c1 in by_left[i][l]),
-                ))
-    return nullspace_of_rows(rows, n)
-
-
 # ---------------------------------------------------------------------------
 # space solvers
 #
@@ -359,19 +321,15 @@ def two_sided_mul_elements(a: Algebra) -> Subspace:
 # encloses it.
 # ---------------------------------------------------------------------------
 
-def _rows(a: Algebra, e: Identity, pairs=None, index=None):
-    """e's row on each (i, j, orders) of `pairs` (every pair of e when None)
-    and output coordinate k, projected through a `column_index` of a space
-    K: a {basis index of K: int} row, the row times K. With no index, K is
-    the full space and the rows are {col: int} rows in n^2 columns. Rows
-    that vanish are not yielded."""
+def _rows(a: Algebra, e: Identity, pairs, index):
+    """e's row on each (i, j, orders) of `pairs` and output coordinate k,
+    projected through a `column_index` of a space K: a {basis index of K:
+    int} row, the row times K. Rows that vanish are not yielded."""
     n = a.dim
     prods, by_right, by_left = (
         a.int_products, a.int_by_right_factor, a.int_by_left_factor)
-    if index is None:
-        index = column_index(full_space(n * n))
     s, p, q = e.s, -e.p, -e.q
-    for _, _, orders in _pairs(n, e) if pairs is None else pairs:
+    for _, _, orders in pairs:
         for k in range(n):
             # the s T(ab), -p T(a)b and -q a T(b) terms of one row: each
             # (m, c) of the constants adds weight * c times the index
@@ -470,6 +428,19 @@ def two_sided_centralizers(a: Algebra) -> OperatorSpace:
     out the two-sided space there.
     """
     return _solve(a, LEFT, within=pq_centralizers(a, Weights(1, 2)))
+
+
+@cached
+def two_sided_right_mul_space(a: Algebra) -> OperatorSpace:
+    """The right multiplications that are two-sided centralizers, solved
+    inside the right multiplication space.
+
+    A right multiplication is a right centralizer by associativity, so the
+    left rows alone cut out the two-sided ones: R_v with (xy)v = (xv)y on
+    all basis pairs. On a unital algebra these are the multiplications by
+    central elements; without a unit there can be more.
+    """
+    return _solve(a, LEFT, within=right_mul_space(a))
 
 
 # ---------------------------------------------------------------------------

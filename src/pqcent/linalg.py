@@ -7,16 +7,14 @@ converted once). Kernels are built in integers too: the reduced echelon
 gives one integer kernel row per free column, and those rows are
 canonicalized on the same core.
 
-A kernel is refined rather than eliminated in full: ker(A) within K is
-K * ker(A * K), where K holds the integer basis rows of an enclosing space.
-`nullspace_of_rows` takes K from its caller, or from the kernel of the
-first 2 * ncols rows, and projects every other row onto dim K unknowns. A
-long system mostly repeats the rank of its first rows, and a row that adds
-nothing costs one sparse projection instead of an elimination in ncols
-columns. `column_index` and `lift` are the two halves of that step for a
-caller that projects its rows itself: the centralizer solvers evaluate
-each block of rows straight onto K, hand the projected block to
-`nullspace_of_rows` in dim K unknowns, and lift its kernel back.
+`nullspace_of_rows` is the one elimination path: echelon, back-elimination
+and kernel, with nothing else in between. A kernel inside an enclosing
+space K is found by refinement, ker(A) within K = K * ker(A * K), where K
+holds the integer basis rows of the space. `column_index` and `lift` are
+the two halves of that step, and the centralizer solvers are their caller:
+they evaluate each block of rows straight onto K through `column_index`,
+hand the projected block to `nullspace_of_rows` in dim K unknowns, and
+`lift` its kernel back.
 
 `Subspace` holds the canonical integer form of a span: its reduced row
 echelon basis, each row scaled to a primitive integer row with a positive
@@ -33,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -260,63 +257,13 @@ def lift(within: "Subspace", kernel: "Subspace") -> "Subspace":
     return Subspace.span(within.ambient_dim, mapped)
 
 
-def _refine(rows: Iterable, ncols: int, within: "Subspace") -> "Subspace":
-    """The solutions of `rows` that lie in `within`.
-
-    A vector of `within` is x = sum_i y_i R_i over its primitive rows R_i,
-    and a row a vanishes on it exactly when sum_i (a . R_i) y_i = 0. So each
-    row is projected through `column_index(within)` onto within.dim
-    unknowns, the projected rows are echelonized there, and the kernel is
-    lifted back. When every projected row vanishes, `within` is the answer
-    as it stands.
-
-    Most rows project to zero, so an all-int dict row is projected as it
-    is: the index has a key for every column in [0, ncols), and a
-    KeyError is a column outside that range. Any other row is converted by
-    `_sparse_row` first.
-    """
-    index = column_index(within)
-    pivot_rows: dict[int, dict[int, int]] = {}
-    for row in rows:
-        if type(row) is not dict or not set(map(type, row.values())) <= {int}:
-            row = _sparse_row(row, ncols)
-        projected: dict[int, int] = {}
-        try:
-            for c, v in row.items():
-                for i, x in index[c]:
-                    projected[i] = projected.get(i, 0) + v * x
-        except KeyError:
-            raise DimensionMismatch(
-                f"a column of {sorted(row)} is outside [0, {ncols})") from None
-        projected = {i: v for i, v in projected.items() if v}
-        if projected:
-            _echelon_insert(projected, pivot_rows)
-    if not pivot_rows:
-        return within
-    _reduce(pivot_rows)
-    return lift(within, _kernel(pivot_rows, within.dim))
-
-
-def nullspace_of_rows(rows: Iterable, ncols: int,
-                      within: Optional["Subspace"] = None) -> "Subspace":
+def nullspace_of_rows(rows: Iterable, ncols: int) -> "Subspace":
     """Solution space of the homogeneous system `rows` (dense or {col: value}),
-    intersected with `within` when one is given.
-
-    Without `within`, the first 2 * ncols rows are echelonized and their
-    kernel serves as `within`, so the remaining rows are solved in as many
-    unknowns as that kernel has dimensions: in a long system most rows add
-    no rank, and there each costs a projection instead of an elimination
-    in ncols columns.
-    """
-    rows = iter(rows)
-    if within is None:
-        pivot_rows = _echelon(islice(rows, 2 * ncols), ncols)
-        _reduce(pivot_rows)
-        within = _kernel(pivot_rows, ncols)
-    elif within.ambient_dim != ncols:
-        raise DimensionMismatch(
-            f"subspace of {within.ambient_dim}-space for {ncols} unknowns")
-    return _refine(rows, ncols, within)
+    from one elimination in all `ncols` unknowns. To solve inside a space
+    K, project the rows through `column_index(K)` and `lift` the kernel."""
+    pivot_rows = _echelon(rows, ncols)
+    _reduce(pivot_rows)
+    return _kernel(pivot_rows, ncols)
 
 
 def solve_affine_rows(

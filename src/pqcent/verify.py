@@ -44,11 +44,10 @@ from .centralizers import (
     pq_centralizers,
     pq_jordan_centralizers,
     residual,
-    right_mul_image,
     right_mul_int,
     right_mul_space,
     two_sided_centralizers,
-    two_sided_mul_elements,
+    two_sided_right_mul_space,
     weighted,
 )
 from .linalg import (
@@ -133,7 +132,7 @@ def verify_right_identity_collapse(a: Algebra, w: Weights) -> Report:
         ),
         _spaces_equal(
             "weighted space equals right multiplications by two-sided multiplier elements",
-            cpq, right_mul_image(a, two_sided_mul_elements(a)),
+            cpq, two_sided_right_mul_space(a),
         ),
     ]
 

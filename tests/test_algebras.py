@@ -51,8 +51,10 @@ from pqcent.linalg import (
     Subspace,
     basis_vector,
     full_space,
+    nullspace_of_rows,
     subspace_contains,
     subspace_equal,
+    subspace_intersect,
     zero_subspace,
 )
 
@@ -261,6 +263,62 @@ def test_subspace_product_examples():
     d = dual_numbers()
     x = Subspace.span(2, [[0, 1]])
     assert subspace_product(d, x, x) == zero_subspace(2)
+
+
+def _ref_commutant_rows(a, elements):
+    """The commutant rows as they were built before the integer-scaled
+    constants: dense Fraction rows of x t - t x, one per output coordinate
+    and element t, each t given by its nonzero (j, t_j) pairs."""
+    n = a.dim
+    rows = []
+    for t in elements:
+        for k in range(n):
+            row = [F(0)] * n
+            for j, tj in t:
+                for m, c in a.by_right_factor[j][k]:
+                    row[m] += tj * c
+                for m, c in a.by_left_factor[j][k]:
+                    row[m] -= tj * c
+            if any(row):
+                rows.append(row)
+    return rows
+
+
+def _ref_relative_center(a, s, t):
+    rows = _ref_commutant_rows(
+        a, [[(j, tj) for j, tj in enumerate(tv) if tj] for tv in t.basis])
+    return subspace_intersect(s, nullspace_of_rows(rows, a.dim))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 30), st.booleans(), st.data())
+def test_center_and_relative_center_match_the_fraction_rows(seed, commutative, data):
+    rng = random.Random(seed)
+    a = random_poly_quotient(rng) if commutative else random_algebra(rng)
+    n = a.dim
+    # a rescaled basis e_i = s_i b_i gives fractional structure constants
+    b = make_algebra(n, _rescaled(a, [Fraction(rng.choice([-3, 1, 2, 5]),
+                                               rng.choice([1, 2, 7]))
+                                      for _ in range(n)]))
+    vectors = st.lists(st.lists(st.fractions(-3, 3, max_denominator=4),
+                                min_size=n, max_size=n), max_size=3)
+    s = Subspace.span(n, data.draw(vectors))
+    t = Subspace.span(n, data.draw(vectors))
+    for x in (a, b):
+        assert center(x) == nullspace_of_rows(
+            _ref_commutant_rows(x, [((j, 1),) for j in range(n)]), n)
+        for left, right in ((s, t), (full_space(n), t), (s, full_space(n))):
+            assert relative_center(x, left, right) == \
+                _ref_relative_center(x, left, right)
+
+
+def test_center_matches_the_fraction_rows_on_the_catalog():
+    for name, a in fixtures().items():
+        n = a.dim
+        expected = nullspace_of_rows(
+            _ref_commutant_rows(a, [((j, 1),) for j in range(n)]), n)
+        assert center(a) == expected, name
+        assert relative_center(a, full_space(n), full_space(n)) == expected, name
 
 
 def _ref_subspace_product(a, s, t):

@@ -13,6 +13,7 @@ from dense_ref import (
     _ref_vec,
     _ref_zero_matrix,
 )
+from solver_ref import _full_rows
 from pqcent.algebras import (
     algebra_from_terms,
     center,
@@ -27,7 +28,6 @@ from pqcent.centralizers import (
     RIGHT,
     OperatorSpace,
     Weights,
-    _rows,
     _solve,
     jordan,
     left_centralizers,
@@ -42,7 +42,7 @@ from pqcent.centralizers import (
     right_mul_image,
     right_mul_space,
     two_sided_centralizers,
-    two_sided_mul_elements,
+    two_sided_right_mul_space,
     weighted,
 )
 from pqcent.fixtures import (
@@ -63,7 +63,7 @@ from pqcent.linalg import (
     _kernel,
     _reduce,
     basis_vector,
-    full_space,
+    nullspace_of_rows,
     subspace_intersect,
 )
 from pqcent.verify import DEFAULT_WEIGHT_PAIRS, inclusion_chain_check
@@ -265,11 +265,13 @@ def test_unital_dimension_matches_center():
         assert pq_centralizers(a, Weights(1, 2)).dim == center(a).dim, name
 
 
-def test_two_sided_mul_elements():
+def test_two_sided_right_mul_space():
+    # on a unital algebra the two-sided right multiplications are those by
+    # central elements; on colmat2 every right multiplication is two-sided
     m = matrix_algebra(2)
-    assert two_sided_mul_elements(m) == center(m)
+    assert two_sided_right_mul_space(m) == right_mul_image(m, center(m))
     c = colmat(2)
-    assert two_sided_mul_elements(c) == full_space(2)
+    assert two_sided_right_mul_space(c) == right_mul_space(c)
 
 
 def test_two_sided_is_meet_of_one_sided_spaces():
@@ -301,13 +303,10 @@ def test_fractional_constants_give_the_rescaled_spaces():
         for solve in (lambda x: pq_centralizers(x, Weights(1, 2)),
                       lambda x: pq_jordan_centralizers(x, Weights(3, 5)),
                       left_centralizers, right_centralizers,
-                      two_sided_centralizers):
+                      two_sided_centralizers, two_sided_right_mul_space):
             moved = [[t[k * n + m] * s[m] / s[k] for k in range(n) for m in range(n)]
                      for t in solve(a).space.basis]
             assert solve(b) == operator_space(n, moved), name
-        moved = [[v[k] / s[k] for k in range(n)]
-                 for v in two_sided_mul_elements(a).basis]
-        assert two_sided_mul_elements(b) == Subspace.span(n, moved), name
 
 
 def test_operator_space_wraps_canonical_subspace():
@@ -330,10 +329,37 @@ def test_operator_space_wraps_canonical_subspace():
 def _ref_solve(a, *identities):
     n = a.dim
     unique = {frozenset(row.items()): row
-              for e in identities for row in _rows(a, e)}
+              for e in identities for row in _full_rows(a, e)}
     pivot_rows = _echelon(unique.values(), n * n)
     _reduce(pivot_rows)
     return OperatorSpace(n, _kernel(pivot_rows, n * n))
+
+
+# `_ref_two_sided_mul_elements` is how check 2.1 found the two-sided right
+# multiplications before they were solved inside the right multiplication
+# space: the elements v with (xy)v = (xv)y, from all n^3 basis triples at
+# once, eliminated in the n coordinates of v.
+
+def _ref_two_sided_mul_elements(a):
+    n = a.dim
+    prods, by_right, by_left = (
+        a.int_products, a.int_by_right_factor, a.int_by_left_factor)
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                # the b_k coordinate of (b_i b_j) v - (b_i v) b_j
+                row = {}
+                for l, c1 in prods[i][j]:
+                    for m, c2 in by_left[l][k]:
+                        row[m] = row.get(m, 0) + c1 * c2
+                for l, c2 in by_right[j][k]:
+                    for m, c1 in by_left[i][l]:
+                        row[m] = row.get(m, 0) - c1 * c2
+                row = {m: v for m, v in row.items() if v}
+                if row:
+                    rows.append(row)
+    return nullspace_of_rows(rows, n)
 
 
 def _s4():
@@ -375,7 +401,7 @@ RIGHT_IDENTITY_SEMIGROUPS = {
 
 
 def _sympy_nullity(a, *identities):
-    rows = [row for e in identities for row in _rows(a, e)]
+    rows = [row for e in identities for row in _full_rows(a, e)]
     n2 = a.dim ** 2
     return n2 - sympy.Matrix([[r.get(c, 0) for c in range(n2)]
                               for r in rows]).rank()
@@ -414,6 +440,8 @@ def test_staged_solves_match_full_row_solves(seed, commutative):
         assert _solve(a, weighted(w)) == pq, w
         assert _solve(a, weighted(w), within=j, upper=True) == pq, w
         assert pq_centralizers(a, w) == pq, w
+    assert two_sided_right_mul_space(a) == \
+        right_mul_image(a, _ref_two_sided_mul_elements(a))
 
 
 UPPER_ALGEBRAS = {**CHAIN_ALGEBRAS, **{
@@ -433,6 +461,13 @@ def test_weighted_refine_on_pairs_above_the_diagonal(name):
             _solve(a, weighted(w), within=j), w
 
 
+@pytest.mark.parametrize("name", sorted(UPPER_ALGEBRAS))
+def test_two_sided_right_mul_space_matches_the_element_solve(name):
+    a = UPPER_ALGEBRAS[name]
+    assert two_sided_right_mul_space(a) == \
+        right_mul_image(a, _ref_two_sided_mul_elements(a))
+
+
 def test_solves_hand_linalg_one_block_at_a_time(monkeypatch):
     # every system a solve eliminates is one block of rows, the pairs with
     # one first index, in the unknowns of the current enclosing space
@@ -444,8 +479,7 @@ def test_solves_hand_linalg_one_block_at_a_time(monkeypatch):
     systems = []
     real = centralizers.nullspace_of_rows
 
-    def recording(rows, ncols, within=None):
-        assert within is None
+    def recording(rows, ncols):
         systems.append((len(rows), ncols))
         return real(rows, ncols)
 

@@ -16,7 +16,8 @@ from dense_ref import (
     _ref_transpose,
     _ref_vec,
 )
-from pqcent.centralizers import LEFT, RIGHT, Weights, _rows, jordan, weighted
+from solver_ref import _full_rows
+from pqcent.centralizers import LEFT, RIGHT, Weights, jordan, weighted
 from pqcent.fixtures import fixtures
 from pqcent.groups import cayley_table, group_algebra
 from pqcent.linalg import (
@@ -29,7 +30,9 @@ from pqcent.linalg import (
     Matrix,
     Subspace,
     basis_vector,
+    column_index,
     full_space,
+    lift,
     nullspace_of_rows,
     solve_affine_rows,
     subspace_contains,
@@ -576,10 +579,11 @@ def test_integer_kernel_matches_the_dense_kernel(system, keep_zeros, data):
 # ---------------------------------------------------------------------------
 # kernel refinement
 #
-# `nullspace_of_rows` echelonizes a prefix of 2 * ncols rows and solves the
-# rest inside the prefix kernel, or solves every row inside a given
-# `within`. Systems longer than 2 * ncols make the prefix path run; the
-# oracle is the full dense kernel, intersected with `within` by Zassenhaus.
+# ker(rows) within S is S * ker(rows * S): each row is projected through
+# `column_index(S)` onto the primitive rows of S, the projected rows are
+# solved by `nullspace_of_rows` in S.dim unknowns, and `lift` maps the
+# kernel back. The systems are long, up to 2 * ncols + 8 rows; the oracle is
+# the full dense kernel, intersected with S by Zassenhaus.
 # ---------------------------------------------------------------------------
 
 @st.composite
@@ -590,6 +594,19 @@ def long_systems(draw, max_cols=4):
     rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
                          min_size=nrows, max_size=nrows))
     return ncols, rows
+
+
+def _refined(rows, within):
+    """ker(rows) within `within`, by projection, kernel and lift."""
+    index = column_index(within)
+    projected = []
+    for r in rows:
+        row = {}
+        for c, v in (r.items() if isinstance(r, dict) else enumerate(r)):
+            for i, x in index[c]:
+                row[i] = row.get(i, 0) + v * x
+        projected.append(row)
+    return lift(within, nullspace_of_rows(projected, within.dim))
 
 
 @settings(max_examples=80, deadline=None)
@@ -608,20 +625,20 @@ def test_refined_kernel_is_the_kernel_met_with_within(system, keep_zeros, data):
     # whole kernel
     for within in (other, subspace_sum(kernel, other)):
         expected = subspace_intersect(kernel, within)
-        assert nullspace_of_rows(rows, ncols, within=within) == expected
-        assert nullspace_of_rows(sparse, ncols, within=within) == expected
-    assert nullspace_of_rows(rows, ncols, within=kernel) is kernel
-    assert nullspace_of_rows([], ncols, within=other) is other
+        assert _refined(rows, within) == expected
+        assert _refined(sparse, within) == expected
+    assert _refined(rows, kernel) == kernel
+    assert _refined([], other) == other
 
 
-def test_refinement_validates_rows_after_the_prefix():
+def test_kernel_and_lift_validate_dimensions():
+    # a bad row is caught wherever it comes in a long system
     rows = [[1, 0]] * 4 + [{0: 1, 2: 1}]
     with pytest.raises(DimensionMismatch):
         nullspace_of_rows(rows, 2)
+    # a kernel is lifted only from the unknowns of its enclosing space
     with pytest.raises(DimensionMismatch):
-        nullspace_of_rows([[1, 0, 0]], 2, within=full_space(2))
-    with pytest.raises(DimensionMismatch):
-        nullspace_of_rows([[1, 0]], 2, within=full_space(3))
+        lift(full_space(3), full_space(2))
 
 
 def _ref_reduce_pairs(pivot_rows):
@@ -693,7 +710,7 @@ def _solver_systems():
                            ("jordan", (jordan(w),)),
                            ("two-sided", (LEFT, RIGHT))):
             unique = {frozenset(row.items()): row
-                      for e in ids for row in _rows(a, e)}
+                      for e in ids for row in _full_rows(a, e)}
             out.append((f"{name} {label}", list(unique.values()), a.dim ** 2))
     return out
 

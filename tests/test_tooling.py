@@ -1,9 +1,15 @@
-"""The benchmark's tracer names pqcent functions by string; each must exist.
+"""Checks on the code itself rather than on its results.
 
+The benchmark's tracer names pqcent functions by string; each must exist.
 `perfbench/run.py` only warns when a traced name is missing, so a renamed
 or deleted function would silently drop its per-layer figures.
+
+No module of the package may import a name it never reads (`__init__`
+re-exports aside), and every module-level private function must be
+referenced from some module: code removed from a path leaves no debris.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -42,3 +48,45 @@ def test_traced_methods_exist(module, cls, meth, name):
 
 def test_traced_check_ids_exist():
     assert set(tracing.VERIFY_IDS) <= set(CHECK_IDS)
+
+
+# ---------------------------------------------------------------------------
+# dead code in the package: imports nothing reads, and private functions
+# that no module calls
+# ---------------------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "pqcent"
+MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+           for path in sorted(SRC.glob("*.py"))}
+
+
+def _referenced(tree) -> set[str]:
+    """The names a module reads, as plain names or attribute names; import
+    statements and definitions bind names and read none."""
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute)})
+
+
+@pytest.mark.parametrize("module", sorted(set(MODULES) - {"__init__"}))
+def test_every_import_is_used(module):
+    # `__init__` imports in order to re-export
+    tree = MODULES[module]
+    used = _referenced(tree)
+    unused = [f"{alias.asname or alias.name.split('.')[0]} (line {node.lineno})"
+              for node in ast.walk(tree)
+              if isinstance(node, (ast.Import, ast.ImportFrom))
+              and getattr(node, "module", None) != "__future__"
+              for alias in node.names
+              if (alias.asname or alias.name.split(".")[0]) not in used]
+    assert not unused, f"{module} imports but never uses {unused}"
+
+
+def test_every_private_function_is_referenced():
+    referenced = set().union(*map(_referenced, MODULES.values()))
+    dead = [f"{module}.{node.name}" for module, tree in MODULES.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and node.name not in referenced]
+    assert not dead, f"private functions no module references: {dead}"
