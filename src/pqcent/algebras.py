@@ -5,6 +5,12 @@ with basis products b_i b_j = sum_k c[i][j][k] b_k. Associativity is checked
 exhaustively at construction; everything downstream assumes it. Elements are
 plain coefficient tuples in the defining basis, and subspaces of the algebra
 reuse the canonical `Subspace` type from `linalg`.
+
+Every statement computed here is homogeneous in the constants, so every
+computation reads them multiplied once by the lcm of their denominators:
+the integer `int_products` and its two regroupings by one factor. The
+Fraction `products` are kept for the parser, the serializer, `table` and
+the staged Arens actions.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from .linalg import (
     Subspace,
     Vector,
     basis_vector,
+    clear_denominators,
     nullspace_of_rows,
     solve_affine_rows,
     subspace_intersect,
@@ -61,7 +68,12 @@ def cached(fn):
 @dataclass(frozen=True, eq=False)
 class Algebra:
     """products[i][j] = (k, c[i][j][k]) pairs of b_i * b_j, sorted by k,
-    with no zeros: the one stored form of the structure constants."""
+    with no zeros: the one stored form of the structure constants.
+
+    Computations read `int_products`, the same pairs times `scale` as ints,
+    and its regroupings `int_by_right_factor` and `int_by_left_factor`;
+    the Fraction `products` serve the parser, the serializer, `table` and
+    the staged Arens actions."""
     dim: int
     products: tuple
     name: str = ""
@@ -81,40 +93,15 @@ class Algebra:
             dense.append(tuple(plane))
         return tuple(dense)
 
-    def _regroup(self, by_right: bool) -> tuple:
-        """products regrouped by one factor in one pass over the nonzeros:
-        each (k, c) of products[i][j] goes to view[x][k] as (m, c), with
-        (x, m) = (j, i) if by_right else (i, j), so m ascends in each list."""
-        n = self.dim
-        view = [[[] for _ in range(n)] for _ in range(n)]
-        for i, row in enumerate(self.products):
-            for j, pairs in enumerate(row):
-                x, m = (j, i) if by_right else (i, j)
-                for k, c in pairs:
-                    view[x][k].append((m, c))
-        return tuple(tuple(map(tuple, plane)) for plane in view)
-
-    @cached_property
-    def by_right_factor(self) -> tuple:
-        """by_right_factor[j][k] = nonzero (m, c[m][j][k]) pairs.
-
-        These are the sparse rows of the right-multiplication-by-b_j matrix.
-        """
-        return self._regroup(True)
-
-    @cached_property
-    def by_left_factor(self) -> tuple:
-        """by_left_factor[i][k] = nonzero (m, c[i][m][k]) pairs."""
-        return self._regroup(False)
-
     @cached_property
     def scale(self) -> int:
         """The lcm of the denominators of all structure constants."""
         return lcm(*(c.denominator for plane in self.products
                      for pairs in plane for _, c in pairs))
 
-    def _scaled(self, table) -> tuple:
-        """A sparse view with every constant multiplied by `scale`, as ints.
+    @cached_property
+    def int_products(self) -> tuple:
+        """products with every constant multiplied by `scale`, as ints.
 
         Associativity and every centralizer identity are homogeneous in the
         structure constants, so scaling them all by one nonzero integer
@@ -123,22 +110,35 @@ class Algebra:
         """
         s = self.scale
         return tuple(
-            tuple(tuple((m, c.numerator * (s // c.denominator))
-                        for m, c in pairs) for pairs in row)
-            for row in table
+            tuple(tuple((k, c.numerator * (s // c.denominator))
+                        for k, c in pairs) for pairs in row)
+            for row in self.products
         )
 
-    @cached_property
-    def int_products(self) -> tuple:
-        return self._scaled(self.products)
+    def _regroup(self, by_right: bool) -> tuple:
+        """int_products regrouped by one factor in one pass over the
+        nonzeros: each (k, c) of int_products[i][j] goes to view[x][k] as
+        (m, c), with (x, m) = (j, i) if by_right else (i, j), so m ascends
+        in each list."""
+        n = self.dim
+        view = [[[] for _ in range(n)] for _ in range(n)]
+        for i, row in enumerate(self.int_products):
+            for j, pairs in enumerate(row):
+                x, m = (j, i) if by_right else (i, j)
+                for k, c in pairs:
+                    view[x][k].append((m, c))
+        return tuple(tuple(map(tuple, plane)) for plane in view)
 
     @cached_property
     def int_by_right_factor(self) -> tuple:
-        return self._scaled(self.by_right_factor)
+        """int_by_right_factor[j][k] = nonzero (m, scale * c[m][j][k]) pairs:
+        the sparse rows of scale times right multiplication by b_j."""
+        return self._regroup(True)
 
     @cached_property
     def int_by_left_factor(self) -> tuple:
-        return self._scaled(self.by_left_factor)
+        """int_by_left_factor[i][k] = nonzero (m, scale * c[i][m][k]) pairs."""
+        return self._regroup(False)
 
     def __repr__(self):
         return f"Algebra({self.name or '?'}, dim={self.dim})"
@@ -217,32 +217,45 @@ def _check_element(a: Algebra, x: Sequence) -> None:
         )
 
 
+def int_multiply(a: Algebra, x_pairs, y_pairs) -> list[int]:
+    """a.scale * x * y as a dense list of ints, for integer elements x and
+    y given by (index, coefficient) pairs; zero coefficients are skipped."""
+    prods = a.int_products
+    ys = [(j, yj) for j, yj in y_pairs if yj]
+    out = [0] * a.dim
+    for i, xi in x_pairs:
+        if xi:
+            row = prods[i]
+            for j, yj in ys:
+                for k, c in row[j]:
+                    out[k] += xi * yj * c
+    return out
+
+
 def multiply(a: Algebra, x: Sequence, y: Sequence) -> Vector:
-    """Product of two elements given by coefficient vectors."""
+    """Product of two elements given by coefficient vectors: computed on
+    integers, with one Fraction made per coordinate."""
     _check_element(a, x)
     _check_element(a, y)
-    out = [_ZERO] * a.dim
-    prod = a.products
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        row = prod[i]
-        for j, yj in enumerate(y):
-            if not yj:
-                continue
-            s = xi * yj
-            for k, c in row[j]:
-                out[k] += s * c
-    return tuple(out)
+    # the nonzero terms of x, then of y, over one common denominator d
+    terms = [(i, v) for i, v in enumerate(x) if v]
+    split = len(terms)
+    terms += [(j, v) for j, v in enumerate(y) if v]
+    d, ints = clear_denominators([v for _, v in terms])
+    pairs = [(i, c) for (i, _), c in zip(terms, ints)]
+    den = a.scale * d * d
+    return tuple(Fraction(v, den) if v else _ZERO
+                 for v in int_multiply(a, pairs[:split], pairs[split:]))
 
 
 def _units(a: Algebra, *factors) -> Optional[tuple[Vector, Subspace]]:
-    """Affine set of u with b_i u = b_i (from by_left_factor) and/or
-    u b_i = b_i (from by_right_factor) for every i: one row per (i, k, table)."""
+    """Affine set of u with b_i u = b_i (from int_by_left_factor) and/or
+    u b_i = b_i (from int_by_right_factor) for every i: one row per
+    (i, k, table), each equation multiplied by a.scale."""
     n = a.dim
     keys = [(i, k, f) for i in range(n) for k in range(n) for f in factors]
     return solve_affine_rows([dict(f[i][k]) for i, k, f in keys],
-                             [Fraction(i == k) for i, k, _ in keys], n)
+                             [a.scale * (i == k) for i, k, _ in keys], n)
 
 
 @cached
@@ -253,7 +266,7 @@ def right_identities(a: Algebra) -> Optional[tuple[Vector, Subspace]]:
     identity is particular + h with h in the subspace. The set is genuinely
     non-unique on some algebras, so callers must not assume a point.
     """
-    return _units(a, a.by_left_factor)
+    return _units(a, a.int_by_left_factor)
 
 
 def right_identity_samples(a: Algebra) -> tuple[Vector, ...]:
@@ -279,7 +292,7 @@ def right_identity_samples(a: Algebra) -> tuple[Vector, ...]:
 @cached
 def identity(a: Algebra) -> Optional[Vector]:
     """The two-sided identity element, if one exists."""
-    sol = _units(a, a.by_left_factor, a.by_right_factor)
+    sol = _units(a, a.int_by_left_factor, a.int_by_right_factor)
     if sol is None:
         return None
     particular, homogeneous = sol
@@ -294,9 +307,9 @@ def is_unital(a: Algebra) -> bool:
 
 def is_commutative(a: Algebra) -> bool:
     n = a.dim
+    prods = a.int_products
     return all(
-        a.products[i][j] == a.products[j][i]
-        for i in range(n) for j in range(i + 1, n)
+        prods[i][j] == prods[j][i] for i in range(n) for j in range(i + 1, n)
     )
 
 
@@ -344,29 +357,27 @@ def radical(a: Algebra) -> Subspace:
     representation. Adjoining a unit first makes that criterion apply to
     non-unital input as well; the radical never meets the adjoined line, so
     intersecting back with the original algebra loses nothing.
+
+    The form is read off the integer-scaled constants: its Gram matrix G
+    becomes D G D with D = diag(1, scale, ..., scale), whose null space
+    D^-1 null(G) meets the embedded algebra in the same span.
     """
     n = a.dim
-    # s[m] = trace of left multiplication by b_m
-    s = [_ZERO] * n
-    for m in range(n):
-        for k in range(n):
-            for l, c in a.products[m][k]:
-                if l == k:
-                    s[m] += c
-    gram = []
-    top = [Fraction(n + 1)] + s
-    gram.append(top)
+    prods = a.int_products
+    # s[m] = scale * trace of left multiplication by b_m
+    s = [sum(c for k in range(n) for l, c in prods[m][k] if l == k)
+         for m in range(n)]
+    gram = [[n + 1] + s]
     for i in range(n):
-        row = [s[i]] + [_ZERO] * n
-        for j in range(n):
-            row[j + 1] = sum((c * s[m] for m, c in a.products[i][j]), _ZERO)
-        gram.append(row)
+        gram.append([s[i]] + [sum(c * s[m] for m, c in prods[i][j])
+                              for j in range(n)])
     null = nullspace_of_rows(gram, n + 1)
     embedded = Subspace.span(
         n + 1, [basis_vector(n + 1, i + 1) for i in range(n)]
     )
     inside = subspace_intersect(null, embedded)
-    return Subspace.span(n, [v[1:] for v in inside.basis])
+    return Subspace.span(n, [{c - 1: v for c, v in pairs}
+                             for _, pairs in inside.rows])
 
 
 def subspace_product(a: Algebra, s: Subspace, t: Subspace) -> Subspace:
@@ -379,17 +390,8 @@ def subspace_product(a: Algebra, s: Subspace, t: Subspace) -> Subspace:
     n = a.dim
     if s.ambient_dim != n or t.ambient_dim != n:
         raise DimensionMismatch("subspaces must live in the algebra")
-    prods = a.int_products
-    products = []
-    for _, u in s.rows:
-        for _, v in t.rows:
-            acc: dict[int, int] = {}
-            for i, x in u:
-                for j, y in v:
-                    for k, c in prods[i][j]:
-                        acc[k] = acc.get(k, 0) + x * y * c
-            products.append(acc)
-    return Subspace.span(n, products)
+    return Subspace.span(n, [int_multiply(a, u, v)
+                             for _, u in s.rows for _, v in t.rows])
 
 
 def is_nilpotent_subspace(a: Algebra, s: Subspace) -> tuple[bool, Optional[int]]:

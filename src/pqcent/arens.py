@@ -20,13 +20,13 @@ times, and reads stage 3 on F = e_i** as the pairing e_i**(e_j**.e_k*);
 it is O(n^4) and built once per algebra. Check 2.4 runs the full
 three-stage `arens_product` only on its two dense sample pairs, once per
 algebra, and evaluates the weighted identity on those samples per solved
-operator in integers, from the bidual's scaled constants. Stage 1 runs
-once per basis pair (e_r*, e_i), n^2 in all, into a cached dual-module
-table, and the adjoint scan evaluates the transposed identity per solved
-operator from that table and the sparse rows and columns of the
-operator, in integers. Both tables are still computed from
-the staged actions, never read off the structure constants: that equality
-is what check 2.4 asserts.
+operator in integers, from the integer forms of the bidual's
+multiplications by the samples. Stage 1 runs once per basis pair
+(e_r*, e_i), n^2 in all, into a cached dual-module table, and the adjoint
+scan evaluates the transposed identity per solved operator from that table
+and the sparse rows and columns of the operator, in integers. Both tables
+are still computed from the staged actions, never read off the structure
+constants: that equality is what check 2.4 asserts.
 """
 
 from __future__ import annotations
@@ -42,8 +42,10 @@ from .centralizers import (
     IntOperator,
     Weights,
     combine_columns,
+    left_mul_int,
     pq_centralizers,
     residual,
+    right_mul_int,
     weighted,
 )
 from .linalg import (
@@ -197,43 +199,36 @@ def _adjoint_witness(a: Algebra, t: IntOperator, p: int, q: int
 class _Sample(NamedTuple):
     """One dense sample pair (F, H) of check 2.4, integer vectors with
     coordinates f and h: the staged product F * H is fh / den, and
-    right_h, left_f are the sparse integer columns of x -> x*H and
-    x -> F*x under the bidual's integer-scaled product."""
+    right_h, left_f are the integer forms of x -> x*H and x -> F*x under
+    the bidual's product."""
 
     f: list
     h: list
     den: int
     fh: list
-    right_h: list
-    left_f: list
+    right_h: IntOperator
+    left_f: IntOperator
 
 
 def _sample(a: Algebra, bidual: Algebra, f: list, h: list) -> _Sample:
-    n = a.dim
     den, fh = clear_denominators(arens_product(a, f, h))
-    right = [[0] * n for _ in range(n)]
-    left = [[0] * n for _ in range(n)]
-    for i, plane in enumerate(bidual.int_products):
-        for j, pairs in enumerate(plane):
-            for k, c in pairs:
-                right[i][k] += h[j] * c
-                left[j][k] += f[i] * c
-    return _Sample(f, h, den, fh,
-                   *([[(k, v) for k, v in enumerate(col) if v] for col in mat]
-                     for mat in (right, left)))
+    return _Sample(f, h, den, fh, right_mul_int(bidual, h),
+                   left_mul_int(bidual, f))
 
 
-def _sample_holds(t: IntOperator, s: _Sample, scale: int, p: int, q: int
-                  ) -> bool:
-    """(p+q) T(F * H) = p (TF)*H + q F*(TH), where * is the bidual product
-    with constants scaled by `scale`; both sides are multiplied by the
-    product of the scales and t.den."""
+def _sample_holds(t: IntOperator, s: _Sample, p: int, q: int) -> bool:
+    """(p+q) T(F * H) = p (TF)*H + q F*(TH), where * is the bidual product;
+    both sides are multiplied by t.den, s.den and the dens of the two
+    multiplication operators."""
     tf, th, lhs = (combine_columns(t.cols, enumerate(x))
                    for x in (s.f, s.h, s.fh))
-    rhs_p = combine_columns(s.right_h, enumerate(tf))
-    rhs_q = combine_columns(s.left_f, enumerate(th))
-    return all(scale * (p + q) * x == s.den * (p * y + q * z)
-               for x, y, z in zip(lhs, rhs_p, rhs_q))
+    right, left = s.right_h, s.left_f
+    rhs_p = combine_columns(right.cols, enumerate(tf))
+    rhs_q = combine_columns(left.cols, enumerate(th))
+    return all(
+        right.den * left.den * (p + q) * x
+        == s.den * (left.den * p * y + right.den * q * z)
+        for x, y, z in zip(lhs, rhs_p, rhs_q))
 
 
 @cached
@@ -295,7 +290,7 @@ def verify_bidual_extension(a: Algebra, w: Weights) -> Report:
         ))
 
         for k, sample in enumerate(samples):
-            ok = _sample_holds(t, sample, bidual.scale, p, q)
+            ok = _sample_holds(t, sample, p, q)
             assertions.append(Assertion(
                 f"basis operator {idx}: weighted identity holds on dense "
                 f"pipeline sample {k}",

@@ -14,12 +14,13 @@ at the extreme displacements along each homogeneous basis direction.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .algebras import (
     Algebra,
     center,
     identity,
+    int_multiply,
     is_commutative,
     is_nilpotent_subspace,
     is_unital,
@@ -461,19 +462,6 @@ def verify_commutative_weights_coincide(a: Algebra, w: Weights) -> Report:
 # check id 5.2
 # ---------------------------------------------------------------------------
 
-def _int_mul(a: Algebra, x: Sequence[int], y: Sequence[int]) -> list[int]:
-    """a.scale * x * y, for integer coefficient lists x and y."""
-    prods = a.int_products
-    out = [0] * a.dim
-    for i, xi in enumerate(x):
-        if xi:
-            for j, yj in enumerate(y):
-                if yj:
-                    for k, c in prods[i][j]:
-                        out[k] += xi * yj * c
-    return out
-
-
 def _reconstruction_residual(a: Algebra, t: IntOperator, u
                              ) -> Optional[tuple[int, Vector]]:
     """The first basis index i with T(b_i) != (b_i - u b_i) T(u) + u T(b_i),
@@ -485,18 +473,18 @@ def _reconstruction_residual(a: Algebra, t: IntOperator, u
     """
     n = a.dim
     d, us = clear_denominators(u)
+    us = [(k, x) for k, x in enumerate(us) if x]
     ds = d * a.scale
-    tu = combine_columns(t.cols, enumerate(us))  # den d T(u)
+    tu = combine_columns(t.cols, us)  # den d T(u)
     for i in range(n):
         ti = [0] * n  # den T(b_i)
         for k, v in t.cols[i]:
             ti[k] = v
-        unit = [0] * n
-        unit[i] = 1
         # ds (b_i - u b_i)
-        v = [ds * (k == i) - x for k, x in enumerate(_int_mul(a, us, unit))]
-        vt = _int_mul(a, v, tu)  # den ds^2 (b_i - u b_i) T(u)
-        ut = _int_mul(a, us, ti)  # den ds u T(b_i)
+        v = [ds * (k == i) - x
+             for k, x in enumerate(int_multiply(a, us, ((i, 1),)))]
+        vt = int_multiply(a, enumerate(v), enumerate(tu))  # den ds^2 (b_i - u b_i) T(u)
+        ut = int_multiply(a, us, t.cols[i])  # den ds u T(b_i)
         res = [ds * (ds * x - y) - z for x, y, z in zip(ti, ut, vt)]
         if any(res):
             return i, tuple(Fraction(r, t.den * ds * ds) for r in res)

@@ -4,7 +4,9 @@ The package computes with operators in their integer form
 (`pqcent.centralizers.IntOperator`) and keeps `Matrix` only as a value
 type. These helpers are the straightforward dense versions of the matrix
 operations the tests still need: building vectors and matrices, products,
-transposes and matrix-vector products, all in exact Fraction arithmetic.
+transposes and matrix-vector products, all in exact Fraction arithmetic,
+and the Fraction views of the structure constants by one factor, walked
+from the dense table.
 """
 
 from fractions import Fraction
@@ -58,4 +60,30 @@ def _ref_apply_matrix(m, v):
         sum((m.entries[i * m.cols + j] * vj for j, vj in enumerate(v) if vj),
             _ZERO)
         for i in range(m.rows)
+    )
+
+
+def _ref_by_right_factor(n, table):
+    return tuple(
+        tuple(
+            tuple(
+                (m, table[m][j][k]) for m in range(n)
+                if table[m][j][k]
+            )
+            for k in range(n)
+        )
+        for j in range(n)
+    )
+
+
+def _ref_by_left_factor(n, table):
+    return tuple(
+        tuple(
+            tuple(
+                (m, table[i][m][k]) for m in range(n)
+                if table[i][m][k]
+            )
+            for k in range(n)
+        )
+        for i in range(n)
     )

@@ -1,6 +1,7 @@
 import time
 from fractions import Fraction
 from itertools import permutations
+from random import Random
 
 import pytest
 import sympy
@@ -21,7 +22,9 @@ from pqcent.algebras import (
     is_commutative,
     make_algebra,
     multiply,
+    radical,
     right_identities,
+    subspace_product,
 )
 from pqcent.centralizers import (
     LEFT,
@@ -63,6 +66,7 @@ from pqcent.linalg import (
     _kernel,
     _reduce,
     basis_vector,
+    full_space,
     nullspace_of_rows,
     subspace_intersect,
 )
@@ -307,6 +311,33 @@ def test_fractional_constants_give_the_rescaled_spaces():
             moved = [[t[k * n + m] * s[m] / s[k] for k in range(n) for m in range(n)]
                      for t in solve(a).space.basis]
             assert solve(b) == operator_space(n, moved), name
+
+        # the structure functions, read directly on the fractional constants
+        def move(v):
+            return tuple(x / sk for x, sk in zip(v, s))
+
+        def moved_space(space):
+            return Subspace.span(n, [move(v) for v in space.basis])
+
+        sol = right_identities(a)
+        assert sol is not None, name
+        assert right_identities(b) == (move(sol[0]), moved_space(sol[1])), name
+        e = identity(a)
+        assert identity(b) == (None if e is None else move(e)), name
+        for structure in (center, radical):
+            assert structure(b) == moved_space(structure(a)), name
+        rng = Random(name)
+        xs = [tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n))
+              for _ in range(4)]
+        for x in xs:
+            for y in xs:
+                assert multiply(b, move(x), move(y)) == move(multiply(a, x, y)), name
+        spaces = [Subspace.span(n, xs[:2]), Subspace.span(n, xs[2:3]),
+                  center(a), radical(a), full_space(n)]
+        for left in spaces:
+            for right in spaces:
+                assert subspace_product(b, moved_space(left), moved_space(right)) \
+                    == moved_space(subspace_product(a, left, right)), name
 
 
 def test_operator_space_wraps_canonical_subspace():

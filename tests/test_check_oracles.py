@@ -285,8 +285,8 @@ def test_inputs_cover_fractional_constants_and_failures():
     ops = _operators("matrix2")
     assert any(residual(a, t, weighted(Weights(1, 2))) is None for t in ops)
     assert any(residual(a, t, weighted(Weights(1, 2))) is not None for t in ops)
-    _, samples, bidual = _staged_samples(a)
-    assert {_sample_holds(int_operator(t), s, bidual.scale, 1, 2)
+    _, samples, _ = _staged_samples(a)
+    assert {_sample_holds(int_operator(t), s, 1, 2)
             for t in ops for s in samples} == {True, False}
 
 
@@ -308,7 +308,7 @@ def test_integer_dense_samples_match_the_fraction_samples(name):
         for s in samples:
             fh = tuple(Fraction(v, s.den) for v in s.fh)
             for p, q in DEFAULT_WEIGHT_PAIRS:
-                assert _sample_holds(it, s, bidual.scale, p, q) == \
+                assert _sample_holds(it, s, p, q) == \
                     _ref_dense_sample(bidual, t, _ref_vec(s.f), _ref_vec(s.h),
                                       fh, p, q), \
                     (name, t, p, q)

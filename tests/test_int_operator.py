@@ -14,7 +14,8 @@ from random import Random
 
 import pytest
 
-from dense_ref import _ref_apply_matrix
+from dense_ref import (_ref_apply_matrix, _ref_by_left_factor,
+                       _ref_by_right_factor)
 from pqcent.algebras import make_algebra
 from pqcent.centralizers import (
     IntOperator,
@@ -124,8 +125,8 @@ def test_multiplication_forms_match_the_dense_operators(name):
         x = [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
              if rng.random() < 0.7 else _ZERO for _ in range(n)]
         for build, dense, by_factor in (
-                (right_mul_int, right_mul, a.by_right_factor),
-                (left_mul_int, left_mul, a.by_left_factor)):
+                (right_mul_int, right_mul, _ref_by_right_factor(n, a.table)),
+                (left_mul_int, left_mul, _ref_by_left_factor(n, a.table))):
             t = build(a, x)
             _assert_canonical(t, n)
             assert dense(a, x) == _ref_mul_operator(a, x, by_factor), name
