@@ -25,7 +25,6 @@ from .linalg import (
     DimensionMismatch,
     Subspace,
     Vector,
-    basis_vector,
     clear_denominators,
     nullspace_of_rows,
     solve_affine_rows,
@@ -144,14 +143,25 @@ class Algebra:
         return f"Algebra({self.name or '?'}, dim={self.dim})"
 
 
+def _index_error(dim: int, i: int, j: int, x: int) -> ValueError:
+    return ValueError(
+        f"product ({i}, {j}): index {x} out of range for dimension {dim}")
+
+
 def normalize_products(dim: int, terms) -> tuple:
     """Canonical products from {(i, j): (k, c) pairs}: repeated k are summed,
     zeros dropped, pairs sorted by k. An exact Fraction is kept as it is;
-    any other value is converted."""
+    any other value is converted. An index i, j or k outside [0, dim)
+    raises ValueError."""
     products = [[()] * dim for _ in range(dim)]
     for (i, j), pairs in terms.items():
+        for x in (i, j):
+            if not 0 <= x < dim:
+                raise _index_error(dim, i, j, x)
         acc: dict[int, Fraction] = {}
         for k, c in pairs:
+            if not 0 <= k < dim:
+                raise _index_error(dim, i, j, k)
             if c:
                 c = c if type(c) is Fraction else Fraction(c)
                 acc[k] = acc[k] + c if k in acc else c
@@ -186,7 +196,8 @@ def _check_associativity(a: Algebra) -> None:
 def algebra_from_terms(dim: int, terms, *, name: str = "",
                        basis_names: Optional[Sequence[str]] = None) -> Algebra:
     """Build a validated algebra from {(i, j): (k, c) pairs} of the basis
-    products b_i * b_j; omitted pairs multiply to zero."""
+    products b_i * b_j; omitted pairs multiply to zero. An index outside
+    [0, dim) raises ValueError naming the pair and the index."""
     if dim < 1:
         raise ValueError("algebra dimension must be at least 1")
     names = tuple(basis_names) if basis_names is not None else None
@@ -356,28 +367,21 @@ def radical(a: Algebra) -> Subspace:
     of the bilinear form (x, y) -> trace(L_{xy}) of the left regular
     representation. Adjoining a unit first makes that criterion apply to
     non-unital input as well; the radical never meets the adjoined line, so
-    intersecting back with the original algebra loses nothing.
+    it is the set of y with (0, y) in the null space of the Gram matrix G:
+    the null space of G without its first column.
 
-    The form is read off the integer-scaled constants: its Gram matrix G
-    becomes D G D with D = diag(1, scale, ..., scale), whose null space
-    D^-1 null(G) meets the embedded algebra in the same span.
+    The form is read off the integer-scaled constants: G becomes D G D
+    with D = diag(1, scale, ..., scale), which changes no such null space.
     """
     n = a.dim
     prods = a.int_products
     # s[m] = scale * trace of left multiplication by b_m
     s = [sum(c for k in range(n) for l, c in prods[m][k] if l == k)
          for m in range(n)]
-    gram = [[n + 1] + s]
-    for i in range(n):
-        gram.append([s[i]] + [sum(c * s[m] for m, c in prods[i][j])
-                              for j in range(n)])
-    null = nullspace_of_rows(gram, n + 1)
-    embedded = Subspace.span(
-        n + 1, [basis_vector(n + 1, i + 1) for i in range(n)]
-    )
-    inside = subspace_intersect(null, embedded)
-    return Subspace.span(n, [{c - 1: v for c, v in pairs}
-                             for _, pairs in inside.rows])
+    # G without its first column: the adjoined unit's row, then b_i's rows
+    gram = [s] + [[sum(c * s[m] for m, c in prods[i][j]) for j in range(n)]
+                  for i in range(n)]
+    return nullspace_of_rows(gram, n)
 
 
 def subspace_product(a: Algebra, s: Subspace, t: Subspace) -> Subspace:

@@ -17,16 +17,15 @@ through the staged actions.
 Cost on an n-dimensional algebra: the basis product table makes one
 stage-2 call per pair (e_j**, e_k*), n^2 in all, each running stage 1 n
 times, and reads stage 3 on F = e_i** as the pairing e_i**(e_j**.e_k*);
-it is O(n^4) and built once per algebra. Check 2.4 runs the full
-three-stage `arens_product` only on its two dense sample pairs, once per
-algebra, and evaluates the weighted identity on those samples per solved
-operator in integers, from the integer forms of the bidual's
-multiplications by the samples. Stage 1 runs once per basis pair
-(e_r*, e_i), n^2 in all, into a cached dual-module table, and the adjoint
-scan evaluates the transposed identity per solved operator from that table
-and the sparse rows and columns of the operator, in integers. Both tables
-are still computed from the staged actions, never read off the structure
-constants: that equality is what check 2.4 asserts.
+it is O(n^4) and built once per algebra. Check 2.4 reads that table as
+one algebra, the bidual, and every statement it checks per solved operator
+reads the bidual's integer constants: the weighted identity on all basis
+pairs, the identity on the two dense samples, and the transposed identity
+of the adjoint scan, whose functionals e_r*.e_i are the bidual's products
+regrouped by left factor. The full three-stage `arens_product` runs only
+on the two dense sample pairs, once per algebra. The table is computed
+from the staged actions, never read off the structure constants: that
+equality is what check 2.4 asserts.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .algebras import (Algebra, cached, multiply, normalize_products,
+from .algebras import (Algebra, cached, int_multiply, normalize_products,
                        right_identity_samples)
 from .centralizers import (
     LEFT,
@@ -42,10 +41,8 @@ from .centralizers import (
     IntOperator,
     Weights,
     combine_columns,
-    left_mul_int,
     pq_centralizers,
     residual,
-    right_mul_int,
     weighted,
 )
 from .linalg import (
@@ -144,35 +141,20 @@ def arens_basis_products(a: Algebra) -> tuple:
     )
 
 
-@cached
-def dual_module_table(a: Algebra) -> tuple:
-    """dual[r][i] = nonzero (j, c) pairs of the functional e_r*.e_i.
-
-    Stage 1 runs once per basis pair. Every c is scaled to an integer by
-    one lcm of the table's denominators; the transposed identity is linear
-    in the table, so the scaling changes no verdict.
-    """
-    n = a.dim
-    basis = [basis_vector(n, i) for i in range(n)]
-    _, ints = clear_denominators([
-        c for f in basis for e in basis
-        for c in functional_times_element(a, f, e)])
-    pairs = [tuple((j, c) for j, c in enumerate(ints[x * n:(x + 1) * n]) if c)
-             for x in range(n * n)]
-    return tuple(tuple(pairs[r * n:(r + 1) * n]) for r in range(n))
-
-
-def _adjoint_witness(a: Algebra, t: IntOperator, p: int, q: int
+def _adjoint_witness(bidual: Algebra, t: IntOperator, p: int, q: int
                      ) -> Optional[tuple[int, int]]:
     """The first (r, i), in row-major order, on which the adjoint of t
     fails (p+q)(T*f_r).e_i = p f_r.(T e_i) + q T*(f_r.e_i) on the dual
     basis f_r and the basis e_i; None if it holds on every pair.
 
-    Evaluated sparsely from the dual-module table: T*f_r is row r of t,
-    T e_i is column i, and T* applied to a functional g is sum_l g_l row l.
+    The functional f_r.e_i is j -> (e_i** * e_j**)(f_r) on the staged
+    table, so bidual.int_by_left_factor[i][r] holds its (j, c) pairs,
+    scaled to integers; the identity is linear in them, so the scaling
+    changes no verdict. T*f_r is row r of t, T e_i is column i, and T*
+    applied to a functional g is sum_l g_l row l.
     """
-    n = a.dim
-    dual = dual_module_table(a)
+    n = bidual.dim
+    dual = bidual.int_by_left_factor
     cols = t.cols
     rows: list = [[] for _ in range(n)]
     for m, col in enumerate(cols):
@@ -183,12 +165,12 @@ def _adjoint_witness(a: Algebra, t: IntOperator, p: int, q: int
         for i in range(n):
             res = [0] * n
             for k, v in lhs_terms:
-                for j, c in dual[k][i]:
+                for j, c in dual[i][k]:
                     res[j] += v * c
             for m, v in cols[i]:
-                for j, c in dual[r][m]:
+                for j, c in dual[m][r]:
                     res[j] -= p * v * c
-            for l, c in dual[r][i]:
+            for l, c in dual[i][r]:
                 for j, v in rows[l]:
                     res[j] -= q * c * v
             if any(res):
@@ -198,37 +180,24 @@ def _adjoint_witness(a: Algebra, t: IntOperator, p: int, q: int
 
 class _Sample(NamedTuple):
     """One dense sample pair (F, H) of check 2.4, integer vectors with
-    coordinates f and h: the staged product F * H is fh / den, and
-    right_h, left_f are the integer forms of x -> x*H and x -> F*x under
-    the bidual's product."""
+    coordinates f and h: the staged product F * H is fh / den."""
 
     f: list
     h: list
     den: int
     fh: list
-    right_h: IntOperator
-    left_f: IntOperator
 
 
-def _sample(a: Algebra, bidual: Algebra, f: list, h: list) -> _Sample:
-    den, fh = clear_denominators(arens_product(a, f, h))
-    return _Sample(f, h, den, fh, right_mul_int(bidual, h),
-                   left_mul_int(bidual, f))
-
-
-def _sample_holds(t: IntOperator, s: _Sample, p: int, q: int) -> bool:
+def _sample_holds(bidual: Algebra, t: IntOperator, s: _Sample, p: int,
+                  q: int) -> bool:
     """(p+q) T(F * H) = p (TF)*H + q F*(TH), where * is the bidual product;
-    both sides are multiplied by t.den, s.den and the dens of the two
-    multiplication operators."""
+    both sides are multiplied by t.den, s.den and bidual.scale."""
     tf, th, lhs = (combine_columns(t.cols, enumerate(x))
                    for x in (s.f, s.h, s.fh))
-    right, left = s.right_h, s.left_f
-    rhs_p = combine_columns(right.cols, enumerate(tf))
-    rhs_q = combine_columns(left.cols, enumerate(th))
-    return all(
-        right.den * left.den * (p + q) * x
-        == s.den * (left.den * p * y + right.den * q * z)
-        for x, y, z in zip(lhs, rhs_p, rhs_q))
+    rhs_p = int_multiply(bidual, enumerate(tf), enumerate(s.h))
+    rhs_q = int_multiply(bidual, enumerate(s.f), enumerate(th))
+    return all(bidual.scale * (p + q) * x == s.den * (p * y + q * z)
+               for x, y, z in zip(lhs, rhs_p, rhs_q))
 
 
 @cached
@@ -239,23 +208,16 @@ def _staged_samples(a: Algebra) -> tuple:
     products, and the double-dual basis as an algebra."""
     n = a.dim
     products = arens_basis_products(a)
-    bad = next(
-        (
-            (i, j)
-            for i in range(n)
-            for j in range(n)
-            if products[i][j]
-            != multiply(a, basis_vector(n, i), basis_vector(n, j))
-        ),
-        None,
-    )
     bidual = Algebra(n, normalize_products(n, {
         (i, j): enumerate(products[i][j]) for i in range(n) for j in range(n)
     }), name=f"bidual of {target_name(a)}")
-    samples = tuple(_sample(a, bidual, f, h) for f, h in (
-        ([1] * n, [(-1) ** k for k in range(n)]),
-        (list(range(1, n + 1)), [1] * n),
-    ))
+    # both tables are normalized sparse pairs, so equal products compare equal
+    bad = next(((i, j) for i in range(n) for j in range(n)
+                if bidual.products[i][j] != a.products[i][j]), None)
+    samples = tuple(
+        _Sample(f, h, *clear_denominators(arens_product(a, f, h)))
+        for f, h in (([1] * n, [(-1) ** k for k in range(n)]),
+                     (list(range(1, n + 1)), [1] * n)))
     return bad, samples, bidual
 
 
@@ -290,7 +252,7 @@ def verify_bidual_extension(a: Algebra, w: Weights) -> Report:
         ))
 
         for k, sample in enumerate(samples):
-            ok = _sample_holds(t, sample, p, q)
+            ok = _sample_holds(bidual, t, sample, p, q)
             assertions.append(Assertion(
                 f"basis operator {idx}: weighted identity holds on dense "
                 f"pipeline sample {k}",
@@ -299,7 +261,7 @@ def verify_bidual_extension(a: Algebra, w: Weights) -> Report:
                 else f"F = {fmt_vector(sample.f)}, H = {fmt_vector(sample.h)}",
             ))
 
-        bad_adj = _adjoint_witness(a, t, p, q)
+        bad_adj = _adjoint_witness(bidual, t, p, q)
         assertions.append(Assertion(
             f"basis operator {idx}: adjoint satisfies the transposed "
             f"weighted identity on the dual",

@@ -57,9 +57,9 @@ from .linalg import (
     Vector,
     basis_vector,
     clear_denominators,
+    lift,
     nullspace_of_rows,
     subspace_contains,
-    subspace_intersect,
 )
 from .reports import (
     Assertion,
@@ -519,6 +519,23 @@ def verify_jordan_reconstruction(a: Algebra, w: Weights) -> Report:
 # check id 5.3
 # ---------------------------------------------------------------------------
 
+def _central_image_part(space: OperatorSpace, one: Vector, z: Subspace
+                        ) -> Subspace:
+    """The operators T in `space` with T(one) in z, as a subspace of
+    n^2-space, solved in the space's own coordinates.
+
+    With R_i the primitive rows of the space, sum_i y_i R_i(one) lies in z
+    iff its remainder modulo z vanishes. The remainder is linear, so there
+    is one row per coordinate r, entry i the r-th coordinate of the
+    remainder of R_i(one), and the kernel in y is lifted onto the R_i.
+    """
+    _, ones = clear_denominators(one)
+    images = [z.reduce_vector(combine_columns(t.cols, enumerate(ones)))
+              for t in space.int_operators]
+    rows = [[v[r] for v in images] for r in range(space.algebra_dim)]
+    return lift(space.space, nullspace_of_rows(rows, space.dim))
+
+
 def verify_central_image_implies_two_sided(a: Algebra, w: Weights) -> Report:
     """On a unital algebra, the Jordan centralizers whose value at the
     identity is central form a subspace contained in the two-sided space.
@@ -529,22 +546,9 @@ def verify_central_image_implies_two_sided(a: Algebra, w: Weights) -> Report:
     one = identity(a)
     if one is None:
         return precondition_unmet("5.3", target_name(a), w.pair, "no two-sided identity")
-    n = a.dim
     cj = pq_jordan_centralizers(a, w)
     cts = two_sided_centralizers(a)
-    z = center(a)
-
-    # residual of reduction against the center basis is linear in its
-    # argument; T(1) is central iff that residual of T(1) vanishes
-    proj_cols = [z.reduce_vector(basis_vector(n, i)) for i in range(n)]
-    support = [(m, om) for m, om in enumerate(one) if om]
-    rows = []
-    for r in range(n):
-        row = {i * n + m: proj_cols[i][r] * om
-               for i in range(n) if proj_cols[i][r] for m, om in support}
-        if row:
-            rows.append(row)
-    central_part = subspace_intersect(cj.space, nullspace_of_rows(rows, n * n))
+    central_part = _central_image_part(cj, one, center(a))
 
     contained = subspace_contains(cts.space, central_part)
     assertions = [Assertion(

@@ -94,6 +94,20 @@ def test_make_algebra_rejects_bad_shape():
         make_algebra(0, [])
 
 
+@pytest.mark.parametrize("terms, pair, index", [
+    ({(-1, 0): [(0, 1)]}, (-1, 0), -1),  # would write b1*b0
+    ({(0, 0): [(-1, 1)]}, (0, 0), -1),  # would store k = -1
+    ({(0, 0): [(5, 1)]}, (0, 0), 5),
+    ({(2, 0): [(0, 1)]}, (2, 0), 2),
+])
+def test_algebra_from_terms_rejects_an_index_out_of_range(terms, pair, index):
+    with pytest.raises(ValueError) as exc:
+        algebra_from_terms(2, terms)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == (
+        f"product {pair}: index {index} out of range for dimension 2")
+
+
 def test_catalog_constructs():
     cat = fixtures()
     assert set(cat) >= {

@@ -169,21 +169,35 @@ def test_basis_product_table_is_cached(catalog):
     assert arens_basis_products(a) is arens_basis_products(a)
 
 
-def test_dual_module_table_runs_stage_one_once_per_basis_pair(monkeypatch):
+def test_bidual_holds_the_dual_module_and_a_second_check_runs_no_stage(
+        monkeypatch):
     calls = []
-    stage = arens.functional_times_element
-    monkeypatch.setattr(arens, "functional_times_element",
-                        lambda a, f, x: calls.append(1) or stage(a, f, x))
+
+    def counted(stage):
+        return lambda a, x, y: calls.append(1) or stage(a, x, y)
+
+    for name in ("functional_times_element", "bidual_times_functional",
+                 "arens_product"):
+        monkeypatch.setattr(arens, name, counted(getattr(arens, name)))
     a = matrix_algebra(2)
     n = a.dim
-    table = arens.dual_module_table(a)
-    assert len(calls) == n * n
-    assert arens.dual_module_table(a) is table
-    # e_r*.e_i is the functional y -> e_r*(e_i y), i.e. j -> c[i][j][r]
-    for r in range(n):
-        for i in range(n):
-            assert table[r][i] == tuple(
-                (j, a.table[i][j][r]) for j in range(n) if a.table[i][j][r])
+    verify_bidual_extension(a, W12)
+    assert calls
+    calls.clear()
+    assert verify_bidual_extension(a, W12).status == PASS
+    assert not calls
+    # e_r*.e_i is the functional e_j -> e_r*(e_i e_j), read from the bidual
+    # by left factor i and output r, times the bidual's scale
+    rescaled = _rescaled(a, [Fraction(1, 2), 3, Fraction(-2, 5), 1])
+    for b in (a, rescaled):
+        _, _, bidual = arens._staged_samples(b)
+        for r in range(n):
+            for i in range(n):
+                stage_one = functional_times_element(
+                    b, basis_vector(n, r), basis_vector(n, i))
+                assert bidual.int_by_left_factor[i][r] == tuple(
+                    (j, bidual.scale * c) for j, c in enumerate(stage_one) if c)
+    assert bidual.scale > 1
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 Fraction code they replaced, kept here verbatim as `_ref_` oracles: the
 adjoint scan and the dense samples of check 2.4, `residual`,
 `Subspace.reduce_vector`, check 2.3's multiplicativity scan, and check
-5.2's reconstruction residual.
+5.2's reconstruction residual. `radical` and check 5.3's central-image cut
+are compared with the routes through `subspace_intersect` they replaced.
 
 The helpers read operators in their canonical integer form, so each test
 passes `int_operator(t)` where its oracle takes the dense `Matrix` t; the
@@ -16,9 +17,11 @@ import pytest
 
 from dense_ref import _ref_apply_matrix, _ref_matmul, _ref_transpose, _ref_vec
 from pqcent.algebras import (
+    center,
     identity,
     make_algebra,
     multiply,
+    radical,
     right_identity_samples,
 )
 from pqcent.arens import (
@@ -34,16 +37,25 @@ from pqcent.centralizers import (
     Weights,
     int_operator,
     jordan,
+    left_centralizers,
     pq_centralizers,
     pq_jordan_centralizers,
     residual,
+    right_centralizers,
     two_sided_centralizers,
     weighted,
 )
 from pqcent.fixtures import fixtures, random_algebra, random_poly_quotient
-from pqcent.linalg import Matrix, basis_vector, nullspace_of_rows
+from pqcent.linalg import (
+    Matrix,
+    Subspace,
+    basis_vector,
+    nullspace_of_rows,
+    subspace_intersect,
+)
 from pqcent.verify import (
     DEFAULT_WEIGHT_PAIRS,
+    _central_image_part,
     _nonmultiplicative_pair,
     _reconstruction_residual,
 )
@@ -181,6 +193,38 @@ def _ref_reconstruction_residual(a, t, u):
     return None
 
 
+def _ref_radical(a):
+    n = a.dim
+    prods = a.int_products
+    s = [sum(c for k in range(n) for l, c in prods[m][k] if l == k)
+         for m in range(n)]
+    gram = [[n + 1] + s]
+    for i in range(n):
+        gram.append([s[i]] + [sum(c * s[m] for m, c in prods[i][j])
+                              for j in range(n)])
+    null = nullspace_of_rows(gram, n + 1)
+    embedded = Subspace.span(
+        n + 1, [basis_vector(n + 1, i + 1) for i in range(n)]
+    )
+    inside = subspace_intersect(null, embedded)
+    return Subspace.span(n, [{c - 1: v for c, v in pairs}
+                             for _, pairs in inside.rows])
+
+
+def _ref_central_part(a, space, one):
+    n = a.dim
+    z = center(a)
+    proj_cols = [z.reduce_vector(basis_vector(n, i)) for i in range(n)]
+    support = [(m, om) for m, om in enumerate(one) if om]
+    rows = []
+    for r in range(n):
+        row = {i * n + m: proj_cols[i][r] * om
+               for i in range(n) if proj_cols[i][r] for m, om in support}
+        if row:
+            rows.append(row)
+    return subspace_intersect(space.space, nullspace_of_rows(rows, n * n))
+
+
 # ---------------------------------------------------------------------------
 # inputs
 # ---------------------------------------------------------------------------
@@ -285,17 +329,18 @@ def test_inputs_cover_fractional_constants_and_failures():
     ops = _operators("matrix2")
     assert any(residual(a, t, weighted(Weights(1, 2))) is None for t in ops)
     assert any(residual(a, t, weighted(Weights(1, 2))) is not None for t in ops)
-    _, samples, _ = _staged_samples(a)
-    assert {_sample_holds(int_operator(t), s, 1, 2)
+    _, samples, bidual = _staged_samples(a)
+    assert {_sample_holds(bidual, int_operator(t), s, 1, 2)
             for t in ops for s in samples} == {True, False}
 
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
 def test_sparse_adjoint_scan_matches_the_dense_scan(name):
     a = ALGEBRAS[name]
+    _, _, bidual = _staged_samples(a)
     for t in _operators(name):
         for p, q in DEFAULT_WEIGHT_PAIRS:
-            assert _adjoint_witness(a, int_operator(t), p, q) == \
+            assert _adjoint_witness(bidual, int_operator(t), p, q) == \
                 _ref_adjoint_scan(a, t, p, q), (name, t, p, q)
 
 
@@ -308,7 +353,7 @@ def test_integer_dense_samples_match_the_fraction_samples(name):
         for s in samples:
             fh = tuple(Fraction(v, s.den) for v in s.fh)
             for p, q in DEFAULT_WEIGHT_PAIRS:
-                assert _sample_holds(it, s, p, q) == \
+                assert _sample_holds(bidual, it, s, p, q) == \
                     _ref_dense_sample(bidual, t, _ref_vec(s.f), _ref_vec(s.h),
                                       fh, p, q), \
                     (name, t, p, q)
@@ -406,3 +451,41 @@ def test_integer_reconstruction_matches_the_fraction_reconstruction(name):
     # with a unit u = 1 the split is T(a) = 0 T(1) + T(a) for every T;
     # without one, the random operators give witnesses
     assert found == ({True} if identity(a) is not None else {True, False}), name
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_radical_matches_the_intersection_route(name):
+    a = ALGEBRAS[name]
+    assert radical(a) == _ref_radical(a), name
+
+
+def test_radical_inputs_cover_a_proper_nonzero_radical():
+    dims = {(radical(a).dim, a.dim) for a in ALGEBRAS.values()}
+    assert any(0 < r < n for r, n in dims)
+
+
+# the cut is strict on the one-sided spaces of these unital algebras, and
+# the rescaled group_s3 has primitive rows whose dens differ, so it tells
+# R_i(1) from T_i(1)
+STRICT_CUTS = {"matrix2": (4, 1), "group_s3": (6, 3), "group_q8": (8, 5),
+               "rescaled group_s3": (6, 3)}
+
+
+@pytest.mark.parametrize("name", UNITAL)
+def test_central_image_cut_matches_the_intersection_route(name):
+    a = ALGEBRAS[name]
+    one = identity(a)
+    spaces = [left_centralizers(a), right_centralizers(a)]
+    spaces += [pq_jordan_centralizers(a, Weights(*pair))
+               for pair in DEFAULT_WEIGHT_PAIRS]
+    for space in spaces:
+        got = _central_image_part(space, one, center(a))
+        assert got == _ref_central_part(a, space, one), name
+    if name in STRICT_CUTS:
+        for space in spaces[:2]:
+            assert (space.dim, _central_image_part(space, one, center(a)).dim) \
+                == STRICT_CUTS[name], name
+
+
+def test_strict_cut_inputs_are_unital():
+    assert set(STRICT_CUTS) <= set(UNITAL)
