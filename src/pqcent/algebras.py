@@ -2,9 +2,15 @@
 
 An algebra of dimension n is determined by the rational tensor c[i][j][k]
 with basis products b_i b_j = sum_k c[i][j][k] b_k. Associativity is checked
-exhaustively at construction; everything downstream assumes it. Elements are
-plain coefficient tuples in the defining basis, and subspaces of the algebra
-reuse the canonical `Subspace` type from `linalg`.
+exactly at construction, by Light's test over a generating set (see
+`generators`); everything downstream assumes it. Elements are plain
+coefficient tuples in the defining basis, and subspaces of the algebra reuse
+the canonical `Subspace` type from `linalg`.
+
+A statement "for every basis element x" whose set of solutions x is closed
+under products needs checking only on a generating set: the center, the
+right and two-sided identities here, and the one-sided centralizer rows in
+`centralizers`, all quantify over `generators(a)`.
 
 Every statement computed here is homogeneous in the constants, so every
 computation reads them multiplied once by the lcm of their denominators:
@@ -25,9 +31,11 @@ from .linalg import (
     DimensionMismatch,
     Subspace,
     Vector,
+    _echelon_insert,
+    _nullspace,
+    _solve_affine,
     clear_denominators,
     nullspace_of_rows,
-    solve_affine_rows,
     subspace_intersect,
     vadd,
 )
@@ -169,17 +177,74 @@ def normalize_products(dim: int, terms) -> tuple:
     return tuple(map(tuple, products))
 
 
-def _check_associativity(a: Algebra) -> None:
-    """Raise on the first basis triple (i, j, k), in row-major order, with
-    (b_i b_j) b_k != b_i (b_j b_k). Both sides are quadratic in the structure
-    constants, so the scan runs exactly on the integer-scaled ones."""
+@cached
+def generators(a: Algebra) -> tuple[int, ...]:
+    """A greedy set S of basis indices, ascending, whose left-normed words
+    (...((b_g1 b_g2) b_g3) ...) b_gk with every g in S span the algebra.
+
+    b_g joins S when it lies outside the span found so far, and the span is
+    then closed under right multiplication by every member of S, on the
+    integer echelon core. Only products of elements are read, never how
+    they associate, so S can be found before associativity is known.
+
+    The words in S span A, so any subalgebra containing S is A. Hence a
+    statement "for every basis element x" whose set of solutions x is a
+    subalgebra holds as soon as it holds for x in S.
+    """
+    n = a.dim
+    prods = a.int_products
+    pivots: dict[int, dict[int, int]] = {}
+    words: list = []  # the (index, int) pairs of each word that grew the span
+    gens: list[int] = []
+    right: list[int] = []  # the generators with a nonzero right product
+
+    def grows(pairs) -> bool:
+        size = len(pivots)
+        _echelon_insert(dict(pairs), pivots)
+        return len(pivots) > size
+
+    for g in range(n):
+        if len(pivots) == n:
+            break
+        if not grows(((g, 1),)):
+            continue
+        gens.append(g)
+        # the products not yet taken: each word times b_g, then b_g times
+        # every generator; a generator by which every right product is zero
+        # adds none
+        pending = []
+        if any(row[g] for row in prods):
+            right.append(g)
+            pending = [(w, g) for w in words]
+        word = ((g, 1),)
+        words.append(word)
+        pending += [(word, h) for h in right]
+        while pending and len(pivots) < n:
+            w, h = pending.pop()
+            # w b_h, sparse: most products of a sparse algebra are empty
+            acc: dict[int, int] = {}
+            for i, c in w:
+                for k, c2 in prods[i][h]:
+                    acc[k] = acc.get(k, 0) + c * c2
+            v = [(k, c) for k, c in acc.items() if c]
+            if v and grows(v):
+                words.append(v)
+                pending.extend((v, h) for h in right)
+    return tuple(gens)
+
+
+def _nonassociative(a: Algebra, middles):
+    """Each basis triple (i, j, k) with j in `middles` and
+    (b_i b_j) b_k != b_i (b_j b_k), i outermost and k innermost. Both sides
+    are quadratic in the structure constants, so the scan runs exactly on
+    the integer-scaled ones."""
     n = a.dim
     prod = a.int_products
     # with b_i b_j = 0, only the k with b_j b_k != 0 can give a nonzero
     # side: every other triple compares two empty sums
-    nonempty = [[k for k in range(n) if prod[j][k]] for j in range(n)]
+    nonempty = {j: [k for k in range(n) if prod[j][k]] for j in middles}
     for i in range(n):
-        for j in range(n):
+        for j in middles:
             left_factors = prod[i][j]
             for k in range(n) if left_factors else nonempty[j]:
                 acc: dict[int, int] = {}
@@ -190,7 +255,20 @@ def _check_associativity(a: Algebra) -> None:
                     for l, c2 in prod[i][m]:
                         acc[l] = acc.get(l, 0) - c * c2
                 if any(acc.values()):
-                    raise NonAssociativeError((i, j, k))
+                    yield i, j, k
+
+
+def _check_associativity(a: Algebra) -> None:
+    """Raise on the first basis triple (i, j, k), in row-major order, with
+    (b_i b_j) b_k != b_i (b_j b_k).
+
+    Light's associativity test: the elements m with (xm)y = x(my) for all
+    x, y form a subalgebra, so the algebra is associative as soon as the
+    triples with j in `generators(a)` pass. Only when one of them fails
+    does the scan run over every j, to name the first failing triple.
+    """
+    if next(_nonassociative(a, generators(a)), None) is not None:
+        raise NonAssociativeError(next(_nonassociative(a, range(a.dim))))
 
 
 def algebra_from_terms(dim: int, terms, *, name: str = "",
@@ -260,13 +338,23 @@ def multiply(a: Algebra, x: Sequence, y: Sequence) -> Vector:
 
 
 def _units(a: Algebra, *factors) -> Optional[tuple[Vector, Subspace]]:
-    """Affine set of u with b_i u = b_i (from int_by_left_factor) and/or
-    u b_i = b_i (from int_by_right_factor) for every i: one row per
-    (i, k, table), each equation multiplied by a.scale."""
+    """Affine set of u with b_g u = b_g (from int_by_left_factor) and/or
+    u b_g = b_g (from int_by_right_factor) for every g in `generators(a)`:
+    one row per (g, k, table), each equation multiplied by a.scale.
+
+    For a fixed u the x with xu = x form a subalgebra, as (xy)u = x(yu),
+    and so do the x with ux = x, so the rows on the generators cut out the
+    same set as the rows on every basis element."""
     n = a.dim
-    keys = [(i, k, f) for i in range(n) for k in range(n) for f in factors]
-    return solve_affine_rows([dict(f[i][k]) for i, k, f in keys],
-                             [a.scale * (i == k) for i, k, _ in keys], n)
+    rows = []
+    for g in generators(a):
+        for k in range(n):
+            for f in factors:
+                row = dict(f[g][k])
+                if g == k:
+                    row[n] = a.scale
+                rows.append(row)
+    return _solve_affine(rows, n)
 
 
 @cached
@@ -346,8 +434,10 @@ def _commutant_rows(a: Algebra, elements) -> list:
 @cached
 def center(a: Algebra) -> Subspace:
     """Elements commuting with the whole algebra."""
-    elements = [((j, 1),) for j in range(a.dim)]
-    return nullspace_of_rows(_commutant_rows(a, elements), a.dim)
+    # the elements commuting with a fixed z form a subalgebra, so z needs
+    # to commute only with the generators
+    elements = [((g, 1),) for g in generators(a)]
+    return _nullspace(_commutant_rows(a, elements), a.dim)
 
 
 def relative_center(a: Algebra, s: Subspace, t: Subspace) -> Subspace:
@@ -356,7 +446,7 @@ def relative_center(a: Algebra, s: Subspace, t: Subspace) -> Subspace:
     if s.ambient_dim != n or t.ambient_dim != n:
         raise DimensionMismatch("subspaces must live in the algebra")
     rows = _commutant_rows(a, [pairs for _, pairs in t.rows])
-    return subspace_intersect(s, nullspace_of_rows(rows, n))
+    return subspace_intersect(s, _nullspace(rows, n))
 
 
 @cached

@@ -205,7 +205,12 @@ def _staged_samples(a: Algebra) -> tuple:
     """The operator-independent half of check 2.4, once per algebra: the
     first basis pair on which the staged table differs from the algebra
     product (or None), the two dense samples with their full three-stage
-    products, and the double-dual basis as an algebra."""
+    products, and the double-dual basis as an algebra.
+
+    The bidual is built without the associativity check. It is read only
+    by `residual`, `int_multiply` and its `int_by_left_factor` view, never
+    by `generators` or a solve over a generating set, whose exactness
+    rests on associativity."""
     n = a.dim
     products = arens_basis_products(a)
     bidual = Algebra(n, normalize_products(n, {

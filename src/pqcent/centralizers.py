@@ -29,6 +29,14 @@ left rows are imposed only on the (1,2) weighted space, where they cut
 out the two-sided space, and on the right multiplication space, where
 they cut out the right multiplications that are two-sided.
 
+The left and right identities are imposed only on the pairs (g, b) with
+g in the algebra's generating set `generators(a)`: for a fixed T, the
+first factors a for which one of them holds with every b form a
+subalgebra, and a subalgebra that contains the generators is the whole
+algebra. The weighted and Jordan identities mix both sides and keep every
+pair, and `residual`, the independent check, evaluates every pair of any
+identity.
+
 Every solve is staged. It starts from its enclosing space K (the full
 n^2-space for a root solve) and walks the basis pairs in blocks, one per
 first index. A block's rows are evaluated straight onto the integer rows
@@ -51,17 +59,17 @@ from functools import cached_property
 from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
-from .algebras import Algebra, cached
+from .algebras import Algebra, cached, generators
 from .linalg import (
     DimensionMismatch,
     Matrix,
     Subspace,
     Vector,
+    _nullspace,
     clear_denominators,
     column_index,
     full_space,
     lift,
-    nullspace_of_rows,
 )
 
 _ZERO = Fraction(0)
@@ -359,6 +367,12 @@ def _solve(a: Algebra, *identities: Identity,
     """The operators in `within` (every operator when None) that satisfy
     every identity, each imposed on its pairs i < j alone with `upper`.
 
+    The left and right identities are imposed only on the blocks of the
+    first indices g in `generators(a)`. That is exact: for a fixed T, the a
+    with T(ab) = T(a)b for every b form a subalgebra, as
+    T(a1 a2 b) = T(a1) a2 b = T(a1 a2) b, and so do the a with
+    T(ab) = a T(b) for every b, as T(a1 a2 b) = a1 T(a2 b) = a1 a2 T(b).
+
     The space K starts as `within` and is refined one block of rows at a
     time, a block per first index i of the pairs. The block's rows are
     evaluated straight onto the primitive rows of K, and the kernel of the
@@ -376,12 +390,12 @@ def _solve(a: Algebra, *identities: Identity,
     space = full_space(n * n) if within is None else within.space
     index = column_index(space)
     for e in identities:
-        for i in range(n):
+        for i in generators(a) if e in (LEFT, RIGHT) else range(n):
             if not space.dim:
                 break
             rows = list(_rows(a, e, _block(n, e, i, upper), index))
             if rows:
-                kernel = nullspace_of_rows(rows, space.dim)
+                kernel = _nullspace(rows, space.dim)
                 if kernel.dim < space.dim:
                     space = lift(space, kernel)
                     index = column_index(space)

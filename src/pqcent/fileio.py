@@ -8,7 +8,8 @@ Algebra format (sparse, diff-friendly):
     mul 0 1 = 1/2 @1 + -3 @2
 
 `mul i j = ...` gives the structure constants of b_i * b_j; omitted pairs
-multiply to zero. Coefficients are rationals written `a` or `a/b`.
+multiply to zero. Coefficients are rationals written `a` or `a/b`, each an
+optionally signed run of decimal digits.
 
 Cayley format: a line `order n` followed by n rows of n 0-based indices.
 Both headers accept 1 <= n <= MAX_DIM.
@@ -19,13 +20,15 @@ of `groups.validate_group`.
 from __future__ import annotations
 
 import os
+import re
 from fractions import Fraction
 
 from .algebras import Algebra, algebra_from_terms
 from .groups import CayleyTable, cayley_table
 
 # Largest `dim` or `order` a header may ask for. Work grows as n^2 products
-# and an n^3 associativity scan, so a huge header would hang or exhaust
+# and an associativity scan of n^2 |S| triples for a generating set S (n^3
+# when a failure must be located), so a huge header would hang or exhaust
 # memory; 256 is twice the order-120 group algebra the solvers aim at. One
 # value serves every caller, so it is a constant rather than an option.
 MAX_DIM = 256
@@ -57,9 +60,19 @@ def _significant_lines(text: str):
             yield lineno, line
 
 
-def _parse_rational(token: str, lineno: int) -> Fraction:
+# a coefficient is an optionally signed decimal integer or fraction, in
+# ASCII digits; anything else (decimals, exponents, '_') is rejected before
+# int() sees it, so no token can ask for an unbounded computation
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def _parse_rational(token: str, lineno: int):
+    """The int or Fraction that `token` writes as `a` or `a/b`."""
     try:
-        return Fraction(token)
+        if not _RATIONAL.fullmatch(token):
+            raise ValueError(token)
+        num, _, den = token.partition("/")
+        return Fraction(int(num), int(den)) if den else int(num)
     except (ValueError, ZeroDivisionError):
         raise AlgebraFormatError(lineno, f"invalid rational '{token}'") from None
 

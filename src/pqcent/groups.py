@@ -2,7 +2,10 @@
 
 A Cayley table is an n x n grid with table[i][j] = index of g_i * g_j.
 Validation checks the Latin-square property, associativity, a two-sided
-identity, and inverses, each reported with a witness. The group algebra
+identity, and inverses, each reported with a witness. Associativity is
+checked by Light's test on the triples whose middle element is one of a
+greedy generating set, and only a failure there scans every triple for
+the first failing one. The group algebra
 has structure constants c[i][j][k] = 1 iff table[i][j] = k; its center is
 spanned by the conjugacy class sums.
 """
@@ -80,6 +83,51 @@ def inverse_map(t: CayleyTable) -> Optional[tuple[int, ...]]:
     return tuple(inv)
 
 
+def _generators(t: CayleyTable) -> list[int]:
+    """A greedy set S of elements whose left-normed products
+    (...(g1 g2) ...) gk, every g in S, reach every element: g joins S when
+    the products so far miss it, and the reached set is then closed under
+    right multiplication by every member of S. No associativity is
+    assumed."""
+    tab = t.table
+    reached = [False] * t.order
+    found: list[int] = []
+    gens: list[int] = []
+    for g in range(t.order):
+        if reached[g]:
+            continue
+        # each element reached so far times the new generator, then g
+        pending = [tab[x][g] for x in found] + [g]
+        gens.append(g)
+        while pending:
+            x = pending.pop()
+            if not reached[x]:
+                reached[x] = True
+                found.append(x)
+                pending.extend(tab[x][h] for h in gens)
+    return gens
+
+
+def _nonassociative_triple(t: CayleyTable) -> Optional[tuple[int, int, int]]:
+    """The first triple (i, j, k), in row-major order, with
+    (g_i g_j) g_k != g_i (g_j g_k), or None.
+
+    Light's associativity test: the elements m with (xm)y = x(my) for all
+    x, y are closed under the product, so the table is associative as soon
+    as the triples with j in `_generators(t)` pass. Only when one of them
+    fails does the scan run over every j, to name the first failing triple.
+    """
+    tab, n = t.table, t.order
+
+    def failing(middles):
+        return ((i, j, k) for i in range(n) for j in middles for k in range(n)
+                if tab[tab[i][j]][k] != tab[i][tab[j][k]])
+
+    if next(failing(_generators(t)), None) is None:
+        return None
+    return next(failing(range(n)))
+
+
 @cached
 def validate_group(t: CayleyTable) -> Report:
     """Check the group axioms, one assertion per axiom, with witnesses."""
@@ -103,12 +151,7 @@ def validate_group(t: CayleyTable) -> Report:
         None if col_bad is None else f"column {col_bad}",
     ))
 
-    triple = next(
-        ((i, j, k)
-         for i in range(n) for j in range(n) for k in range(n)
-         if t.table[t.table[i][j]][k] != t.table[i][t.table[j][k]]),
-        None,
-    )
+    triple = _nonassociative_triple(t)
     assertions.append(Assertion(
         "multiplication is associative", triple is None,
         None if triple is None else f"failing triple {triple}",

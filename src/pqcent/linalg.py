@@ -8,13 +8,17 @@ gives one integer kernel row per free column, and those rows are
 canonicalized on the same core.
 
 `nullspace_of_rows` is the one elimination path: echelon, back-elimination
-and kernel, with nothing else in between. A kernel inside an enclosing
-space K is found by refinement, ker(A) within K = K * ker(A * K), where K
-holds the integer basis rows of the space. `column_index` and `lift` are
-the two halves of that step, and the centralizer solvers are their caller:
-they evaluate each block of rows straight onto K through `column_index`,
-hand the projected block to `nullspace_of_rows` in dim K unknowns, and
-`lift` its kernel back.
+and kernel, with nothing else in between. It checks and converts each row;
+its private half `_nullspace` takes rows already in the core's {col: int}
+form as they are, for the callers that have just built them so (the
+centralizer and structure solves), and `_solve_affine` is the same half of
+`solve_affine_rows`. A kernel inside an enclosing space K is found by
+refinement, ker(A) within K = K * ker(A * K), where K holds the integer
+basis rows of the space. `column_index` and `lift` are the two halves of
+that step, and the centralizer solvers are their caller: they evaluate
+each block of rows straight onto K through `column_index`, hand the
+projected block to `_nullspace` in dim K unknowns, and `lift` its kernel
+back.
 
 `Subspace` holds the canonical integer form of a span: its reduced row
 echelon basis, each row scaled to a primitive integer row with a positive
@@ -174,9 +178,16 @@ def _echelon_insert(row: dict[int, int], pivot_rows: dict[int, dict[int, int]]) 
 
 def _echelon(rows: Iterable, ncols: int) -> dict[int, dict[int, int]]:
     """The integer echelon pivot map of `rows`, keyed by pivot column."""
+    return _int_echelon(_sparse_row(r, ncols) for r in rows)
+
+
+def _int_echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """`_echelon` of rows already in the core's own form: fresh {col: int}
+    dicts with zeros dropped and every column in range. They are neither
+    checked nor copied, and may be mutated."""
     pivot_rows: dict[int, dict[int, int]] = {}
-    for r in rows:
-        _echelon_insert(_sparse_row(r, ncols), pivot_rows)
+    for row in rows:
+        _echelon_insert(row, pivot_rows)
     return pivot_rows
 
 
@@ -261,7 +272,14 @@ def nullspace_of_rows(rows: Iterable, ncols: int) -> "Subspace":
     """Solution space of the homogeneous system `rows` (dense or {col: value}),
     from one elimination in all `ncols` unknowns. To solve inside a space
     K, project the rows through `column_index(K)` and `lift` the kernel."""
-    pivot_rows = _echelon(rows, ncols)
+    return _nullspace((_sparse_row(r, ncols) for r in rows), ncols)
+
+
+def _nullspace(rows: Iterable[dict[int, int]], ncols: int) -> "Subspace":
+    """`nullspace_of_rows` of rows in the form `_int_echelon` takes, for
+    callers that have just built them so: the solvers and the structure
+    computations."""
+    pivot_rows = _int_echelon(rows)
     _reduce(pivot_rows)
     return _kernel(pivot_rows, ncols)
 
@@ -282,8 +300,16 @@ def solve_affine_rows(
     for r, b in zip(rows, rhs):
         if isinstance(r, dict) and ncols in r:
             raise DimensionMismatch(f"column {ncols} outside [0, {ncols})")
-        augmented.append({**r, ncols: b} if isinstance(r, dict) else [*r, b])
-    pivot_rows = _echelon(augmented, ncols + 1)
+        augmented.append(_sparse_row(
+            {**r, ncols: b} if isinstance(r, dict) else [*r, b], ncols + 1))
+    return _solve_affine(augmented, ncols)
+
+
+def _solve_affine(augmented: Iterable[dict[int, int]], ncols: int
+                  ) -> Optional[tuple[Vector, "Subspace"]]:
+    """`solve_affine_rows` of the rows [row | rhs] in the form
+    `_int_echelon` takes, the right-hand side at column `ncols`."""
+    pivot_rows = _int_echelon(augmented)
     if ncols in pivot_rows:
         return None  # a row reduced to 0 = 1
     _reduce(pivot_rows)

@@ -7,15 +7,18 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from dense_ref import _ref_by_left_factor, _ref_by_right_factor, _ref_vec
+from solver_ref import RIGHT_IDENTITY_SEMIGROUPS, _table_algebra
 from pqcent.algebras import (
     Algebra,
     NonAssociativeError,
     _check_associativity,
     algebra_from_terms,
     center,
+    generators,
     identity,
     is_commutative,
     is_nilpotent_subspace,
@@ -536,6 +539,26 @@ def test_integer_scan_matches_fraction_scan():
     assert verdicts == {True, False}
 
 
+SCAN_TABLES = _scan_inputs()
+_MUTATION = st.tuples(st.integers(0, 2 ** 16), st.integers(0, 2 ** 16),
+                      st.integers(0, 2 ** 16),
+                      st.sampled_from([F(0), F(1), F(-1), F(2), F(1, 2),
+                                       F(-3, 4), F(5, 3)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(SCAN_TABLES)), st.lists(_MUTATION, max_size=3))
+def test_generator_scan_names_the_full_scans_triple(name, mutations):
+    # Light's test decides on the generator triples alone; a failure there
+    # must still be reported as the full row-major scan's first triple
+    table = [[list(row) for row in plane] for plane in SCAN_TABLES[name]]
+    n = len(table)
+    for i, j, k, v in mutations:
+        table[i % n][j % n][k % n] = v
+    assert _witness(_check_associativity, table) == \
+        _witness(_ref_check_associativity, table)
+
+
 def test_scaled_products_are_integer_multiples():
     for name, table in _scan_inputs().items():
         a = make_algebra(len(table), table)
@@ -732,3 +755,53 @@ def test_cache_is_keyed_by_object_and_argument_values():
     twin = algebra_from_terms(a.dim, _sparse_terms(a), name=a.name)
     assert pq_centralizers(twin, Weights(1, 2)) is not pq_centralizers(a, Weights(1, 2))
     assert pq_centralizers(twin, Weights(1, 2)) == pq_centralizers(a, Weights(1, 2))
+
+
+# ---------------------------------------------------------------------------
+# the generating set, against a dense closure over sympy
+# ---------------------------------------------------------------------------
+
+def _ref_word_span(a, gens):
+    """A basis of the span of the left-normed words in the basis elements
+    `gens`: the span of the b_g, closed under right multiplication by every
+    b_g, each step a dense sympy rref."""
+    n = a.dim
+    table = [[[sympy.Rational(c.numerator, c.denominator) for c in row]
+              for row in plane] for plane in a.table]
+    span = sympy.zeros(0, n)
+    todo = [[int(i == g) for i in range(n)] for g in gens]
+    while todo:
+        reduced, pivots = span.col_join(sympy.Matrix(todo)).rref()
+        if len(pivots) == span.rows:
+            break
+        span = reduced[:len(pivots), :]
+        todo = [[sum(span[r, i] * table[i][g][k] for i in range(n))
+                 for k in range(n)] for r in range(span.rows) for g in gens]
+    return span
+
+
+def _generator_inputs():
+    algebras = dict(fixtures())
+    for name, table in RIGHT_IDENTITY_SEMIGROUPS.items():
+        algebras[name] = _table_algebra(table)
+    rng = random.Random(1202)
+    for d in range(10):
+        algebras[f"random_algebra {d}"] = random_algebra(rng)
+        algebras[f"random_poly {d}"] = random_poly_quotient(rng)
+    return algebras
+
+
+GENERATOR_INPUTS = _generator_inputs()
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_INPUTS))
+def test_generators_span_the_algebra(name):
+    a = GENERATOR_INPUTS[name]
+    gens = generators(a)
+    assert list(gens) == sorted(set(gens)) and gens[0] == 0
+    assert _ref_word_span(a, gens).rows == a.dim
+    # greedy: no generator lies in the word span of the ones before it
+    for r, g in enumerate(gens[1:], 1):
+        span = _ref_word_span(a, gens[:r])
+        b_g = sympy.Matrix([[int(i == g) for i in range(a.dim)]])
+        assert span.col_join(b_g).rank() > span.rows, (name, g)

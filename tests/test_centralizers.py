@@ -14,10 +14,17 @@ from dense_ref import (
     _ref_vec,
     _ref_zero_matrix,
 )
-from solver_ref import _full_rows
+from solver_ref import (
+    RIGHT_IDENTITY_SEMIGROUPS,
+    SEMIGROUP_GAPS,
+    _full_rows,
+    _ref_center,
+    _ref_units,
+    _table_algebra,
+)
 from pqcent.algebras import (
-    algebra_from_terms,
     center,
+    generators,
     identity,
     is_commutative,
     make_algebra,
@@ -420,17 +427,6 @@ def test_chained_solves_match_full_row_solves(name):
         assert _solve(a, LEFT, within=pq_centralizers(a, w)) == two_sided, w
 
 
-# Q[S] for order-4 semigroups S, b_i b_j = b_{S[i][j]}, in which 3 is a right
-# identity; the algebras are neither unital nor commutative, and their
-# (1,2) Jordan space is strictly larger than the weighted one, so solving
-# inside it really cuts the space down
-RIGHT_IDENTITY_SEMIGROUPS = {
-    "sg4_right_unit_a": ((0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 2), (0, 0, 2, 3)),
-    "sg4_right_unit_b": ((0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 2), (0, 1, 1, 3)),
-    "sg4_right_unit_c": ((0, 0, 0, 0), (0, 0, 1, 1), (0, 1, 2, 2), (0, 1, 3, 3)),
-}
-
-
 def _sympy_nullity(a, *identities):
     rows = [row for e in identities for row in _full_rows(a, e)]
     n2 = a.dim ** 2
@@ -441,8 +437,7 @@ def _sympy_nullity(a, *identities):
 @pytest.mark.parametrize("name", RIGHT_IDENTITY_SEMIGROUPS)
 def test_semigroup_algebras_with_a_strict_jordan_gap(name):
     table = RIGHT_IDENTITY_SEMIGROUPS[name]
-    a = algebra_from_terms(4, {(i, j): ((table[i][j], 1),)
-                               for i in range(4) for j in range(4)})
+    a = _table_algebra(table)
     assert all(table[i][3] == i for i in range(4))
     assert right_identities(a) is not None
     assert identity(a) is None and not is_commutative(a)
@@ -465,6 +460,8 @@ def test_staged_solves_match_full_row_solves(seed, commutative):
     two_sided = _ref_solve(a, LEFT, RIGHT)
     assert _solve(a, LEFT, RIGHT) == two_sided
     assert two_sided_centralizers(a) == two_sided
+    assert _solve(a, LEFT) == _ref_solve(a, LEFT)
+    assert _solve(a, RIGHT) == _ref_solve(a, RIGHT)
     for w in CHAIN_WEIGHTS:
         j, pq = _ref_solve(a, jordan(w)), _ref_solve(a, weighted(w))
         assert _solve(a, jordan(w)) == j, w
@@ -476,8 +473,7 @@ def test_staged_solves_match_full_row_solves(seed, commutative):
 
 
 UPPER_ALGEBRAS = {**CHAIN_ALGEBRAS, **{
-    name: algebra_from_terms(4, {(i, j): ((table[i][j], 1),)
-                                 for i in range(4) for j in range(4)})
+    name: _table_algebra(table)
     for name, table in RIGHT_IDENTITY_SEMIGROUPS.items()}}
 
 
@@ -499,6 +495,33 @@ def test_two_sided_right_mul_space_matches_the_element_solve(name):
         right_mul_image(a, _ref_two_sided_mul_elements(a))
 
 
+# the structure solves and the one-sided rows quantify over the generating
+# set alone; the references quantify over every basis element or pair
+GENERATOR_ALGEBRAS = {**UPPER_ALGEBRAS, **{
+    name: _table_algebra(((0,) * 4, (0,) * 4) + rows)
+    for name, rows in SEMIGROUP_GAPS.items()}}
+
+
+def test_generator_inputs_have_proper_generating_sets():
+    proper = [name for name, a in GENERATOR_ALGEBRAS.items()
+              if len(generators(a)) < a.dim]
+    assert {"s4", "matrix2", "matrix3", "group_q8"} <= set(proper)
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_ALGEBRAS))
+def test_generator_quantifiers_match_every_basis_element(name):
+    a = GENERATOR_ALGEBRAS[name]
+    assert center(a) == _ref_center(a)
+    assert right_identities(a) == _ref_units(a, a.int_by_left_factor)
+    unit = _ref_units(a, a.int_by_left_factor, a.int_by_right_factor)
+    assert identity(a) == (None if unit is None else unit[0])
+    assert left_centralizers(a) == _ref_solve(a, LEFT)
+    assert right_centralizers(a) == _ref_solve(a, RIGHT)
+    assert two_sided_centralizers(a) == _ref_solve(a, LEFT, RIGHT)
+    assert two_sided_right_mul_space(a) == \
+        right_mul_image(a, _ref_two_sided_mul_elements(a))
+
+
 def test_solves_hand_linalg_one_block_at_a_time(monkeypatch):
     # every system a solve eliminates is one block of rows, the pairs with
     # one first index, in the unknowns of the current enclosing space
@@ -508,13 +531,13 @@ def test_solves_hand_linalg_one_block_at_a_time(monkeypatch):
     w = Weights(1, 2)
     expected = pq_jordan_centralizers(a, w), left_centralizers(a)
     systems = []
-    real = centralizers.nullspace_of_rows
+    real = centralizers._nullspace
 
     def recording(rows, ncols):
         systems.append((len(rows), ncols))
         return real(rows, ncols)
 
-    monkeypatch.setattr(centralizers, "nullspace_of_rows", recording)
+    monkeypatch.setattr(centralizers, "_nullspace", recording)
     assert (_solve(a, jordan(w)), _solve(a, LEFT)) == expected
     # n^2 unknowns only in the first block of each of the two root solves
     assert [ncols for _, ncols in systems].count(n * n) == 2

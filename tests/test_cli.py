@@ -33,6 +33,16 @@ def test_check_rejects_bad_file(tmp_path, capsys):
     assert "invalid rational" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("token", ["1e999999999", "1.5"])
+def test_coefficient_outside_the_format_is_an_input_error(tmp_path, capsys,
+                                                          token):
+    path = tmp_path / "exp.alg"
+    path.write_text(f"dim 1\nmul 0 0 = {token} @0\n", encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: line 2: invalid rational '{token}'\n")
+
+
 @pytest.mark.parametrize("command", ["check", "group"])
 def test_non_utf8_file_is_an_input_error(tmp_path, capsys, command):
     path = tmp_path / "bad.alg"

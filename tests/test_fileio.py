@@ -1,5 +1,7 @@
 """File format round-trips and rejection cases."""
 
+import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -57,6 +59,29 @@ def test_parse_comments_and_blank_lines():
 def test_reject_zero_denominator():
     with pytest.raises(AlgebraFormatError, match="line 2.*invalid rational"):
         parse_algebra_text("dim 2\nmul 0 0 = 1/0 @0\n")
+
+
+def test_coefficients_are_signed_integers_or_fractions():
+    for token, value in (("3", 3), ("-3", -3), ("+2", 2), ("0", 0),
+                         ("6/4", Fraction(3, 2)), ("-1/2", Fraction(-1, 2)),
+                         ("+0/5", 0)):
+        a = parse_algebra_text(f"dim 1\nmul 0 0 = {token} @0\n")
+        assert a.table[0][0][0] == value, token
+        assert all(type(c) is Fraction for _, c in a.products[0][0]), token
+
+
+@pytest.mark.parametrize("token", [
+    "1.5", "1e3", "1E3", "1e999999999", "1/2e999999999", ".5", "1.", "0x1",
+    "1_0", "nan", "inf", "2/-3", "1/+2", "--1", "+", "1/", "/2", "1//2",
+    "\u0661", "\uff11"])
+def test_reject_coefficients_outside_the_format(token):
+    # an exponent used to reach Fraction(str), which expands it: 1e1000000
+    # took 1.6 s there and larger ones did not finish
+    start = time.perf_counter()
+    with pytest.raises(AlgebraFormatError,
+                       match=f"line 2: invalid rational '{re.escape(token)}'"):
+        parse_algebra_text(f"dim 1\nmul 0 0 = {token} @0\n")
+    assert time.perf_counter() - start < 0.5
 
 
 def test_reject_missing_dim():

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from pqcent.algebras import center, identity, is_commutative, multiply
 from pqcent.groups import (
+    _generators,
     cayley_table,
     class_sums,
     conjugacy_classes,
@@ -173,3 +174,79 @@ def test_s4_centralizer_dimensions_equal_class_count():
     cj = pq_jordan_centralizers(a, Weights(1, 2)).space
     cpq = pq_centralizers(a, Weights(1, 2)).space
     assert cj.dim == 5 and subspace_contains(cj, cpq)
+
+
+# ---------------------------------------------------------------------------
+# Light's test on the Cayley table against the full scan
+# ---------------------------------------------------------------------------
+
+def _ref_failing_triple(table):
+    """The first (i, j, k), in row-major order, with
+    (g_i g_j) g_k != g_i (g_j g_k): the scan over every triple."""
+    n = len(table)
+    return next(((i, j, k) for i in range(n) for j in range(n)
+                 for k in range(n)
+                 if table[table[i][j]][k] != table[i][table[j][k]]), None)
+
+
+LATIN_BASES = {"c5": cyclic_table(5), "c6": cyclic_table(6),
+               "s3": symmetric3_table(), "q8": quaternion_table(),
+               "s4": s4_table()}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(LATIN_BASES)), st.data())
+def test_generator_scan_names_the_full_scans_triple(name, data):
+    # an isotope (rows, columns and symbols permuted) of a group table is a
+    # Latin square that is associative only for some permutations; a
+    # changed entry may also break the Latin property
+    base = LATIN_BASES[name].table
+    n = len(base)
+    rows, cols, symbols = (data.draw(st.permutations(range(n)))
+                           for _ in range(3))
+    table = [[symbols[base[rows[i]][cols[j]]] for j in range(n)]
+             for i in range(n)]
+    for i, j, v in data.draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * 3),
+                                      max_size=2)):
+        table[i][j] = v
+    expected = _ref_failing_triple(table)
+    (got,) = (a for a in validate_group(cayley_table(table)).assertions
+              if a.name == "multiplication is associative")
+    assert got.passed == (expected is None)
+    assert got.witness == (None if expected is None
+                           else f"failing triple {expected}")
+
+
+def _ref_words(table, gens):
+    """The elements reached by left-normed products of `gens`: the set of
+    gens closed under right multiplication by each of them."""
+    reached = set(gens)
+    while True:
+        more = {table[x][g] for x in reached for g in gens} - reached
+        if not more:
+            return reached
+        reached |= more
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(LATIN_BASES)), st.data())
+def test_table_generators_reach_every_element(name, data):
+    base = LATIN_BASES[name].table
+    n = len(base)
+    rows, cols = (data.draw(st.permutations(range(n))) for _ in range(2))
+    table = [[base[rows[i]][cols[j]] for j in range(n)] for i in range(n)]
+    gens = _generators(cayley_table(table))
+    assert _ref_words(table, gens) == set(range(n))
+    # greedy: no generator is reached from the ones before it
+    for r, g in enumerate(gens):
+        assert g not in _ref_words(table, gens[:r]), (name, g)
+
+
+def test_generator_scan_inputs_cover_both_verdicts():
+    # with identity permutations the isotope is the group itself; with its
+    # columns shifted by one it is a Latin square that is not associative
+    s3 = [list(row) for row in symmetric3_table().table]
+    assert _ref_failing_triple(s3) is None
+    shifted = [row[1:] + row[:1] for row in s3]
+    assert _ref_failing_triple(shifted) is not None
+    assert not is_valid_group(cayley_table(shifted))

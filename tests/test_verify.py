@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from dense_ref import _ref_identity_matrix, _ref_zero_matrix
+from solver_ref import SEMIGROUP_GAPS
 from pqcent.algebras import (
     identity,
     is_commutative,
@@ -235,16 +236,6 @@ def test_commutative_weights_on_sum_field_field(catalog):
     assert "common dimension 2" in rep.note
     names = _assertion_names(rep)
     assert "(7,2) space equals two-sided space" in names
-
-
-# Q[S] for commutative semigroups S = {0, 1, 2, 3} in which 0 is absorbing
-# and 1 annihilates everything, given by the rows of 2 and 3 in S's table:
-# commutative, associative, no identity, and (1,1) space != two-sided space
-SEMIGROUP_GAPS = {
-    "sg4_swap": ((0, 0, 0, 1), (0, 0, 1, 0)),
-    "sg4_nil": ((0, 0, 0, 1), (0, 0, 1, 1)),
-    "sg4_idempotents": ((0, 0, 1, 0), (0, 0, 0, 1)),
-}
 
 
 def _semigroup_algebra(rows):
