@@ -13,10 +13,10 @@ Q[x]/(x^24). Besides the three standalone solves, J+W+Z runs the three in
 one process, where the weighted solve reuses the Jordan space and the
 two-sided solve reuses the weighted one.
 
-Each line gives the CPU seconds of building the algebra (the Cayley table,
-its validation and the validated group algebra, or the fixture), the CPU
-seconds of the solves alone, and the process's peak RSS. The exit status
-is 1 when a dimension is wrong.
+Each line gives the CPU seconds of building the algebra (the Cayley table
+and its validation, which builds and scans the group algebra once, or the
+fixture), the CPU seconds of the solves alone, and the process's peak RSS.
+The exit status is 1 when a dimension is wrong.
 """
 
 import json

@@ -2,12 +2,13 @@
 
 A Cayley table is an n x n grid with table[i][j] = index of g_i * g_j.
 Validation checks the Latin-square property, associativity, a two-sided
-identity, and inverses, each reported with a witness. Associativity is
-checked by Light's test on the triples whose middle element is one of a
-greedy generating set, and only a failure there scans every triple for
-the first failing one. The group algebra
-has structure constants c[i][j][k] = 1 iff table[i][j] = k; its center is
-spanned by the conjugacy class sums.
+identity, and inverses, each reported with a witness. The table's algebra
+has structure constants c[i][j][k] = 1 iff table[i][j] = k, so its basis
+triple (i, j, k) associates exactly when the table's does: associativity
+is decided once, by building that algebra through the validated
+constructor, whose `NonAssociativeError` names the first failing triple.
+On a group table the algebra is the group algebra; its center is spanned
+by the conjugacy class sums.
 """
 
 from __future__ import annotations
@@ -18,7 +19,14 @@ from functools import lru_cache
 from itertools import permutations
 from typing import Optional
 
-from .algebras import Algebra, algebra_from_terms, cached, center
+from .algebras import (
+    Algebra,
+    NonAssociativeError,
+    algebra_from_terms,
+    cached,
+    center,
+    is_commutative,
+)
 from .centralizers import Weights, pq_centralizers, right_mul_image
 from .linalg import Subspace, full_space, subspace_equal
 from .reports import (
@@ -44,7 +52,9 @@ class CayleyTable:
             if len(row) != n:
                 raise ValueError(f"row {i} has {len(row)} entries, expected {n}")
             for j, v in enumerate(row):
-                if not isinstance(v, int) or not (0 <= v < n):
+                # bool is an int subclass, but True is no index
+                if (not isinstance(v, int) or isinstance(v, bool)
+                        or not 0 <= v < n):
                     raise ValueError(
                         f"entry at ({i}, {j}) must be an index in 0..{n - 1}"
                     )
@@ -83,49 +93,20 @@ def inverse_map(t: CayleyTable) -> Optional[tuple[int, ...]]:
     return tuple(inv)
 
 
-def _generators(t: CayleyTable) -> list[int]:
-    """A greedy set S of elements whose left-normed products
-    (...(g1 g2) ...) gk, every g in S, reach every element: g joins S when
-    the products so far miss it, and the reached set is then closed under
-    right multiplication by every member of S. No associativity is
-    assumed."""
-    tab = t.table
-    reached = [False] * t.order
-    found: list[int] = []
-    gens: list[int] = []
-    for g in range(t.order):
-        if reached[g]:
-            continue
-        # each element reached so far times the new generator, then g
-        pending = [tab[x][g] for x in found] + [g]
-        gens.append(g)
-        while pending:
-            x = pending.pop()
-            if not reached[x]:
-                reached[x] = True
-                found.append(x)
-                pending.extend(tab[x][h] for h in gens)
-    return gens
-
-
-def _nonassociative_triple(t: CayleyTable) -> Optional[tuple[int, int, int]]:
-    """The first triple (i, j, k), in row-major order, with
-    (g_i g_j) g_k != g_i (g_j g_k), or None.
-
-    Light's associativity test: the elements m with (xm)y = x(my) for all
-    x, y are closed under the product, so the table is associative as soon
-    as the triples with j in `_generators(t)` pass. Only when one of them
-    fails does the scan run over every j, to name the first failing triple.
-    """
-    tab, n = t.table, t.order
-
-    def failing(middles):
-        return ((i, j, k) for i in range(n) for j in middles for k in range(n)
-                if tab[tab[i][j]][k] != tab[i][tab[j][k]])
-
-    if next(failing(_generators(t)), None) is None:
-        return None
-    return next(failing(range(n)))
+@cached
+def _algebra(t: CayleyTable) -> Algebra:
+    """The table's algebra, b_i b_j = b_table[i][j], built and scanned for
+    associativity once per table: NonAssociativeError when the table is
+    not associative, and the group algebra when it is a group."""
+    n = t.order
+    one = Fraction(1)
+    terms = {(i, j): ((k, one),)
+             for i, row in enumerate(t.table) for j, k in enumerate(row)}
+    return algebra_from_terms(
+        n, terms,
+        name=f"group[{t.name or t.order}]",
+        basis_names=tuple(f"g{i}" for i in range(n)),
+    )
 
 
 @cached
@@ -151,7 +132,11 @@ def validate_group(t: CayleyTable) -> Report:
         None if col_bad is None else f"column {col_bad}",
     ))
 
-    triple = _nonassociative_triple(t)
+    try:
+        _algebra(t)
+        triple = None
+    except NonAssociativeError as exc:
+        triple = exc.triple
     assertions.append(Assertion(
         "multiplication is associative", triple is None,
         None if triple is None else f"failing triple {triple}",
@@ -178,28 +163,11 @@ def is_valid_group(t: CayleyTable) -> bool:
     return validate_group(t).passed
 
 
-def is_abelian(t: CayleyTable) -> bool:
-    n = t.order
-    return all(
-        t.table[i][j] == t.table[j][i]
-        for i in range(n) for j in range(i + 1, n)
-    )
-
-
-@cached
 def group_algebra(t: CayleyTable) -> Algebra:
     """The rational group algebra: basis = point masses, product = convolution."""
     if not is_valid_group(t):
         raise ValueError("not a group; run validate_group for details")
-    n = t.order
-    one = Fraction(1)
-    terms = {(i, j): ((k, one),)
-             for i, row in enumerate(t.table) for j, k in enumerate(row)}
-    return algebra_from_terms(
-        n, terms,
-        name=f"group[{t.name or t.order}]",
-        basis_names=tuple(f"g{i}" for i in range(n)),
-    )
+    return _algebra(t)
 
 
 def conjugacy_classes(t: CayleyTable) -> tuple[tuple[int, ...], ...]:
@@ -312,19 +280,21 @@ def verify_group_centralizer_structure(t: CayleyTable, w: Weights) -> Report:
     classes = conjugacy_classes(t)
     sums = class_sums(t)
     z = center(a)
+    central = subspace_equal(z, sums)
+    image = right_mul_image(a, sums)
+    multiplications = cpq == image
 
     assertions = [
         Assertion(
-            "center equals span of class sums",
-            subspace_equal(z, sums),
-            None if subspace_equal(z, sums)
+            "center equals span of class sums", central,
+            None if central
             else f"center dim {z.dim}, class sums dim {sums.dim}",
         ),
         Assertion(
             "weighted centralizers are right multiplications by class sums",
-            cpq == right_mul_image(a, sums),
-            None if cpq == right_mul_image(a, sums)
-            else f"solver dim {cpq.dim}, image dim {right_mul_image(a, sums).dim}",
+            multiplications,
+            None if multiplications
+            else f"solver dim {cpq.dim}, image dim {image.dim}",
         ),
         Assertion(
             "dimension equals conjugacy class count",
@@ -338,7 +308,7 @@ def verify_group_centralizer_structure(t: CayleyTable, w: Weights) -> Report:
             None if cpq.dim >= 1 else "solved space is {0}",
         ),
     ]
-    if is_abelian(t):
+    if is_commutative(a):
         whole = subspace_equal(z, full_space(a.dim))
         assertions.append(Assertion(
             "abelian group has fully central group algebra", whole,

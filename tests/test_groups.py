@@ -3,9 +3,17 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pqcent.algebras import center, identity, is_commutative, multiply
+from pqcent import algebras
+from pqcent.algebras import (
+    Algebra,
+    center,
+    generators,
+    identity,
+    is_commutative,
+    multiply,
+    normalize_products,
+)
 from pqcent.groups import (
-    _generators,
     cayley_table,
     class_sums,
     conjugacy_classes,
@@ -13,7 +21,6 @@ from pqcent.groups import (
     find_identity,
     group_algebra,
     group_tables,
-    is_abelian,
     is_valid_group,
     quaternion_table,
     symmetric3_table,
@@ -49,6 +56,14 @@ def test_shape_validation():
         cayley_table([[0, 1]])
     with pytest.raises(ValueError):
         cayley_table([[0, 2], [2, 0]])
+
+
+@pytest.mark.parametrize("rows", [[[False]], [[0, True], [True, 0]]])
+def test_bool_entries_are_not_indices(rows):
+    # bool is an int subclass; a table of bools would serialize as text
+    # that the parser rejects
+    with pytest.raises(ValueError, match="must be an index"):
+        cayley_table(rows)
 
 
 def test_associativity_witness():
@@ -113,15 +128,38 @@ def test_group_algebra_s3_noncommutative_unital():
     assert identity(a) == basis_vector(6, 0)
 
 
+def test_group_algebra_names_its_basis_by_element():
+    a = group_algebra(symmetric3_table())
+    assert a.name == "group[s3]"
+    assert a.basis_names == ("g0", "g1", "g2", "g3", "g4", "g5")
+    assert group_algebra(cayley_table([[0]])).name == "group[1]"
+
+
 def test_group_algebra_rejects_invalid_table():
     with pytest.raises(ValueError):
         group_algebra(cayley_table([[0, 1], [0, 1]]))
 
 
 def test_abelian_detection():
-    assert is_abelian(cyclic_table(6))
-    assert not is_abelian(symmetric3_table())
-    assert not is_abelian(quaternion_table())
+    assert is_commutative(group_algebra(cyclic_table(6)))
+    assert not is_commutative(group_algebra(symmetric3_table()))
+    assert not is_commutative(group_algebra(quaternion_table()))
+
+
+def test_validation_builds_the_group_algebra_once(monkeypatch):
+    real = algebras._nonassociative
+    scans = []
+
+    def counting(a, middles):
+        scans.append(a)
+        return real(a, middles)
+
+    monkeypatch.setattr(algebras, "_nonassociative", counting)
+    t = cyclic_table(4)
+    assert is_valid_group(t) and scans
+    scans.clear()
+    a = group_algebra(t)
+    assert group_algebra(t) is a and not scans
 
 
 def test_verify_group_centralizer_structure():
@@ -235,7 +273,11 @@ def test_table_generators_reach_every_element(name, data):
     n = len(base)
     rows, cols = (data.draw(st.permutations(range(n))) for _ in range(2))
     table = [[base[rows[i]][cols[j]] for j in range(n)] for i in range(n)]
-    gens = _generators(cayley_table(table))
+    # the isotope's algebra, unvalidated: a Latin square need not associate,
+    # and generators reads products only
+    gens = generators(Algebra(n, normalize_products(n, {
+        (i, j): ((k, 1),) for i, row in enumerate(table)
+        for j, k in enumerate(row)})))
     assert _ref_words(table, gens) == set(range(n))
     # greedy: no generator is reached from the ones before it
     for r, g in enumerate(gens):

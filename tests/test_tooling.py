@@ -5,8 +5,10 @@ The benchmark's tracer names pqcent functions by string; each must exist.
 or deleted function would silently drop its per-layer figures.
 
 No module of the package may import a name it never reads (`__init__`
-re-exports aside), and every module-level private function must be
-referenced from some module: code removed from a path leaves no debris.
+re-exports aside), every module-level private function must be
+referenced from some module, and every public module-level function or
+class must be named somewhere in the source, tests, scripts or benchmark
+outside its own definition: code removed from a path leaves no debris.
 """
 
 import ast
@@ -51,13 +53,17 @@ def test_traced_check_ids_exist():
 
 
 # ---------------------------------------------------------------------------
-# dead code in the package: imports nothing reads, and private functions
-# that no module calls
+# dead code in the package: imports nothing reads, private functions that
+# no module calls, and public definitions that nothing names
 # ---------------------------------------------------------------------------
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "pqcent"
-MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
-           for path in sorted(SRC.glob("*.py"))}
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "pqcent"
+TREES = {path: ast.parse(path.read_text(encoding="utf-8"))
+         for folder in ("src", "tests", "scripts", "perfbench")
+         for path in sorted((ROOT / folder).rglob("*.py"))}
+MODULES = {path.stem: tree for path, tree in TREES.items()
+           if path.parent == SRC}
 
 
 def _referenced(tree) -> set[str]:
@@ -90,3 +96,21 @@ def test_every_private_function_is_referenced():
             and node.name.startswith("_") and not node.name.startswith("__")
             and node.name not in referenced]
     assert not dead, f"private functions no module references: {dead}"
+
+
+def test_every_public_definition_is_named_elsewhere():
+    # a name counts only in a top-level statement other than the definition
+    # itself, so a recursive call does not keep a function alive; an
+    # `__all__` entry is a string and names nothing
+    holders: dict[str, set[int]] = {}
+    for tree in TREES.values():
+        for statement in tree.body:
+            for name in _referenced(statement):
+                holders.setdefault(name, set()).add(id(statement))
+    dead = [f"{module}.{node.name}" for module, tree in MODULES.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and not node.name.startswith("_")
+            and not holders.get(node.name, set()) - {id(node)}]
+    assert not dead, f"public definitions nothing else names: {dead}"
