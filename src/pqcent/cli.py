@@ -12,10 +12,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 from typing import Optional
 
 from .algebras import (
-    Algebra,
     NonAssociativeError,
     center,
     radical,
@@ -39,7 +39,6 @@ from .fileio import (
 )
 from .fixtures import fixtures
 from .groups import (
-    CayleyTable,
     conjugacy_classes,
     group_algebra,
     group_tables,
@@ -58,28 +57,25 @@ def _verbose() -> bool:
     return os.environ.get("PQCENT_VERBOSE", "").lower() in ("1", "true", "yes")
 
 
-def _load_algebra(target: str) -> Algebra:
-    named = fixtures()
-    if target in named:
-        return named[target]
+def _load(target: str, named, parse, errors, noun: str):
+    """The entry `target` of the table that `named()` returns, or else the
+    file at that path read by `parse`, whose `errors` exit with code 2."""
+    table = named()
+    if target in table:
+        return table[target]
     if not os.path.exists(target):
-        raise CliError(f"unknown fixture name and unreadable file: '{target}'")
+        raise CliError(f"unknown {noun} name and unreadable file: '{target}'")
     try:
-        return parse_algebra_file(target)
-    except (AlgebraFormatError, NonAssociativeError) as exc:
+        return parse(target)
+    except errors as exc:
         raise CliError(f"{target}: {exc}") from None
 
 
-def _load_cayley(target: str) -> CayleyTable:
-    named = group_tables()
-    if target in named:
-        return named[target]
-    if not os.path.exists(target):
-        raise CliError(f"unknown group name and unreadable file: '{target}'")
-    try:
-        return parse_cayley_file(target)
-    except CayleyFormatError as exc:
-        raise CliError(f"{target}: {exc}") from None
+_load_algebra = partial(_load, named=fixtures, parse=parse_algebra_file,
+                        errors=(AlgebraFormatError, NonAssociativeError),
+                        noun="fixture")
+_load_cayley = partial(_load, named=group_tables, parse=parse_cayley_file,
+                       errors=CayleyFormatError, noun="group")
 
 
 def _weights(args) -> Weights:

@@ -9,16 +9,19 @@ Algebra format (sparse, diff-friendly):
 
 `mul i j = ...` gives the structure constants of b_i * b_j; omitted pairs
 multiply to zero. Coefficients are rationals written `a` or `a/b`, each an
-optionally signed run of decimal digits.
+optionally signed run of ASCII digits.
 
 Cayley format: a line `order n` followed by n rows of n 0-based indices.
-Both headers accept 1 <= n <= MAX_DIM.
+Both headers accept 1 <= n <= MAX_DIM. Sizes, indices and table entries
+are unsigned runs of ASCII digits. A file may start with a UTF-8
+byte-order mark, which is ignored.
 Parsing checks syntax and index ranges only; the group axioms are the job
 of `groups.validate_group`.
 """
 
 from __future__ import annotations
 
+import codecs
 import os
 import re
 from fractions import Fraction
@@ -34,20 +37,20 @@ from .groups import CayleyTable, cayley_table
 MAX_DIM = 256
 
 
-class AlgebraFormatError(ValueError):
+class _FormatError(ValueError):
+    """Syntax or range error in a file format, with line number."""
+
+    def __init__(self, line: int, message: str):
+        super().__init__(f"line {line}: {message}")
+        self.line = line
+
+
+class AlgebraFormatError(_FormatError):
     """Syntax or range error in the algebra file format, with line number."""
 
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
 
-
-class CayleyFormatError(ValueError):
+class CayleyFormatError(_FormatError):
     """Syntax or range error in the Cayley table format, with line number."""
-
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
 
 
 def _significant_lines(text: str):
@@ -58,6 +61,36 @@ def _significant_lines(text: str):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, line
+
+
+def _read_int(token: str, what: str, lineno: int, error: type,
+              size: int = 0, noun: str = "") -> int:
+    """The value of `token`, a run of ASCII digits, checked to be below
+    `size` (the `noun` of the file) when one is given. int() alone would
+    also read signs, '_' and every Unicode digit."""
+    try:
+        if not (token.isascii() and token.isdigit()):
+            raise ValueError(token)
+        value = int(token)  # beyond the int-string limit: ValueError
+    except ValueError:
+        raise error(lineno, f"invalid {what} '{token}'") from None
+    if size and value >= size:
+        raise error(lineno, f"{what} {value} out of range for {noun} {size}")
+    return value
+
+
+def _read_header(lines, word: str, noun: str, error: type) -> tuple[int, int]:
+    """(line number, n) of the `word n` line that must come first in
+    `lines`, an iterator of significant lines."""
+    for lineno, line in lines:
+        tokens = line.split()
+        if len(tokens) != 2 or tokens[0] != word:
+            raise error(lineno, f"expected '{word} <n>' first")
+        n = _read_int(tokens[1], noun, lineno, error)
+        if not 1 <= n <= MAX_DIM:
+            raise error(lineno, f"{noun} must be between 1 and {MAX_DIM}")
+        return lineno, n
+    raise error(1, f"missing '{word}' line")
 
 
 # a coefficient is an optionally signed decimal integer or fraction, in
@@ -79,71 +112,44 @@ def _parse_rational(token: str, lineno: int):
 
 def parse_algebra_text(text: str, name: str = "") -> Algebra:
     """Parse the algebra format; associativity is validated on construction."""
-    dim = None
+    error = AlgebraFormatError
+    lines = _significant_lines(text)
+    _, dim = _read_header(lines, "dim", "dimension", error)
     terms: dict[tuple[int, int], list] = {}
-    for lineno, line in _significant_lines(text):
+    for lineno, line in lines:
         tokens = line.split()
-        if dim is None:
-            if len(tokens) != 2 or tokens[0] != "dim":
-                raise AlgebraFormatError(lineno, "expected 'dim <n>' first")
-            try:
-                dim = int(tokens[1])
-            except ValueError:
-                raise AlgebraFormatError(
-                    lineno, f"invalid dimension '{tokens[1]}'") from None
-            if not 1 <= dim <= MAX_DIM:
-                raise AlgebraFormatError(
-                    lineno, f"dimension must be between 1 and {MAX_DIM}")
-            continue
         if tokens[0] != "mul":
-            raise AlgebraFormatError(lineno, f"expected 'mul', got '{tokens[0]}'")
+            raise error(lineno, f"expected 'mul', got '{tokens[0]}'")
         if len(tokens) < 6 or tokens[3] != "=":
-            raise AlgebraFormatError(lineno, "expected 'mul i j = c @k [+ ...]'")
-        i = _parse_index(tokens[1], dim, lineno)
-        j = _parse_index(tokens[2], dim, lineno)
+            raise error(lineno, "expected 'mul i j = c @k [+ ...]'")
+        i = _read_int(tokens[1], "index", lineno, error, dim, "dimension")
+        j = _read_int(tokens[2], "index", lineno, error, dim, "dimension")
         if (i, j) in terms:
-            raise AlgebraFormatError(lineno, f"duplicate product {i} {j}")
+            raise error(lineno, f"duplicate product {i} {j}")
         pairs = terms[i, j] = []
         rest = tokens[4:]
-        pos = 0
-        while True:
+        # terms `c @k` at pos, pos + 1, joined by '+' at pos + 2; a trailing
+        # '+' or a lone token leaves pos on an incomplete term
+        for pos in range(0, len(rest) + 1, 3):
             if pos + 1 >= len(rest):
-                raise AlgebraFormatError(lineno, "expected '<coeff> @<index>'")
+                raise error(lineno, "expected '<coeff> @<index>'")
             coeff = _parse_rational(rest[pos], lineno)
             target = rest[pos + 1]
             if not target.startswith("@"):
-                raise AlgebraFormatError(
-                    lineno, f"expected '@<index>', got '{target}'")
-            k = _parse_index(target[1:], dim, lineno)
-            pairs.append((k, coeff))
-            pos += 2
-            if pos == len(rest):
-                break
-            if rest[pos] != "+":
-                raise AlgebraFormatError(
-                    lineno, f"expected '+' between terms, got '{rest[pos]}'")
-            pos += 1
-    if dim is None:
-        raise AlgebraFormatError(1, "missing 'dim' line")
+                raise error(lineno, f"expected '@<index>', got '{target}'")
+            pairs.append((_read_int(target[1:], "index", lineno, error,
+                                    dim, "dimension"), coeff))
+            if pos + 2 < len(rest) and rest[pos + 2] != "+":
+                raise error(lineno,
+                            f"expected '+' between terms, got '{rest[pos + 2]}'")
     return algebra_from_terms(dim, terms, name=name)
 
 
-def _parse_index(token: str, dim: int, lineno: int) -> int:
-    try:
-        value = int(token)
-    except ValueError:
-        raise AlgebraFormatError(lineno, f"invalid index '{token}'") from None
-    if not 0 <= value < dim:
-        raise AlgebraFormatError(
-            lineno, f"index {value} out of range for dimension {dim}")
-    return value
-
-
 def _parse_file(path: str, parse, error: type):
-    """parse(text, name=<file stem>) on the file's UTF-8 text; an undecodable
-    byte raises `error` at its line."""
+    """parse(text, name=<file stem>) on the file's UTF-8 text, less one
+    leading byte-order mark; an undecodable byte raises `error` at its line."""
     with open(path, "rb") as handle:
-        raw = handle.read()
+        raw = handle.read().removeprefix(codecs.BOM_UTF8)
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -172,45 +178,20 @@ def serialize_algebra(a: Algebra) -> str:
 
 
 def parse_cayley_text(text: str, name: str = "") -> CayleyTable:
-    order = header = None
+    error = CayleyFormatError
+    lines = _significant_lines(text)
+    header, order = _read_header(lines, "order", "order", error)
     rows: list[list[int]] = []
-    for lineno, line in _significant_lines(text):
+    for lineno, line in lines:
         tokens = line.split()
-        if order is None:
-            if len(tokens) != 2 or tokens[0] != "order":
-                raise CayleyFormatError(lineno, "expected 'order <n>' first")
-            try:
-                order = int(tokens[1])
-            except ValueError:
-                raise CayleyFormatError(
-                    lineno, f"invalid order '{tokens[1]}'") from None
-            if not 1 <= order <= MAX_DIM:
-                raise CayleyFormatError(
-                    lineno, f"order must be between 1 and {MAX_DIM}")
-            header = lineno
-            continue
         if len(rows) == order:
-            raise CayleyFormatError(lineno, f"more than {order} rows")
+            raise error(lineno, f"more than {order} rows")
         if len(tokens) != order:
-            raise CayleyFormatError(
-                lineno, f"expected {order} entries, got {len(tokens)}")
-        row = []
-        for token in tokens:
-            try:
-                value = int(token)
-            except ValueError:
-                raise CayleyFormatError(
-                    lineno, f"invalid entry '{token}'") from None
-            if not 0 <= value < order:
-                raise CayleyFormatError(
-                    lineno, f"entry {value} out of range for order {order}")
-            row.append(value)
-        rows.append(row)
-    if order is None:
-        raise CayleyFormatError(1, "missing 'order' line")
+            raise error(lineno, f"expected {order} entries, got {len(tokens)}")
+        rows.append([_read_int(token, "entry", lineno, error, order, "order")
+                     for token in tokens])
     if len(rows) != order:
-        raise CayleyFormatError(
-            header, f"expected {order} rows, got {len(rows)}")
+        raise error(header, f"expected {order} rows, got {len(rows)}")
     return cayley_table(rows, name=name)
 
 

@@ -112,8 +112,9 @@ def _resolve_targets(targets: Sequence[str]):
         elif target in named_tables:
             tables.append(named_tables[target])
         elif os.path.exists(target):
-            # the parser reports undecodable bytes; sniffing needs no exact text
-            with open(target, encoding="utf-8", errors="replace") as handle:
+            # the parser reports undecodable bytes and their offsets;
+            # sniffing needs no exact text, only a header free of the BOM
+            with open(target, encoding="utf-8-sig", errors="replace") as handle:
                 text = handle.read()
             try:
                 if sniff_is_cayley(text):

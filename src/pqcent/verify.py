@@ -55,7 +55,6 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
-    basis_vector,
     clear_denominators,
     lift,
     nullspace_of_rows,
@@ -91,12 +90,14 @@ def _residual_assertion(name: str, res: Optional[tuple]) -> Assertion:
     return Assertion(name, ok, witness)
 
 
+def _identity_operator(n: int) -> IntOperator:
+    return IntOperator(1, tuple(((m, 1),) for m in range(n)))
+
+
 def _operator_candidates(a: Algebra, space: OperatorSpace):
     """zero, identity, and the solved basis, labeled for report lines."""
-    n = a.dim
-    ident = IntOperator(1, tuple(((m, 1),) for m in range(n)))
-    out = [("zero operator", IntOperator(1, ((),) * n)),
-           ("identity operator", ident)]
+    out = [("zero operator", IntOperator(1, ((),) * a.dim)),
+           ("identity operator", _identity_operator(a.dim))]
     out.extend((f"basis operator {idx}", t)
                for idx, t in enumerate(space.int_operators))
     return out
@@ -249,12 +250,9 @@ def verify_unital_center_correspondence(a: Algebra, w: Weights) -> Report:
 
 def _left_ideal(a: Algebra, u) -> Optional[Subspace]:
     """u*A, or None when u is not a right identity of a."""
-    n = a.dim
-    if any(multiply(a, basis_vector(n, i), u) != basis_vector(n, i)
-           for i in range(n)):
+    if right_mul_int(a, u) != _identity_operator(a.dim):
         return None
-    return Subspace.span(
-        n, [multiply(a, u, basis_vector(n, i)) for i in range(n)])
+    return Subspace.span(a.dim, map(dict, left_mul_int(a, u).cols))
 
 
 def _range_conditions(a: Algebra, w: Weights, t: IntOperator):
@@ -387,9 +385,9 @@ def verify_square_zero_iff_nilpotent_range(a: Algebra, w: Weights,
             "range lies inside the radical", inside,
             None if inside else f"range dim {ran.dim}, radical dim {radical(a).dim}",
         ))
-        images = (apply_operator(t, basis_vector(n, i)) for i in range(n))
-        bad = next(
-            (i for i, v in enumerate(images) if any(multiply(a, v, v))), None)
+        # T(b_i) is column i of t up to the positive factor t.den
+        bad = next((i for i, col in enumerate(t.cols)
+                    if any(int_multiply(a, col, col))), None)
         assertions.append(Assertion(
             "images of basis vectors square to zero", bad is None,
             None if bad is None else f"basis index {bad}",

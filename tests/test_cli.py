@@ -52,6 +52,22 @@ def test_non_utf8_file_is_an_input_error(tmp_path, capsys, command):
         f"error: {path}: line 2: invalid UTF-8 byte 0xff\n")
 
 
+@pytest.mark.parametrize("command, text", [("check", "dim 1\n"),
+                                           ("group", "order 1\n0\n")])
+def test_leading_byte_order_mark_is_ignored(tmp_path, capsys, command, text):
+    path = tmp_path / "bom.txt"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert main([command, str(path)]) == 0
+
+
+def test_group_rejects_signed_and_underscored_entries(tmp_path, capsys):
+    path = tmp_path / "lenient.cay"
+    path.write_text("order 2\n0 +1\n1 0_0\n", encoding="utf-8")
+    assert main(["group", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: line 2: invalid entry '+1'\n")
+
+
 @pytest.mark.parametrize("command, header", [("check", "dim"),
                                              ("group", "order")])
 def test_oversized_header_is_an_input_error(tmp_path, capsys, command, header):
