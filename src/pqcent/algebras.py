@@ -32,10 +32,9 @@ from .linalg import (
     Subspace,
     Vector,
     _echelon_insert,
-    _nullspace,
-    _solve_affine,
     clear_denominators,
     nullspace_of_rows,
+    solve_affine_rows,
     subspace_intersect,
     vadd,
 )
@@ -340,21 +339,21 @@ def multiply(a: Algebra, x: Sequence, y: Sequence) -> Vector:
 def _units(a: Algebra, *factors) -> Optional[tuple[Vector, Subspace]]:
     """Affine set of u with b_g u = b_g (from int_by_left_factor) and/or
     u b_g = b_g (from int_by_right_factor) for every g in `generators(a)`:
-    one row per (g, k, table), each equation multiplied by a.scale.
+    one row per (g, k, table) that is not 0 = 0, each equation multiplied
+    by a.scale.
 
     For a fixed u the x with xu = x form a subalgebra, as (xy)u = x(yu),
     and so do the x with ux = x, so the rows on the generators cut out the
     same set as the rows on every basis element."""
     n = a.dim
-    rows = []
+    rows, rhs = [], []
     for g in generators(a):
         for k in range(n):
             for f in factors:
-                row = dict(f[g][k])
-                if g == k:
-                    row[n] = a.scale
-                rows.append(row)
-    return _solve_affine(rows, n)
+                if f[g][k] or g == k:
+                    rows.append(dict(f[g][k]))
+                    rhs.append(a.scale if g == k else 0)
+    return solve_affine_rows(rows, rhs, n)
 
 
 @cached
@@ -415,7 +414,8 @@ def is_commutative(a: Algebra) -> bool:
 def _commutant_rows(a: Algebra, elements) -> list:
     """Rows of x t = t x in the coordinates of x, one per output coordinate
     and element t, each t given by its nonzero (j, t_j) pairs: {m: int}
-    rows of the integer-scaled constants, zeros dropped."""
+    rows of the integer-scaled constants. Rows that vanish are dropped;
+    zero entries of the others are left for `nullspace_of_rows`."""
     rows = []
     for t in elements:
         for k in range(a.dim):
@@ -425,8 +425,7 @@ def _commutant_rows(a: Algebra, elements) -> list:
                     row[m] = row.get(m, 0) + tj * c
                 for m, c in a.int_by_left_factor[j][k]:
                     row[m] = row.get(m, 0) - tj * c
-            row = {m: v for m, v in row.items() if v}
-            if row:
+            if any(row.values()):
                 rows.append(row)
     return rows
 
@@ -437,7 +436,7 @@ def center(a: Algebra) -> Subspace:
     # the elements commuting with a fixed z form a subalgebra, so z needs
     # to commute only with the generators
     elements = [((g, 1),) for g in generators(a)]
-    return _nullspace(_commutant_rows(a, elements), a.dim)
+    return nullspace_of_rows(_commutant_rows(a, elements), a.dim)
 
 
 def relative_center(a: Algebra, s: Subspace, t: Subspace) -> Subspace:
@@ -446,7 +445,7 @@ def relative_center(a: Algebra, s: Subspace, t: Subspace) -> Subspace:
     if s.ambient_dim != n or t.ambient_dim != n:
         raise DimensionMismatch("subspaces must live in the algebra")
     rows = _commutant_rows(a, [pairs for _, pairs in t.rows])
-    return subspace_intersect(s, _nullspace(rows, n))
+    return subspace_intersect(s, nullspace_of_rows(rows, n))
 
 
 @cached

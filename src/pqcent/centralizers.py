@@ -37,12 +37,13 @@ algebra. The weighted and Jordan identities mix both sides and keep every
 pair, and `residual`, the independent check, evaluates every pair of any
 identity.
 
-Every solve is staged. It starts from its enclosing space K (the full
-n^2-space for a root solve) and walks the basis pairs in blocks, one per
-first index. A block's rows are evaluated straight onto the integer rows
-of K, so they reach the elimination in dim K unknowns; when the block's
-kernel is smaller, K becomes K * kernel. A solve holds one block of rows
-at a time, never the n^3 rows of its identity.
+Every solve imposes one identity and is staged. It starts from its
+enclosing space K (the full n^2-space for a root solve) and walks the
+basis pairs in blocks, one per first index. A block's rows are evaluated
+straight onto the integer rows of K, so they reach `nullspace_of_rows`,
+the one elimination entry, in dim K unknowns; when the block's kernel is
+smaller, K becomes K * kernel. A solve holds one block of rows at a time,
+never the n^3 rows of its identity.
 
 The defining conditions quantify over additive maps, but an additive map on
 a Q-vector space is automatically Q-linear, so solving for linear operators
@@ -65,11 +66,11 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
-    _nullspace,
     clear_denominators,
     column_index,
     full_space,
     lift,
+    nullspace_of_rows,
 )
 
 _ZERO = Fraction(0)
@@ -255,7 +256,12 @@ class OperatorSpace:
 
     def contains_operator(self, t) -> bool:
         """Whether the Matrix or IntOperator t lies in the space."""
-        return self.space.contains_vector(_flat(int_operator(t)))
+        t = int_operator(t)
+        if len(t.cols) != self.algebra_dim:
+            raise DimensionMismatch(
+                f"operator has {len(t.cols)} columns, "
+                f"space is on dim {self.algebra_dim}")
+        return self.space.contains_vector(_flat(t))
 
 
 def operator_space(n: int, flats: Sequence) -> OperatorSpace:
@@ -332,7 +338,8 @@ def right_mul_image(a: Algebra, s: Subspace) -> OperatorSpace:
 def _rows(a: Algebra, e: Identity, pairs, index):
     """e's row on each (i, j, orders) of `pairs` and output coordinate k,
     projected through a `column_index` of a space K: a {basis index of K:
-    int} row, the row times K. Rows that vanish are not yielded."""
+    int} row, the row times K. Rows that vanish are not yielded; zero
+    entries of the others are left for `nullspace_of_rows` to drop."""
     n = a.dim
     prods, by_right, by_left = (
         a.int_products, a.int_by_right_factor, a.int_by_left_factor)
@@ -341,7 +348,7 @@ def _rows(a: Algebra, e: Identity, pairs, index):
         for k in range(n):
             # the s T(ab), -p T(a)b and -q a T(b) terms of one row: each
             # (m, c) of the constants adds weight * c times the index
-            # entries of the unknown it multiplies; zeros are dropped last
+            # entries of the unknown it multiplies
             row: dict[int, int] = {}
             get = row.get
             for x, y in orders:
@@ -358,14 +365,13 @@ def _rows(a: Algebra, e: Identity, pairs, index):
                         for col, r in index[y + n * m]:
                             row[col] = get(col, 0) + q * c * r
             if any(row.values()):
-                yield {col: v for col, v in row.items() if v}
+                yield row
 
 
-def _solve(a: Algebra, *identities: Identity,
-           within: Optional[OperatorSpace] = None,
+def _solve(a: Algebra, e: Identity, within: Optional[OperatorSpace] = None,
            upper: bool = False) -> OperatorSpace:
     """The operators in `within` (every operator when None) that satisfy
-    every identity, each imposed on its pairs i < j alone with `upper`.
+    the identity e, imposed on its pairs i < j alone with `upper`.
 
     The left and right identities are imposed only on the blocks of the
     first indices g in `generators(a)`. That is exact: for a fixed T, the a
@@ -389,16 +395,15 @@ def _solve(a: Algebra, *identities: Identity,
             f"enclosing space on dim {within.algebra_dim}, algebra has dim {n}")
     space = full_space(n * n) if within is None else within.space
     index = column_index(space)
-    for e in identities:
-        for i in generators(a) if e in (LEFT, RIGHT) else range(n):
-            if not space.dim:
-                break
-            rows = list(_rows(a, e, _block(n, e, i, upper), index))
-            if rows:
-                kernel = _nullspace(rows, space.dim)
-                if kernel.dim < space.dim:
-                    space = lift(space, kernel)
-                    index = column_index(space)
+    for i in generators(a) if e in (LEFT, RIGHT) else range(n):
+        if not space.dim:
+            break
+        rows = list(_rows(a, e, _block(n, e, i, upper), index))
+        if rows:
+            kernel = nullspace_of_rows(rows, space.dim)
+            if kernel.dim < space.dim:
+                space = lift(space, kernel)
+                index = column_index(space)
     return OperatorSpace(n, space)
 
 

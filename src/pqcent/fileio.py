@@ -145,21 +145,24 @@ def parse_algebra_text(text: str, name: str = "") -> Algebra:
     return algebra_from_terms(dim, terms, name=name)
 
 
-def _parse_file(path: str, parse, error: type):
-    """parse(text, name=<file stem>) on the file's UTF-8 text, less one
-    leading byte-order mark; an undecodable byte raises `error` at its line."""
+def _read_text(path: str, error: type) -> str:
+    """The UTF-8 text of the file at `path`, less one leading byte-order
+    mark; an undecodable byte raises `error` at its line."""
     with open(path, "rb") as handle:
         raw = handle.read().removeprefix(codecs.BOM_UTF8)
     try:
-        text = raw.decode("utf-8")
+        return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(raw.count(b"\n", 0, exc.start) + 1,
                     f"invalid UTF-8 byte 0x{raw[exc.start]:02x}") from None
-    return parse(text, name=os.path.splitext(os.path.basename(path))[0])
+
+
+def _stem(path: str) -> str:
+    return os.path.splitext(os.path.basename(path))[0]
 
 
 def parse_algebra_file(path: str) -> Algebra:
-    return _parse_file(path, parse_algebra_text, AlgebraFormatError)
+    return parse_algebra_text(_read_text(path, AlgebraFormatError), name=_stem(path))
 
 
 def serialize_algebra(a: Algebra) -> str:
@@ -196,7 +199,7 @@ def parse_cayley_text(text: str, name: str = "") -> CayleyTable:
 
 
 def parse_cayley_file(path: str) -> CayleyTable:
-    return _parse_file(path, parse_cayley_text, CayleyFormatError)
+    return parse_cayley_text(_read_text(path, CayleyFormatError), name=_stem(path))
 
 
 def serialize_cayley(t: CayleyTable) -> str:
@@ -213,3 +216,12 @@ def sniff_is_cayley(text: str) -> bool:
     for _, line in _significant_lines(text):
         return line.split()[0] == "order"
     return False
+
+
+def _parse_either_file(path: str):
+    """The Cayley table or the algebra in the file at `path`, read once:
+    the format is sniffed on the text the parser reads. An undecodable byte
+    raises the base `_FormatError`, as the format is not known yet."""
+    text = _read_text(path, _FormatError)
+    parse = parse_cayley_text if sniff_is_cayley(text) else parse_algebra_text
+    return parse(text, name=_stem(path))

@@ -8,23 +8,24 @@ gives one integer kernel row per free column, and those rows are
 canonicalized on the same core.
 
 `nullspace_of_rows` is the one elimination path: echelon, back-elimination
-and kernel, with nothing else in between. It checks and converts each row;
-its private half `_nullspace` takes rows already in the core's {col: int}
-form as they are, for the callers that have just built them so (the
-centralizer and structure solves), and `_solve_affine` is the same half of
-`solve_affine_rows`. A kernel inside an enclosing space K is found by
-refinement, ker(A) within K = K * ker(A * K), where K holds the integer
-basis rows of the space. `column_index` and `lift` are the two halves of
-that step, and the centralizer solvers are their caller: they evaluate
-each block of rows straight onto K through `column_index`, hand the
-projected block to `_nullspace` in dim K unknowns, and `lift` its kernel
-back.
+and kernel, with nothing else in between; `solve_affine_rows` runs the same
+path on the rows [row | rhs]. Both check and copy each row into the core's
+{col: int} form, so every caller, the centralizer and structure solves
+included, enters the core the same way. A kernel inside an enclosing space
+K is found by refinement, ker(A) within K = K * ker(A * K), where K holds
+the integer basis rows of the space. `column_index` and `lift` are the two
+halves of that step, and the centralizer solvers are their caller: they
+evaluate each block of rows straight onto K through `column_index`, hand
+the projected block to `nullspace_of_rows` in dim K unknowns, and `lift`
+its kernel back.
 
 `Subspace` holds the canonical integer form of a span: its reduced row
 echelon basis, each row scaled to a primitive integer row with a positive
 pivot entry. The form is unique per span, so `==` and `hash` on subspaces
 are mathematical equality, and containment reduces integer vectors against
-the rows. Fractions are made only where a caller reads them: the dense
+the rows. `Subspace(n, rows)` is the one constructor and checks the form it
+is given; `Subspace.span` builds the form from any spanning vectors.
+Fractions are made only where a caller reads them: the dense
 `Subspace.basis` (built on first read), `reduce_vector`, and the particular
 solution of `solve_affine_rows`. `Matrix` is only a dense value type for
 callers that print or compare operators; no kernel here computes with it.
@@ -36,6 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import lt
 from typing import Iterable, Optional, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -131,12 +133,13 @@ def _sparse_row(row, ncols: int) -> dict[int, int]:
     if isinstance(row, dict):
         if row and (min(row) < 0 or max(row) >= ncols):
             raise DimensionMismatch(f"a column of {sorted(row)} is outside [0, {ncols})")
-        items = row.items()
+        # a row without zeros is copied in C, not entry by entry
+        out = dict(row) if 0 not in row.values() else {
+            c: v for c, v in row.items() if v}
     elif len(row) != ncols:
         raise DimensionMismatch(f"row length {len(row)} != {ncols}")
     else:
-        items = enumerate(row)
-    out = {c: v for c, v in items if v}
+        out = {c: v for c, v in enumerate(row) if v}
     if set(map(type, out.values())) <= {int}:
         return out
     _, ints = clear_denominators([v if type(v) in (int, Fraction) else Fraction(v)
@@ -177,17 +180,11 @@ def _echelon_insert(row: dict[int, int], pivot_rows: dict[int, dict[int, int]]) 
 
 
 def _echelon(rows: Iterable, ncols: int) -> dict[int, dict[int, int]]:
-    """The integer echelon pivot map of `rows`, keyed by pivot column."""
-    return _int_echelon(_sparse_row(r, ncols) for r in rows)
-
-
-def _int_echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
-    """`_echelon` of rows already in the core's own form: fresh {col: int}
-    dicts with zeros dropped and every column in range. They are neither
-    checked nor copied, and may be mutated."""
+    """The integer echelon pivot map of `rows`, keyed by pivot column; each
+    row is checked and copied by `_sparse_row` first."""
     pivot_rows: dict[int, dict[int, int]] = {}
     for row in rows:
-        _echelon_insert(row, pivot_rows)
+        _echelon_insert(_sparse_row(row, ncols), pivot_rows)
     return pivot_rows
 
 
@@ -272,14 +269,7 @@ def nullspace_of_rows(rows: Iterable, ncols: int) -> "Subspace":
     """Solution space of the homogeneous system `rows` (dense or {col: value}),
     from one elimination in all `ncols` unknowns. To solve inside a space
     K, project the rows through `column_index(K)` and `lift` the kernel."""
-    return _nullspace((_sparse_row(r, ncols) for r in rows), ncols)
-
-
-def _nullspace(rows: Iterable[dict[int, int]], ncols: int) -> "Subspace":
-    """`nullspace_of_rows` of rows in the form `_int_echelon` takes, for
-    callers that have just built them so: the solvers and the structure
-    computations."""
-    pivot_rows = _int_echelon(rows)
+    pivot_rows = _echelon(rows, ncols)
     _reduce(pivot_rows)
     return _kernel(pivot_rows, ncols)
 
@@ -300,16 +290,10 @@ def solve_affine_rows(
     for r, b in zip(rows, rhs):
         if isinstance(r, dict) and ncols in r:
             raise DimensionMismatch(f"column {ncols} outside [0, {ncols})")
-        augmented.append(_sparse_row(
-            {**r, ncols: b} if isinstance(r, dict) else [*r, b], ncols + 1))
-    return _solve_affine(augmented, ncols)
-
-
-def _solve_affine(augmented: Iterable[dict[int, int]], ncols: int
-                  ) -> Optional[tuple[Vector, "Subspace"]]:
-    """`solve_affine_rows` of the rows [row | rhs] in the form
-    `_int_echelon` takes, the right-hand side at column `ncols`."""
-    pivot_rows = _int_echelon(augmented)
+        # a dict row with b = 0 goes as it is: `_echelon` copies every row
+        augmented.append(({**r, ncols: b} if b else r) if isinstance(r, dict)
+                         else [*r, b])
+    pivot_rows = _echelon(augmented, ncols + 1)
     if ncols in pivot_rows:
         return None  # a row reduced to 0 = 1
     _reduce(pivot_rows)
@@ -326,19 +310,34 @@ def _solve_affine(augmented: Iterable[dict[int, int]], ncols: int
 
 def _check_rows(n: int, rows: tuple) -> None:
     """Raise ValueError unless `rows` is the canonical integer form of a
-    subspace of Q^n. O(nnz)."""
-    pivots = {p for p, _ in rows}
-    last = -1
-    for p, pairs in rows:
-        cols, vals = zip(*pairs) if pairs else ((), ())
-        if not (cols and last < p == cols[0] and vals[0] > 0 and cols[-1] < n
-                and cols == tuple(sorted(set(cols))) and 0 not in vals
-                and gcd(*vals) == 1 and pivots.isdisjoint(cols[1:])):
-            raise ValueError("basis is not in reduced row echelon form")
-        last = p
+    subspace of Q^n, hashable and with ints for every index and entry.
+    O(nnz)."""
+    try:
+        ok = type(n) is int and n >= 0 and type(rows) is tuple
+        hash(rows)  # TypeError for a list anywhere inside
+        pivots = {p for p, _ in rows} if ok else set()
+        last = -1
+        for p, pairs in rows if ok else ():
+            if len(pairs) == 1:  # most rows: a unit vector, checked cheaply
+                (c, v), = pairs
+                ok = (type(p) is type(c) is type(v) is int
+                      and last < p == c < n and v == 1)
+            else:
+                cols, vals = zip(*pairs)  # ValueError when pairs is empty
+                ok = (type(p) is int and last < p == cols[0] and vals[0] > 0
+                      and cols[-1] < n and set(map(type, cols + vals)) == {int}
+                      and all(map(lt, cols, cols[1:])) and 0 not in vals
+                      and gcd(*vals) == 1 and pivots.isdisjoint(cols[1:]))
+            if not ok:
+                break
+            last = p
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ValueError("rows are not the canonical integer form of a subspace")
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Subspace:
     """A linear subspace of Q^n held in canonical integer form.
 
@@ -346,42 +345,22 @@ class Subspace:
     primitive integer row whose pivot (first) entry is positive:
     `((pivot, ((col, int), ...)), ...)`, pivots and columns increasing.
     The form is unique per span, so `==` and `hash` are span equality.
-    `Subspace(n, basis)` takes the Fraction RREF basis itself and raises
-    ValueError for anything else; `basis` gives it back, built on first
-    read.
+    `Subspace(n, rows)` takes that form itself and raises ValueError for
+    anything else; `span` builds it from any spanning vectors, and `basis`
+    gives the dense Fraction RREF rows, built on first read.
     """
 
     ambient_dim: int
     rows: tuple
 
-    def __init__(self, ambient_dim: int, basis: Iterable[Sequence]):
-        rows = []
-        for row in basis:
-            if len(row) != ambient_dim:
-                raise ValueError("basis vector of wrong length")
-            pairs = [(i, v) for i, v in enumerate(row) if v]
-            if not pairs or pairs[0][1] != 1:
-                raise ValueError("basis is not in reduced row echelon form")
-            _, ints = clear_denominators([v for _, v in pairs])
-            rows.append((pairs[0][0], tuple(zip((i for i, _ in pairs), ints))))
-        self._install(ambient_dim, tuple(rows))
-
-    def _install(self, ambient_dim: int, rows: tuple) -> None:
-        _check_rows(ambient_dim, rows)
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "rows", rows)
-
-    @classmethod
-    def _from_rows(cls, ambient_dim: int, rows: tuple) -> "Subspace":
-        s = cls.__new__(cls)
-        s._install(ambient_dim, rows)
-        return s
+    def __post_init__(self):
+        _check_rows(self.ambient_dim, self.rows)
 
     @classmethod
     def _from_pivot_rows(cls, ambient_dim: int,
                          pivot_rows: dict[int, dict[int, int]]) -> "Subspace":
         """The span of a pivot map that `_reduce` has brought to integer RREF."""
-        return cls._from_rows(ambient_dim, tuple(
+        return cls(ambient_dim, tuple(
             (p, tuple(sorted(pivot_rows[p].items()))) for p in sorted(pivot_rows)
         ))
 
@@ -451,7 +430,7 @@ class Subspace:
 
 
 def full_space(n: int) -> Subspace:
-    return Subspace._from_rows(n, tuple((i, ((i, 1),)) for i in range(n)))
+    return Subspace(n, tuple((i, ((i, 1),)) for i in range(n)))
 
 
 def zero_subspace(n: int) -> Subspace:

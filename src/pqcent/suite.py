@@ -17,13 +17,7 @@ from typing import Optional, Sequence
 
 from .algebras import Algebra, NonAssociativeError
 from .centralizers import Weights
-from .fileio import (
-    AlgebraFormatError,
-    CayleyFormatError,
-    parse_algebra_file,
-    parse_cayley_file,
-    sniff_is_cayley,
-)
+from .fileio import _FormatError, _parse_either_file
 from .fixtures import fixtures, random_algebra, random_poly_quotient
 from .groups import CayleyTable, group_tables, verify_group_centralizer_structure
 from .reports import FAIL, PASS, PRECONDITION_UNMET, Assertion, Report
@@ -94,12 +88,19 @@ def _run_algebra_checks(a: Algebra, weight_pairs) -> list[Report]:
     return out
 
 
+def _rejection(target: str, detail: str) -> Report:
+    """The parse-stage FAIL report of a file target."""
+    return Report("parse", target, None, FAIL,
+                  (Assertion("target parses as a valid input", False, detail),),
+                  "parse-stage rejection")
+
+
 def _resolve_targets(targets: Sequence[str]):
     """Fixture names, group-table names, or file paths, in given order.
 
-    Files that fail to parse (bad syntax or non-associative tables) become
-    FAIL reports instead of exceptions, so one bad target cannot abort a
-    run. Unknown names still raise.
+    Files that cannot be read or parsed (a directory, bad syntax or
+    non-associative tables) become FAIL reports instead of exceptions, so
+    one bad target cannot abort a run. Unknown names still raise.
     """
     algebras: list[Algebra] = []
     tables: list[CayleyTable] = []
@@ -112,23 +113,14 @@ def _resolve_targets(targets: Sequence[str]):
         elif target in named_tables:
             tables.append(named_tables[target])
         elif os.path.exists(target):
-            # the parser reports undecodable bytes and their offsets;
-            # sniffing needs no exact text, only a header free of the BOM
-            with open(target, encoding="utf-8-sig", errors="replace") as handle:
-                text = handle.read()
             try:
-                if sniff_is_cayley(text):
-                    tables.append(parse_cayley_file(target))
-                else:
-                    algebras.append(parse_algebra_file(target))
-            except (AlgebraFormatError, CayleyFormatError,
-                    NonAssociativeError) as exc:
-                rejected.append(Report(
-                    "parse", target, None, FAIL,
-                    (Assertion("target parses as a valid input", False,
-                               str(exc)),),
-                    "parse-stage rejection",
-                ))
+                parsed = _parse_either_file(target)
+            except OSError as exc:
+                rejected.append(_rejection(target, f"{target}: {exc.strerror or exc}"))
+            except (_FormatError, NonAssociativeError) as exc:
+                rejected.append(_rejection(target, str(exc)))
+            else:
+                (tables if isinstance(parsed, CayleyTable) else algebras).append(parsed)
         else:
             raise ValueError(
                 f"unknown fixture name and unreadable file: '{target}'")

@@ -26,7 +26,8 @@ def _full_rows(a, e):
     """The nonzero {col: int} rows of identity e on every basis pair of e,
     in n^2 columns."""
     n = a.dim
-    return _rows(a, e, _pairs(n, e), column_index(full_space(n * n)))
+    return [{c: v for c, v in row.items() if v}
+            for row in _rows(a, e, _pairs(n, e), column_index(full_space(n * n)))]
 
 
 def _ref_center(a):

@@ -39,6 +39,7 @@ from pqcent.centralizers import (
     OperatorSpace,
     Weights,
     _solve,
+    int_operator,
     jordan,
     left_centralizers,
     left_mul,
@@ -249,6 +250,16 @@ def test_residual_rejects_operator_of_wrong_size():
         residual(matrix_algebra(2), _ref_identity_matrix(3), LEFT)
 
 
+def test_contains_operator_rejects_operator_of_wrong_size():
+    space = pq_centralizers(fixtures()["trunc_poly3"], Weights(1, 2))
+    for t in (_ref_zero_matrix(2, 2), int_operator(_ref_zero_matrix(2, 2)),
+              _ref_identity_matrix(4), _ref_zero_matrix(3, 2)):
+        with pytest.raises(DimensionMismatch):
+            space.contains_operator(t)
+    assert space.contains_operator(_ref_zero_matrix(3, 3))
+    assert space.contains_operator(_ref_identity_matrix(3))
+
+
 # ---------------------------------------------------------------------------
 # structural properties
 # ---------------------------------------------------------------------------
@@ -378,6 +389,15 @@ def _ref_solve(a, *identities):
 # space: the elements v with (xy)v = (xv)y, from all n^3 basis triples at
 # once, eliminated in the n coordinates of v.
 
+def _solve_each(a, *identities):
+    """Each identity imposed in turn, each solved inside the space of the
+    ones before it."""
+    space = None
+    for e in identities:
+        space = _solve(a, e, within=space)
+    return space
+
+
 def _ref_two_sided_mul_elements(a):
     n = a.dim
     prods, by_right, by_left = (
@@ -458,7 +478,8 @@ def test_staged_solves_match_full_row_solves(seed, commutative):
     rng = random.Random(seed)
     a = random_poly_quotient(rng) if commutative else random_algebra(rng)
     two_sided = _ref_solve(a, LEFT, RIGHT)
-    assert _solve(a, LEFT, RIGHT) == two_sided
+    assert _solve_each(a, LEFT, RIGHT) == two_sided
+    assert _solve_each(a, RIGHT, LEFT) == two_sided
     assert two_sided_centralizers(a) == two_sided
     assert _solve(a, LEFT) == _ref_solve(a, LEFT)
     assert _solve(a, RIGHT) == _ref_solve(a, RIGHT)
@@ -531,17 +552,44 @@ def test_solves_hand_linalg_one_block_at_a_time(monkeypatch):
     w = Weights(1, 2)
     expected = pq_jordan_centralizers(a, w), left_centralizers(a)
     systems = []
-    real = centralizers._nullspace
+    real = centralizers.nullspace_of_rows
 
     def recording(rows, ncols):
         systems.append((len(rows), ncols))
         return real(rows, ncols)
 
-    monkeypatch.setattr(centralizers, "_nullspace", recording)
+    monkeypatch.setattr(centralizers, "nullspace_of_rows", recording)
     assert (_solve(a, jordan(w)), _solve(a, LEFT)) == expected
     # n^2 unknowns only in the first block of each of the two root solves
     assert [ncols for _, ncols in systems].count(n * n) == 2
     assert all(rows <= n * n for rows, _ in systems)
+
+
+def test_solves_enter_linalg_through_its_public_entries(monkeypatch):
+    # every elimination of the structure and centralizer solves goes through
+    # nullspace_of_rows or solve_affine_rows, as bound in the calling module
+    import pqcent.algebras as algebras
+    import pqcent.centralizers as centralizers
+    calls = []
+    for module in (algebras, centralizers):
+        for name in ("nullspace_of_rows", "solve_affine_rows"):
+            real = getattr(module, name, None)
+            if real is not None:
+                def recording(*args, real=real, where=f"{module.__name__}.{name}"):
+                    calls.append(where)
+                    return real(*args)
+
+                monkeypatch.setattr(module, name, recording)
+    a = matrix_algebra(2)  # fresh, so no solve below is cached
+    for solve, entry in (
+            (center, "pqcent.algebras.nullspace_of_rows"),
+            (right_identities, "pqcent.algebras.solve_affine_rows"),
+            (identity, "pqcent.algebras.solve_affine_rows"),
+            (left_centralizers, "pqcent.centralizers.nullspace_of_rows"),
+            (two_sided_centralizers, "pqcent.centralizers.nullspace_of_rows")):
+        calls.clear()
+        solve(a)
+        assert calls and set(calls) == {entry}, solve.__name__
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +642,7 @@ def test_residual_agrees_with_solved_space(seed, commutative, data):
     small = st.integers(-3, 3)
     for identities in ((weighted(w),), (jordan(w),), (LEFT,), (RIGHT,),
                        (LEFT, RIGHT)):
-        space = _solve(a, *identities)
+        space = _solve_each(a, *identities)
         coeffs = data.draw(st.lists(small, min_size=space.dim,
                                     max_size=space.dim))
         member = [sum((c * v[k] for c, v in zip(coeffs, space.space.basis)),

@@ -60,6 +60,12 @@ def test_leading_byte_order_mark_is_ignored(tmp_path, capsys, command, text):
     assert main([command, str(path)]) == 0
 
 
+@pytest.mark.parametrize("command", ["check", "group", "center"])
+def test_directory_is_an_input_error(tmp_path, capsys, command):
+    assert main([command, str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path}: Is a directory\n"
+
+
 def test_group_rejects_signed_and_underscored_entries(tmp_path, capsys):
     path = tmp_path / "lenient.cay"
     path.write_text("order 2\n0 +1\n1 0_0\n", encoding="utf-8")

@@ -81,6 +81,18 @@ def _rref_entries(s, nrows):
         (nrows - s.dim) * s.ambient_dim)
 
 
+def _from_basis(n, basis):
+    """The Subspace whose dense RREF basis is `basis`, built from integer
+    rows without the elimination core: a row with pivot entry 1, times the
+    lcm of its denominators, is the primitive integer row of the form."""
+    rows = []
+    for row in basis:
+        d = lcm(*(F(v).denominator for v in row))
+        pairs = tuple((i, int(v * d)) for i, v in enumerate(row) if v)
+        rows.append((pairs[0][0], pairs))
+    return Subspace(n, tuple(rows))
+
+
 def test_rref_identity():
     s = Subspace.span(2, [[1, 0], [0, 1]])
     assert s.basis == ((1, 0), (0, 1)) and s.dim == 2 and s.pivots() == (0, 1)
@@ -206,11 +218,13 @@ def test_subspace_ambient_mismatch():
 
 
 def test_subspace_rejects_non_canonical_basis():
-    with pytest.raises(ValueError):
-        Subspace(2, ((F(2), F(0)),))
-    with pytest.raises(ValueError):
-        Subspace(2, ((F(0), F(1)), (F(1), F(0))))
-    for basis in (((F(1), F(1)), (F(0), F(1))),   # entry in a pivot column
+    # the one constructor takes the canonical integer rows: a dense Fraction
+    # basis is not that form, even when it is the reduced one
+    for basis in (((F(1), F(0)),),
+                  ((F(1), F(0)), (F(0), F(1))),
+                  ((F(2), F(0)),),
+                  ((F(0), F(1)), (F(1), F(0))),
+                  ((F(1), F(1)), (F(0), F(1))),   # entry in a pivot column
                   ((F(0), F(0)),),                # zero row
                   ((F(1), F(0)), (F(1), F(0))),   # repeated pivot
                   ((F(-1), F(2)),),               # negative pivot entry
@@ -542,7 +556,7 @@ def _ref_kernel_basis(reduced, pivots, ncols):
 
 
 def _ref_kernel(reduced, pivots, ncols):
-    return Subspace(ncols, _ref_kernel_basis(reduced, pivots, ncols))
+    return _from_basis(ncols, _ref_kernel_basis(reduced, pivots, ncols))
 
 
 def _ref_nullspace_of_rows(rows, ncols):
@@ -739,8 +753,7 @@ def _ref_solver_kernel(label):
 def test_integer_kernel_matches_the_dense_kernel_on_solver_rows(
         label, rows, ncols):
     before = copy.deepcopy(rows)
-    assert nullspace_of_rows(rows, ncols) == \
-        Subspace(ncols, _ref_solver_kernel(label)), label
+    assert nullspace_of_rows(rows, ncols).basis == _ref_solver_kernel(label), label
     _check_back_elimination(_copy_map(_solver_pivot_map(label)))
     # a consistent right-hand side, rows * x for a seeded integer x, and
     # one that is inconsistent whenever the rows are dependent
@@ -839,7 +852,7 @@ def _check_against_dense(s, t, sb, tb, probes):
         assert space.basis == basis
         assert space.dim == len(basis)
         assert space.pivots() == _ref_pivots(basis)
-        rebuilt = Subspace(n, basis)
+        rebuilt = _from_basis(n, basis)
         assert space == rebuilt and hash(space) == hash(rebuilt)
     assert (s == t) == (sb == tb) == subspace_equal(s, t)
     if sb == tb:
@@ -907,8 +920,8 @@ def test_two_spanning_sets_of_one_span_are_equal_and_hash_equal(system, data):
     other.append([sum(col, F(0)) for col in zip(*rows)] if rows else [0] * ncols)
     s, t = Subspace.span(ncols, rows), Subspace.span(ncols, as_sparse(other, False))
     assert s == t and hash(s) == hash(t) and s.rows == t.rows
-    assert Subspace(ncols, s.basis) == s == Subspace.span(ncols, s.basis)
-    assert hash(Subspace(ncols, s.basis)) == hash(s)
+    assert _from_basis(ncols, s.basis) == s == Subspace.span(ncols, s.basis)
+    assert hash(_from_basis(ncols, s.basis)) == hash(s)
 
 
 def test_two_spanning_sets_example():
@@ -941,10 +954,44 @@ def test_canonical_rows_are_primitive_with_a_positive_pivot():
     ((1, ((1, 1),)), (0, ((0, 1),))),             # pivots not increasing
     ((0, ((0, 1), (1, 1))), (1, ((1, 1),))),      # entry in a pivot column
     ((0, ()),),                                   # empty row
+    ((0, ((0, 1),)), (0, ((0, 1),))),             # repeated pivot
+    ((0, ((0, 2),)),),                            # unit row, not primitive
+    ((0, ((0, -1),)),),                           # unit row, negative
+    ((0, ((1, 1),)),),                            # unit row off its pivot
+    ((2, ((2, 1),)),),                            # unit row outside [0, 2)
+    ((0, ((0, True),)),),                         # unit row, bool entry
+    ((0, ("a",)),),                               # a string, not a pair
+    ((0, ((0, F(1)),)),),                         # Fraction entry
+    ((0, ((F(0), 1),)),),                         # Fraction column
+    ((F(0), ((0, 1),)),),                         # Fraction pivot
+    ((0, ((True, 1),)),),                         # bool column
+    ((0, ((0, 1, 2),)),),                         # a triple, not a pair
+    ((0, [(0, 1)]),),                             # a list of pairs
+    ((0, ([0, 1],)),),                            # a list pair
+    ([0, ((0, 1),)],),                            # a list row
+    [(0, ((0, 1),))],                             # a list of rows
+    (([0], ((0, 1),)),),                          # an unhashable pivot
+    ((0,),),                                      # a row without pairs
+    (0,),                                         # a bare int
+    "ab",
+    None,
 ])
 def test_integer_form_validation_rejects_non_canonical_rows(rows):
     with pytest.raises(ValueError):
-        Subspace._from_rows(2, rows)
+        Subspace(2, rows)
+
+
+@pytest.mark.parametrize("n", [-1, True, 2.0, None])
+def test_integer_form_validation_rejects_a_bad_ambient_dimension(n):
+    with pytest.raises(ValueError):
+        Subspace(n, ())
+
+
+def test_integer_form_round_trips_through_the_constructor():
+    s = Subspace.span(4, [[F(2, 3), F(-4, 3), 0, 2], [0, 0, -6, 4]])
+    assert Subspace(4, s.rows) == s and hash(Subspace(4, s.rows)) == hash(s)
+    assert Subspace(3, ()) == zero_subspace(3)
+    assert Subspace(2, ((0, ((0, 1),)), (1, ((1, 1),)))) == full_space(2)
 
 
 def test_basis_is_built_on_first_read_only():

@@ -1,5 +1,6 @@
 """Suite runner: target resolution, determinism, and exit-code contract."""
 
+import builtins
 import hashlib
 import json
 
@@ -81,6 +82,34 @@ def test_cayley_file_with_byte_order_mark_reaches_check_4_2(tmp_path):
     path.write_bytes(b"\xef\xbb\xbforder 2\n0 1\n1 0\n")
     rr = run_suite(targets=[str(path)], weight_pairs=((1, 2),))
     assert [(r.check_id, r.status) for r in rr.reports] == [("4.2", PASS)]
+
+
+def test_directory_target_recorded_not_raised(tmp_path):
+    rr = run_suite(targets=[str(tmp_path), "colmat2"], weight_pairs=((1, 2),))
+    parse_reports = [r for r in rr.reports if r.check_id == "parse"]
+    assert [(r.target, r.status) for r in parse_reports] == [(str(tmp_path), FAIL)]
+    assert parse_reports[0].failures()[0].witness == f"{tmp_path}: Is a directory"
+    assert rr.exit_code == 1
+    # the good target still ran
+    assert any(r.check_id == "2.1" and r.status == PASS for r in rr.reports)
+
+
+@pytest.mark.parametrize("text", [COLMAT2_TEXT, "\ufefforder 2\n0 1\n1 0\n"])
+def test_file_target_is_read_once(tmp_path, monkeypatch, text):
+    # the format is sniffed on the text the parser reads
+    path = tmp_path / "target.txt"
+    path.write_text(text, encoding="utf-8")
+    opened = []
+    real_open = builtins.open
+
+    def recording(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recording)
+    rr = run_suite(targets=[str(path)], weight_pairs=((1, 2),))
+    assert opened.count(str(path)) == 1
+    assert rr.exit_code == 0 and rr.reports
 
 
 @pytest.mark.parametrize("header", ["dim", "order"])
