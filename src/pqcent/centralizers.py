@@ -368,7 +368,7 @@ def _rows(a: Algebra, e: Identity, pairs, index):
                 yield row
 
 
-def _solve(a: Algebra, e: Identity, within: Optional[OperatorSpace] = None,
+def _solve(a: Algebra, e: Identity, *, within: Optional[OperatorSpace] = None,
            upper: bool = False) -> OperatorSpace:
     """The operators in `within` (every operator when None) that satisfy
     the identity e, imposed on its pairs i < j alone with `upper`.

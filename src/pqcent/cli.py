@@ -59,8 +59,9 @@ def _verbose() -> bool:
 
 def _load(target: str, named, parse, errors, noun: str):
     """The entry `target` of the table that `named()` returns, or else the
-    file at that path read by `parse`. Its `errors`, and a path that cannot
-    be read, exit with code 2 and the path."""
+    file at that path read by `parse`, whose `errors` exit with code 2.
+    A path that cannot be read raises an OSError naming it, which `main`
+    reports with the same code."""
     table = named()
     if target in table:
         return table[target]
@@ -68,8 +69,6 @@ def _load(target: str, named, parse, errors, noun: str):
         raise CliError(f"unknown {noun} name and unreadable file: '{target}'")
     try:
         return parse(target)
-    except OSError as exc:
-        raise CliError(f"{target}: {exc.strerror or exc}") from None
     except errors as exc:
         raise CliError(f"{target}: {exc}") from None
 

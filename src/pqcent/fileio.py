@@ -145,24 +145,26 @@ def parse_algebra_text(text: str, name: str = "") -> Algebra:
     return algebra_from_terms(dim, terms, name=name)
 
 
-def _read_text(path: str, error: type) -> str:
-    """The UTF-8 text of the file at `path`, less one leading byte-order
-    mark; an undecodable byte raises `error` at its line."""
-    with open(path, "rb") as handle:
-        raw = handle.read().removeprefix(codecs.BOM_UTF8)
+def _parse_file(path: str, parse, error: type):
+    """parse(text, name=<file stem>) on the file's UTF-8 text, less one
+    leading byte-order mark; an undecodable byte raises `error` at its line,
+    and a path that cannot be read (a directory, say) an OSError of the same
+    kind whose message is "<path>: <reason>"."""
     try:
-        return raw.decode("utf-8")
+        with open(path, "rb") as handle:
+            raw = handle.read().removeprefix(codecs.BOM_UTF8)
+    except OSError as exc:
+        raise type(exc)(f"{path}: {exc.strerror or exc}") from None
+    try:
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(raw.count(b"\n", 0, exc.start) + 1,
                     f"invalid UTF-8 byte 0x{raw[exc.start]:02x}") from None
-
-
-def _stem(path: str) -> str:
-    return os.path.splitext(os.path.basename(path))[0]
+    return parse(text, name=os.path.splitext(os.path.basename(path))[0])
 
 
 def parse_algebra_file(path: str) -> Algebra:
-    return parse_algebra_text(_read_text(path, AlgebraFormatError), name=_stem(path))
+    return _parse_file(path, parse_algebra_text, AlgebraFormatError)
 
 
 def serialize_algebra(a: Algebra) -> str:
@@ -199,7 +201,7 @@ def parse_cayley_text(text: str, name: str = "") -> CayleyTable:
 
 
 def parse_cayley_file(path: str) -> CayleyTable:
-    return parse_cayley_text(_read_text(path, CayleyFormatError), name=_stem(path))
+    return _parse_file(path, parse_cayley_text, CayleyFormatError)
 
 
 def serialize_cayley(t: CayleyTable) -> str:
@@ -218,10 +220,14 @@ def sniff_is_cayley(text: str) -> bool:
     return False
 
 
-def _parse_either_file(path: str):
-    """The Cayley table or the algebra in the file at `path`, read once:
-    the format is sniffed on the text the parser reads. An undecodable byte
-    raises the base `_FormatError`, as the format is not known yet."""
-    text = _read_text(path, _FormatError)
+def _parse_either_text(text: str, name: str):
+    """The Cayley table or the algebra in `text`, by `sniff_is_cayley`."""
     parse = parse_cayley_text if sniff_is_cayley(text) else parse_algebra_text
-    return parse(text, name=_stem(path))
+    return parse(text, name=name)
+
+
+def _parse_either_file(path: str):
+    """The Cayley table or the algebra in the file at `path`, read once and
+    sniffed on the text the parser reads. An undecodable byte raises the
+    base `_FormatError`, as the format is not known yet."""
+    return _parse_file(path, _parse_either_text, _FormatError)

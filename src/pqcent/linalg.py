@@ -133,9 +133,7 @@ def _sparse_row(row, ncols: int) -> dict[int, int]:
     if isinstance(row, dict):
         if row and (min(row) < 0 or max(row) >= ncols):
             raise DimensionMismatch(f"a column of {sorted(row)} is outside [0, {ncols})")
-        # a row without zeros is copied in C, not entry by entry
-        out = dict(row) if 0 not in row.values() else {
-            c: v for c, v in row.items() if v}
+        out = {c: v for c, v in row.items() if v}
     elif len(row) != ncols:
         raise DimensionMismatch(f"row length {len(row)} != {ncols}")
     else:
@@ -290,9 +288,7 @@ def solve_affine_rows(
     for r, b in zip(rows, rhs):
         if isinstance(r, dict) and ncols in r:
             raise DimensionMismatch(f"column {ncols} outside [0, {ncols})")
-        # a dict row with b = 0 goes as it is: `_echelon` copies every row
-        augmented.append(({**r, ncols: b} if b else r) if isinstance(r, dict)
-                         else [*r, b])
+        augmented.append({**r, ncols: b} if isinstance(r, dict) else [*r, b])
     pivot_rows = _echelon(augmented, ncols + 1)
     if ncols in pivot_rows:
         return None  # a row reduced to 0 = 1
@@ -318,16 +314,11 @@ def _check_rows(n: int, rows: tuple) -> None:
         pivots = {p for p, _ in rows} if ok else set()
         last = -1
         for p, pairs in rows if ok else ():
-            if len(pairs) == 1:  # most rows: a unit vector, checked cheaply
-                (c, v), = pairs
-                ok = (type(p) is type(c) is type(v) is int
-                      and last < p == c < n and v == 1)
-            else:
-                cols, vals = zip(*pairs)  # ValueError when pairs is empty
-                ok = (type(p) is int and last < p == cols[0] and vals[0] > 0
-                      and cols[-1] < n and set(map(type, cols + vals)) == {int}
-                      and all(map(lt, cols, cols[1:])) and 0 not in vals
-                      and gcd(*vals) == 1 and pivots.isdisjoint(cols[1:]))
+            cols, vals = zip(*pairs)  # ValueError when pairs is empty
+            ok = (type(p) is int and last < p == cols[0] and vals[0] > 0
+                  and cols[-1] < n and set(map(type, cols + vals)) == {int}
+                  and all(map(lt, cols, cols[1:])) and 0 not in vals
+                  and gcd(*vals) == 1 and pivots.isdisjoint(cols[1:]))
             if not ok:
                 break
             last = p

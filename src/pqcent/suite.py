@@ -88,13 +88,6 @@ def _run_algebra_checks(a: Algebra, weight_pairs) -> list[Report]:
     return out
 
 
-def _rejection(target: str, detail: str) -> Report:
-    """The parse-stage FAIL report of a file target."""
-    return Report("parse", target, None, FAIL,
-                  (Assertion("target parses as a valid input", False, detail),),
-                  "parse-stage rejection")
-
-
 def _resolve_targets(targets: Sequence[str]):
     """Fixture names, group-table names, or file paths, in given order.
 
@@ -115,10 +108,13 @@ def _resolve_targets(targets: Sequence[str]):
         elif os.path.exists(target):
             try:
                 parsed = _parse_either_file(target)
-            except OSError as exc:
-                rejected.append(_rejection(target, f"{target}: {exc.strerror or exc}"))
-            except (_FormatError, NonAssociativeError) as exc:
-                rejected.append(_rejection(target, str(exc)))
+            except (OSError, _FormatError, NonAssociativeError) as exc:
+                rejected.append(Report(
+                    "parse", target, None, FAIL,
+                    (Assertion("target parses as a valid input", False,
+                               str(exc)),),
+                    "parse-stage rejection",
+                ))
             else:
                 (tables if isinstance(parsed, CayleyTable) else algebras).append(parsed)
         else:

@@ -493,6 +493,12 @@ def test_staged_solves_match_full_row_solves(seed, commutative):
         right_mul_image(a, _ref_two_sided_mul_elements(a))
 
 
+def test_solve_takes_one_identity():
+    # a second identity is no longer a positional argument
+    with pytest.raises(TypeError):
+        _solve(dual_numbers(), LEFT, RIGHT)
+
+
 UPPER_ALGEBRAS = {**CHAIN_ALGEBRAS, **{
     name: _table_algebra(table)
     for name, table in RIGHT_IDENTITY_SEMIGROUPS.items()}}
