@@ -34,11 +34,9 @@ from .centralizers import (
     OperatorSpace,
     Weights,
     left_centralizers,
-    left_mul,
     pq_centralizers,
     pq_jordan_centralizers,
     right_centralizers,
-    right_mul,
     two_sided_centralizers,
 )
 from .fileio import (
@@ -61,7 +59,7 @@ from .groups import (
     validate_group,
     verify_group_centralizer_structure,
 )
-from .linalg import Matrix, Subspace
+from .linalg import Subspace
 from .reports import FAIL, PASS, PRECONDITION_UNMET, Assertion, Report
 from .suite import RunReport, run_suite
 from .verify import CHECK_DESCRIPTIONS, CHECK_IDS
@@ -77,7 +75,6 @@ __all__ = [
     "CHECK_DESCRIPTIONS",
     "CHECK_IDS",
     "FAIL",
-    "Matrix",
     "NonAssociativeError",
     "OperatorSpace",
     "PASS",
@@ -100,7 +97,6 @@ __all__ = [
     "is_nilpotent_subspace",
     "is_unital",
     "left_centralizers",
-    "left_mul",
     "make_algebra",
     "multiply",
     "parse_algebra_file",
@@ -113,7 +109,6 @@ __all__ = [
     "relative_center",
     "right_centralizers",
     "right_identities",
-    "right_mul",
     "run_suite",
     "serialize_algebra",
     "serialize_cayley",

@@ -14,10 +14,10 @@ Each space is cut out by linear equations on the n^2 matrix entries of T,
 obtained by letting a, b run over basis pairs, and is solved exactly as a
 nullspace. An operator T corresponds to the flat vector of the row-major
 entries of its matrix, whose columns are the images of the basis vectors,
-so operator spaces are canonical subspaces of n^2-space. The checks read
-each operator in one canonical integer form, `IntOperator(den, cols)`,
-taken straight from the primitive rows of the solved subspace; a dense
-Fraction `Matrix` is rendered from it only for callers that ask for one.
+so operator spaces are canonical subspaces of n^2-space. An operator has
+one type, its canonical integer form `IntOperator(den, cols)`: the solved
+spaces hand theirs out read straight from the primitive rows of their
+subspace, and every check, membership test and `residual` takes one.
 
 The spaces are solved along the chain two-sided ⊆ weighted ⊆ Jordan, each
 inside the next larger one. A polarized Jordan row is the sum of the
@@ -63,7 +63,6 @@ from typing import NamedTuple, Optional, Sequence
 from .algebras import Algebra, cached, generators
 from .linalg import (
     DimensionMismatch,
-    Matrix,
     Subspace,
     Vector,
     clear_denominators,
@@ -162,34 +161,6 @@ class IntOperator(NamedTuple):
     cols: tuple
 
 
-def int_operator(t) -> IntOperator:
-    """The integer form of the n x n Matrix t; an IntOperator is returned
-    as it is.
-
-    Scaling by the lcm d of the denominators leaves no factor common to d
-    and every entry, so the form is canonical without a gcd.
-    """
-    if isinstance(t, IntOperator):
-        return t
-    n = t.rows
-    if t.cols != n:
-        raise DimensionMismatch(f"operator is {t.rows}x{t.cols}, not square")
-    den, ints = clear_denominators(t.entries)
-    return IntOperator(den, tuple(
-        tuple((k, ints[k * n + m]) for k in range(n) if ints[k * n + m])
-        for m in range(n)))
-
-
-def operator_matrix(t: IntOperator) -> Matrix:
-    """The n x n Matrix of t, entry (k, m) the b_k coordinate of T(b_m)."""
-    n = len(t.cols)
-    entries = [_ZERO] * (n * n)
-    for m, col in enumerate(t.cols):
-        for k, v in col:
-            entries[k * n + m] = Fraction(v, t.den)
-    return Matrix(n, n, tuple(entries))
-
-
 def combine_columns(cols: Sequence, terms) -> list[int]:
     """The sum of v * cols[k] over the (k, v) `terms`, for sparse integer
     columns of a square matrix, as a dense list."""
@@ -251,12 +222,8 @@ class OperatorSpace:
             out.append(IntOperator(pairs[0][1], tuple(map(tuple, cols))))
         return tuple(out)
 
-    def operators(self) -> tuple[Matrix, ...]:
-        return tuple(map(operator_matrix, self.int_operators))
-
-    def contains_operator(self, t) -> bool:
-        """Whether the Matrix or IntOperator t lies in the space."""
-        t = int_operator(t)
+    def contains_operator(self, t: IntOperator) -> bool:
+        """Whether the operator t lies in the space."""
         if len(t.cols) != self.algebra_dim:
             raise DimensionMismatch(
                 f"operator has {len(t.cols)} columns, "
@@ -295,16 +262,6 @@ def right_mul_int(a: Algebra, x: Sequence) -> IntOperator:
 def left_mul_int(a: Algebra, x: Sequence) -> IntOperator:
     """Left multiplication b -> x*b, in integer form."""
     return _mul_int(a, x, a.int_by_left_factor)
-
-
-def right_mul(a: Algebra, x: Sequence) -> Matrix:
-    """Right multiplication operator b -> b*x."""
-    return operator_matrix(right_mul_int(a, x))
-
-
-def left_mul(a: Algebra, x: Sequence) -> Matrix:
-    """Left multiplication operator b -> x*b."""
-    return operator_matrix(left_mul_int(a, x))
 
 
 @cached
@@ -469,14 +426,13 @@ def two_sided_right_mul_space(a: Algebra) -> OperatorSpace:
 # solvers; the first failing (i, j, residual) serves as a report witness.
 # ---------------------------------------------------------------------------
 
-def residual(a: Algebra, t, e: Identity
+def residual(a: Algebra, t: IntOperator, e: Identity
              ) -> Optional[tuple[int, int, Vector]]:
     """The first basis pair (i, j), in row-major order, on which the
-    operator t (a Matrix or an IntOperator) violates e, with
-    s T(ab) - p T(a)b - q a T(b) there (summed over ab and ba when e is
-    symmetric); None if t satisfies e on every pair."""
+    operator t violates e, with s T(ab) - p T(a)b - q a T(b) there (summed
+    over ab and ba when e is symmetric); None if t satisfies e on every
+    pair."""
     n = a.dim
-    t = int_operator(t)
     if len(t.cols) != n:
         raise DimensionMismatch(
             f"operator has {len(t.cols)} columns, algebra has dim {n}")

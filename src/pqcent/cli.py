@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import nullcontext
+from fractions import Fraction
 from functools import partial
 from typing import Optional
 
@@ -33,6 +35,7 @@ from .centralizers import (
 from .fileio import (
     AlgebraFormatError,
     CayleyFormatError,
+    open_path,
     parse_algebra_file,
     parse_cayley_file,
     serialize_algebra,
@@ -153,10 +156,15 @@ def _cmd_centralizers(args) -> int:
         space = pq_centralizers(a, w)
         label = f"({w.p},{w.q}) centralizers"
     print(f"{label}: dimension {space.dim}")
-    for idx, t in enumerate(space.operators()):
+    for idx, t in enumerate(space.int_operators):
         print(f"operator {idx}:")
-        for row in t.to_rows():
-            print("  [" + ", ".join(str(v) for v in row) + "]")
+        # row k holds the b_k coordinates of T(b_0), ..., T(b_{n-1})
+        rows = [[0] * a.dim for _ in range(a.dim)]
+        for m, col in enumerate(t.cols):
+            for k, v in col:
+                rows[k][m] = Fraction(v, t.den)
+        for row in rows:
+            print("  [" + ", ".join(map(str, row)) + "]")
     return 0
 
 
@@ -168,7 +176,7 @@ def _cmd_group(args) -> int:
         classes = conjugacy_classes(t)
         print(f"conjugacy classes: {len(classes)}")
         if args.emit_algebra:
-            with open(args.emit_algebra, "w", encoding="utf-8") as handle:
+            with open_path(args.emit_algebra, "w") as handle:
                 handle.write(serialize_algebra(group_algebra(t)))
             print(f"wrote algebra to {args.emit_algebra}")
     elif args.emit_algebra:
@@ -191,12 +199,16 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    report = run_suite(seed=args.seed)
-    for line in report.text_lines(verbose=_verbose()):
-        print(line)
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
+    # the report path is opened first, so one that cannot be written
+    # fails before the suite runs
+    target = open_path(args.report, "w") if args.report else nullcontext()
+    with target as handle:
+        report = run_suite(seed=args.seed)
+        for line in report.text_lines(verbose=_verbose()):
+            print(line)
+        if handle:
             handle.write(report.to_json())
+    if handle:
         print(f"wrote report to {args.report}")
     return report.exit_code
 
@@ -277,10 +289,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CliError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

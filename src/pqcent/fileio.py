@@ -145,16 +145,22 @@ def parse_algebra_text(text: str, name: str = "") -> Algebra:
     return algebra_from_terms(dim, terms, name=name)
 
 
+def open_path(path: str, mode: str = "rb"):
+    """open(path, mode), as UTF-8 in text mode. A path that cannot be opened
+    (a directory, say) raises an OSError of the same kind whose message is
+    "<path>: <reason>"."""
+    try:
+        return open(path, mode, encoding=None if "b" in mode else "utf-8")
+    except OSError as exc:
+        raise type(exc)(f"{path}: {exc.strerror or exc}") from None
+
+
 def _parse_file(path: str, parse, error: type):
     """parse(text, name=<file stem>) on the file's UTF-8 text, less one
     leading byte-order mark; an undecodable byte raises `error` at its line,
-    and a path that cannot be read (a directory, say) an OSError of the same
-    kind whose message is "<path>: <reason>"."""
-    try:
-        with open(path, "rb") as handle:
-            raw = handle.read().removeprefix(codecs.BOM_UTF8)
-    except OSError as exc:
-        raise type(exc)(f"{path}: {exc.strerror or exc}") from None
+    and a path that cannot be opened the OSError of `open_path`."""
+    with open_path(path) as handle:
+        raw = handle.read().removeprefix(codecs.BOM_UTF8)
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -27,8 +27,7 @@ the rows. `Subspace(n, rows)` is the one constructor and checks the form it
 is given; `Subspace.span` builds the form from any spanning vectors.
 Fractions are made only where a caller reads them: the dense
 `Subspace.basis` (built on first read), `reduce_vector`, and the particular
-solution of `solve_affine_rows`. `Matrix` is only a dense value type for
-callers that print or compare operators; no kernel here computes with it.
+solution of `solve_affine_rows`.
 """
 
 from __future__ import annotations
@@ -72,48 +71,6 @@ def clear_denominators(values: Sequence) -> tuple[int, list[int]]:
     integers d * v for v in `values`."""
     d = lcm(*(v.denominator for v in values))
     return d, [v.numerator * (d // v.denominator) for v in values]
-
-
-# ---------------------------------------------------------------------------
-# matrices
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Matrix:
-    """Dense rational matrix, row-major immutable storage."""
-
-    rows: int
-    cols: int
-    entries: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("matrix dimensions must be non-negative")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"entry count {len(self.entries)} != rows*cols "
-                f"{self.rows}*{self.cols}"
-            )
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "Matrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        flat = []
-        for r in rows:
-            if len(r) != ncols:
-                raise ValueError("ragged rows")
-            flat.extend(Fraction(v) for v in r)
-        return cls(nrows, ncols, tuple(flat))
-
-    def row(self, i: int) -> Vector:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def to_rows(self) -> list[Vector]:
-        return [self.row(i) for i in range(self.rows)]
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
 
 
 # ---------------------------------------------------------------------------

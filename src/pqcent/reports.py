@@ -55,10 +55,6 @@ class Report:
     def passed(self) -> bool:
         return self.status == PASS
 
-    @property
-    def failed(self) -> bool:
-        return self.status == FAIL
-
     def failures(self) -> tuple[Assertion, ...]:
         return tuple(a for a in self.assertions if not a.passed)
 

@@ -39,7 +39,6 @@ from .centralizers import (
     Weights,
     apply_operator,
     combine_columns,
-    int_operator,
     left_mul_int,
     left_mul_space,
     pq_centralizers,
@@ -52,7 +51,6 @@ from .centralizers import (
     weighted,
 )
 from .linalg import (
-    Matrix,
     Subspace,
     Vector,
     clear_denominators,
@@ -284,7 +282,7 @@ def _range_conditions(a: Algebra, w: Weights, t: IntOperator):
 
 
 def verify_equivalent_range_conditions(a: Algebra, w: Weights,
-                                       t: Matrix | IntOperator, u) -> Report:
+                                       t: IntOperator, u) -> Report:
     """For a weighted centralizer T and right identity u, the four range
     conditions are an equivalence; all must carry one shared truth value:
 
@@ -298,7 +296,6 @@ def verify_equivalent_range_conditions(a: Algebra, w: Weights,
         return precondition_unmet(
             "3.1", target_name(a), w.pair, f"{fmt_vector(u)} is not a right identity"
         )
-    t = int_operator(t)
     if residual(a, t, weighted(w)) is not None:
         return precondition_unmet(
             "3.1", target_name(a), w.pair, "operator is not a weighted centralizer"
@@ -335,7 +332,7 @@ def run_range_conditions_check(a: Algebra, w: Weights) -> Report:
 # ---------------------------------------------------------------------------
 
 def verify_square_zero_iff_nilpotent_range(a: Algebra, w: Weights,
-                                           t: Matrix | IntOperator) -> Report:
+                                           t: IntOperator) -> Report:
     """T.T = 0 exactly when the range of T is nilpotent of index at most 2,
     i.e. all products of range elements vanish.
 
@@ -347,7 +344,6 @@ def verify_square_zero_iff_nilpotent_range(a: Algebra, w: Weights,
     A square-zero centralizer also has range inside the radical.
     """
     n = a.dim
-    t = int_operator(t)
     if residual(a, t, weighted(w)) is not None:
         return precondition_unmet(
             "3.2", target_name(a), w.pair, "operator is not a weighted centralizer"

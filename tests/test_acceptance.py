@@ -16,6 +16,8 @@ from dense_ref import (
     _ref_identity_matrix,
     _ref_matmul,
     _ref_zero_matrix,
+    int_operator,
+    operator_matrix,
 )
 from pqcent.algebras import center, identity, is_commutative, is_unital, \
     is_nilpotent_subspace, multiply, radical
@@ -23,8 +25,8 @@ from pqcent.arens import arens_basis_products, verify_bidual_extension
 from pqcent.centralizers import (
     Weights,
     pq_centralizers,
-    right_mul,
     right_mul_image,
+    right_mul_int,
     right_mul_space,
     two_sided_centralizers,
 )
@@ -165,9 +167,10 @@ def test_criterion_06_square_zero(announce, catalog):
     with announce(6, "multiplication by x has zero square, range nilpotent "
                      "of index 2 inside the radical; both sides false for "
                      "the identity on the 2x2 matrix algebra"):
-        rho_x = right_mul(dual, basis_vector(2, 1))
-        assert _ref_matmul(rho_x, rho_x) == _ref_zero_matrix(2, 2)
-        ran = Subspace.span(2, [(rho_x.entry(0, j), rho_x.entry(1, j))
+        rho_x = right_mul_int(dual, basis_vector(2, 1))
+        dense = operator_matrix(rho_x)
+        assert _ref_matmul(dense, dense) == _ref_zero_matrix(2, 2)
+        ran = Subspace.span(2, [(dense.entry(0, j), dense.entry(1, j))
                                 for j in range(2)])
         nilpotent, index = is_nilpotent_subspace(dual, ran)
         assert nilpotent and index == 2
@@ -180,7 +183,7 @@ def test_criterion_06_square_zero(announce, catalog):
         assert _ref_matmul(ident, ident) != _ref_zero_matrix(4, 4)
         assert is_nilpotent_subspace(m2, full_space(4)) == (False, None)
         report = verify_square_zero_iff_nilpotent_range(
-            m2, Weights(1, 2), ident)
+            m2, Weights(1, 2), int_operator(ident))
         assert report.status == "PASS"
         assert "square zero: False" in report.note
         for pair in WEIGHT_PAIRS:
@@ -236,7 +239,7 @@ def test_criterion_09_range_conditions(announce, catalog):
             assert report.status == "PASS", pair
         u = basis_vector(2, 0)
         single = verify_equivalent_range_conditions(
-            a, Weights(1, 2), _ref_identity_matrix(2), u)
+            a, Weights(1, 2), int_operator(_ref_identity_matrix(2)), u)
         assert single.status == "PASS"
         assert "T(u) central: False" in single.note
 
@@ -271,5 +274,6 @@ def test_acceptance_epilogue_consistency(catalog):
         assert subspace_contains(right_mul_space(a).space, space.space), name
         one = identity(a)
         if one is not None:
-            for t in space.operators():
-                assert right_mul(a, _ref_apply_matrix(t, one)) == t, name
+            for t in space.int_operators:
+                value = _ref_apply_matrix(operator_matrix(t), one)
+                assert right_mul_int(a, value) == t, name

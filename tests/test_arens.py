@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_ref import _ref_matmul, _ref_transpose, _ref_vec
+from dense_ref import Matrix, _ref_matmul, _ref_transpose, _ref_vec
 from pqcent import arens
 from pqcent.algebras import identity, make_algebra, multiply
 from pqcent.arens import (
@@ -27,7 +27,7 @@ from pqcent.fixtures import (
     random_algebra,
     random_poly_quotient,
 )
-from pqcent.linalg import DimensionMismatch, Matrix, basis_vector
+from pqcent.linalg import DimensionMismatch, basis_vector
 from pqcent.reports import FAIL, PASS, PRECONDITION_UNMET
 from pqcent.verify import DEFAULT_WEIGHT_PAIRS
 

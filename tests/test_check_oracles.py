@@ -6,8 +6,10 @@ adjoint scan and the dense samples of check 2.4, `residual`,
 are compared with the routes through `subspace_intersect` they replaced.
 
 The helpers read operators in their canonical integer form, so each test
-passes `int_operator(t)` where its oracle takes the dense `Matrix` t; the
-dense matrix products of the oracles come from `dense_ref`."""
+passes `int_operator(t)` where its oracle takes the dense `Matrix` t, and
+reads solved operators as `operator_matrix` of the package's integer forms;
+the matrix type, both conversions and the dense matrix products of the
+oracles come from `dense_ref`."""
 
 from fractions import Fraction
 from functools import cache
@@ -15,7 +17,15 @@ from random import Random
 
 import pytest
 
-from dense_ref import _ref_apply_matrix, _ref_matmul, _ref_transpose, _ref_vec
+from dense_ref import (
+    Matrix,
+    _ref_apply_matrix,
+    _ref_matmul,
+    _ref_transpose,
+    _ref_vec,
+    int_operator,
+    operator_matrix,
+)
 from pqcent.algebras import (
     center,
     identity,
@@ -35,7 +45,6 @@ from pqcent.centralizers import (
     RIGHT,
     Identity,
     Weights,
-    int_operator,
     jordan,
     left_centralizers,
     pq_centralizers,
@@ -47,7 +56,6 @@ from pqcent.centralizers import (
 )
 from pqcent.fixtures import fixtures, random_algebra, random_poly_quotient
 from pqcent.linalg import (
-    Matrix,
     Subspace,
     basis_vector,
     nullspace_of_rows,
@@ -288,6 +296,11 @@ def _partial_member(a, pair, rng, keep):
         for col in range(n * n)))
 
 
+def _dense(space):
+    """The solved operators of `space` as dense matrices."""
+    return [operator_matrix(t) for t in space.int_operators]
+
+
 @cache
 def _operators(name):
     """Solved members, three of them perturbed by 1/3 in one entry, seeded
@@ -296,9 +309,9 @@ def _operators(name):
     n = a.dim
     rng = Random(name)
     members = [t for pair in DEFAULT_WEIGHT_PAIRS
-               for t in pq_centralizers(a, Weights(*pair)).operators()]
-    members += pq_jordan_centralizers(a, Weights(1, 2)).operators()
-    members += two_sided_centralizers(a).operators()
+               for t in _dense(pq_centralizers(a, Weights(*pair)))]
+    members += _dense(pq_jordan_centralizers(a, Weights(1, 2)))
+    members += _dense(two_sided_centralizers(a))
     members = list(dict.fromkeys(members))
     perturbed = []
     for t in members[:3]:
@@ -327,8 +340,9 @@ def test_inputs_cover_fractional_constants_and_failures():
                for _, c in pairs)
     a = ALGEBRAS["matrix2"]
     ops = _operators("matrix2")
-    assert any(residual(a, t, weighted(Weights(1, 2))) is None for t in ops)
-    assert any(residual(a, t, weighted(Weights(1, 2))) is not None for t in ops)
+    holds = {residual(a, int_operator(t), weighted(Weights(1, 2))) is None
+             for t in ops}
+    assert holds == {True, False}
     _, samples, bidual = _staged_samples(a)
     assert {_sample_holds(bidual, int_operator(t), s, 1, 2)
             for t in ops for s in samples} == {True, False}
@@ -396,7 +410,7 @@ def test_multiplicativity_scan_matches_the_matmul_scan(name):
     n = a.dim
     one = identity(a)
     rng = Random(name)
-    solved = [list(pq_centralizers(a, Weights(*pair)).operators())
+    solved = [_dense(pq_centralizers(a, Weights(*pair)))
               for pair in DEFAULT_WEIGHT_PAIRS]
     # each solved list with one operator moved by 1/3 in an entry of a
     # column that T(1) reads
@@ -421,7 +435,7 @@ def test_multiplicativity_scan_finds_the_mutated_operator():
     a = ALGEBRAS["group_s3"]
     n = a.dim
     one = identity(a)
-    ops = list(pq_centralizers(a, Weights(1, 2)).operators())
+    ops = _dense(pq_centralizers(a, Weights(1, 2)))
     # T_1 with b_0 added to T(b_3): every pair before (1, 2), in row-major
     # order, still multiplies
     entries = list(ops[1].entries)
@@ -441,7 +455,7 @@ RIGHT_UNITAL = sorted(name for name, a in ALGEBRAS.items()
 def test_integer_reconstruction_matches_the_fraction_reconstruction(name):
     a = ALGEBRAS[name]
     ops = _operators(name) + [t for pair in DEFAULT_WEIGHT_PAIRS for t in
-                              pq_jordan_centralizers(a, Weights(*pair)).operators()]
+                              _dense(pq_jordan_centralizers(a, Weights(*pair)))]
     found = set()
     for t in ops:
         for u in right_identity_samples(a):

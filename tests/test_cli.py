@@ -165,6 +165,13 @@ def test_group_emit_algebra_round_trip(tmp_path, capsys):
                  "--p", "1", "--q", "2"]) == 0
 
 
+def test_emit_algebra_to_a_directory_is_an_input_error(tmp_path, capsys):
+    assert main(["group", "c2", "--emit-algebra", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert "PASS" in captured.out  # the table is validated first
+    assert captured.err == f"error: {tmp_path}: Is a directory\n"
+
+
 def test_arens_check(capsys):
     assert main(["arens-check", "colmat2", "--p", "2", "--q", "3"]) == 0
     assert "PASS check=2.4" in capsys.readouterr().out
@@ -241,6 +248,16 @@ def test_suite_report_matches_library_run(tmp_path, capsys):
     assert written == run_suite(seed=7).to_json()
     doc = json.loads(written)
     assert doc["seed"] == 7
+
+
+def test_unwritable_report_path_fails_before_the_suite_runs(tmp_path, capsys,
+                                                            monkeypatch):
+    calls = []
+    monkeypatch.setattr("pqcent.cli.run_suite",
+                        lambda **kwargs: calls.append(kwargs))
+    assert main(["suite", "--report", str(tmp_path)]) == 2
+    assert calls == []
+    assert capsys.readouterr().err == f"error: {tmp_path}: Is a directory\n"
 
 
 CENTRALIZER_VARIANTS = (

@@ -10,6 +10,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from dense_ref import (
+    Matrix,
     _ref_apply_matrix,
     _ref_identity_matrix,
     _ref_matmul,
@@ -27,7 +28,6 @@ from pqcent.linalg import (
     _normalize,
     _reduce,
     _sparse_row,
-    Matrix,
     Subspace,
     basis_vector,
     column_index,

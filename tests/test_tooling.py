@@ -6,9 +6,12 @@ or deleted function would silently drop its per-layer figures.
 
 No module of the package may import a name it never reads (`__init__`
 re-exports aside), every module-level private function must be
-referenced from some module, and every public module-level function or
-class must be named somewhere in the source, tests, scripts or benchmark
-outside its own definition: code removed from a path leaves no debris.
+referenced from some module, every public module-level function or class
+must be named somewhere in the source, tests, scripts or benchmark
+outside its own definition, and every public method or property of a
+package class must be read as an attribute there: code removed from a
+path leaves no debris. `__init__` re-exports exactly the names it lists
+in `__all__`, and the README's quick start runs as printed.
 """
 
 import ast
@@ -18,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+import pqcent
 from pqcent.verify import CHECK_IDS
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -114,3 +118,41 @@ def test_every_public_definition_is_named_elsewhere():
             and not node.name.startswith("_")
             and not holders.get(node.name, set()) - {id(node)}]
     assert not dead, f"public definitions nothing else names: {dead}"
+
+
+def test_every_public_method_is_read_as_an_attribute():
+    # a method or property counts only when some `x.name` outside its own
+    # definition reads it; a local variable of the same name reads nothing
+    reads: dict[str, set[int]] = {}
+    for tree in TREES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                reads.setdefault(node.attr, set()).add(id(node))
+    dead = [f"{module}.{cls.name}.{node.name}"
+            for module, tree in MODULES.items()
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_")
+            and not reads.get(node.name, set()) - set(map(id, ast.walk(node)))]
+    assert not dead, f"public methods nothing reads: {dead}"
+
+
+def test_init_reexports_exactly_all():
+    imported = [alias.asname or alias.name
+                for node in MODULES["__init__"].body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert sorted(imported) == sorted(set(imported))
+    assert sorted(imported) == sorted(pqcent.__all__)
+
+
+def test_readme_quick_start_runs(capsys):
+    # the first python block of README.md, whose printed lines each appear
+    # in it as the comment that ends a line
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    comments = {line.split("# ", 1)[1] for line in block.splitlines()
+                if "# " in line}
+    assert printed and set(printed) <= comments, printed

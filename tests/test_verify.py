@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from dense_ref import _ref_identity_matrix, _ref_zero_matrix
+from dense_ref import (Matrix, _ref_identity_matrix, _ref_zero_matrix,
+                       int_operator)
 from solver_ref import SEMIGROUP_GAPS
 from pqcent.algebras import (
     identity,
@@ -17,12 +18,12 @@ from pqcent.centralizers import (
     Weights,
     pq_centralizers,
     residual,
-    right_mul,
+    right_mul_int,
     two_sided_centralizers,
     weighted,
 )
 from pqcent.fixtures import fixtures
-from pqcent.linalg import Matrix, basis_vector
+from pqcent.linalg import basis_vector
 from pqcent.reports import PASS, PRECONDITION_UNMET
 from pqcent.verify import (
     CHECK_DESCRIPTIONS,
@@ -118,7 +119,8 @@ def test_center_correspondence_needs_identity(catalog):
 def test_range_conditions_all_false_on_colmat2(catalog):
     a = catalog["colmat2"]
     u = basis_vector(2, 0)
-    rep = verify_equivalent_range_conditions(a, W12, _ref_identity_matrix(2), u)
+    rep = verify_equivalent_range_conditions(
+        a, W12, int_operator(_ref_identity_matrix(2)), u)
     assert rep.status == PASS
     assert "range in u*A: False" in rep.note
     assert "T(u) central: False" in rep.note
@@ -127,7 +129,8 @@ def test_range_conditions_all_false_on_colmat2(catalog):
 def test_range_conditions_all_true_when_unital(catalog):
     a = catalog["matrix2"]
     one = identity(a)
-    rep = verify_equivalent_range_conditions(a, W23, _ref_identity_matrix(4), one)
+    rep = verify_equivalent_range_conditions(
+        a, W23, int_operator(_ref_identity_matrix(4)), one)
     assert rep.status == PASS
     assert "False" not in rep.note
 
@@ -135,7 +138,7 @@ def test_range_conditions_all_true_when_unital(catalog):
 def test_range_conditions_reject_bad_right_identity(catalog):
     a = catalog["colmat2"]
     rep = verify_equivalent_range_conditions(
-        a, W12, _ref_identity_matrix(2), basis_vector(2, 1)
+        a, W12, int_operator(_ref_identity_matrix(2)), basis_vector(2, 1)
     )
     assert rep.status == PRECONDITION_UNMET
     assert "not a right identity" in rep.note
@@ -143,7 +146,7 @@ def test_range_conditions_reject_bad_right_identity(catalog):
 
 def test_range_conditions_reject_non_centralizer(catalog):
     a = catalog["colmat2"]
-    t = Matrix.from_rows([[0, 0], [1, 0]])
+    t = int_operator(Matrix.from_rows([[0, 0], [1, 0]]))
     assert residual(a, t, weighted(W12)) is not None
     rep = verify_equivalent_range_conditions(a, W12, t, basis_vector(2, 0))
     assert rep.status == PRECONDITION_UNMET
@@ -163,7 +166,7 @@ def test_range_conditions_driver(catalog):
 
 def test_square_zero_on_dual_numbers(catalog):
     a = catalog["dual_numbers"]
-    rho_x = right_mul(a, basis_vector(2, 1))
+    rho_x = right_mul_int(a, basis_vector(2, 1))
     rep = verify_square_zero_iff_nilpotent_range(a, W12, rho_x)
     assert rep.status == PASS
     assert "square zero: True" in rep.note
@@ -175,7 +178,8 @@ def test_square_zero_on_dual_numbers(catalog):
 
 def test_square_zero_both_false_on_matrix2(catalog):
     a = catalog["matrix2"]
-    rep = verify_square_zero_iff_nilpotent_range(a, W23, _ref_identity_matrix(4))
+    rep = verify_square_zero_iff_nilpotent_range(
+        a, W23, int_operator(_ref_identity_matrix(4)))
     assert rep.status == PASS
     assert _assertion_names(rep) == [
         "square is zero iff all products of range elements vanish"
@@ -187,7 +191,7 @@ def test_square_zero_nonequivalence_needs_small_index(catalog):
     # multiplication by x on Q[x]/(x^3): range is nilpotent of index 3 but
     # the square is not zero, so only the product-free form is equivalent
     a = catalog["trunc_poly3"]
-    rho_x = right_mul(a, basis_vector(3, 1))
+    rho_x = right_mul_int(a, basis_vector(3, 1))
     rep = verify_square_zero_iff_nilpotent_range(a, W12, rho_x)
     assert rep.status == PASS
     assert "square zero: False" in rep.note
@@ -195,14 +199,15 @@ def test_square_zero_nonequivalence_needs_small_index(catalog):
 
 def test_square_zero_without_right_identity_checks_forward_only(catalog):
     a = catalog["zero2"]
-    rep = verify_square_zero_iff_nilpotent_range(a, W12, _ref_identity_matrix(2))
+    rep = verify_square_zero_iff_nilpotent_range(
+        a, W12, int_operator(_ref_identity_matrix(2)))
     assert rep.status == PASS
     assert all("iff" not in name for name in _assertion_names(rep))
 
 
 def test_square_zero_rejects_non_centralizer(catalog):
     a = catalog["colmat2"]
-    t = Matrix.from_rows([[0, 0], [1, 0]])
+    t = int_operator(Matrix.from_rows([[0, 0], [1, 0]]))
     rep = verify_square_zero_iff_nilpotent_range(a, W12, t)
     assert rep.status == PRECONDITION_UNMET
 
@@ -215,7 +220,8 @@ def test_square_zero_driver_passes_across_catalog(catalog):
 
 def test_zero_operator_square_zero_case(catalog):
     a = catalog["dual_numbers"]
-    rep = verify_square_zero_iff_nilpotent_range(a, W12, _ref_zero_matrix(2, 2))
+    rep = verify_square_zero_iff_nilpotent_range(
+        a, W12, int_operator(_ref_zero_matrix(2, 2)))
     assert rep.status == PASS
     assert "range dim 0" in rep.note
 
