@@ -83,7 +83,6 @@ class Algebra:
     dim: int
     products: tuple
     name: str = ""
-    basis_names: Optional[tuple[str, ...]] = None
 
     @property
     def table(self) -> tuple:
@@ -192,18 +191,18 @@ def generators(a: Algebra) -> tuple[int, ...]:
     """
     n = a.dim
     prods = a.int_products
-    pivots: dict[int, dict[int, int]] = {}
+    echelon: dict[int, dict[int, int]] = {}
     words: list = []  # the (index, int) pairs of each word that grew the span
     gens: list[int] = []
     right: list[int] = []  # the generators with a nonzero right product
 
     def grows(pairs) -> bool:
-        size = len(pivots)
-        _echelon_insert(dict(pairs), pivots)
-        return len(pivots) > size
+        size = len(echelon)
+        _echelon_insert(dict(pairs), echelon)
+        return len(echelon) > size
 
     for g in range(n):
-        if len(pivots) == n:
+        if len(echelon) == n:
             break
         if not grows(((g, 1),)):
             continue
@@ -218,7 +217,7 @@ def generators(a: Algebra) -> tuple[int, ...]:
         word = ((g, 1),)
         words.append(word)
         pending += [(word, h) for h in right]
-        while pending and len(pivots) < n:
+        while pending and len(echelon) < n:
             w, h = pending.pop()
             # w b_h, sparse: most products of a sparse algebra are empty
             acc: dict[int, int] = {}
@@ -270,23 +269,18 @@ def _check_associativity(a: Algebra) -> None:
         raise NonAssociativeError(next(_nonassociative(a, range(a.dim))))
 
 
-def algebra_from_terms(dim: int, terms, *, name: str = "",
-                       basis_names: Optional[Sequence[str]] = None) -> Algebra:
+def algebra_from_terms(dim: int, terms, *, name: str = "") -> Algebra:
     """Build a validated algebra from {(i, j): (k, c) pairs} of the basis
     products b_i * b_j; omitted pairs multiply to zero. An index outside
     [0, dim) raises ValueError naming the pair and the index."""
     if dim < 1:
         raise ValueError("algebra dimension must be at least 1")
-    names = tuple(basis_names) if basis_names is not None else None
-    if names is not None and len(names) != dim:
-        raise ValueError("need one basis name per dimension")
-    a = Algebra(dim, normalize_products(dim, terms), name, names)
+    a = Algebra(dim, normalize_products(dim, terms), name)
     _check_associativity(a)
     return a
 
 
-def make_algebra(dim: int, structure_constants, *, name: str = "",
-                 basis_names: Optional[Sequence[str]] = None) -> Algebra:
+def make_algebra(dim: int, structure_constants, *, name: str = "") -> Algebra:
     """Build a validated algebra from a dim x dim x dim constant array."""
     if len(structure_constants) != dim or any(
             len(plane) != dim or any(len(row) != dim for row in plane)
@@ -295,7 +289,7 @@ def make_algebra(dim: int, structure_constants, *, name: str = "",
     terms = {(i, j): enumerate(row)
              for i, plane in enumerate(structure_constants)
              for j, row in enumerate(plane)}
-    return algebra_from_terms(dim, terms, name=name, basis_names=basis_names)
+    return algebra_from_terms(dim, terms, name=name)
 
 
 def _check_element(a: Algebra, x: Sequence) -> None:

@@ -24,16 +24,14 @@ _ONE = Fraction(1)
 
 def field() -> Algebra:
     """The rationals as a one-dimensional algebra."""
-    return make_algebra(1, [[[1]]], name="field", basis_names=("1",))
+    return make_algebra(1, [[[1]]], name="field")
 
 
 def matrix_algebra(n: int) -> Algebra:
     """Full n x n matrix algebra; basis = matrix units, row-major."""
     terms = {(r * n + s, s * n + u): ((r * n + u, _ONE),)
              for r in range(n) for s in range(n) for u in range(n)}
-    names = tuple(f"E{r + 1}{s + 1}" for r in range(n) for s in range(n))
-    return algebra_from_terms(n * n, terms, name=f"matrix{n}",
-                              basis_names=names)
+    return algebra_from_terms(n * n, terms, name=f"matrix{n}")
 
 
 def colmat(n: int) -> Algebra:
@@ -44,8 +42,7 @@ def colmat(n: int) -> Algebra:
     makes this the canonical non-unital testbed.
     """
     terms = {(i, 0): ((i, _ONE),) for i in range(n)}
-    names = tuple(f"f{i + 1}" for i in range(n))
-    return algebra_from_terms(n, terms, name=f"colmat{n}", basis_names=names)
+    return algebra_from_terms(n, terms, name=f"colmat{n}")
 
 
 def poly_quotient(monic_tail, name: str = "") -> Algebra:
@@ -68,9 +65,7 @@ def poly_quotient(monic_tail, name: str = "") -> Algebra:
             shifted[i] - top * tail[i] for i in range(d)
         ))
     terms = {(i, j): enumerate(reps[i + j]) for i in range(d) for j in range(d)}
-    names = tuple("1" if i == 0 else ("x" if i == 1 else f"x^{i}") for i in range(d))
-    return algebra_from_terms(d, terms, name=name or f"poly_quotient{d}",
-                              basis_names=names)
+    return algebra_from_terms(d, terms, name=name or f"poly_quotient{d}")
 
 
 def truncated_poly(n: int) -> Algebra:
@@ -97,14 +92,11 @@ def direct_sum(a: Algebra, b: Algebra, name: str = "") -> Algebra:
     return algebra_from_terms(a.dim + b.dim, terms, name=label)
 
 
-def opposite(a: Algebra, name: str = "") -> Algebra:
+def opposite(a: Algebra) -> Algebra:
     """Same space, reversed multiplication."""
     n = a.dim
     terms = {(i, j): a.products[j][i] for i in range(n) for j in range(n)}
-    return algebra_from_terms(
-        n, terms, name=name or f"opposite({a.name or '?'})",
-        basis_names=a.basis_names,
-    )
+    return algebra_from_terms(n, terms, name=f"opposite({a.name or '?'})")
 
 
 def fixtures() -> dict[str, Algebra]:

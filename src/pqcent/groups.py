@@ -98,15 +98,10 @@ def _algebra(t: CayleyTable) -> Algebra:
     """The table's algebra, b_i b_j = b_table[i][j], built and scanned for
     associativity once per table: NonAssociativeError when the table is
     not associative, and the group algebra when it is a group."""
-    n = t.order
     one = Fraction(1)
     terms = {(i, j): ((k, one),)
              for i, row in enumerate(t.table) for j, k in enumerate(row)}
-    return algebra_from_terms(
-        n, terms,
-        name=f"group[{t.name or t.order}]",
-        basis_names=tuple(f"g{i}" for i in range(n)),
-    )
+    return algebra_from_terms(t.order, terms, name=f"group[{t.name or t.order}]")
 
 
 @cached

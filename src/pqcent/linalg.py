@@ -125,7 +125,7 @@ def _eliminate(row: dict[int, int], p: dict[int, int], c: int) -> dict[int, int]
 
 
 def _echelon_insert(row: dict[int, int], pivot_rows: dict[int, dict[int, int]]) -> None:
-    """Reduce `row` against current pivots; install it if independent."""
+    """Reduce `row` against the current pivot rows; install it if independent."""
     while row:
         c = min(row)
         if c not in pivot_rows:
@@ -145,7 +145,7 @@ def _echelon(rows: Iterable, ncols: int) -> dict[int, dict[int, int]]:
 
 def _reduce(pivot_rows: dict[int, dict[int, int]]) -> None:
     """Back-eliminate an echelon pivot map in place, so each pivot row is
-    zero at every other pivot column (integer RREF, pivots not yet 1).
+    zero at every other pivot column (integer RREF, pivot entries not yet 1).
 
     Pivot columns are cleared from the last to the first. By then the row of
     pivot c is zero at every later pivot column, so subtracting it clears c
@@ -268,14 +268,14 @@ def _check_rows(n: int, rows: tuple) -> None:
     try:
         ok = type(n) is int and n >= 0 and type(rows) is tuple
         hash(rows)  # TypeError for a list anywhere inside
-        pivots = {p for p, _ in rows} if ok else set()
+        leads = {p for p, _ in rows} if ok else set()
         last = -1
         for p, pairs in rows if ok else ():
             cols, vals = zip(*pairs)  # ValueError when pairs is empty
             ok = (type(p) is int and last < p == cols[0] and vals[0] > 0
                   and cols[-1] < n and set(map(type, cols + vals)) == {int}
                   and all(map(lt, cols, cols[1:])) and 0 not in vals
-                  and gcd(*vals) == 1 and pivots.isdisjoint(cols[1:]))
+                  and gcd(*vals) == 1 and leads.isdisjoint(cols[1:]))
             if not ok:
                 break
             last = p
@@ -291,7 +291,7 @@ class Subspace:
 
     `rows` is the reduced row echelon basis, each row scaled to the
     primitive integer row whose pivot (first) entry is positive:
-    `((pivot, ((col, int), ...)), ...)`, pivots and columns increasing.
+    `((pivot, ((col, int), ...)), ...)`, pivot and column indices increasing.
     The form is unique per span, so `==` and `hash` are span equality.
     `Subspace(n, rows)` takes that form itself and raises ValueError for
     anything else; `span` builds it from any spanning vectors, and `basis`
@@ -334,9 +334,6 @@ class Subspace:
             out.append(tuple(dense))
         return tuple(out)
 
-    def pivots(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.rows)
-
     def _remainder(self, w: dict[int, int]) -> tuple[int, dict[int, int]]:
         """(L, L times the remainder of the integer {index: entry} vector `w`
         after eliminating every pivot), L the lcm of the pivot entries of
@@ -362,7 +359,7 @@ class Subspace:
         return scale, w
 
     def reduce_vector(self, v: Sequence) -> Vector:
-        """Remainder of v after eliminating all basis pivots."""
+        """Remainder of v after eliminating every pivot column of the basis."""
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector length != ambient dimension")
         nonzero = [(i, x) for i, x in enumerate(v) if x]
@@ -379,10 +376,6 @@ class Subspace:
 
 def full_space(n: int) -> Subspace:
     return Subspace(n, tuple((i, ((i, 1),)) for i in range(n)))
-
-
-def zero_subspace(n: int) -> Subspace:
-    return Subspace(n, ())
 
 
 def _check_ambient(s: Subspace, t: Subspace) -> None:
@@ -404,11 +397,6 @@ def subspace_contains(s: Subspace, t: Subspace) -> bool:
         # a subspace of s with the dimension of s is s itself
         return t.rows == s.rows
     return not any(s._remainder(dict(pairs))[1] for _, pairs in t.rows)
-
-
-def subspace_sum(s: Subspace, t: Subspace) -> Subspace:
-    _check_ambient(s, t)
-    return Subspace.span(s.ambient_dim, [dict(pairs) for _, pairs in s.rows + t.rows])
 
 
 def subspace_intersect(s: Subspace, t: Subspace) -> Subspace:

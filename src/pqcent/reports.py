@@ -55,9 +55,6 @@ class Report:
     def passed(self) -> bool:
         return self.status == PASS
 
-    def failures(self) -> tuple[Assertion, ...]:
-        return tuple(a for a in self.assertions if not a.passed)
-
     def to_dict(self) -> dict:
         return {
             "check_id": self.check_id,

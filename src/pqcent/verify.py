@@ -246,41 +246,6 @@ def verify_unital_center_correspondence(a: Algebra, w: Weights) -> Report:
 # check id 3.1
 # ---------------------------------------------------------------------------
 
-def _left_ideal(a: Algebra, u) -> Optional[Subspace]:
-    """u*A, or None when u is not a right identity of a."""
-    if right_mul_int(a, u) != _identity_operator(a.dim):
-        return None
-    return Subspace.span(a.dim, map(dict, left_mul_int(a, u).cols))
-
-
-def _range_conditions(a: Algebra, w: Weights, t: IntOperator):
-    """For a weighted centralizer t, the check 3.1 report at a right
-    identity u with left ideal u*A, as a function of (u, u*A). The parts
-    that do not depend on u are computed once."""
-    ran = Subspace.span(a.dim, map(dict, t.cols))
-    cond_b = left_mul_space(a).contains_operator(t)
-
-    def at(u, left_ideal: Subspace) -> Report:
-        cond_a = subspace_contains(left_ideal, ran)
-        tu = apply_operator(t, u)
-        cond_c = left_mul_int(a, tu) == t
-        cond_d = center(a).contains_vector(tu)
-        shared = len({cond_a, cond_b, cond_c, cond_d}) == 1
-        detail = (
-            f"range in u*A: {cond_a}; left multiplication: {cond_b}; "
-            f"left multiplication by T(u): {cond_c}; T(u) central: {cond_d}"
-        )
-        assertions = [Assertion(
-            "four range conditions share one truth value", shared,
-            None if shared else detail,
-        )]
-        return report_from_assertions(
-            "3.1", target_name(a), w.pair, assertions, detail
-        )
-
-    return at
-
-
 def verify_equivalent_range_conditions(a: Algebra, w: Weights,
                                        t: IntOperator, u) -> Report:
     """For a weighted centralizer T and right identity u, the four range
@@ -291,8 +256,7 @@ def verify_equivalent_range_conditions(a: Algebra, w: Weights,
       (c) T is left multiplication by T(u)
       (d) T(u) is central
     """
-    left_ideal = _left_ideal(a, u)
-    if left_ideal is None:
+    if right_mul_int(a, u) != _identity_operator(a.dim):
         return precondition_unmet(
             "3.1", target_name(a), w.pair, f"{fmt_vector(u)} is not a right identity"
         )
@@ -300,30 +264,40 @@ def verify_equivalent_range_conditions(a: Algebra, w: Weights,
         return precondition_unmet(
             "3.1", target_name(a), w.pair, "operator is not a weighted centralizer"
         )
-    return _range_conditions(a, w, t)(u, left_ideal)
+    left_ideal = Subspace.span(a.dim, map(dict, left_mul_int(a, u).cols))
+    cond_a = subspace_contains(left_ideal, Subspace.span(a.dim, map(dict, t.cols)))
+    cond_b = left_mul_space(a).contains_operator(t)
+    tu = apply_operator(t, u)
+    cond_c = left_mul_int(a, tu) == t
+    cond_d = center(a).contains_vector(tu)
+    shared = len({cond_a, cond_b, cond_c, cond_d}) == 1
+    detail = (
+        f"range in u*A: {cond_a}; left multiplication: {cond_b}; "
+        f"left multiplication by T(u): {cond_c}; T(u) central: {cond_d}"
+    )
+    assertions = [Assertion(
+        "four range conditions share one truth value", shared,
+        None if shared else detail,
+    )]
+    return report_from_assertions(
+        "3.1", target_name(a), w.pair, assertions, detail
+    )
 
 
 def run_range_conditions_check(a: Algebra, w: Weights) -> Report:
-    """Check id 3.1 over zero, identity, and the solved basis, at every
-    sampled right identity. A pair whose precondition fails contributes
-    no assertion, as its report from `verify_equivalent_range_conditions`
-    would have none."""
+    """Check id 3.1: the assertions of `verify_equivalent_range_conditions`
+    for zero, identity and the solved basis at every sampled right
+    identity, relabelled with the operator and the sample."""
     samples = right_identity_samples(a)
     if not samples:
         return precondition_unmet("3.1", target_name(a), w.pair, "no right identity")
-    ideals = [(k, u, left_ideal) for k, u in enumerate(samples)
-              if (left_ideal := _left_ideal(a, u)) is not None]
-    assertions = []
-    for label, t in _operator_candidates(a, pq_centralizers(a, w)):
-        if residual(a, t, weighted(w)) is not None:
-            continue
-        at = _range_conditions(a, w, t)
-        for k, u, left_ideal in ideals:
-            for asrt in at(u, left_ideal).assertions:
-                assertions.append(Assertion(
-                    f"{label}, right identity sample {k}: {asrt.name}",
-                    asrt.passed, asrt.witness,
-                ))
+    assertions = [
+        Assertion(f"{label}, right identity sample {k}: {asrt.name}",
+                  asrt.passed, asrt.witness)
+        for label, t in _operator_candidates(a, pq_centralizers(a, w))
+        for k, u in enumerate(samples)
+        for asrt in verify_equivalent_range_conditions(a, w, t, u).assertions
+    ]
     return report_from_assertions("3.1", target_name(a), w.pair, assertions)
 
 

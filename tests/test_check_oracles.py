@@ -390,7 +390,7 @@ def test_sparse_reduce_vector_matches_the_dense_reduction(name):
               for solve in (pq_centralizers, pq_jordan_centralizers)]
     spaces.append(two_sided_centralizers(a).space)
     for s in spaces:
-        assert s.pivots() == _ref_pivots(s), name
+        assert tuple(p for p, _ in s.rows) == _ref_pivots(s), name
         for v in vectors:
             assert s.reduce_vector(v) == _ref_reduce_vector(s, v), name
 

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from pqcent.reports import FAIL, PASS, PRECONDITION_UNMET
+from pqcent.reports import FAIL, PASS, PRECONDITION_UNMET, Assertion
 from pqcent.suite import run_suite
 from pqcent.verify import CHECK_IDS, DEFAULT_WEIGHT_PAIRS
 
@@ -60,7 +60,8 @@ def test_non_associative_file_recorded_not_raised(tmp_path):
     parse_reports = [r for r in rr.reports if r.check_id == "parse"]
     assert len(parse_reports) == 1
     assert parse_reports[0].status == FAIL
-    assert parse_reports[0].failures()[0].witness
+    (rejection,) = parse_reports[0].assertions
+    assert not rejection.passed and rejection.witness
     assert rr.exit_code == 1
     # the good target still ran
     assert any(r.check_id == "2.1" and r.status == PASS for r in rr.reports)
@@ -72,8 +73,9 @@ def test_non_utf8_file_recorded_not_raised(tmp_path):
     rr = run_suite(targets=[str(path)], weight_pairs=((1, 2),))
     assert [r.check_id for r in rr.reports] == ["parse"]
     assert rr.reports[0].status == FAIL
-    assert rr.reports[0].failures()[0].witness == (
-        "line 1: invalid UTF-8 byte 0xff")
+    assert rr.reports[0].assertions == (Assertion(
+        "target parses as a valid input", False,
+        "line 1: invalid UTF-8 byte 0xff"),)
     assert rr.exit_code == 1
 
 
@@ -88,7 +90,9 @@ def test_directory_target_recorded_not_raised(tmp_path):
     rr = run_suite(targets=[str(tmp_path), "colmat2"], weight_pairs=((1, 2),))
     parse_reports = [r for r in rr.reports if r.check_id == "parse"]
     assert [(r.target, r.status) for r in parse_reports] == [(str(tmp_path), FAIL)]
-    assert parse_reports[0].failures()[0].witness == f"{tmp_path}: Is a directory"
+    (rejection,) = parse_reports[0].assertions
+    assert not rejection.passed
+    assert rejection.witness == f"{tmp_path}: Is a directory"
     assert rr.exit_code == 1
     # the good target still ran
     assert any(r.check_id == "2.1" and r.status == PASS for r in rr.reports)
@@ -119,7 +123,8 @@ def test_oversized_header_recorded_not_raised(tmp_path, header):
     rr = run_suite(targets=[str(path)], weight_pairs=((1, 2),))
     assert [r.check_id for r in rr.reports] == ["parse"]
     assert rr.reports[0].status == FAIL
-    assert rr.reports[0].failures()[0].witness.startswith("line 1: ")
+    (rejection,) = rr.reports[0].assertions
+    assert not rejection.passed and rejection.witness.startswith("line 1: ")
     assert rr.exit_code == 1
 
 

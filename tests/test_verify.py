@@ -7,12 +7,14 @@ import pytest
 from dense_ref import (Matrix, _ref_identity_matrix, _ref_zero_matrix,
                        int_operator)
 from solver_ref import SEMIGROUP_GAPS
+from pqcent import verify
 from pqcent.algebras import (
     identity,
     is_commutative,
     make_algebra,
     multiply,
     radical,
+    right_identity_samples,
 )
 from pqcent.centralizers import (
     Weights,
@@ -24,10 +26,11 @@ from pqcent.centralizers import (
 )
 from pqcent.fixtures import fixtures
 from pqcent.linalg import basis_vector
-from pqcent.reports import PASS, PRECONDITION_UNMET
+from pqcent.reports import PASS, PRECONDITION_UNMET, Assertion
 from pqcent.verify import (
     CHECK_DESCRIPTIONS,
     CHECK_IDS,
+    _operator_candidates,
     inclusion_chain_check,
     run_range_conditions_check,
     run_square_zero_check,
@@ -158,6 +161,34 @@ def test_range_conditions_driver(catalog):
         assert rep.status == PASS, name
     assert run_range_conditions_check(catalog["zero2"], W12).status \
         == PRECONDITION_UNMET
+
+
+@pytest.mark.parametrize("pair", [(1, 2), (7, 2)])
+@pytest.mark.parametrize("name", ["colmat3", "sum_field_colmat2", "matrix2"])
+def test_range_conditions_driver_relabels_one_report_per_pair(
+        catalog, monkeypatch, name, pair):
+    # the driver's assertions are those of one
+    # `verify_equivalent_range_conditions` report per (operator, sample)
+    a, w = catalog[name], Weights(*pair)
+    samples = right_identity_samples(a)
+    assert len(samples) == {"colmat3": 4, "sum_field_colmat2": 2, "matrix2": 1}[name]
+    candidates = _operator_candidates(a, pq_centralizers(a, w))
+    expected = [
+        Assertion(f"{label}, right identity sample {k}: {asrt.name}",
+                  asrt.passed, asrt.witness)
+        for label, t in candidates for k, u in enumerate(samples)
+        for asrt in verify_equivalent_range_conditions(a, w, t, u).assertions
+    ]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return verify_equivalent_range_conditions(*args)
+
+    monkeypatch.setattr(verify, "verify_equivalent_range_conditions", counted)
+    rep = run_range_conditions_check(a, w)
+    assert rep.status == PASS and list(rep.assertions) == expected
+    assert calls == [(a, w, t, u) for _, t in candidates for u in samples]
 
 
 # ---------------------------------------------------------------------------
