@@ -218,22 +218,3 @@ def serialize_cayley(t: CayleyTable) -> str:
     lines.extend(" ".join(str(v) for v in row) for row in t.table)
     return "\n".join(lines) + "\n"
 
-
-def sniff_is_cayley(text: str) -> bool:
-    """True when the first significant line is an 'order' header."""
-    for _, line in _significant_lines(text):
-        return line.split()[0] == "order"
-    return False
-
-
-def _parse_either_text(text: str, name: str):
-    """The Cayley table or the algebra in `text`, by `sniff_is_cayley`."""
-    parse = parse_cayley_text if sniff_is_cayley(text) else parse_algebra_text
-    return parse(text, name=name)
-
-
-def _parse_either_file(path: str):
-    """The Cayley table or the algebra in the file at `path`, read once and
-    sniffed on the text the parser reads. An undecodable byte raises the
-    base `_FormatError`, as the format is not known yet."""
-    return _parse_file(path, _parse_either_text, _FormatError)

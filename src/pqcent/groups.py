@@ -184,13 +184,8 @@ def conjugacy_classes(t: CayleyTable) -> tuple[tuple[int, ...], ...]:
 
 def class_sums(t: CayleyTable) -> Subspace:
     """Span of the conjugacy class sums inside the group algebra."""
-    n = t.order
-    vectors = []
-    for cls in conjugacy_classes(t):
-        vectors.append(tuple(
-            Fraction(1 if i in cls else 0) for i in range(n)
-        ))
-    return Subspace.span(n, vectors)
+    return Subspace.span(t.order, ({i: 1 for i in cls}
+                                   for cls in conjugacy_classes(t)))
 
 
 # ---------------------------------------------------------------------------

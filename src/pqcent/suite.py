@@ -1,26 +1,26 @@
 """Deterministic check suite over the fixture catalog and random algebras.
 
-A run executes every applicable check on every target at every weight pair,
-in a fixed order, and collects the reports. Randomized targets are drawn
-from a seeded generator, so identical seeds give byte-identical output.
-The exit-code convention: 0 unless some check FAILed; unmet preconditions
-are recorded but do not fail a run.
+`run_suite(seed)` is the one entry: it executes every applicable check on
+the fixture catalog, the group tables and the seeded random algebras, at
+every pair of `DEFAULT_WEIGHT_PAIRS`, in a fixed order, and collects the
+reports. The random algebras are drawn from `Random(seed)`, so identical
+seeds give byte-identical output. A caller that needs the battery on its
+own algebras loops over `CHECK_IDS`, as `_run_algebra_checks` does; one
+target is served by `pqcent verify`. The exit-code convention: 0 unless
+some check FAILed; unmet preconditions are recorded but do not fail a run.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from random import Random
-from typing import Optional, Sequence
 
-from .algebras import Algebra, NonAssociativeError
+from .algebras import Algebra
 from .centralizers import Weights
-from .fileio import _FormatError, _parse_either_file
 from .fixtures import fixtures, random_algebra, random_poly_quotient
-from .groups import CayleyTable, group_tables, verify_group_centralizer_structure
-from .reports import FAIL, PASS, PRECONDITION_UNMET, Assertion, Report
+from .groups import group_tables, verify_group_centralizer_structure
+from .reports import FAIL, PASS, PRECONDITION_UNMET, Report
 from .verify import (
     CHECK_IDS,
     DEFAULT_WEIGHT_PAIRS,
@@ -78,91 +78,38 @@ class RunReport:
         return out
 
 
-def _run_algebra_checks(a: Algebra, weight_pairs) -> list[Report]:
-    """Every algebra-valued check, in `CHECK_IDS` order, at each weight pair."""
+def _run_algebra_checks(a: Algebra) -> list[Report]:
+    """Every algebra-valued check, in `CHECK_IDS` order, at each pair of
+    `DEFAULT_WEIGHT_PAIRS`."""
     out = []
-    for pair in weight_pairs:
+    for pair in DEFAULT_WEIGHT_PAIRS:
         w = Weights(*pair)
         for check in CHECK_IDS.values():
             out.append(check(a, w))
     return out
 
 
-def _resolve_targets(targets: Sequence[str]):
-    """Fixture names, group-table names, or file paths, in given order.
-
-    Files that cannot be read or parsed (a directory, bad syntax or
-    non-associative tables) become FAIL reports instead of exceptions, so
-    one bad target cannot abort a run. Unknown names still raise.
-    """
-    algebras: list[Algebra] = []
-    tables: list[CayleyTable] = []
-    rejected: list[Report] = []
-    named = fixtures()
-    named_tables = group_tables()
-    for target in targets:
-        if target in named:
-            algebras.append(named[target])
-        elif target in named_tables:
-            tables.append(named_tables[target])
-        elif os.path.exists(target):
-            try:
-                parsed = _parse_either_file(target)
-            except (OSError, _FormatError, NonAssociativeError) as exc:
-                rejected.append(Report(
-                    "parse", target, None, FAIL,
-                    (Assertion("target parses as a valid input", False,
-                               str(exc)),),
-                    "parse-stage rejection",
-                ))
-            else:
-                (tables if isinstance(parsed, CayleyTable) else algebras).append(parsed)
-        else:
-            raise ValueError(
-                f"unknown fixture name and unreadable file: '{target}'")
-    return algebras, tables, rejected
-
-
-def run_suite(targets: Optional[Sequence[str]] = None,
-              weight_pairs: Sequence[tuple[int, int]] = DEFAULT_WEIGHT_PAIRS,
-              seed: int = 0,
-              random_mixed: int = RANDOM_MIXED_COUNT,
-              random_commutative: int = RANDOM_COMMUTATIVE_COUNT) -> RunReport:
-    """Run the full battery.
-
-    With explicit `targets` (fixture names, group names, or files), only
-    those targets are checked. The default run covers the whole fixture
-    catalog, the group tables, and the seeded random algebras.
-    """
-    weight_pairs = tuple(tuple(p) for p in weight_pairs)
+def run_suite(seed: int = 0) -> RunReport:
+    """Run the full battery: every check on the fixture catalog, check 4.2
+    on the group tables, then the seeded random algebras, each at every
+    pair of `DEFAULT_WEIGHT_PAIRS`."""
     reports: list[Report] = []
-
-    if targets is None:
-        algebra_targets = list(fixtures().values())
-        table_targets = list(group_tables().values())
-        randomized = True
-    else:
-        algebra_targets, table_targets, rejected = _resolve_targets(targets)
-        reports.extend(rejected)
-        randomized = False
-
-    for a in algebra_targets:
-        reports.extend(_run_algebra_checks(a, weight_pairs))
-    for t in table_targets:
-        for pair in weight_pairs:
+    for a in fixtures().values():
+        reports.extend(_run_algebra_checks(a))
+    for t in group_tables().values():
+        for pair in DEFAULT_WEIGHT_PAIRS:
             reports.append(verify_group_centralizer_structure(t, Weights(*pair)))
 
-    if randomized:
-        rng = Random(seed)
-        for i in range(random_commutative):
-            a = random_poly_quotient(rng, name=f"rand_poly_{i:02d}")
-            for pair in weight_pairs:
-                w = Weights(*pair)
-                reports.append(inclusion_chain_check(a, w))
-                reports.append(verify_commutative_weights_coincide(a, w))
-        for i in range(random_mixed):
-            a = random_algebra(rng, name=f"rand_mix_{i:02d}")
-            for pair in weight_pairs:
-                reports.append(inclusion_chain_check(a, Weights(*pair)))
+    rng = Random(seed)
+    for i in range(RANDOM_COMMUTATIVE_COUNT):
+        a = random_poly_quotient(rng, name=f"rand_poly_{i:02d}")
+        for pair in DEFAULT_WEIGHT_PAIRS:
+            w = Weights(*pair)
+            reports.append(inclusion_chain_check(a, w))
+            reports.append(verify_commutative_weights_coincide(a, w))
+    for i in range(RANDOM_MIXED_COUNT):
+        a = random_algebra(rng, name=f"rand_mix_{i:02d}")
+        for pair in DEFAULT_WEIGHT_PAIRS:
+            reports.append(inclusion_chain_check(a, Weights(*pair)))
 
-    return RunReport(seed, weight_pairs, tuple(reports))
+    return RunReport(seed, DEFAULT_WEIGHT_PAIRS, tuple(reports))

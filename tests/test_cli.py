@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -225,6 +229,21 @@ def test_verify_group_check_needs_group_target(capsys):
     assert main(["verify", "matrix2", "--theorem", "4.2",
                  "--p", "1", "--q", "2"]) == 2
     assert "unknown group" in capsys.readouterr().err
+
+
+def test_module_entry_point_runs_the_cli():
+    # `python -m pqcent` goes through `__main__`, which the in-process
+    # tests above bypass by calling `main` directly
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "pqcent", "verify", "colmat2", "--theorem",
+         "2.1", "--p", "1", "--q", "2"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0] == (
+        "PASS check=2.1 target=colmat2 weights=(1,2)")
 
 
 def test_verbose_env_expands_reports(capsys, monkeypatch):

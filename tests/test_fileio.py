@@ -19,7 +19,6 @@ from pqcent.fileio import (
     parse_cayley_text,
     serialize_algebra,
     serialize_cayley,
-    sniff_is_cayley,
 )
 from pqcent.fixtures import colmat, fixtures
 from pqcent.groups import group_tables, is_valid_group, validate_group
@@ -273,12 +272,6 @@ def test_cayley_round_trip(tmp_path):
         again = parse_cayley_file(str(path))
         assert again.table == t.table, name
         assert again.name == name
-
-
-def test_sniff_distinguishes_formats():
-    assert sniff_is_cayley("# comment\norder 2\n0 1\n1 0\n")
-    assert not sniff_is_cayley(COLMAT2_TEXT)
-    assert not sniff_is_cayley("# only comments\n")
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,10 @@ own definition, `scripts/` or `perfbench/`. A test is not a reader, so a
 name that only tests read is debris. Every public module-level function
 or class must be named by a reader or be exported in `pqcent.__all__`,
 which declares it API; every public method or property of a package class
-must be read as an attribute by a reader. `__init__` re-exports exactly
+must be read as an attribute by a reader. The rule reaches parameters
+too: a defaulted parameter of a package function or method counts as used
+only when a call in a reader passes it, by keyword or by position, so a
+knob that only tests set is debris as well. `__init__` re-exports exactly
 the names it lists in `__all__`, and the README's quick start runs as
 printed.
 """
@@ -61,8 +64,8 @@ def test_traced_check_ids_exist():
 
 # ---------------------------------------------------------------------------
 # dead code in the package: imports nothing reads, private functions that
-# no module calls, and public definitions that no reader names; tests are
-# not readers
+# no module calls, public definitions that no reader names, and defaulted
+# parameters that no reader passes; tests are not readers
 # ---------------------------------------------------------------------------
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -142,6 +145,42 @@ def test_every_public_method_is_read_as_an_attribute():
             and not node.name.startswith("_")
             and not reads.get(node.name, set()) - set(map(id, ast.walk(node)))]
     assert not dead, f"public methods no reader reads: {dead}"
+
+
+def test_every_defaulted_parameter_is_passed_by_a_reader():
+    # a defaulted parameter counts only when some call in a reader passes
+    # a keyword of its name, or calls a function of its name (the class,
+    # for `__init__`) with enough positional arguments to reach it; in a
+    # method the first argument is bound, so positions start after it
+    keywords: set[str] = set()
+    reach: dict[str, int] = {}
+    for tree in TREES.values():
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call):
+                keywords |= {k.arg for k in call.keywords}
+                callee = getattr(call.func, "id", getattr(call.func, "attr", None))
+                reach[callee] = max(reach.get(callee, 0), len(call.args))
+    dead = []
+    for module, tree in MODULES.items():
+        owner = {id(node): cls for cls in ast.walk(tree)
+                 if isinstance(cls, ast.ClassDef) for node in cls.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            cls = owner.get(id(node))
+            where = f"{module}.{cls.name + '.' if cls else ''}{node.name}"
+            callee = cls.name if cls and node.name == "__init__" else node.name
+            positional = node.args.posonlyargs + node.args.args
+            first = len(positional) - len(node.args.defaults)
+            dead += [f"{where}({arg.arg})"
+                     for i, arg in enumerate(positional[first:], first)
+                     if arg.arg not in keywords
+                     and reach.get(callee, 0) < i + 1 - bool(cls)]
+            dead += [f"{where}({arg.arg})"
+                     for arg, default in zip(node.args.kwonlyargs,
+                                             node.args.kw_defaults)
+                     if default is not None and arg.arg not in keywords]
+    assert not dead, f"defaulted parameters no reader passes: {dead}"
 
 
 def test_init_reexports_exactly_all():
