@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, and file round-trips."""
 
+import builtins
 import hashlib
 import json
 import os
@@ -15,6 +16,14 @@ from pqcent.fixtures import fixtures
 from pqcent.suite import run_suite
 
 COLMAT2_TEXT = "dim 2\nmul 0 0 = 1 @0\nmul 1 0 = 1 @1\n"
+
+
+def _argv(command: str, path) -> list[str]:
+    # "verify <id>" runs check <id> on the file: 4.2 reads it as a Cayley
+    # table, every other check as an algebra
+    command, *theorem = command.split()
+    return [command, str(path)] + (
+        ["--theorem", theorem[0], "--p", "1", "--q", "2"] if theorem else [])
 
 
 def test_check_fixture(capsys):
@@ -47,26 +56,30 @@ def test_coefficient_outside_the_format_is_an_input_error(tmp_path, capsys,
         f"error: {path}: line 2: invalid rational '{token}'\n")
 
 
-@pytest.mark.parametrize("command", ["check", "group"])
+@pytest.mark.parametrize("command", ["check", "group", "verify 2.1",
+                                     "verify 4.2"])
 def test_non_utf8_file_is_an_input_error(tmp_path, capsys, command):
     path = tmp_path / "bad.alg"
     path.write_bytes(b"# ok\n\xff\xfe\x00dim 2\n")
-    assert main([command, str(path)]) == 2
+    assert main(_argv(command, path)) == 2
     assert capsys.readouterr().err == (
         f"error: {path}: line 2: invalid UTF-8 byte 0xff\n")
 
 
 @pytest.mark.parametrize("command, text", [("check", "dim 1\n"),
-                                           ("group", "order 1\n0\n")])
+                                           ("group", "order 1\n0\n"),
+                                           ("verify 2.1", "dim 1\n"),
+                                           ("verify 4.2", "order 1\n0\n")])
 def test_leading_byte_order_mark_is_ignored(tmp_path, capsys, command, text):
     path = tmp_path / "bom.txt"
     path.write_bytes(b"\xef\xbb\xbf" + text.encode())
-    assert main([command, str(path)]) == 0
+    assert main(_argv(command, path)) == 0
 
 
-@pytest.mark.parametrize("command", ["check", "group", "center"])
+@pytest.mark.parametrize("command", ["check", "group", "center", "verify 2.1",
+                                     "verify 4.2"])
 def test_directory_is_an_input_error(tmp_path, capsys, command):
-    assert main([command, str(tmp_path)]) == 2
+    assert main(_argv(command, tmp_path)) == 2
     assert capsys.readouterr().err == f"error: {tmp_path}: Is a directory\n"
 
 
@@ -79,11 +92,13 @@ def test_group_rejects_signed_and_underscored_entries(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, header", [("check", "dim"),
-                                             ("group", "order")])
+                                             ("group", "order"),
+                                             ("verify 2.1", "dim"),
+                                             ("verify 4.2", "order")])
 def test_oversized_header_is_an_input_error(tmp_path, capsys, command, header):
     path = tmp_path / "big.txt"
     path.write_text(f"# huge\n{header} 100000000\n", encoding="utf-8")
-    assert main([command, str(path)]) == 2
+    assert main(_argv(command, path)) == 2
     assert "line 2:" in capsys.readouterr().err
 
 
@@ -229,6 +244,61 @@ def test_verify_group_check_needs_group_target(capsys):
     assert main(["verify", "matrix2", "--theorem", "4.2",
                  "--p", "1", "--q", "2"]) == 2
     assert "unknown group" in capsys.readouterr().err
+
+
+def test_verify_unknown_algebra_target(capsys):
+    assert main(_argv("verify 2.1", "no_such_thing")) == 2
+    assert capsys.readouterr().err == (
+        "error: unknown fixture name and unreadable file: 'no_such_thing'\n")
+
+
+@pytest.mark.parametrize("command, name, text", [
+    ("verify 2.1", "cm2.alg", COLMAT2_TEXT),
+    ("verify 4.2", "c2.cay", "order 2\n0 1\n1 0\n"),
+])
+def test_verify_file_target_is_named_after_its_stem(tmp_path, capsys, command,
+                                                    name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    assert main(_argv(command, path)) == 0
+    stem = name.split(".")[0]
+    assert capsys.readouterr().out.splitlines()[0] == (
+        f"PASS check={command.split()[1]} target={stem} weights=(1,2)")
+
+
+@pytest.mark.parametrize("command, text", [("verify 2.1", COLMAT2_TEXT),
+                                           ("verify 4.2", "order 2\n0 1\n1 0\n")])
+def test_verify_file_target_is_read_once(tmp_path, monkeypatch, command, text):
+    path = tmp_path / "target.txt"
+    path.write_text(text, encoding="utf-8")
+    opened = []
+    real_open = builtins.open
+
+    def recording(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recording)
+    assert main(_argv(command, path)) == 0
+    assert opened.count(str(path)) == 1
+
+
+def test_verify_non_associative_file_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "broken.alg"
+    path.write_text("dim 2\nmul 0 0 = 1 @1\nmul 1 1 = 1 @0\n", encoding="utf-8")
+    assert main(_argv("verify 2.1", path)) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: structure constants are not associative: "
+        "(b0*b0)*b1 != b0*(b0*b1)\n")
+
+
+def test_verify_invalid_group_file_fails(tmp_path, capsys):
+    path = tmp_path / "bad.cay"
+    path.write_text("order 2\n0 1\n0 1\n", encoding="utf-8")
+    assert main(_argv("verify 4.2", path)) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == "FAIL check=4.2 target=bad weights=(1,2)"
+    assert "[FAILED] a two-sided identity exists" in out
 
 
 def test_module_entry_point_runs_the_cli():

@@ -1,11 +1,13 @@
-"""Suite runner: one seeded run of the whole battery, its report shape and
-exit-code contract, and the pinned reports of seeds 1-4."""
+"""Suite runner: one seeded run of the whole battery, its run order,
+report shape and exit-code contract, and the pinned reports of seeds 1-4."""
 
 import hashlib
 import json
 
 import pytest
 
+from pqcent.fixtures import fixtures
+from pqcent.groups import group_tables
 from pqcent.reports import FAIL, PASS, PRECONDITION_UNMET
 from pqcent.suite import run_suite
 from pqcent.verify import CHECK_IDS
@@ -24,6 +26,19 @@ def test_report_count(seed0):
     # 15 fixtures x 9 checks x 4 weight pairs, 4 group tables x 4 pairs,
     # 25 commutative random algebras x 2 checks x 4 pairs, 50 mixed x 4
     assert len(seed0.reports) == 15 * 9 * 4 + 4 * 4 + 25 * 2 * 4 + 50 * 4 == 956
+
+
+def test_run_order_is_catalog_then_tables_then_random(seed0):
+    # each fixture runs every check, each group table check 4.2 alone
+    catalog = [a.name for a in fixtures().values()]
+    tables = [t.name for t in group_tables().values()]
+    order = list(dict.fromkeys(r.target for r in seed0.reports))
+    assert order[:len(catalog) + len(tables)] == catalog + tables
+    assert all(name.startswith("rand_") for name in order[len(catalog)
+                                                          + len(tables):])
+    assert {r.check_id for r in seed0.reports if r.target in tables} == {"4.2"}
+    assert {r.check_id for r in seed0.reports if r.target in catalog} == (
+        set(CHECK_IDS))
 
 
 def test_random_targets_have_seeded_names(seed0):
