@@ -5,13 +5,15 @@ against its closed form.
 
     python3 scripts/solve_rungs.py
 
-The rungs are the group algebras of S4 (order 24), S4 x C2 (order 48) and
-S5 (order 120), the matrix algebra M5 and Q[x]/(x^24). Each is unital and
-semiprime or commutative, so all three spaces are the multiplications by
-its center: the class counts 5, 10 and 7, 1 for M5 and 24 for
-Q[x]/(x^24). Besides the three standalone solves, J+W+Z runs the three in
-one process, where the weighted solve reuses the Jordan space and the
-two-sided solve reuses the weighted one.
+The rungs are the group algebras of S4 (order 24), S4 x C2 (order 48),
+S5 (order 120) and S5 x C2 (order 240), the matrix algebra M5 and
+Q[x]/(x^24). Each is unital and semiprime or commutative, so all three
+spaces are the multiplications by its center: the class counts 5, 10, 7
+and 14, 1 for M5 and 24 for Q[x]/(x^24). Besides the three standalone
+solves, J+W+Z runs the three in one process. There the two-sided space is
+solved first, the Jordan solve starts from the span of the p L_t + q R_t
+and stops once it is down to the two-sided space, and the weighted solve
+reuses the Jordan space and evaluates no row.
 
 Each line gives the CPU seconds of building the algebra (the Cayley table
 and its validation, which builds and scans the group algebra once, or the
@@ -54,6 +56,7 @@ RUNGS = {
     "Q[x]/(x^24)": (lambda: truncated_poly(24), 24),
     "S4xC2": (lambda: _sym_times(4, 2), 10),
     "S5": (lambda: _sym_times(5, 1), 7),
+    "S5xC2": (lambda: _sym_times(5, 2), 14),
 }
 W12 = Weights(1, 2)
 SOLVES = {

@@ -19,15 +19,30 @@ one type, its canonical integer form `IntOperator(den, cols)`: the solved
 spaces hand theirs out read straight from the primitive rows of their
 subspace, and every check, membership test and `residual` takes one.
 
-The spaces are solved along the chain two-sided ⊆ weighted ⊆ Jordan, each
-inside the next larger one. A polarized Jordan row is the sum of the
+Every solve runs between an enclosure above and a known subspace below,
+both exact. A root solve of an algebra with a unit starts from the span
+of n operators that its identity's rows at the unit cut out:
+(p+q) T = p L_{T(1)} + q R_{T(1)} for a Jordan centralizer, T = L_{T(1)}
+for a left one, and T = R_{T(u)} for a right one with a right identity u.
+Below, the left and right multiplications lie inside the left and right
+centralizers by associativity, so with its unit a one-sided solve is its
+enclosure and evaluates no row. The two-sided space Z is solved first and
+on its own, as the left rows inside the right centralizers, and it lies
+inside every weighted space W(p,q) and Jordan space J(p,q). A polarized Jordan row is the sum of the
 weighted rows of (a, b) and (b, a), and a weighted row is p times a left
-row plus q times a right row. So the weighted rows are imposed only on
-the Jordan space, and there only on the pairs i < j, since on it the row
-of (b, a) is minus that of (a, b) and the row of (a, a) vanishes. The
-left rows are imposed only on the (1,2) weighted space, where they cut
-out the two-sided space, and on the right multiplication space, where
-they cut out the right multiplications that are two-sided.
+row plus q times a right row. So the Jordan space is solved above Z, and
+the weighted space inside the Jordan one and above Z, on the pairs i < j
+only, since on the Jordan space the row of (b, a) is minus that of
+(a, b) and the row of (a, a) vanishes. A walk stops once it is down to
+the dimension of Z, as Z lies inside its answer. So where W = Z holds,
+as the paper proves for an algebra with a right identity, the solver
+settles it by dimension, and the weighted solve evaluates no row when
+dim J = dim Z. Check 2.1's W = Z, its two-sided space inside the right
+multiplications, and the containments of check `chain` can then fail only
+through a solver bug; a certificate of the dimension
+that shares no code with the solver is still open (ROADMAP.md, item 2).
+The left rows also cut the right multiplications that are two-sided out
+of the right multiplication space.
 
 The left and right identities are imposed only on the pairs (g, b) with
 g in the algebra's generating set `generators(a)`: for a fixed T, the
@@ -38,12 +53,13 @@ pair, and `residual`, the independent check, evaluates every pair of any
 identity.
 
 Every solve imposes one identity and is staged. It starts from its
-enclosing space K (the full n^2-space for a root solve) and walks the
-basis pairs in blocks, one per first index. A block's rows are evaluated
-straight onto the integer rows of K, so they reach `nullspace_of_rows`,
-the one elimination entry, in dim K unknowns; when the block's kernel is
-smaller, K becomes K * kernel. A solve holds one block of rows at a time,
-never the n^3 rows of its identity.
+enclosing space K (for a root solve, the unit enclosure or else the full
+n^2-space) and walks the basis pairs in blocks, one per first index. A
+block's rows are evaluated straight onto the integer rows of K, so they
+reach `nullspace_of_rows`, the one elimination entry, in dim K unknowns;
+when the block's kernel is smaller, K becomes K * kernel, and the walk
+stops once K is down to its floor. A solve holds one block of rows at a
+time, never the n^3 rows of its identity.
 
 The defining conditions quantify over additive maps, but an additive map on
 a Q-vector space is automatically Q-linear, so solving for linear operators
@@ -60,7 +76,13 @@ from functools import cached_property
 from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
-from .algebras import Algebra, cached, generators
+from .algebras import (
+    Algebra,
+    cached,
+    generators,
+    is_unital,
+    right_identities,
+)
 from .linalg import (
     DimensionMismatch,
     Subspace,
@@ -264,16 +286,34 @@ def left_mul_int(a: Algebra, x: Sequence) -> IntOperator:
     return _mul_int(a, x, a.int_by_left_factor)
 
 
+def _mul_span(a: Algebra, p: int, q: int) -> OperatorSpace:
+    """The span of p L_t + q R_t over the basis elements t, read off the
+    integer-scaled constants: the flat row of t is
+    {k*n + m: p c[t][m][k] + q c[m][t][k]}."""
+    n = a.dim
+    prods = a.int_products
+    flats = []
+    for t in range(n):
+        row: dict[int, int] = {}
+        for m in range(n):
+            for w, pairs in ((p, prods[t][m]), (q, prods[m][t])):
+                if w:
+                    for k, c in pairs:
+                        row[k * n + m] = row.get(k * n + m, 0) + w * c
+        flats.append(row)
+    return operator_space(n, flats)
+
+
 @cached
 def right_mul_space(a: Algebra) -> OperatorSpace:
     """All right multiplication operators, as an operator space."""
-    return right_mul_image(a, full_space(a.dim))
+    return _mul_span(a, 0, 1)
 
 
 @cached
 def left_mul_space(a: Algebra) -> OperatorSpace:
-    return operator_space(a.dim, [_flat(left_mul_int(a, v))
-                                  for v in full_space(a.dim).basis])
+    """All left multiplication operators, as an operator space."""
+    return _mul_span(a, 1, 0)
 
 
 def right_mul_image(a: Algebra, s: Subspace) -> OperatorSpace:
@@ -325,10 +365,35 @@ def _rows(a: Algebra, e: Identity, pairs, index):
                 yield row
 
 
+def _enclosure(a: Algebra, e: Identity) -> Optional[OperatorSpace]:
+    """The span that e's rows at a unit cut out, which encloses every
+    solution of e: None when the algebra has no unit of the kind needed.
+
+    With a unit 1, the polarized rows at the pairs (1, b) read
+    (2s - p - q) T = p L_{T(1)} + q R_{T(1)}, and the rows of e itself at
+    (1, b) read (s - q) T = p L_{T(1)}. With a right identity u, the rows at
+    (a, u) read (s - p) T = q R_{T(u)}. So a Jordan solve (s = p + q) lies
+    in the span of p L_t + q R_t, a left or weighted one in the left
+    multiplications, and a right one in the right multiplications: spans
+    of n operators, one per basis element.
+    """
+    if e.symmetric:
+        unit = 2 * e.s != e.p + e.q and is_unital(a)
+        return _mul_span(a, e.p, e.q) if unit else None
+    if e.s != e.q:
+        return left_mul_space(a) if is_unital(a) else None
+    unit = e.s != e.p and right_identities(a) is not None
+    return right_mul_space(a) if unit else None
+
+
 def _solve(a: Algebra, e: Identity, *, within: Optional[OperatorSpace] = None,
-           upper: bool = False) -> OperatorSpace:
-    """The operators in `within` (every operator when None) that satisfy
-    the identity e, imposed on its pairs i < j alone with `upper`.
+           upper: bool = False, floor: Optional[OperatorSpace] = None
+           ) -> OperatorSpace:
+    """The operators in `within` that satisfy the identity e, imposed on its
+    pairs i < j alone with `upper`. A root solve, with no `within`, starts
+    from e's unit enclosure (`_enclosure`) when the algebra has the unit it
+    needs, else from every operator. `floor` is a space known to lie inside
+    the answer.
 
     The left and right identities are imposed only on the blocks of the
     first indices g in `generators(a)`. That is exact: for a fixed T, the a
@@ -336,12 +401,16 @@ def _solve(a: Algebra, e: Identity, *, within: Optional[OperatorSpace] = None,
     T(a1 a2 b) = T(a1) a2 b = T(a1 a2) b, and so do the a with
     T(ab) = a T(b) for every b, as T(a1 a2 b) = a1 T(a2 b) = a1 a2 T(b).
 
-    The space K starts as `within` and is refined one block of rows at a
-    time, a block per first index i of the pairs. The block's rows are
+    The space K starts as the enclosure and is refined one block of rows
+    at a time, a block per first index i of the pairs. The block's rows are
     evaluated straight onto the primitive rows of K, and the kernel of the
     projected block, in dim K unknowns, gives K * ker: the new K. The
-    column index of K is rebuilt only when K shrinks, and the walk stops
-    once K = 0. Only one block of rows is held at a time.
+    column index of K is rebuilt only when K shrinks. The walk stops once
+    dim K = dim `floor` (0 without one): the floor lies inside the answer
+    and the answer inside K, so K is then the answer. Every enclosure is
+    cut out by rows of e, and the walk imposes every row on it, so the
+    answer is the kernel of e's rows whatever K starts from. Only one block
+    of rows is held at a time.
 
     The rows are not deduplicated. A duplicate row reduces to zero in the
     block's dim K unknowns, for less than hashing every row would cost.
@@ -350,10 +419,13 @@ def _solve(a: Algebra, e: Identity, *, within: Optional[OperatorSpace] = None,
     if within is not None and within.algebra_dim != n:
         raise DimensionMismatch(
             f"enclosing space on dim {within.algebra_dim}, algebra has dim {n}")
+    if within is None:
+        within = _enclosure(a, e)
     space = full_space(n * n) if within is None else within.space
+    bottom = 0 if floor is None else floor.dim
     index = column_index(space)
     for i in generators(a) if e in (LEFT, RIGHT) else range(n):
-        if not space.dim:
+        if space.dim == bottom:
             break
         rows = list(_rows(a, e, _block(n, e, i, upper), index))
         if rows:
@@ -367,43 +439,53 @@ def _solve(a: Algebra, e: Identity, *, within: Optional[OperatorSpace] = None,
 @cached
 def pq_centralizers(a: Algebra, w: Weights) -> OperatorSpace:
     """The space of (p, q)-weighted centralizers of a, solved inside the
-    Jordan space: the polarized Jordan rows are sums of two weighted rows,
-    so every weighted centralizer is a Jordan one. On the Jordan space the
-    weighted row of (j, i) is minus that of (i, j), and the row of (i, i)
-    vanishes, so the weighted identity is imposed on the pairs i < j."""
+    Jordan space above the two-sided one: the polarized Jordan rows are
+    sums of two weighted rows, so every weighted centralizer is a Jordan
+    one. On the Jordan space the weighted row of (j, i) is minus that of
+    (i, j), and the row of (i, i) vanishes, so the weighted identity is
+    imposed on the pairs i < j. When the Jordan space is the two-sided one,
+    no row is evaluated."""
     return _solve(a, weighted(w), within=pq_jordan_centralizers(a, w),
-                  upper=True)
+                  upper=True, floor=two_sided_centralizers(a))
 
 
 @cached
 def pq_jordan_centralizers(a: Algebra, w: Weights) -> OperatorSpace:
-    """Weighted Jordan centralizers, via the polarized identity."""
-    return _solve(a, jordan(w))
+    """Weighted Jordan centralizers, via the polarized identity, solved
+    above the two-sided space: a two-sided centralizer satisfies every
+    weighted identity, so the walk stops once it is down to that space."""
+    return _solve(a, jordan(w), floor=two_sided_centralizers(a))
 
 
 @cached
 def left_centralizers(a: Algebra) -> OperatorSpace:
-    """Solutions of T(ab) = T(a)b."""
-    return _solve(a, LEFT)
+    """Solutions of T(ab) = T(a)b, solved above the left multiplications,
+    which satisfy it by associativity: with a unit they are the enclosure,
+    and no row is evaluated."""
+    return _solve(a, LEFT, floor=left_mul_space(a))
 
 
 @cached
 def right_centralizers(a: Algebra) -> OperatorSpace:
-    """Solutions of T(ab) = a T(b)."""
-    return _solve(a, RIGHT)
+    """Solutions of T(ab) = a T(b), solved above the right multiplications,
+    which satisfy it by associativity: with a right identity they are the
+    enclosure, and no row is evaluated."""
+    return _solve(a, RIGHT, floor=right_mul_space(a))
 
 
 @cached
 def two_sided_centralizers(a: Algebra) -> OperatorSpace:
-    """Operators that are left and right centralizers at once, solved inside
-    the (1,2) weighted space.
+    """Operators that are left and right centralizers at once: the left
+    rows solved inside the right centralizer space.
 
-    A weighted row is p times a left row plus q times a right row. So every
-    two-sided centralizer is weighted, and inside the weighted space a left
-    row vanishes exactly where its right row does: the left rows alone cut
-    out the two-sided space there.
+    It is solved first and on its own, since it lies inside every weighted
+    and Jordan space and serves their walks as a floor: a walk that reaches
+    its dimension stops there, so W = Z, and J = Z, are settled by
+    dimension. With a unit the right centralizers are the right
+    multiplications, and the left rows cut out the multiplications by
+    central elements.
     """
-    return _solve(a, LEFT, within=pq_centralizers(a, Weights(1, 2)))
+    return _solve(a, LEFT, within=right_centralizers(a))
 
 
 @cached

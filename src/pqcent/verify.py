@@ -18,6 +18,7 @@ from typing import Optional
 
 from .algebras import (
     Algebra,
+    cached,
     center,
     identity,
     int_multiply,
@@ -246,6 +247,29 @@ def verify_unital_center_correspondence(a: Algebra, w: Weights) -> Report:
 # check id 3.1
 # ---------------------------------------------------------------------------
 
+# check 3.1 runs every (operator, sample) pair; these halves depend on one
+# of the two and are cached on the algebra, so each runs once per sample or
+# once per operator and weight pair
+
+@cached
+def _left_ideal(a: Algebra, u) -> Optional[Subspace]:
+    """The span of u*A, or None when u is not a right identity."""
+    if right_mul_int(a, u) != _identity_operator(a.dim):
+        return None
+    return Subspace.span(a.dim, map(dict, left_mul_int(a, u).cols))
+
+
+@cached
+def _range_facts(a: Algebra, w: Weights, t: IntOperator
+                 ) -> Optional[tuple[Subspace, bool]]:
+    """The range of T and whether T is a left multiplication, or None when
+    T is not a weighted centralizer."""
+    if residual(a, t, weighted(w)) is not None:
+        return None
+    return (Subspace.span(a.dim, map(dict, t.cols)),
+            left_mul_space(a).contains_operator(t))
+
+
 def verify_equivalent_range_conditions(a: Algebra, w: Weights,
                                        t: IntOperator, u) -> Report:
     """For a weighted centralizer T and right identity u, the four range
@@ -256,17 +280,18 @@ def verify_equivalent_range_conditions(a: Algebra, w: Weights,
       (c) T is left multiplication by T(u)
       (d) T(u) is central
     """
-    if right_mul_int(a, u) != _identity_operator(a.dim):
+    left_ideal = _left_ideal(a, u)
+    if left_ideal is None:
         return precondition_unmet(
             "3.1", target_name(a), w.pair, f"{fmt_vector(u)} is not a right identity"
         )
-    if residual(a, t, weighted(w)) is not None:
+    facts = _range_facts(a, w, t)
+    if facts is None:
         return precondition_unmet(
             "3.1", target_name(a), w.pair, "operator is not a weighted centralizer"
         )
-    left_ideal = Subspace.span(a.dim, map(dict, left_mul_int(a, u).cols))
-    cond_a = subspace_contains(left_ideal, Subspace.span(a.dim, map(dict, t.cols)))
-    cond_b = left_mul_space(a).contains_operator(t)
+    ran, cond_b = facts
+    cond_a = subspace_contains(left_ideal, ran)
     tu = apply_operator(t, u)
     cond_c = left_mul_int(a, tu) == t
     cond_d = center(a).contains_vector(tu)

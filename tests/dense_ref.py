@@ -7,16 +7,17 @@ reference value type: `Matrix` is a row-major Fraction matrix,
 integer form, and the `_ref_` helpers are the straightforward dense
 versions of the matrix operations the tests still need: building vectors
 and matrices, products, transposes and matrix-vector products, all in exact
-Fraction arithmetic, and the Fraction views of the structure constants by
-one factor, walked from the dense table.
+Fraction arithmetic, the Fraction views of the structure constants by
+one factor, walked from the dense table, and the span of the operators
+p L_t + q R_t built from dense multiplication matrices.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from pqcent.centralizers import IntOperator
-from pqcent.linalg import DimensionMismatch, clear_denominators
+from pqcent.centralizers import IntOperator, OperatorSpace
+from pqcent.linalg import DimensionMismatch, Subspace, clear_denominators
 
 _ZERO = Fraction(0)
 
@@ -155,3 +156,24 @@ def _ref_by_left_factor(n, table):
         )
         for i in range(n)
     )
+
+
+def _ref_mul_matrix(table, t, left):
+    """The Matrix of b -> b_t b (left) or b -> b b_t: column m is the
+    product with b_m, row k its b_k coordinate."""
+    n = len(table)
+    return Matrix(n, n, tuple(
+        table[t][m][k] if left else table[m][t][k]
+        for k in range(n) for m in range(n)))
+
+
+def _ref_mul_span(a, p, q):
+    """The span of p L_t + q R_t over the basis elements b_t of a."""
+    n = a.dim
+    table = a.table
+    ops = []
+    for t in range(n):
+        left = _ref_mul_matrix(table, t, True)
+        right = _ref_mul_matrix(table, t, False)
+        ops.append([p * x + q * y for x, y in zip(left.entries, right.entries)])
+    return OperatorSpace(n, Subspace.span(n * n, ops))

@@ -12,6 +12,7 @@ from dense_ref import (
     _ref_apply_matrix,
     _ref_identity_matrix,
     _ref_matmul,
+    _ref_mul_span,
     _ref_vec,
     _ref_zero_matrix,
     int_operator,
@@ -41,6 +42,8 @@ from pqcent.centralizers import (
     RIGHT,
     OperatorSpace,
     Weights,
+    _enclosure,
+    _mul_span,
     _solve,
     jordan,
     left_centralizers,
@@ -77,6 +80,7 @@ from pqcent.linalg import (
     basis_vector,
     full_space,
     nullspace_of_rows,
+    subspace_contains,
     subspace_intersect,
 )
 from pqcent.verify import DEFAULT_WEIGHT_PAIRS, inclusion_chain_check
@@ -204,16 +208,23 @@ def test_two_sided_of_matrix_algebra():
     assert left_centralizers(a) == left_mul_space(a)
 
 
-def test_solved_bases_satisfy_defining_identities():
-    for name, a in fixtures().items():
-        w = Weights(3, 5)
+def _assert_solved_bases_satisfy_identities(a, weights):
+    """Every basis operator of the solved J and W at each weight pair, and
+    of Z, passes `residual` on every pair of its identities."""
+    for w in weights:
         for t in pq_centralizers(a, w).int_operators:
-            assert residual(a, t, weighted(w)) is None, name
+            assert residual(a, t, weighted(w)) is None, w
         for t in pq_jordan_centralizers(a, w).int_operators:
-            assert residual(a, t, jordan(w)) is None, name
-        for t in two_sided_centralizers(a).int_operators:
-            assert residual(a, t, LEFT) is None, name
-            assert residual(a, t, RIGHT) is None, name
+            assert residual(a, t, jordan(w)) is None, w
+    for t in two_sided_centralizers(a).int_operators:
+        assert residual(a, t, LEFT) is None
+        assert residual(a, t, RIGHT) is None
+
+
+def test_solved_bases_satisfy_defining_identities():
+    # the catalog, S4 and the right-identity semigroups, at every chain weight
+    for name, a in UPPER_ALGEBRAS.items():
+        _assert_solved_bases_satisfy_identities(a, CHAIN_WEIGHTS)
 
 
 def test_membership_rejects_non_centralizers():
@@ -441,8 +452,11 @@ def test_chained_solves_match_full_row_solves(name):
     two_sided = _ref_solve(a, LEFT, RIGHT)
     assert two_sided_centralizers(a) == two_sided
     for w in CHAIN_WEIGHTS:
-        assert pq_jordan_centralizers(a, w) == _ref_solve(a, jordan(w)), w
-        assert pq_centralizers(a, w) == _ref_solve(a, weighted(w)), w
+        j, pq = _ref_solve(a, jordan(w)), _ref_solve(a, weighted(w))
+        assert pq_jordan_centralizers(a, w) == j, w
+        assert pq_centralizers(a, w) == pq, w
+        # the two-sided floor of both walks lies inside both spaces
+        assert subspace_contains(pq.space, two_sided.space), w
         # a weighted row is p times a left row plus q times a right row, so
         # inside any weighted space the left rows alone cut out the
         # two-sided space
@@ -483,8 +497,8 @@ def test_staged_solves_match_full_row_solves(seed, commutative):
     assert _solve_each(a, LEFT, RIGHT) == two_sided
     assert _solve_each(a, RIGHT, LEFT) == two_sided
     assert two_sided_centralizers(a) == two_sided
-    assert _solve(a, LEFT) == _ref_solve(a, LEFT)
-    assert _solve(a, RIGHT) == _ref_solve(a, RIGHT)
+    assert _solve(a, LEFT) == _ref_solve(a, LEFT) == left_centralizers(a)
+    assert _solve(a, RIGHT) == _ref_solve(a, RIGHT) == right_centralizers(a)
     for w in CHAIN_WEIGHTS:
         j, pq = _ref_solve(a, jordan(w)), _ref_solve(a, weighted(w))
         assert _solve(a, jordan(w)) == j, w
@@ -546,19 +560,18 @@ def test_generator_quantifiers_match_every_basis_element(name):
     assert identity(a) == (None if unit is None else unit[0])
     assert left_centralizers(a) == _ref_solve(a, LEFT)
     assert right_centralizers(a) == _ref_solve(a, RIGHT)
+    # the floors of the one-sided walks lie inside the full-row solves
+    assert subspace_contains(_ref_solve(a, LEFT).space, left_mul_space(a).space)
+    assert subspace_contains(_ref_solve(a, RIGHT).space, right_mul_space(a).space)
     assert two_sided_centralizers(a) == _ref_solve(a, LEFT, RIGHT)
     assert two_sided_right_mul_space(a) == \
         right_mul_image(a, _ref_two_sided_mul_elements(a))
 
 
-def test_solves_hand_linalg_one_block_at_a_time(monkeypatch):
-    # every system a solve eliminates is one block of rows, the pairs with
-    # one first index, in the unknowns of the current enclosing space
+def _recorded_systems(monkeypatch, a, e):
+    """(rows, unknowns) of each system a root solve of e hands to
+    `nullspace_of_rows`, and the solved space."""
     import pqcent.centralizers as centralizers
-    a = CHAIN_ALGEBRAS["s4"]
-    n = a.dim
-    w = Weights(1, 2)
-    expected = pq_jordan_centralizers(a, w), left_centralizers(a)
     systems = []
     real = centralizers.nullspace_of_rows
 
@@ -567,10 +580,37 @@ def test_solves_hand_linalg_one_block_at_a_time(monkeypatch):
         return real(rows, ncols)
 
     monkeypatch.setattr(centralizers, "nullspace_of_rows", recording)
-    assert (_solve(a, jordan(w)), _solve(a, LEFT)) == expected
-    # n^2 unknowns only in the first block of each of the two root solves
-    assert [ncols for _, ncols in systems].count(n * n) == 2
-    assert all(rows <= n * n for rows, _ in systems)
+    space = _solve(a, e)
+    monkeypatch.undo()
+    return systems, space
+
+
+def test_solves_hand_linalg_one_block_at_a_time(monkeypatch):
+    # every system a solve eliminates is one block of rows, the pairs with
+    # one first index, in the unknowns of the current enclosing space. A
+    # root with the unit its enclosure needs starts from that span of n
+    # operators, so it never eliminates in n^2 unknowns; a root without one
+    # starts from every operator, and the first block it eliminates cuts
+    # that space down
+    w = Weights(1, 2)
+    full_blocks = 0
+    for name, a in GENERATOR_ALGEBRAS.items():
+        n = a.dim
+        unital = identity(a) is not None
+        for e, expected, enclosed in (
+                (jordan(w), pq_jordan_centralizers(a, w), unital),
+                (weighted(w), pq_centralizers(a, w), unital),
+                (LEFT, left_centralizers(a), unital),
+                (RIGHT, right_centralizers(a), right_identities(a) is not None)):
+            systems, space = _recorded_systems(monkeypatch, a, e)
+            assert space == expected, (name, e)
+            unknowns = [ncols for _, ncols in systems]
+            assert all(rows <= n * n for rows, _ in systems), (name, e)
+            assert all(ncols < n * n for ncols in unknowns[1:]), (name, e)
+            if enclosed:
+                assert all(ncols <= n for ncols in unknowns), (name, e)
+            full_blocks += unknowns[:1] == [n * n]
+    assert full_blocks
 
 
 def test_solves_enter_linalg_through_its_public_entries(monkeypatch):
@@ -588,16 +628,118 @@ def test_solves_enter_linalg_through_its_public_entries(monkeypatch):
                     return real(*args)
 
                 monkeypatch.setattr(module, name, recording)
-    a = matrix_algebra(2)  # fresh, so no solve below is cached
-    for solve, entry in (
-            (center, "pqcent.algebras.nullspace_of_rows"),
-            (right_identities, "pqcent.algebras.solve_affine_rows"),
-            (identity, "pqcent.algebras.solve_affine_rows"),
-            (left_centralizers, "pqcent.centralizers.nullspace_of_rows"),
-            (two_sided_centralizers, "pqcent.centralizers.nullspace_of_rows")):
-        calls.clear()
-        solve(a)
-        assert calls and set(calls) == {entry}, solve.__name__
+    # fresh, so no solve below is cached: M2 is unital, the gap table is not
+    unital = matrix_algebra(2)
+    gap = _table_algebra(((0,) * 4, (0,) * 4) + SEMIGROUP_GAPS["sg4_nil"])
+    for a in (unital, gap):
+        for solve, entry in (
+                (center, "pqcent.algebras.nullspace_of_rows"),
+                (right_identities, "pqcent.algebras.solve_affine_rows"),
+                (identity, "pqcent.algebras.solve_affine_rows"),
+                (left_centralizers, "pqcent.centralizers.nullspace_of_rows"),
+                (two_sided_centralizers, "pqcent.centralizers.nullspace_of_rows")):
+            calls.clear()
+            solve(a)
+            assert set(calls) <= {entry}, solve.__name__
+            # the unit enclosure of a unital left solve is its answer, so
+            # that solve is the one that eliminates nothing
+            assert bool(calls) != (a is unital and solve is left_centralizers), \
+                solve.__name__
+
+
+# ---------------------------------------------------------------------------
+# the unit enclosure and the two-sided floor
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["matrix2", "group_s3", "group_q8"])
+def test_mul_span_matches_the_dense_span(name):
+    a = fixtures()[name]
+    for p, q in ((1, 2), (2, 1), (3, 5), (1, 0), (0, 1)):
+        assert _mul_span(a, p, q) == _ref_mul_span(a, p, q), (p, q)
+    # the orientation shows: the span with p and q swapped is another space
+    assert _ref_mul_span(a, 1, 2) != _ref_mul_span(a, 2, 1)
+    assert left_mul_space(a) == _ref_mul_span(a, 1, 0)
+    assert right_mul_space(a) == _ref_mul_span(a, 0, 1)
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_ALGEBRAS))
+def test_unit_enclosures_contain_the_full_row_solves(name):
+    # (p+q) T = p L_{T(1)} + q R_{T(1)} for a Jordan centralizer, T = L_{T(1)}
+    # for a left or weighted one, T = R_{T(u)} for a right one with a right
+    # identity u: each root solve starts from that span when it exists
+    a = GENERATOR_ALGEBRAS[name]
+    unital = identity(a) is not None
+    w = Weights(3, 5)
+    for e, expected, exists in (
+            (jordan(w), _ref_mul_span(a, 3, 5), unital),
+            (weighted(w), _ref_mul_span(a, 1, 0), unital),
+            (LEFT, _ref_mul_span(a, 1, 0), unital),
+            (RIGHT, _ref_mul_span(a, 0, 1), right_identities(a) is not None)):
+        enclosure = _enclosure(a, e)
+        assert enclosure == (expected if exists else None), e
+        if exists:
+            assert subspace_contains(enclosure.space, _ref_solve(a, e).space), e
+
+
+def _walked_blocks(monkeypatch, solve):
+    """The first index of each block a solve walks, and its result."""
+    import pqcent.centralizers as centralizers
+    walked = []
+    real = centralizers._block
+
+    def recording(n, e, i, upper=False):
+        walked.append(i)
+        return real(n, e, i, upper)
+
+    monkeypatch.setattr(centralizers, "_block", recording)
+    space = solve()
+    monkeypatch.undo()
+    return walked, space
+
+
+@pytest.mark.parametrize("name", sorted(RIGHT_IDENTITY_SEMIGROUPS))
+def test_floor_does_not_stop_a_jordan_walk_above_it(monkeypatch, name):
+    # J != Z here, so the Jordan walk must impose every block
+    a = _table_algebra(RIGHT_IDENTITY_SEMIGROUPS[name])
+    w = Weights(1, 2)
+    z = two_sided_centralizers(a)
+    walked, j = _walked_blocks(
+        monkeypatch, lambda: _solve(a, jordan(w), floor=z))
+    assert walked == list(range(a.dim))
+    assert j == _ref_solve(a, jordan(w)) and j.dim > z.dim
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_ALGEBRAS))
+def test_one_sided_walks_stop_at_the_multiplications(monkeypatch, name):
+    # the left and right multiplications lie inside the left and right
+    # centralizers and are the floors of their walks; with the unit its
+    # enclosure needs, the enclosure is the floor and no block is walked
+    a = GENERATOR_ALGEBRAS[name]
+    fresh = make_algebra(a.dim, a.table)  # nothing of it is cached
+    for solve, e, enclosed in (
+            (left_centralizers, LEFT, identity(a) is not None),
+            (right_centralizers, RIGHT, right_identities(a) is not None)):
+        walked, space = _walked_blocks(monkeypatch, lambda: solve(fresh))
+        assert space == _ref_solve(a, e), e
+        assert len(walked) <= len(generators(a)), e
+        if enclosed:
+            assert walked == [], e
+
+
+def test_floor_stops_the_walks_at_the_two_sided_space(monkeypatch):
+    # on S4 every Jordan and weighted space is the two-sided one: the Jordan
+    # walk stops before its last block, and the weighted walk inside it
+    # evaluates no row
+    a = _s4()
+    w = Weights(1, 2)
+    z = two_sided_centralizers(a)
+    walked, j = _walked_blocks(
+        monkeypatch, lambda: _solve(a, jordan(w), floor=z))
+    assert j == z and len(walked) < a.dim
+    walked, pq = _walked_blocks(
+        monkeypatch,
+        lambda: _solve(a, weighted(w), within=j, upper=True, floor=z))
+    assert pq == z and walked == []
 
 
 # ---------------------------------------------------------------------------
@@ -637,6 +779,7 @@ def test_random_algebra_chain(seed):
     import random
     a = random_algebra(random.Random(seed))
     assert inclusion_chain_check(a, Weights(1, 2)).passed
+    _assert_solved_bases_satisfy_identities(a, CHAIN_WEIGHTS)
 
 
 @settings(max_examples=25, deadline=None)

@@ -24,7 +24,7 @@ from pqcent.centralizers import (
     two_sided_centralizers,
     weighted,
 )
-from pqcent.fixtures import fixtures
+from pqcent.fixtures import colmat, direct_sum, field, fixtures, matrix_algebra
 from pqcent.linalg import basis_vector
 from pqcent.reports import PASS, PRECONDITION_UNMET, Assertion
 from pqcent.verify import (
@@ -189,6 +189,32 @@ def test_range_conditions_driver_relabels_one_report_per_pair(
     rep = run_range_conditions_check(a, w)
     assert rep.status == PASS and list(rep.assertions) == expected
     assert calls == [(a, w, t, u) for _, t in candidates for u in samples]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: colmat(3), lambda: direct_sum(field(), colmat(2)),
+    lambda: matrix_algebra(2)], ids=["colmat3", "sum_field_colmat2", "matrix2"])
+def test_range_conditions_driver_runs_residual_once_per_operator(
+        monkeypatch, build):
+    # what depends on the operator alone, `residual` first, is evaluated
+    # once per distinct operator and weight pair, not once per (operator,
+    # sample); the identity operator is also the solved basis of a space of
+    # scalars
+    a, w = build(), W12  # fresh, so nothing of check 3.1 is cached
+    operators = dict.fromkeys(
+        t for _, t in _operator_candidates(a, pq_centralizers(a, w)))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return residual(*args)
+
+    monkeypatch.setattr(verify, "residual", counted)
+    assert run_range_conditions_check(a, w).status == PASS
+    assert calls == [(a, t, weighted(w)) for t in operators]
+    calls.clear()
+    assert run_range_conditions_check(a, w).status == PASS
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
