@@ -28,13 +28,17 @@ Below, the left and right multiplications lie inside the left and right
 centralizers by associativity, so with its unit a one-sided solve is its
 enclosure and evaluates no row. The two-sided space Z is solved first and
 on its own, as the left rows inside the right centralizers, and it lies
-inside every weighted space W(p,q) and Jordan space J(p,q). A polarized Jordan row is the sum of the
-weighted rows of (a, b) and (b, a), and a weighted row is p times a left
-row plus q times a right row. So the Jordan space is solved above Z, and
-the weighted space inside the Jordan one and above Z, on the pairs i < j
-only, since on the Jordan space the row of (b, a) is minus that of
-(a, b) and the row of (a, a) vanishes. A walk stops once it is down to
-the dimension of Z, as Z lies inside its answer. So where W = Z holds,
+inside every weighted space W(p,q) and Jordan space J(p,q). A polarized
+Jordan row is the sum of the weighted rows of (a, b) and (b, a), and a
+weighted row is p times a left row plus q times a right row. So the
+Jordan space is solved above Z, and the weighted space inside the Jordan
+one and above Z, on the pairs i < j only, since on the Jordan space the
+row of (b, a) is minus that of (a, b) and the row of (a, a) vanishes. A
+walk stops once it is down to the dimension of Z, as Z lies inside its
+answer. The floor is checked before the enclosure is built: the unit
+enclosure of a Jordan solve has dimension n, so where dim Z = n, as on a
+commutative unital algebra, the Jordan space is Z and no span is built
+for it. So where W = Z holds,
 as the paper proves for an algebra with a right identity, the solver
 settles it by dimension, and the weighted solve evaluates no row when
 dim J = dim Z. Check 2.1's W = Z, its two-sided space inside the right
@@ -365,7 +369,8 @@ def _rows(a: Algebra, e: Identity, pairs, index):
                 yield row
 
 
-def _enclosure(a: Algebra, e: Identity) -> Optional[OperatorSpace]:
+def _enclosure(a: Algebra, e: Identity,
+               floor: Optional[OperatorSpace] = None) -> Optional[OperatorSpace]:
     """The span that e's rows at a unit cut out, which encloses every
     solution of e: None when the algebra has no unit of the kind needed.
 
@@ -376,12 +381,21 @@ def _enclosure(a: Algebra, e: Identity) -> Optional[OperatorSpace]:
     in the span of p L_t + q R_t, a left or weighted one in the left
     multiplications, and a right one in the right multiplications: spans
     of n operators, one per basis element.
+
+    The Jordan span with p + q != 0 and the left multiplications have
+    dimension n, as T -> T(1) is injective on them: (p L_t + q R_t)(1) =
+    (p+q) t and L_t(1) = t. A `floor` of dimension n, known to lie inside
+    the solutions, is then that span, and is returned without building it.
     """
+    full = floor is not None and floor.dim == a.dim
     if e.symmetric:
-        unit = 2 * e.s != e.p + e.q and is_unital(a)
-        return _mul_span(a, e.p, e.q) if unit else None
+        if 2 * e.s == e.p + e.q or not is_unital(a):
+            return None
+        return floor if full and e.p + e.q else _mul_span(a, e.p, e.q)
     if e.s != e.q:
-        return left_mul_space(a) if is_unital(a) else None
+        if not is_unital(a):
+            return None
+        return floor if full else left_mul_space(a)
     unit = e.s != e.p and right_identities(a) is not None
     return right_mul_space(a) if unit else None
 
@@ -405,9 +419,12 @@ def _solve(a: Algebra, e: Identity, *, within: Optional[OperatorSpace] = None,
     at a time, a block per first index i of the pairs. The block's rows are
     evaluated straight onto the primitive rows of K, and the kernel of the
     projected block, in dim K unknowns, gives K * ker: the new K. The
-    column index of K is rebuilt only when K shrinks. The walk stops once
-    dim K = dim `floor` (0 without one): the floor lies inside the answer
-    and the answer inside K, so K is then the answer. Every enclosure is
+    column index of K is built for the first block walked and rebuilt only
+    when K shrinks. The walk stops once dim K = dim `floor` (0 without
+    one): the floor lies inside the answer and the answer inside K, so K is
+    then the answer. A root solve checks this before K is built, as
+    `_enclosure` hands back a floor of the enclosure's dimension, and then
+    walks no block. Every enclosure is
     cut out by rows of e, and the walk imposes every row on it, so the
     answer is the kernel of e's rows whatever K starts from. Only one block
     of rows is held at a time.
@@ -420,19 +437,21 @@ def _solve(a: Algebra, e: Identity, *, within: Optional[OperatorSpace] = None,
         raise DimensionMismatch(
             f"enclosing space on dim {within.algebra_dim}, algebra has dim {n}")
     if within is None:
-        within = _enclosure(a, e)
+        within = _enclosure(a, e, floor)
     space = full_space(n * n) if within is None else within.space
     bottom = 0 if floor is None else floor.dim
-    index = column_index(space)
+    index = None
     for i in generators(a) if e in (LEFT, RIGHT) else range(n):
         if space.dim == bottom:
             break
+        if index is None:
+            index = column_index(space)
         rows = list(_rows(a, e, _block(n, e, i, upper), index))
         if rows:
             kernel = nullspace_of_rows(rows, space.dim)
             if kernel.dim < space.dim:
                 space = lift(space, kernel)
-                index = column_index(space)
+                index = None
     return OperatorSpace(n, space)
 
 
@@ -508,12 +527,19 @@ def two_sided_right_mul_space(a: Algebra) -> OperatorSpace:
 # solvers; the first failing (i, j, residual) serves as a report witness.
 # ---------------------------------------------------------------------------
 
+@cached
 def residual(a: Algebra, t: IntOperator, e: Identity
              ) -> Optional[tuple[int, int, Vector]]:
     """The first basis pair (i, j), in row-major order, on which the
     operator t violates e, with s T(ab) - p T(a)b - q a T(b) there (summed
     over ab and ba when e is symmetric); None if t satisfies e on every
-    pair."""
+    pair.
+
+    Cached on the algebra by (t, e): both are canonical, so equal operators
+    and identities share one entry. The first call evaluates e on every
+    pair up to the first that fails, and later calls read its result; so
+    checks that meet the same operator at several weight pairs evaluate
+    each weight-free identity once."""
     n = a.dim
     if len(t.cols) != n:
         raise DimensionMismatch(

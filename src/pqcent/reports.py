@@ -35,12 +35,6 @@ class Assertion:
         if not self.passed and not self.witness:
             raise ValueError("failed assertions must carry a witness")
 
-    def to_dict(self) -> dict:
-        d = {"name": self.name, "passed": self.passed}
-        if self.witness is not None:
-            d["witness"] = self.witness
-        return d
-
 
 @dataclass(frozen=True)
 class Report:
@@ -54,16 +48,6 @@ class Report:
     @property
     def passed(self) -> bool:
         return self.status == PASS
-
-    def to_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "target": self.target,
-            "weights": list(self.weights) if self.weights else None,
-            "status": self.status,
-            "assertions": [a.to_dict() for a in self.assertions],
-            "note": self.note,
-        }
 
     def lines(self, verbose: bool = False) -> list[str]:
         w = f" weights=({self.weights[0]},{self.weights[1]})" if self.weights else ""

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_str
 from random import Random
 
 from .algebras import Algebra
 from .centralizers import Weights
 from .fixtures import fixtures, random_algebra, random_poly_quotient
 from .groups import group_tables, verify_group_centralizer_structure
-from .reports import FAIL, PASS, PRECONDITION_UNMET, Report
+from .reports import FAIL, PASS, PRECONDITION_UNMET, Assertion, Report
 from .verify import (
     CHECK_IDS,
     DEFAULT_WEIGHT_PAIRS,
@@ -56,13 +57,25 @@ class RunReport:
         return 1 if self.has_failures else 0
 
     def to_json(self) -> str:
-        doc = {
+        """The run as JSON: byte for byte `json.dumps(doc, indent=2,
+        sort_keys=True)` and a newline, for the document {seed,
+        weight_pairs, summary, checks}, each check a `Report` as
+        {check_id, target, weights, status, assertions, note}, each
+        assertion {name, passed, witness}, witness left out when None.
+        Only the header goes through `json.dumps`, which `indent` keeps
+        off its C encoder; the checks are written from the fixed schema
+        with the C string encoder. `tests/test_suite.py` checks these
+        bytes against `json.dumps` of the document `tests/report_ref.py`
+        builds."""
+        header = json.dumps({
             "seed": self.seed,
             "weight_pairs": [list(p) for p in self.weight_pairs],
             "summary": self.counts,
-            "checks": [r.to_dict() for r in self.reports],
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        }, indent=2, sort_keys=True)
+        # "checks" sorts first, so it opens the document
+        checks = ",\n".join(map(_report_json, self.reports))
+        checks = f"[\n{checks}\n  ]" if checks else "[]"
+        return f'{{\n  "checks": {checks},\n{header[2:]}\n'
 
     def text_lines(self, verbose: bool = False) -> list[str]:
         counts = self.counts
@@ -76,6 +89,29 @@ class RunReport:
             if verbose or r.status == FAIL:
                 out.extend(r.lines(verbose))
         return out
+
+
+def _assertion_json(a: Assertion) -> str:
+    witness = ("" if a.witness is None
+               else f',\n          "witness": {_json_str(a.witness)}')
+    return (f'        {{\n          "name": {_json_str(a.name)},\n'
+            f'          "passed": {"true" if a.passed else "false"}'
+            f'{witness}\n        }}')
+
+
+def _report_json(r: Report) -> str:
+    """One element of the report's "checks" list, keys in sorted order."""
+    assertions = ",\n".join(map(_assertion_json, r.assertions))
+    assertions = f"[\n{assertions}\n      ]" if assertions else "[]"
+    weights = ("null" if not r.weights else
+               "[\n" + ",\n".join(f"        {x}" for x in r.weights)
+               + "\n      ]")
+    return (f'    {{\n      "assertions": {assertions},\n'
+            f'      "check_id": {_json_str(r.check_id)},\n'
+            f'      "note": {_json_str(r.note)},\n'
+            f'      "status": {_json_str(r.status)},\n'
+            f'      "target": {_json_str(r.target)},\n'
+            f'      "weights": {weights}\n    }}')
 
 
 def _run_algebra_checks(a: Algebra) -> list[Report]:

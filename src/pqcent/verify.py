@@ -106,6 +106,12 @@ def _operator_candidates(a: Algebra, space: OperatorSpace):
 # check id 2.1
 # ---------------------------------------------------------------------------
 
+@cached
+def _is_right_mul_by_value(a: Algebra, t: IntOperator, u) -> bool:
+    """Whether T is right multiplication by T(u)."""
+    return right_mul_int(a, apply_operator(t, u)) == t
+
+
 def verify_right_identity_collapse(a: Algebra, w: Weights) -> Report:
     """With a right identity, the weighted space collapses to the two-sided
     space, and consists exactly of right multiplications by the elements
@@ -153,7 +159,7 @@ def verify_right_identity_collapse(a: Algebra, w: Weights) -> Report:
         ))
 
         for k, u in enumerate(samples):
-            ok = right_mul_int(a, apply_operator(t, u)) == t
+            ok = _is_right_mul_by_value(a, t, u)
             assertions.append(Assertion(
                 f"basis operator {idx} equals right multiplication by its "
                 f"value at right identity sample {k}",
@@ -187,28 +193,24 @@ def _nonmultiplicative_pair(a: Algebra, ops, images) -> Optional[tuple[int, int]
     )
 
 
-def verify_unital_center_correspondence(a: Algebra, w: Weights) -> Report:
-    """On a unital algebra, evaluation at the identity is a multiplicative
-    linear bijection from the weighted centralizers onto the center, and
-    every centralizer is two-sided multiplication by its value there.
-    """
-    one = identity(a)
-    if one is None:
-        return precondition_unmet("2.3", target_name(a), w.pair, "no two-sided identity")
-
-    n = a.dim
-    cpq = pq_centralizers(a, w)
+@cached
+def _center_correspondence(a: Algebra, space: OperatorSpace
+                           ) -> tuple[Assertion, ...]:
+    """Check 2.3's assertions on an operator space of a unital algebra,
+    which read no weight: the images of its basis at the identity, their
+    span, and the multiplicativity scan."""
     z = center(a)
-    ops = cpq.int_operators
+    ops = space.int_operators
+    one = identity(a)
     images = [apply_operator(t, one) for t in ops]
-    image_span = Subspace.span(n, images)
+    image_span = Subspace.span(a.dim, images)
     spans_center = image_span == z
 
     assertions = [
         Assertion(
             "space dimension equals center dimension",
-            cpq.dim == z.dim,
-            None if cpq.dim == z.dim else f"dims {cpq.dim} vs {z.dim}",
+            space.dim == z.dim,
+            None if space.dim == z.dim else f"dims {space.dim} vs {z.dim}",
         ),
         Assertion(
             "images of the basis at the identity span the center",
@@ -237,9 +239,19 @@ def verify_unital_center_correspondence(a: Algebra, w: Weights) -> Report:
         bad is None,
         None if bad is None else f"operator pair {bad}",
     ))
+    return tuple(assertions)
 
+
+def verify_unital_center_correspondence(a: Algebra, w: Weights) -> Report:
+    """On a unital algebra, evaluation at the identity is a multiplicative
+    linear bijection from the weighted centralizers onto the center, and
+    every centralizer is two-sided multiplication by its value there.
+    """
+    if identity(a) is None:
+        return precondition_unmet("2.3", target_name(a), w.pair, "no two-sided identity")
+    assertions = _center_correspondence(a, pq_centralizers(a, w))
     return report_from_assertions(
-        "2.3", target_name(a), w.pair, assertions, f"center dim {z.dim}"
+        "2.3", target_name(a), w.pair, assertions, f"center dim {center(a).dim}"
     )
 
 
@@ -247,9 +259,12 @@ def verify_unital_center_correspondence(a: Algebra, w: Weights) -> Report:
 # check id 3.1
 # ---------------------------------------------------------------------------
 
-# check 3.1 runs every (operator, sample) pair; these halves depend on one
-# of the two and are cached on the algebra, so each runs once per sample or
-# once per operator and weight pair
+# check 3.1 runs every (operator, sample) pair at every weight pair; what
+# depends on less is cached on the algebra: the left ideal once per sample,
+# the range and left-multiplication test once per operator, the four
+# conditions once per (operator, sample), and whether the operator is a
+# weighted centralizer once per weight pair and operator, so `residual` is
+# asked once per operator and pair
 
 @cached
 def _left_ideal(a: Algebra, u) -> Optional[Subspace]:
@@ -260,14 +275,25 @@ def _left_ideal(a: Algebra, u) -> Optional[Subspace]:
 
 
 @cached
-def _range_facts(a: Algebra, w: Weights, t: IntOperator
-                 ) -> Optional[tuple[Subspace, bool]]:
-    """The range of T and whether T is a left multiplication, or None when
-    T is not a weighted centralizer."""
-    if residual(a, t, weighted(w)) is not None:
-        return None
+def _operator_range(a: Algebra, t: IntOperator) -> tuple[Subspace, bool]:
+    """The range of T and whether T is a left multiplication."""
     return (Subspace.span(a.dim, map(dict, t.cols)),
             left_mul_space(a).contains_operator(t))
+
+
+@cached
+def _is_weighted_centralizer(a: Algebra, w: Weights, t: IntOperator) -> bool:
+    return residual(a, t, weighted(w)) is None
+
+
+@cached
+def _range_conditions(a: Algebra, t: IntOperator, u
+                      ) -> tuple[bool, bool, bool, bool]:
+    """Conditions (a) to (d) of check 3.1 for T and the right identity u."""
+    ran, cond_b = _operator_range(a, t)
+    tu = apply_operator(t, u)
+    return (subspace_contains(_left_ideal(a, u), ran), cond_b,
+            left_mul_int(a, tu) == t, center(a).contains_vector(tu))
 
 
 def verify_equivalent_range_conditions(a: Algebra, w: Weights,
@@ -280,21 +306,15 @@ def verify_equivalent_range_conditions(a: Algebra, w: Weights,
       (c) T is left multiplication by T(u)
       (d) T(u) is central
     """
-    left_ideal = _left_ideal(a, u)
-    if left_ideal is None:
+    if _left_ideal(a, u) is None:
         return precondition_unmet(
             "3.1", target_name(a), w.pair, f"{fmt_vector(u)} is not a right identity"
         )
-    facts = _range_facts(a, w, t)
-    if facts is None:
+    if not _is_weighted_centralizer(a, w, t):
         return precondition_unmet(
             "3.1", target_name(a), w.pair, "operator is not a weighted centralizer"
         )
-    ran, cond_b = facts
-    cond_a = subspace_contains(left_ideal, ran)
-    tu = apply_operator(t, u)
-    cond_c = left_mul_int(a, tu) == t
-    cond_d = center(a).contains_vector(tu)
+    cond_a, cond_b, cond_c, cond_d = _range_conditions(a, t, u)
     shared = len({cond_a, cond_b, cond_c, cond_d}) == 1
     detail = (
         f"range in u*A: {cond_a}; left multiplication: {cond_b}; "
@@ -330,23 +350,14 @@ def run_range_conditions_check(a: Algebra, w: Weights) -> Report:
 # check id 3.2
 # ---------------------------------------------------------------------------
 
-def verify_square_zero_iff_nilpotent_range(a: Algebra, w: Weights,
-                                           t: IntOperator) -> Report:
-    """T.T = 0 exactly when the range of T is nilpotent of index at most 2,
-    i.e. all products of range elements vanish.
-
-    The forward direction holds for any weighted centralizer: applying T to
-    its own defining identity gives (p+q)^2 T(T(ab)) = 2pq T(a)T(b), so a
-    square-zero T kills every product of range values. The converse needs a
-    right identity, so it is only asserted when one exists. Nilpotency of
-    the range with higher index is strictly weaker and not equivalent.
-    A square-zero centralizer also has range inside the radical.
-    """
+@cached
+def _square_zero_facts(a: Algebra, t: IntOperator
+                       ) -> tuple[tuple[Assertion, ...], str]:
+    """Check 3.2's assertions and note for the operator T, which read no
+    weight: whether T.T = 0, the range span and its products, and for a
+    square-zero T the nilpotency index of the range, its containment in
+    the radical and the squares of the basis images."""
     n = a.dim
-    if residual(a, t, weighted(w)) is not None:
-        return precondition_unmet(
-            "3.2", target_name(a), w.pair, "operator is not a weighted centralizer"
-        )
     # den^2 T(T(b_m)) = sum over the (k, v) of column m of v * den T(b_k)
     square_zero = not any(any(combine_columns(t.cols, col)) for col in t.cols)
     ran = Subspace.span(n, map(dict, t.cols))
@@ -391,6 +402,29 @@ def verify_square_zero_iff_nilpotent_range(a: Algebra, w: Weights,
         assertions.append(Assertion(
             "square-zero consequences are vacuous for this operator", True,
         ))
+    return tuple(assertions), note
+
+
+def verify_square_zero_iff_nilpotent_range(a: Algebra, w: Weights,
+                                           t: IntOperator) -> Report:
+    """T.T = 0 exactly when the range of T is nilpotent of index at most 2,
+    i.e. all products of range elements vanish.
+
+    The forward direction holds for any weighted centralizer: applying T to
+    its own defining identity gives (p+q)^2 T(T(ab)) = 2pq T(a)T(b), so a
+    square-zero T kills every product of range values. The converse needs a
+    right identity, so it is only asserted when one exists. Nilpotency of
+    the range with higher index is strictly weaker and not equivalent.
+    A square-zero centralizer also has range inside the radical.
+
+    Only the weighted-centralizer test reads the weights; the rest is
+    `_square_zero_facts`, once per operator.
+    """
+    if residual(a, t, weighted(w)) is not None:
+        return precondition_unmet(
+            "3.2", target_name(a), w.pair, "operator is not a weighted centralizer"
+        )
+    assertions, note = _square_zero_facts(a, t)
     return report_from_assertions("3.2", target_name(a), w.pair, assertions, note)
 
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_ref import Matrix, _ref_matmul, _ref_transpose, _ref_vec
+from report_ref import report_doc
 from pqcent import arens
 from pqcent.algebras import identity, make_algebra, multiply
 from pqcent.arens import (
@@ -372,7 +373,7 @@ def test_bidual_extension_fails_on_a_mutated_stage(
 # dropped: the double adjoint's matrix is the operator's by definition
 def test_bidual_extension_report_bytes_are_pinned():
     reports = [
-        verify_bidual_extension(a, Weights(*p)).to_dict()
+        report_doc(verify_bidual_extension(a, Weights(*p)))
         for a in fixtures().values()
         for p in DEFAULT_WEIGHT_PAIRS
     ]

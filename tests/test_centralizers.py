@@ -742,6 +742,72 @@ def test_floor_stops_the_walks_at_the_two_sided_space(monkeypatch):
     assert pq == z and walked == []
 
 
+def _fresh(a):
+    """A copy of a with nothing cached on it."""
+    return make_algebra(a.dim, a.table, name=a.name)
+
+
+def _recorded_mul_spans(monkeypatch, solve):
+    """The (p, q) of each span `_mul_span` builds during solve(), and its
+    result."""
+    import pqcent.centralizers as centralizers
+    built = []
+    real = centralizers._mul_span
+
+    def recording(a, p, q):
+        built.append((p, q))
+        return real(a, p, q)
+
+    monkeypatch.setattr(centralizers, "_mul_span", recording)
+    space = solve()
+    monkeypatch.undo()
+    return built, space
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2, 3])
+def test_jordan_solve_skips_the_enclosure_when_the_floor_fills_it(
+        monkeypatch, seed):
+    # on a commutative unital algebra dim Z = n, the Jordan enclosure's
+    # dimension, so the Jordan space is Z and its span is never built
+    if seed is None:
+        algebras = [_fresh(fixtures()[name])
+                    for name in ("trunc_poly3", "group_c3")]
+    else:
+        rng = Random(seed)
+        algebras = [random_poly_quotient(rng) for _ in range(3)]
+    for a in algebras:
+        z = two_sided_centralizers(a)
+        assert z.dim == a.dim
+        for pair in DEFAULT_WEIGHT_PAIRS:
+            built, j = _recorded_mul_spans(
+                monkeypatch, lambda: pq_jordan_centralizers(a, Weights(*pair)))
+            assert built == [] and j == z, (a.name, pair)
+
+
+@pytest.mark.parametrize("name", ["group_s3", "group_q8", "matrix2"])
+def test_jordan_solve_builds_the_enclosure_below_full_dimension(
+        monkeypatch, name):
+    a = _fresh(fixtures()[name])
+    assert two_sided_centralizers(a).dim < a.dim
+    for pair in DEFAULT_WEIGHT_PAIRS:
+        w = Weights(*pair)
+        built, j = _recorded_mul_spans(
+            monkeypatch, lambda: pq_jordan_centralizers(a, w))
+        assert built == [pair] and j == _ref_solve(a, jordan(w)), pair
+
+
+@pytest.mark.parametrize("first, second", [(RIGHT, LEFT), (LEFT, RIGHT)])
+def test_residual_is_cached_per_identity(first, second):
+    # R_{e11} on M2 is a right centralizer and not a left one: whichever
+    # identity is asked first, the other reads its own entry
+    a = matrix_algebra(2)
+    t = right_mul_int(a, basis_vector(4, 0))
+    expect = {RIGHT: None, LEFT: residual(_fresh(a), t, LEFT)}
+    assert expect[LEFT] is not None
+    assert residual(a, t, first) == expect[first]
+    assert residual(a, t, second) == expect[second]
+
+
 # ---------------------------------------------------------------------------
 # hypothesis: multiplication operators compose contravariantly
 # ---------------------------------------------------------------------------

@@ -8,9 +8,18 @@ import pytest
 
 from pqcent.fixtures import fixtures
 from pqcent.groups import group_tables
-from pqcent.reports import FAIL, PASS, PRECONDITION_UNMET
-from pqcent.suite import run_suite
+from pqcent.reports import (
+    FAIL,
+    PASS,
+    PRECONDITION_UNMET,
+    Assertion,
+    Report,
+    precondition_unmet,
+    report_from_assertions,
+)
+from pqcent.suite import RunReport, run_suite
 from pqcent.verify import CHECK_IDS
+from report_ref import run_doc
 
 
 @pytest.fixture(scope="module")
@@ -84,3 +93,39 @@ def test_unmet_preconditions_do_not_fail(seed0):
 def test_seeded_report_is_pinned(seed, digest):
     report = run_suite(seed=seed).to_json()
     assert hashlib.sha256(report.encode()).hexdigest() == digest
+
+
+# RunReport.to_json writes the fixed schema itself; tests/report_ref.py
+# builds the same document as dicts, for json.dumps to write
+
+def _reference_json(run):
+    return json.dumps(run_doc(run), indent=2, sort_keys=True) + "\n"
+
+
+def test_report_writer_matches_json_dumps_on_seed_0(seed0):
+    assert seed0.to_json() == _reference_json(seed0)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_report_writer_matches_json_dumps(seed):
+    run = run_suite(seed=seed)
+    assert run.to_json() == _reference_json(run)
+
+
+def test_report_writer_matches_json_dumps_on_hand_built_reports():
+    awkward = 'quote " backslash \\ newline \n tab \t t\u00e9st \u2200x \U0001d400'
+    reports = (
+        report_from_assertions("2.1", awkward, (1, 2), [
+            Assertion("holds", True),
+            Assertion(awkward, False, awkward),
+            Assertion("holds with a witness", True, ""),
+        ], note=awkward),
+        Report("chain", "no weights", None, PASS),
+        report_from_assertions("3.2", "empty", (7, 2), []),
+        precondition_unmet("2.3", "t", (3, 5), "no two-sided identity"),
+        Report("5.1", "", (), FAIL, (Assertion("x", False, "w"),), ""),
+    )
+    for run in (RunReport(3, ((1, 2), (2, 1)), reports),
+                RunReport(0, (), ()),
+                RunReport(5, ((3, 5),), reports[1:2])):
+        assert run.to_json() == _reference_json(run)

@@ -6,6 +6,7 @@ import pytest
 
 from dense_ref import (Matrix, _ref_identity_matrix, _ref_zero_matrix,
                        int_operator)
+from report_ref import report_doc
 from solver_ref import SEMIGROUP_GAPS
 from pqcent import verify
 from pqcent.algebras import (
@@ -15,6 +16,7 @@ from pqcent.algebras import (
     multiply,
     radical,
     right_identity_samples,
+    subspace_product,
 )
 from pqcent.centralizers import (
     Weights,
@@ -24,12 +26,20 @@ from pqcent.centralizers import (
     two_sided_centralizers,
     weighted,
 )
-from pqcent.fixtures import colmat, direct_sum, field, fixtures, matrix_algebra
-from pqcent.linalg import basis_vector
+from pqcent.fixtures import (
+    colmat,
+    direct_sum,
+    dual_numbers,
+    field,
+    fixtures,
+    matrix_algebra,
+)
+from pqcent.linalg import Subspace, basis_vector
 from pqcent.reports import PASS, PRECONDITION_UNMET, Assertion
 from pqcent.verify import (
     CHECK_DESCRIPTIONS,
     CHECK_IDS,
+    DEFAULT_WEIGHT_PAIRS,
     _operator_candidates,
     inclusion_chain_check,
     run_range_conditions_check,
@@ -220,6 +230,32 @@ def test_range_conditions_driver_runs_residual_once_per_operator(
 # ---------------------------------------------------------------------------
 # 3.2
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("build", [
+    lambda: colmat(3), lambda: direct_sum(field(), colmat(2)),
+    lambda: matrix_algebra(2), dual_numbers],
+    ids=["colmat3", "sum_field_colmat2", "matrix2", "dual_numbers"])
+def test_square_zero_driver_runs_operator_half_once_per_operator(
+        monkeypatch, build):
+    # the half of check 3.2 that reads no weight (range, range products,
+    # nilpotency, radical, squares of images) runs once per distinct
+    # operator over the four weight pairs; it takes one range product
+    a = build()  # fresh, so nothing of check 3.2 is cached
+    operators = dict.fromkeys(
+        t for pair in DEFAULT_WEIGHT_PAIRS
+        for _, t in _operator_candidates(a, pq_centralizers(a, Weights(*pair))))
+    ranges = []
+
+    def counted(b, s, t):
+        ranges.append(s)
+        return subspace_product(b, s, t)
+
+    monkeypatch.setattr(verify, "subspace_product", counted)
+    for pair in DEFAULT_WEIGHT_PAIRS:
+        assert run_square_zero_check(a, Weights(*pair)).status == PASS
+    assert ranges == [Subspace.span(a.dim, map(dict, t.cols))
+                      for t in operators]
+
 
 def test_square_zero_on_dual_numbers(catalog):
     a = catalog["dual_numbers"]
@@ -417,16 +453,36 @@ def test_check_registry_complete():
     assert set(CHECK_DESCRIPTIONS) == set(CHECK_IDS) | {"4.2"}
 
 
+@pytest.mark.parametrize("name", sorted(fixtures()))
+def test_checks_read_no_other_entry_of_the_algebra_cache(catalog, name):
+    # the checks cache what reads neither the weights nor the sample on the
+    # algebra; each report on an algebra that ran every check at every pair
+    # must equal the report on a fresh copy of it
+    a = catalog[name]
+
+    def fresh():
+        return make_algebra(a.dim, a.table, name=a.name)
+
+    warm = fresh()
+    for pair in DEFAULT_WEIGHT_PAIRS:
+        for check in CHECK_IDS.values():
+            check(warm, Weights(*pair))
+    for pair in DEFAULT_WEIGHT_PAIRS:
+        w = Weights(*pair)
+        for cid, check in CHECK_IDS.items():
+            assert check(warm, w) == check(fresh(), w), (cid, pair)
+
+
 def test_registry_dispatch_matches_direct_call(catalog):
     a = catalog["dual_numbers"]
     via_registry = CHECK_IDS["2.3"](a, W12)
     direct = verify_unital_center_correspondence(a, W12)
-    assert via_registry.to_dict() == direct.to_dict()
+    assert report_doc(via_registry) == report_doc(direct)
 
 
 def test_report_serialization_shape(catalog):
     rep = verify_right_identity_collapse(catalog["colmat2"], W12)
-    d = rep.to_dict()
+    d = report_doc(rep)
     assert d["check_id"] == "2.1"
     assert d["status"] == PASS
     assert d["weights"] == [1, 2]
