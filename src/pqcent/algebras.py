@@ -15,8 +15,7 @@ right and two-sided identities here, and the one-sided centralizer rows in
 Every statement computed here is homogeneous in the constants, so every
 computation reads them multiplied once by the lcm of their denominators:
 the integer `int_products` and its two regroupings by one factor. The
-Fraction `products` are kept for the parser, the serializer, `table` and
-the staged Arens actions.
+Fraction `products` are kept for the parser, the serializer and `table`.
 """
 
 from __future__ import annotations
@@ -78,8 +77,8 @@ class Algebra:
 
     Computations read `int_products`, the same pairs times `scale` as ints,
     and its regroupings `int_by_right_factor` and `int_by_left_factor`;
-    the Fraction `products` serve the parser, the serializer, `table` and
-    the staged Arens actions."""
+    the Fraction `products` serve the parser, the serializer and
+    `table`."""
     dim: int
     products: tuple
     name: str = ""

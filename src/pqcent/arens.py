@@ -14,18 +14,28 @@ operator has the same matrix by definition, so check 2.4 takes that matrix
 as the bidual operator; every product it checks against is still routed
 through the staged actions.
 
-Cost on an n-dimensional algebra: the basis product table makes one
-stage-2 call per pair (e_j**, e_k*), n^2 in all, each running stage 1 n
-times, and reads stage 3 on F = e_i** as the pairing e_i**(e_j**.e_k*);
-it is O(n^4) and built once per algebra. Check 2.4 reads that table as
-one algebra, the bidual, and every statement it checks per solved operator
-reads the bidual's integer constants: the weighted identity on all basis
-pairs, the identity on the two dense samples, and the transposed identity
-of the adjoint scan, whose functionals e_r*.e_i are the bidual's products
-regrouped by left factor. The full three-stage `arens_product` runs only
-on the two dense sample pairs, once per algebra. The table is computed
-from the staged actions, never read off the structure constants: that
-equality is what check 2.4 asserts.
+Each stage is an integer kernel: stage 1 reads `a.int_by_left_factor`,
+stage 2 the stage-1 results of its functional, stage 3 the stage-1
+results of the dual basis; on integer inputs each returns a.scale times
+the stage's value. The three public functions take rational coordinates,
+clear their denominators, run the kernels and divide once; they are the
+only Fraction arithmetic here.
+
+Cost on an n-dimensional algebra: stage 1 runs once per (basis
+functional, basis element), n^2 calls in all, and its results are kept
+per algebra. The basis product table makes one stage-2 call per pair
+(e_j**, e_k*), which reads the n kept results of e_k*, and reads stage 3
+on F = e_i** as the pairing e_i**(e_j**.e_k*), one coordinate; it is
+O(n^3) and built once per algebra. The two dense samples of check 2.4 run
+stage 3 on the same kept results. Check 2.4 compares the table with
+`a.int_products`; when they are equal the bidual is the algebra itself,
+and every statement it checks per solved operator reads the algebra's
+integer constants: the weighted identity on all basis pairs, the
+identity on the two dense samples, and the transposed identity of the
+adjoint scan, whose functionals e_r*.e_i are the bidual's products
+regrouped by left factor. The table is computed from the staged
+actions, never read off the structure constants: that equality is what
+check 2.4 asserts.
 """
 
 from __future__ import annotations
@@ -45,12 +55,7 @@ from .centralizers import (
     residual,
     weighted,
 )
-from .linalg import (
-    DimensionMismatch,
-    Vector,
-    basis_vector,
-    clear_denominators,
-)
+from .linalg import DimensionMismatch, Vector, clear_denominators
 from .reports import (
     Assertion,
     Report,
@@ -71,74 +76,119 @@ def _check_lengths(a: Algebra, *vectors: Sequence) -> None:
             )
 
 
-def dual_pairing(f: Sequence, x: Sequence) -> Fraction:
-    """Value of the functional with coordinates f at the element x."""
-    if len(f) != len(x):
-        raise DimensionMismatch(
-            f"functional of length {len(f)}, element of length {len(x)}"
-        )
-    return sum((fk * xk for fk, xk in zip(f, x) if fk and xk), _ZERO)
+def _nonzero(v: Sequence) -> list:
+    """The (index, value) pairs of the nonzero entries of v."""
+    return [(i, c) for i, c in enumerate(v) if c]
 
+
+def _int_terms(v: Sequence) -> tuple[int, list]:
+    """The lcm d of the denominators of v, and the nonzero (index, d * v_i)
+    pairs."""
+    d, ints = clear_denominators(v)
+    return d, _nonzero(ints)
+
+
+# ---------------------------------------------------------------------------
+# integer stage kernels: vectors are (index, int) pairs, actions dense lists
+# ---------------------------------------------------------------------------
+
+def _stage_one(a: Algebra, f: Sequence, x: Sequence) -> list[int]:
+    """a.scale * (f.x) as a dense list: (f.x)_j = sum of x_i f_k c[i][j][k]
+    over the (i, x_i) of x and the (k, f_k) of f."""
+    by_left = a.int_by_left_factor
+    out = [0] * a.dim
+    for i, xi in x:
+        plane = by_left[i]
+        for k, fk in f:
+            v = xi * fk
+            for j, c in plane[k]:
+                out[j] += v * c
+    return out
+
+
+def _stage_two(h: Sequence, f_actions: Sequence) -> list[int]:
+    """H.f from the n stage-1 results f_actions[j] = f.e_j of f:
+    (H.f)_j = H(f.e_j). Scaled as f_actions."""
+    out = [0] * len(f_actions)
+    for m, v in h:
+        out = [o + v * act[m] for o, act in zip(out, f_actions)]
+    return out
+
+
+def _stage_three(f: Sequence, h: Sequence, actions: Sequence) -> list[int]:
+    """F * H from the stage-1 results actions[i][j] = e_i*.e_j of the dual
+    basis: (F * H)_i = F(H.e_i*). Scaled as actions."""
+    out = []
+    for acts in actions:
+        hf = _stage_two(h, acts)
+        out.append(sum(v * hf[m] for m, v in f))
+    return out
+
+
+@cached
+def _functional_actions(a: Algebra) -> tuple:
+    """actions[k][i] = a.scale * (e_k*.e_i) as a dense list: stage 1 once
+    per basis functional and basis element, n^2 calls, kept for the basis
+    product table and the stage-3 products."""
+    n = a.dim
+    return tuple(tuple(_stage_one(a, ((k, 1),), ((i, 1),)) for i in range(n))
+                 for k in range(n))
+
+
+# ---------------------------------------------------------------------------
+# the staged actions on rational coordinates
+# ---------------------------------------------------------------------------
 
 def functional_times_element(a: Algebra, f: Sequence, x: Sequence) -> Vector:
     """Right action of the algebra on its dual: (f.x)(y) = f(x y)."""
     _check_lengths(a, f, x)
-    out = [_ZERO] * a.dim
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        for j, pairs in enumerate(a.products[i]):
-            acc = out[j]
-            for k, c in pairs:
-                fk = f[k]
-                if fk:
-                    acc += fk * xi * c
-            out[j] = acc
-    return tuple(out)
+    (df, fi), (dx, xi) = _int_terms(f), _int_terms(x)
+    den = a.scale * df * dx
+    return tuple(Fraction(v, den) if v else _ZERO
+                 for v in _stage_one(a, fi, xi))
 
 
 def bidual_times_functional(a: Algebra, h: Sequence, f: Sequence) -> Vector:
     """Left action of the bidual on the dual: (H.f)(x) = H(f.x)."""
     _check_lengths(a, h, f)
-    n = a.dim
-    return tuple(
-        dual_pairing(h, functional_times_element(a, f, basis_vector(n, j)))
-        for j in range(n)
-    )
+    (dh, hi), (df, fi) = _int_terms(h), _int_terms(f)
+    f_actions = [_stage_one(a, fi, ((j, 1),)) for j in range(a.dim)]
+    den = a.scale * dh * df
+    return tuple(Fraction(v, den) if v else _ZERO
+                 for v in _stage_two(hi, f_actions))
 
 
 def arens_product(a: Algebra, big_f: Sequence, big_h: Sequence) -> Vector:
     """Staged product on the bidual: (F * H)(f) = F(H.f)."""
     _check_lengths(a, big_f, big_h)
-    n = a.dim
-    return tuple(
-        dual_pairing(big_f, bidual_times_functional(a, big_h, basis_vector(n, i)))
-        for i in range(n)
-    )
+    (df, fi), (dh, hi) = _int_terms(big_f), _int_terms(big_h)
+    den = a.scale * df * dh
+    return tuple(Fraction(v, den) if v else _ZERO
+                 for v in _stage_three(fi, hi, _functional_actions(a)))
 
 
 @cached
 def arens_basis_products(a: Algebra) -> tuple:
-    """Staged products of all pairs of double-dual basis vectors.
+    """Staged products of all pairs of double-dual basis vectors, in the
+    form of `a.int_products`: [i][j] holds the nonzero (k, c) pairs of
+    a.scale * (e_i** * e_j**), sorted by k.
 
     Expanding by bilinearity, these determine the full product, so the
     weighted identity on the bidual can be checked exhaustively from them.
-    Stage 2 runs once per basis pair: acts[j][k] = e_j**.e_k*, and stage 3
-    on F = e_i** is the pairing (e_i** * e_j**)(e_k*) = e_i**(acts[j][k]).
+    Stage 2 runs once per basis pair: act = e_j**.e_k* on the kept stage-1
+    results of e_k*, and stage 3 on F = e_i** is the pairing
+    (e_i** * e_j**)(e_k*) = e_i**(act) = act[i].
     """
     n = a.dim
-    basis = [basis_vector(n, i) for i in range(n)]
-    acts = [
-        [bidual_times_functional(a, basis[j], basis[k]) for k in range(n)]
-        for j in range(n)
-    ]
-    return tuple(
-        tuple(
-            tuple(dual_pairing(basis[i], acts[j][k]) for k in range(n))
-            for j in range(n)
-        )
-        for i in range(n)
-    )
+    actions = _functional_actions(a)
+    table: list = [[[] for _ in range(n)] for _ in range(n)]
+    for j in range(n):
+        h = ((j, 1),)
+        for k in range(n):
+            for i, v in enumerate(_stage_two(h, actions[k])):
+                if v:
+                    table[i][j].append((k, v))
+    return tuple(tuple(map(tuple, row)) for row in table)
 
 
 def _adjoint_witness(bidual: Algebra, t: IntOperator, p: int, q: int
@@ -180,7 +230,8 @@ def _adjoint_witness(bidual: Algebra, t: IntOperator, p: int, q: int
 
 class _Sample(NamedTuple):
     """One dense sample pair (F, H) of check 2.4, integer vectors with
-    coordinates f and h: the staged product F * H is fh / den."""
+    coordinates f and h: the staged product F * H is fh / den, where den is
+    the algebra's scale, the factor the bidual's integer constants carry."""
 
     f: list
     h: list
@@ -191,12 +242,13 @@ class _Sample(NamedTuple):
 def _sample_holds(bidual: Algebra, t: IntOperator, s: _Sample, p: int,
                   q: int) -> bool:
     """(p+q) T(F * H) = p (TF)*H + q F*(TH), where * is the bidual product;
-    both sides are multiplied by t.den, s.den and bidual.scale."""
+    both sides are multiplied by t.den and s.den, so the products read the
+    bidual's integer constants as they are."""
     tf, th, lhs = (combine_columns(t.cols, enumerate(x))
                    for x in (s.f, s.h, s.fh))
     rhs_p = int_multiply(bidual, enumerate(tf), enumerate(s.h))
     rhs_q = int_multiply(bidual, enumerate(s.f), enumerate(th))
-    return all(bidual.scale * (p + q) * x == s.den * (p * y + q * z)
+    return all((p + q) * x == p * y + q * z
                for x, y, z in zip(lhs, rhs_p, rhs_q))
 
 
@@ -204,23 +256,32 @@ def _sample_holds(bidual: Algebra, t: IntOperator, s: _Sample, p: int,
 def _staged_samples(a: Algebra) -> tuple:
     """The operator-independent half of check 2.4, once per algebra: the
     first basis pair on which the staged table differs from the algebra
-    product (or None), the two dense samples with their full three-stage
-    products, and the double-dual basis as an algebra.
+    product (or None), the two dense samples with their stage-3 products,
+    and the bidual, the algebra whose integer constants are the staged
+    table.
 
-    The bidual is built without the associativity check. It is read only
-    by `residual`, `int_multiply` and its `int_by_left_factor` view, never
-    by `generators` or a solve over a generating set, whose exactness
-    rests on associativity."""
+    The staged table is scaled like `a.int_products`, so when the two are
+    equal the bidual is `a` itself, and its weighted residuals are the
+    ones check 3.1 caches on `a`. Otherwise (a wrong stage) it is a
+    separate algebra with the staged table as its integer constants, built
+    without the associativity check. It is read only by `residual`,
+    `int_multiply` and its `int_by_left_factor` view, never by
+    `generators` or a solve over a generating set, whose exactness rests
+    on associativity."""
     n = a.dim
     products = arens_basis_products(a)
-    bidual = Algebra(n, normalize_products(n, {
-        (i, j): enumerate(products[i][j]) for i in range(n) for j in range(n)
-    }), name=f"bidual of {target_name(a)}")
-    # both tables are normalized sparse pairs, so equal products compare equal
-    bad = next(((i, j) for i in range(n) for j in range(n)
-                if bidual.products[i][j] != a.products[i][j]), None)
+    prods = a.int_products
+    if products == prods:
+        bad, bidual = None, a
+    else:
+        bad = next((i, j) for i in range(n) for j in range(n)
+                   if products[i][j] != prods[i][j])
+        bidual = Algebra(n, normalize_products(n, {
+            (i, j): products[i][j] for i in range(n) for j in range(n)
+        }), name=f"bidual of {target_name(a)}")
+    actions = _functional_actions(a)
     samples = tuple(
-        _Sample(f, h, *clear_denominators(arens_product(a, f, h)))
+        _Sample(f, h, a.scale, _stage_three(_nonzero(f), _nonzero(h), actions))
         for f, h in (([1] * n, [(-1) ** k for k in range(n)]),
                      (list(range(1, n + 1)), [1] * n)))
     return bad, samples, bidual

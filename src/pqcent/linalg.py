@@ -42,7 +42,6 @@ from typing import Iterable, Optional, Sequence
 Vector = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class DimensionMismatch(ValueError):
@@ -55,11 +54,6 @@ class DimensionMismatch(ValueError):
 
 def zero_vector(n: int) -> Vector:
     return (_ZERO,) * n
-
-
-def basis_vector(n: int, i: int) -> Vector:
-    """The i-th standard basis vector, built from shared 0 and 1 constants."""
-    return tuple(_ONE if j == i else _ZERO for j in range(n))
 
 
 def vadd(x: Vector, y: Vector) -> Vector:

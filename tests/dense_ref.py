@@ -8,18 +8,21 @@ integer form, and the `_ref_` helpers are the straightforward dense
 versions of the matrix operations the tests still need: building vectors
 and matrices, products, transposes and matrix-vector products, all in exact
 Fraction arithmetic, the Fraction views of the structure constants by
-one factor, walked from the dense table, and the span of the operators
-p L_t + q R_t built from dense multiplication matrices.
+one factor, walked from the dense table, the span of the operators
+p L_t + q R_t built from dense multiplication matrices, and an algebra
+rewritten in a rescaled basis, whose structure constants are fractions.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from pqcent.algebras import make_algebra
 from pqcent.centralizers import IntOperator, OperatorSpace
 from pqcent.linalg import DimensionMismatch, Subspace, clear_denominators
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -83,6 +86,11 @@ def operator_matrix(t: IntOperator) -> Matrix:
         for k, v in col:
             entries[k * n + m] = Fraction(v, t.den)
     return Matrix(n, n, tuple(entries))
+
+
+def basis_vector(n, i):
+    """The i-th standard basis vector, built from shared 0 and 1 constants."""
+    return tuple(_ONE if j == i else _ZERO for j in range(n))
 
 
 def _ref_vec(values):
@@ -177,3 +185,11 @@ def _ref_mul_span(a, p, q):
         right = _ref_mul_matrix(table, t, False)
         ops.append([p * x + q * y for x, y in zip(left.entries, right.entries)])
     return OperatorSpace(n, Subspace.span(n * n, ops))
+
+
+def _ref_rescaled(a, s):
+    """a in the basis e_i = s[i] b_i, whose structure constants are fractions."""
+    n = a.dim
+    return make_algebra(n, [[[a.table[i][j][k] * s[i] * s[j] / s[k]
+                              for k in range(n)] for j in range(n)]
+                            for i in range(n)])

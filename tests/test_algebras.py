@@ -10,7 +10,8 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from dense_ref import _ref_by_left_factor, _ref_by_right_factor, _ref_vec
+from dense_ref import (_ref_by_left_factor, _ref_by_right_factor, _ref_vec,
+                       basis_vector)
 from solver_ref import RIGHT_IDENTITY_SEMIGROUPS, _table_algebra
 from pqcent.algebras import (
     Algebra,
@@ -52,7 +53,6 @@ from pqcent.fixtures import (
 from pqcent.groups import cyclic_table, group_algebra
 from pqcent.linalg import (
     Subspace,
-    basis_vector,
     full_space,
     nullspace_of_rows,
     subspace_contains,

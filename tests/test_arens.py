@@ -9,15 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_ref import Matrix, _ref_matmul, _ref_transpose, _ref_vec
+from dense_ref import (Matrix, _ref_matmul, _ref_rescaled, _ref_transpose,
+                       _ref_vec, basis_vector)
 from report_ref import report_doc
 from pqcent import arens
-from pqcent.algebras import identity, make_algebra, multiply
+from pqcent.algebras import Algebra, identity, multiply
 from pqcent.arens import (
     arens_basis_products,
     arens_product,
     bidual_times_functional,
-    dual_pairing,
     functional_times_element,
     verify_bidual_extension,
 )
@@ -28,7 +28,7 @@ from pqcent.fixtures import (
     random_algebra,
     random_poly_quotient,
 )
-from pqcent.linalg import DimensionMismatch, basis_vector
+from pqcent.linalg import DimensionMismatch
 from pqcent.reports import FAIL, PASS, PRECONDITION_UNMET
 from pqcent.verify import DEFAULT_WEIGHT_PAIRS
 
@@ -80,13 +80,14 @@ def test_staged_product_extends_algebra_product():
     # product, so the staged table equals the structure constants
     for name, a in _oracle_algebras().items():
         n = a.dim
-        products = arens_basis_products(a)
+        products = _rational_table(a, arens_basis_products(a))
         for i in range(n):
             for j in range(n):
                 assert products[i][j] == tuple(a.table[i][j]), (name, i, j)
                 assert products[i][j] == multiply(
                     a, basis_vector(n, i), basis_vector(n, j)
                 ), (name, i, j)
+        assert arens_basis_products(a) == a.int_products, name
 
 
 def test_staged_product_is_associative_on_small_fixtures(catalog):
@@ -113,11 +114,6 @@ def test_staged_product_is_bilinear(catalog):
         for x, y in zip(arens_product(a, f, h), arens_product(a, g, h))
     )
     assert lhs == rhs
-
-
-def test_dual_pairing_is_the_coordinate_dot():
-    assert dual_pairing((1, 2), (3, 4)) == 11
-    assert dual_pairing((Fraction(1, 2), 0), (4, 9)) == 2
 
 
 # the adjoint of an operator has the transposed matrix against the dual
@@ -172,24 +168,29 @@ def test_basis_product_table_is_cached(catalog):
 
 def test_bidual_holds_the_dual_module_and_a_second_check_runs_no_stage(
         monkeypatch):
-    calls = []
+    calls = {"_stage_one": 0, "_stage_two": 0, "_stage_three": 0}
 
-    def counted(stage):
-        return lambda a, x, y: calls.append(1) or stage(a, x, y)
+    def counted(name, stage):
+        def run(*args):
+            calls[name] += 1
+            return stage(*args)
+        return run
 
-    for name in ("functional_times_element", "bidual_times_functional",
-                 "arens_product"):
-        monkeypatch.setattr(arens, name, counted(getattr(arens, name)))
+    for name in calls:
+        monkeypatch.setattr(arens, name, counted(name, getattr(arens, name)))
     a = matrix_algebra(2)
     n = a.dim
     verify_bidual_extension(a, W12)
-    assert calls
-    calls.clear()
+    # stage 1 once per (basis functional, basis element); the basis table
+    # and the dense samples read those results
+    assert calls["_stage_one"] == n * n
+    assert calls["_stage_two"] and calls["_stage_three"]
+    calls.update(dict.fromkeys(calls, 0))
     assert verify_bidual_extension(a, W12).status == PASS
-    assert not calls
+    assert not any(calls.values())
     # e_r*.e_i is the functional e_j -> e_r*(e_i e_j), read from the bidual
     # by left factor i and output r, times the bidual's scale
-    rescaled = _rescaled(a, [Fraction(1, 2), 3, Fraction(-2, 5), 1])
+    rescaled = _ref_rescaled(a, [Fraction(1, 2), 3, Fraction(-2, 5), 1])
     for b in (a, rescaled):
         _, _, bidual = arens._staged_samples(b)
         for r in range(n):
@@ -256,12 +257,20 @@ def _ref_arens_basis_products(a):
     )
 
 
-def _rescaled(a, s):
-    """a in the basis e_i = s[i] b_i, whose structure constants are fractions."""
+def _rational_table(a, products):
+    """The staged integer table as dense Fraction vectors: [i][j] is
+    e_i** * e_j**, the (k, c) pairs divided by a.scale."""
     n = a.dim
-    return make_algebra(n, [[[a.table[i][j][k] * s[i] * s[j] / s[k]
-                              for k in range(n)] for j in range(n)]
-                            for i in range(n)])
+    table = []
+    for row in products:
+        plane = []
+        for pairs in row:
+            line = [_ZERO] * n
+            for k, c in pairs:
+                line[k] = Fraction(c, a.scale)
+            plane.append(tuple(line))
+        table.append(tuple(plane))
+    return tuple(table)
 
 
 def _oracle_algebras():
@@ -273,7 +282,7 @@ def _oracle_algebras():
     for name in ("matrix2", "group_s3"):
         a = algebras[name]
         s = [Fraction((-1) ** i * (i + 2), 2 * i + 3) for i in range(a.dim)]
-        algebras[f"rescaled {name}"] = _rescaled(a, s)
+        algebras[f"rescaled {name}"] = _ref_rescaled(a, s)
     return algebras
 
 
@@ -291,7 +300,8 @@ def test_staged_actions_match_the_reference_pipeline():
                for row in plane for c in row)
     for name, a in algebras.items():
         n = a.dim
-        assert arens_basis_products(a) == _ref_arens_basis_products(a), name
+        assert _rational_table(a, arens_basis_products(a)) == \
+            _ref_arens_basis_products(a), name
         f, x = _dense_with_zeros(n, 1), _dense_with_zeros(n, 2)
         assert any(v == 0 for v in f + x) or n < 2, name
         assert functional_times_element(a, f, x) == \
@@ -299,12 +309,29 @@ def test_staged_actions_match_the_reference_pipeline():
         assert bidual_times_functional(a, x, f) == \
             _ref_bidual_times_functional(a, x, f), name
         assert arens_product(a, f, x) == _ref_arens_product(a, f, x), name
-        assert dual_pairing(f, x) == _ref_dual_pairing(f, x), name
 
 
-def test_dual_pairing_rejects_wrong_length():
-    with pytest.raises(DimensionMismatch):
-        dual_pairing((1, 2, 3), (1,))
+def test_dense_samples_are_the_reference_products():
+    algebras = _oracle_algebras()
+    assert algebras["rescaled group_s3"].scale > 1
+    for name, a in algebras.items():
+        _, samples, _ = arens._staged_samples(a)
+        for s in samples:
+            assert tuple(Fraction(v, s.den) for v in s.fh) == \
+                _ref_arens_product(a, _ref_vec(s.f), _ref_vec(s.h)), name
+
+
+@pytest.mark.parametrize("name", ["matrix2", "group_s3"])
+def test_bidual_extension_is_unchanged_by_fractional_constants(name):
+    algebras = _oracle_algebras()
+    a, b = algebras[name], algebras[f"rescaled {name}"]
+    assert b.scale > 1
+    for pair in DEFAULT_WEIGHT_PAIRS:
+        ra = verify_bidual_extension(a, Weights(*pair))
+        rb = verify_bidual_extension(b, Weights(*pair))
+        assert rb.status == ra.status, pair
+        assert [x.passed for x in rb.assertions] == \
+            [x.passed for x in ra.assertions], pair
 
 
 def test_functional_times_element_rejects_wrong_length(catalog):
@@ -336,30 +363,39 @@ def test_arens_product_rejects_wrong_length(catalog):
 # ---------------------------------------------------------------------------
 
 def _opposite_action(a, f, x):
-    """(f.x)(y) = f(y x), the opposite of stage 1."""
-    n = a.dim
-    out = [_ZERO] * n
-    for j in range(n):
-        for i, xi in enumerate(x):
-            for k, c in a.products[j][i]:
-                out[j] += f[k] * xi * c
-    return tuple(out)
+    """a.scale * (f.x) with (f.x)(y) = f(y x), the opposite of stage 1."""
+    out = [0] * a.dim
+    for i, xi in x:
+        for k, fk in f:
+            for j, c in a.int_by_right_factor[i][k]:
+                out[j] += xi * fk * c
+    return out
+
+
+def _transposed(h, f_actions):
+    """(H.f)_j = H read off the j-th coordinates of f.e_m: stage 2 with its
+    stage-1 results transposed."""
+    n = len(f_actions)
+    return [sum(v * f_actions[m][j] for m, v in h) for j in range(n)]
 
 
 def _swapped(stage):
-    return lambda a, first, second: stage(a, second, first)
+    return lambda first, second, actions: stage(second, first, actions)
 
 
 # the basis table is built from stages 1 and 2 and reads stage 3 as a
 # pairing, so a wrong stage 1 or 2 must break the table assertion itself;
 # the full stage 3 runs on the dense samples
-@pytest.mark.parametrize("stage, mutant, failing", [
-    ("functional_times_element", lambda stage: _opposite_action,
+STAGE_MUTANTS = [
+    ("_stage_one", lambda stage: _opposite_action,
      "staged product extends the algebra product"),
-    ("bidual_times_functional", _swapped,
+    ("_stage_two", lambda stage: _transposed,
      "staged product extends the algebra product"),
-    ("arens_product", _swapped, "dense pipeline sample"),
-])
+    ("_stage_three", _swapped, "dense pipeline sample"),
+]
+
+
+@pytest.mark.parametrize("stage, mutant, failing", STAGE_MUTANTS)
 def test_bidual_extension_fails_on_a_mutated_stage(
         monkeypatch, stage, mutant, failing):
     monkeypatch.setattr(arens, stage, mutant(getattr(arens, stage)))
@@ -367,6 +403,24 @@ def test_bidual_extension_fails_on_a_mutated_stage(
     rep = verify_bidual_extension(matrix_algebra(2), W12)
     assert rep.status == FAIL, stage
     assert any(failing in x.name and not x.passed for x in rep.assertions), stage
+
+
+@pytest.mark.parametrize("stage, mutant, failing", STAGE_MUTANTS)
+def test_bidual_is_the_algebra_exactly_when_the_staged_table_matches(
+        monkeypatch, stage, mutant, failing):
+    a = matrix_algebra(2)
+    assert arens._staged_samples(a)[2] is a
+    monkeypatch.setattr(arens, stage, mutant(getattr(arens, stage)))
+    b = matrix_algebra(2)
+    _, _, bidual = arens._staged_samples(b)
+    assert bidual.int_products == arens_basis_products(b)
+    if stage == "_stage_three":
+        # the table reads stage 3 as a pairing, so a wrong stage 3 leaves
+        # it equal to the constants and shows on the dense samples alone
+        assert bidual is b
+    else:
+        assert isinstance(bidual, Algebra) and bidual is not b
+        assert bidual.int_products != b.int_products
 
 
 # re-pinned when the "double adjoint has the original matrix" assertion was

@@ -15,6 +15,7 @@ from dense_ref import (
     _ref_mul_span,
     _ref_vec,
     _ref_zero_matrix,
+    basis_vector,
     int_operator,
     operator_matrix,
 )
@@ -77,7 +78,6 @@ from pqcent.linalg import (
     _echelon,
     _kernel,
     _reduce,
-    basis_vector,
     full_space,
     nullspace_of_rows,
     subspace_contains,

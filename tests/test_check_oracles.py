@@ -23,6 +23,7 @@ from dense_ref import (
     _ref_matmul,
     _ref_transpose,
     _ref_vec,
+    basis_vector,
     int_operator,
     operator_matrix,
 )
@@ -57,7 +58,6 @@ from pqcent.centralizers import (
 from pqcent.fixtures import fixtures, random_algebra, random_poly_quotient
 from pqcent.linalg import (
     Subspace,
-    basis_vector,
     nullspace_of_rows,
     subspace_intersect,
 )

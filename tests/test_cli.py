@@ -6,10 +6,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from dense_ref import _ref_rescaled
 from pqcent.cli import main
 from pqcent.fileio import serialize_algebra
 from pqcent.fixtures import fixtures
@@ -193,6 +195,17 @@ def test_emit_algebra_to_a_directory_is_an_input_error(tmp_path, capsys):
 
 def test_arens_check(capsys):
     assert main(["arens-check", "colmat2", "--p", "2", "--q", "3"]) == 0
+    assert "PASS check=2.4" in capsys.readouterr().out
+
+
+def test_arens_check_on_fractional_constants(tmp_path, capsys):
+    a = _ref_rescaled(fixtures()["matrix2"],
+                      [Fraction(1, 2), 3, Fraction(-2, 5), 1])
+    text = serialize_algebra(a)
+    assert "/" in text
+    path = tmp_path / "rescaled.alg"
+    path.write_text(text, encoding="utf-8")
+    assert main(["arens-check", str(path), "--p", "1", "--q", "2"]) == 0
     assert "PASS check=2.4" in capsys.readouterr().out
 
 

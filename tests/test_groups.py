@@ -3,6 +3,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dense_ref import basis_vector
 from pqcent import algebras
 from pqcent.algebras import (
     Algebra,
@@ -33,7 +34,7 @@ from pqcent.centralizers import (
     pq_jordan_centralizers,
     two_sided_centralizers,
 )
-from pqcent.linalg import basis_vector, full_space, subspace_contains, subspace_equal
+from pqcent.linalg import full_space, subspace_contains, subspace_equal
 from pqcent.reports import FAIL, PASS
 
 

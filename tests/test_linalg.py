@@ -16,6 +16,7 @@ from dense_ref import (
     _ref_matmul,
     _ref_transpose,
     _ref_vec,
+    basis_vector,
 )
 from solver_ref import _full_rows
 from pqcent.centralizers import LEFT, RIGHT, Weights, jordan, weighted
@@ -29,7 +30,6 @@ from pqcent.linalg import (
     _reduce,
     _sparse_row,
     Subspace,
-    basis_vector,
     column_index,
     full_space,
     lift,

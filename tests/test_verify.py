@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from dense_ref import (Matrix, _ref_identity_matrix, _ref_zero_matrix,
-                       int_operator)
+                       basis_vector, int_operator)
 from report_ref import report_doc
 from solver_ref import SEMIGROUP_GAPS
 from pqcent import verify
@@ -34,7 +34,7 @@ from pqcent.fixtures import (
     fixtures,
     matrix_algebra,
 )
-from pqcent.linalg import Subspace, basis_vector
+from pqcent.linalg import Subspace
 from pqcent.reports import PASS, PRECONDITION_UNMET, Assertion
 from pqcent.verify import (
     CHECK_DESCRIPTIONS,
