@@ -27,15 +27,15 @@ per algebra. The basis product table makes one stage-2 call per pair
 (e_j**, e_k*), which reads the n kept results of e_k*, and reads stage 3
 on F = e_i** as the pairing e_i**(e_j**.e_k*), one coordinate; it is
 O(n^3) and built once per algebra. The two dense samples of check 2.4 run
-stage 3 on the same kept results. Check 2.4 compares the table with
-`a.int_products`; when they are equal the bidual is the algebra itself,
-and every statement it checks per solved operator reads the algebra's
-integer constants: the weighted identity on all basis pairs, the
-identity on the two dense samples, and the transposed identity of the
-adjoint scan, whose functionals e_r*.e_i are the bidual's products
-regrouped by left factor. The table is computed from the staged
-actions, never read off the structure constants: that equality is what
-check 2.4 asserts.
+stage 3 on the same kept results. Check 2.4 asserts that the table
+equals `a.int_products`; where it does, the bidual's constants are the
+algebra's own, so every statement it checks per solved operator reads
+the algebra's integer constants: the weighted identity on all basis
+pairs, the identity on the two dense samples, and the transposed
+identity of the adjoint scan, whose functionals e_r*.e_i are the
+bidual's products regrouped by left factor. The table is computed from
+the staged actions, never read off the structure constants: that
+equality is what check 2.4 asserts.
 """
 
 from __future__ import annotations
@@ -43,8 +43,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .algebras import (Algebra, cached, int_multiply, normalize_products,
-                       right_identity_samples)
+from .algebras import Algebra, cached, int_multiply, right_identity_samples
 from .centralizers import (
     LEFT,
     RIGHT,
@@ -191,20 +190,20 @@ def arens_basis_products(a: Algebra) -> tuple:
     return tuple(tuple(map(tuple, row)) for row in table)
 
 
-def _adjoint_witness(bidual: Algebra, t: IntOperator, p: int, q: int
+def _adjoint_witness(a: Algebra, t: IntOperator, p: int, q: int
                      ) -> Optional[tuple[int, int]]:
     """The first (r, i), in row-major order, on which the adjoint of t
     fails (p+q)(T*f_r).e_i = p f_r.(T e_i) + q T*(f_r.e_i) on the dual
     basis f_r and the basis e_i; None if it holds on every pair.
 
     The functional f_r.e_i is j -> (e_i** * e_j**)(f_r) on the staged
-    table, so bidual.int_by_left_factor[i][r] holds its (j, c) pairs,
-    scaled to integers; the identity is linear in them, so the scaling
+    table, which check 2.4 has compared with the algebra's constants, so
+    a.int_by_left_factor[i][r] holds its (j, c) pairs, scaled to integers; the identity is linear in them, so the scaling
     changes no verdict. T*f_r is row r of t, T e_i is column i, and T*
     applied to a functional g is sum_l g_l row l.
     """
-    n = bidual.dim
-    dual = bidual.int_by_left_factor
+    n = a.dim
+    dual = a.int_by_left_factor
     cols = t.cols
     rows: list = [[] for _ in range(n)]
     for m, col in enumerate(cols):
@@ -230,24 +229,24 @@ def _adjoint_witness(bidual: Algebra, t: IntOperator, p: int, q: int
 
 class _Sample(NamedTuple):
     """One dense sample pair (F, H) of check 2.4, integer vectors with
-    coordinates f and h: the staged product F * H is fh / den, where den is
-    the algebra's scale, the factor the bidual's integer constants carry."""
+    coordinates f and h: the staged product F * H is fh / a.scale, the
+    factor the algebra's integer constants carry."""
 
     f: list
     h: list
-    den: int
     fh: list
 
 
-def _sample_holds(bidual: Algebra, t: IntOperator, s: _Sample, p: int,
+def _sample_holds(a: Algebra, t: IntOperator, s: _Sample, p: int,
                   q: int) -> bool:
-    """(p+q) T(F * H) = p (TF)*H + q F*(TH), where * is the bidual product;
-    both sides are multiplied by t.den and s.den, so the products read the
-    bidual's integer constants as they are."""
+    """(p+q) T(F * H) = p (TF)*H + q F*(TH), where F * H is the staged
+    sample product and the products on the right read the algebra's
+    constants; both sides are multiplied by t.den and a.scale, so those
+    are its integer constants as they are."""
     tf, th, lhs = (combine_columns(t.cols, enumerate(x))
                    for x in (s.f, s.h, s.fh))
-    rhs_p = int_multiply(bidual, enumerate(tf), enumerate(s.h))
-    rhs_q = int_multiply(bidual, enumerate(s.f), enumerate(th))
+    rhs_p = int_multiply(a, enumerate(tf), enumerate(s.h))
+    rhs_q = int_multiply(a, enumerate(s.f), enumerate(th))
     return all((p + q) * x == p * y + q * z
                for x, y, z in zip(lhs, rhs_p, rhs_q))
 
@@ -256,35 +255,27 @@ def _sample_holds(bidual: Algebra, t: IntOperator, s: _Sample, p: int,
 def _staged_samples(a: Algebra) -> tuple:
     """The operator-independent half of check 2.4, once per algebra: the
     first basis pair on which the staged table differs from the algebra
-    product (or None), the two dense samples with their stage-3 products,
-    and the bidual, the algebra whose integer constants are the staged
-    table.
+    product (or None), and the two dense samples with their stage-3
+    products.
 
-    The staged table is scaled like `a.int_products`, so when the two are
-    equal the bidual is `a` itself, and its weighted residuals are the
-    ones check 3.1 caches on `a`. Otherwise (a wrong stage) it is a
-    separate algebra with the staged table as its integer constants, built
-    without the associativity check. It is read only by `residual`,
-    `int_multiply` and its `int_by_left_factor` view, never by
-    `generators` or a solve over a generating set, whose exactness rests
-    on associativity."""
+    The staged table is scaled like `a.int_products`, so where the
+    embedding assertion holds the bidual's integer constants are the
+    algebra's own, and the per-operator statements read them from `a`:
+    its weighted residuals are the ones check 3.1 caches. A wrong stage
+    shows in the embedding assertion (stages 1 and 2, which build the
+    table) or in the dense samples (stage 3)."""
     n = a.dim
     products = arens_basis_products(a)
     prods = a.int_products
-    if products == prods:
-        bad, bidual = None, a
-    else:
-        bad = next((i, j) for i in range(n) for j in range(n)
-                   if products[i][j] != prods[i][j])
-        bidual = Algebra(n, normalize_products(n, {
-            (i, j): products[i][j] for i in range(n) for j in range(n)
-        }), name=f"bidual of {target_name(a)}")
+    bad = None if products == prods else next(
+        (i, j) for i in range(n) for j in range(n)
+        if products[i][j] != prods[i][j])
     actions = _functional_actions(a)
     samples = tuple(
-        _Sample(f, h, a.scale, _stage_three(_nonzero(f), _nonzero(h), actions))
+        _Sample(f, h, _stage_three(_nonzero(f), _nonzero(h), actions))
         for f, h in (([1] * n, [(-1) ** k for k in range(n)]),
                      (list(range(1, n + 1)), [1] * n)))
-    return bad, samples, bidual
+    return bad, samples
 
 
 def verify_bidual_extension(a: Algebra, w: Weights) -> Report:
@@ -293,14 +284,15 @@ def verify_bidual_extension(a: Algebra, w: Weights) -> Report:
     ordinary two-sided centralizer for the staged product.
 
     Routed through the staged actions: the basis product table comes from
-    the three-step pipeline, the weighted identity is evaluated on every
-    pair of that table, and a few dense vectors rerun the full pipeline.
+    the three-step pipeline and must equal the algebra's constants, the
+    weighted identity is evaluated on every basis pair of those constants,
+    and a few dense vectors rerun the full pipeline.
     """
     if not right_identity_samples(a):
         return precondition_unmet("2.4", target_name(a), w.pair, "no right identity")
 
     p, q = w.pair
-    bad, samples, bidual = _staged_samples(a)
+    bad, samples = _staged_samples(a)
     assertions = [Assertion(
         "staged product extends the algebra product on embedded basis pairs",
         bad is None,
@@ -309,7 +301,7 @@ def verify_bidual_extension(a: Algebra, w: Weights) -> Report:
 
     cpq = pq_centralizers(a, w)
     for idx, t in enumerate(cpq.int_operators):
-        res = residual(bidual, t, weighted(w))
+        res = residual(a, t, weighted(w))
         assertions.append(Assertion(
             f"basis operator {idx}: weighted identity holds on all "
             f"double-dual basis pairs",
@@ -318,7 +310,7 @@ def verify_bidual_extension(a: Algebra, w: Weights) -> Report:
         ))
 
         for k, sample in enumerate(samples):
-            ok = _sample_holds(bidual, t, sample, p, q)
+            ok = _sample_holds(a, t, sample, p, q)
             assertions.append(Assertion(
                 f"basis operator {idx}: weighted identity holds on dense "
                 f"pipeline sample {k}",
@@ -327,7 +319,7 @@ def verify_bidual_extension(a: Algebra, w: Weights) -> Report:
                 else f"F = {fmt_vector(sample.f)}, H = {fmt_vector(sample.h)}",
             ))
 
-        bad_adj = _adjoint_witness(bidual, t, p, q)
+        bad_adj = _adjoint_witness(a, t, p, q)
         assertions.append(Assertion(
             f"basis operator {idx}: adjoint satisfies the transposed "
             f"weighted identity on the dual",

@@ -13,7 +13,7 @@ from dense_ref import (Matrix, _ref_matmul, _ref_rescaled, _ref_transpose,
                        _ref_vec, basis_vector)
 from report_ref import report_doc
 from pqcent import arens
-from pqcent.algebras import Algebra, identity, multiply
+from pqcent.algebras import identity, multiply
 from pqcent.arens import (
     arens_basis_products,
     arens_product,
@@ -188,18 +188,18 @@ def test_bidual_holds_the_dual_module_and_a_second_check_runs_no_stage(
     calls.update(dict.fromkeys(calls, 0))
     assert verify_bidual_extension(a, W12).status == PASS
     assert not any(calls.values())
-    # e_r*.e_i is the functional e_j -> e_r*(e_i e_j), read from the bidual
-    # by left factor i and output r, times the bidual's scale
+    # e_r*.e_i is the functional e_j -> e_r*(e_i e_j), which the adjoint
+    # scan reads from the algebra by left factor i and output r, times the
+    # algebra's scale
     rescaled = _ref_rescaled(a, [Fraction(1, 2), 3, Fraction(-2, 5), 1])
     for b in (a, rescaled):
-        _, _, bidual = arens._staged_samples(b)
         for r in range(n):
             for i in range(n):
                 stage_one = functional_times_element(
                     b, basis_vector(n, r), basis_vector(n, i))
-                assert bidual.int_by_left_factor[i][r] == tuple(
-                    (j, bidual.scale * c) for j, c in enumerate(stage_one) if c)
-    assert bidual.scale > 1
+                assert b.int_by_left_factor[i][r] == tuple(
+                    (j, b.scale * c) for j, c in enumerate(stage_one) if c)
+    assert rescaled.scale > 1
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +315,9 @@ def test_dense_samples_are_the_reference_products():
     algebras = _oracle_algebras()
     assert algebras["rescaled group_s3"].scale > 1
     for name, a in algebras.items():
-        _, samples, _ = arens._staged_samples(a)
+        _, samples = arens._staged_samples(a)
         for s in samples:
-            assert tuple(Fraction(v, s.den) for v in s.fh) == \
+            assert tuple(Fraction(v, a.scale) for v in s.fh) == \
                 _ref_arens_product(a, _ref_vec(s.f), _ref_vec(s.h)), name
 
 
@@ -403,24 +403,6 @@ def test_bidual_extension_fails_on_a_mutated_stage(
     rep = verify_bidual_extension(matrix_algebra(2), W12)
     assert rep.status == FAIL, stage
     assert any(failing in x.name and not x.passed for x in rep.assertions), stage
-
-
-@pytest.mark.parametrize("stage, mutant, failing", STAGE_MUTANTS)
-def test_bidual_is_the_algebra_exactly_when_the_staged_table_matches(
-        monkeypatch, stage, mutant, failing):
-    a = matrix_algebra(2)
-    assert arens._staged_samples(a)[2] is a
-    monkeypatch.setattr(arens, stage, mutant(getattr(arens, stage)))
-    b = matrix_algebra(2)
-    _, _, bidual = arens._staged_samples(b)
-    assert bidual.int_products == arens_basis_products(b)
-    if stage == "_stage_three":
-        # the table reads stage 3 as a pairing, so a wrong stage 3 leaves
-        # it equal to the constants and shows on the dense samples alone
-        assert bidual is b
-    else:
-        assert isinstance(bidual, Algebra) and bidual is not b
-        assert bidual.int_products != b.int_products
 
 
 # re-pinned when the "double adjoint has the original matrix" assertion was

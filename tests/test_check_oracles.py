@@ -104,13 +104,13 @@ def _ref_adjoint_scan(a, t, p, q):
     return bad_adj
 
 
-def _ref_dense_sample(bidual, t, big_f, big_h, fh, p, q):
+def _ref_dense_sample(a, t, big_f, big_h, fh, p, q):
     lhs = tuple((p + q) * v for v in _ref_apply_matrix(t, fh))
     rhs = tuple(
         p * x + q * y
         for x, y in zip(
-            multiply(bidual, _ref_apply_matrix(t, big_f), big_h),
-            multiply(bidual, big_f, _ref_apply_matrix(t, big_h)),
+            multiply(a, _ref_apply_matrix(t, big_f), big_h),
+            multiply(a, big_f, _ref_apply_matrix(t, big_h)),
         )
     )
     return lhs == rhs
@@ -343,32 +343,31 @@ def test_inputs_cover_fractional_constants_and_failures():
     holds = {residual(a, int_operator(t), weighted(Weights(1, 2))) is None
              for t in ops}
     assert holds == {True, False}
-    _, samples, bidual = _staged_samples(a)
-    assert {_sample_holds(bidual, int_operator(t), s, 1, 2)
+    _, samples = _staged_samples(a)
+    assert {_sample_holds(a, int_operator(t), s, 1, 2)
             for t in ops for s in samples} == {True, False}
 
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
 def test_sparse_adjoint_scan_matches_the_dense_scan(name):
     a = ALGEBRAS[name]
-    _, _, bidual = _staged_samples(a)
     for t in _operators(name):
         for p, q in DEFAULT_WEIGHT_PAIRS:
-            assert _adjoint_witness(bidual, int_operator(t), p, q) == \
+            assert _adjoint_witness(a, int_operator(t), p, q) == \
                 _ref_adjoint_scan(a, t, p, q), (name, t, p, q)
 
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
 def test_integer_dense_samples_match_the_fraction_samples(name):
     a = ALGEBRAS[name]
-    _, samples, bidual = _staged_samples(a)
+    _, samples = _staged_samples(a)
     for t in _operators(name):
         it = int_operator(t)
         for s in samples:
-            fh = tuple(Fraction(v, s.den) for v in s.fh)
+            fh = tuple(Fraction(v, a.scale) for v in s.fh)
             for p, q in DEFAULT_WEIGHT_PAIRS:
-                assert _sample_holds(bidual, it, s, p, q) == \
-                    _ref_dense_sample(bidual, t, _ref_vec(s.f), _ref_vec(s.h),
+                assert _sample_holds(a, it, s, p, q) == \
+                    _ref_dense_sample(a, t, _ref_vec(s.f), _ref_vec(s.h),
                                       fh, p, q), \
                     (name, t, p, q)
 
