@@ -14,28 +14,23 @@ operator has the same matrix by definition, so check 2.4 takes that matrix
 as the bidual operator; every product it checks against is still routed
 through the staged actions.
 
-Each stage is an integer kernel: stage 1 reads `a.int_by_left_factor`,
-stage 2 the stage-1 results of its functional, stage 3 the stage-1
-results of the dual basis; on integer inputs each returns a.scale times
-the stage's value. The three public functions take rational coordinates,
-clear their denominators, run the kernels and divide once; they are the
-only Fraction arithmetic here.
+Each stage is an integer kernel that returns a.scale times its value on
+integer inputs: stage 1 reads `a.int_by_left_factor`, stages 2 and 3 read
+kept stage-1 results. The three public functions clear denominators, run
+the kernels and divide once; they are the only Fraction arithmetic here.
 
 Cost on an n-dimensional algebra: stage 1 runs once per (basis
-functional, basis element), n^2 calls in all, and its results are kept
-per algebra. The basis product table makes one stage-2 call per pair
-(e_j**, e_k*), which reads the n kept results of e_k*, and reads stage 3
-on F = e_i** as the pairing e_i**(e_j**.e_k*), one coordinate; it is
-O(n^3) and built once per algebra. The two dense samples of check 2.4 run
-stage 3 on the same kept results. Check 2.4 asserts that the table
-equals `a.int_products`; where it does, the bidual's constants are the
-algebra's own, so every statement it checks per solved operator reads
-the algebra's integer constants: the weighted identity on all basis
-pairs, the identity on the two dense samples, and the transposed
-identity of the adjoint scan, whose functionals e_r*.e_i are the
-bidual's products regrouped by left factor. The table is computed from
-the staged actions, never read off the structure constants: that
-equality is what check 2.4 asserts.
+functional, basis element), n^2 calls kept per algebra. The basis product
+table makes one stage-2 call per pair (e_j**, e_k*) on the kept results
+of e_k*, and reads stage 3 on F = e_i** as one coordinate: O(n^3), once
+per algebra. The two dense samples run stage 3 on the same results.
+Check 2.4 asserts that the table equals `a.int_products`; where it does,
+the bidual's constants are the algebra's, so every statement it checks
+per solved operator reads them from the algebra: the weighted identity
+on all basis pairs, the two dense samples, and the adjoint scan, whose
+functionals e_r*.e_i are those products regrouped by left factor. The
+table is computed from the staged actions, never read off the structure
+constants: that equality is what check 2.4 asserts.
 """
 
 from __future__ import annotations
@@ -197,9 +192,10 @@ def _adjoint_witness(a: Algebra, t: IntOperator, p: int, q: int
     basis f_r and the basis e_i; None if it holds on every pair.
 
     The functional f_r.e_i is j -> (e_i** * e_j**)(f_r) on the staged
-    table, which check 2.4 has compared with the algebra's constants, so
-    a.int_by_left_factor[i][r] holds its (j, c) pairs, scaled to integers; the identity is linear in them, so the scaling
-    changes no verdict. T*f_r is row r of t, T e_i is column i, and T*
+    table, which check 2.4 compares with the algebra's constants, so
+    a.int_by_left_factor[i][r] holds its (j, c) pairs, scaled to
+    integers; the identity is linear in them, so the scaling changes no
+    verdict. T*f_r is row r of t, T e_i is column i, and T*
     applied to a functional g is sum_l g_l row l.
     """
     n = a.dim
