@@ -15,7 +15,11 @@ right and two-sided identities here, and the one-sided centralizer rows in
 Every statement computed here is homogeneous in the constants, so every
 computation reads them multiplied once by the lcm of their denominators:
 the integer `int_products` and its two regroupings by one factor. The
-Fraction `products` are kept for the parser, the serializer and `table`.
+constructor's one normalising pass yields both forms, and the constants
+must be exact, ints or Fractions. The Fraction `products` are kept for the
+parser, the serializer and `table`. Where products are basis elements
+or zero, Light's test compares whole rows over the last factor, one tuple
+equality per pair of the first two.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, wraps
 from math import lcm
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .linalg import (
@@ -110,14 +115,11 @@ class Algebra:
         Associativity and every centralizer identity are homogeneous in the
         structure constants, so scaling them all by one nonzero integer
         leaves each verdict and each solution space alone: denominators are
-        cleared once per algebra, not per product.
+        cleared once per algebra, not per product. `algebra_from_terms`
+        fills this and `scale` in its normalising pass; an algebra built
+        directly derives both here.
         """
-        s = self.scale
-        return tuple(
-            tuple(tuple((k, c.numerator * (s // c.denominator))
-                        for k, c in pairs) for pairs in row)
-            for row in self.products
-        )
+        return _scaled(self.products, self.scale)
 
     def _regroup(self, by_right: bool) -> tuple:
         """int_products regrouped by one factor in one pass over the
@@ -153,25 +155,66 @@ def _index_error(dim: int, i: int, j: int, x: int) -> ValueError:
         f"product ({i}, {j}): index {x} out of range for dimension {dim}")
 
 
+def _scaled(products, s: int) -> tuple:
+    """products with every constant multiplied by s, as ints."""
+    return tuple(
+        tuple(tuple((k, c.numerator * (s // c.denominator))
+                    for k, c in pairs) for pairs in row)
+        for row in products
+    )
+
+
+def _exact(c, i: int, j: int):
+    """The constant c of product (i, j), neither an int nor a Fraction, as
+    one: a subclass of either is converted, and anything else, a bool
+    included, raises TypeError."""
+    if isinstance(c, Fraction):
+        return Fraction(c)
+    if isinstance(c, int) and not isinstance(c, bool):
+        return int(c)
+    raise TypeError(f"product ({i}, {j}): constant {c!r} is not an int "
+                    f"or a Fraction")
+
+
 def normalize_products(dim: int, terms) -> tuple:
-    """Canonical products from {(i, j): (k, c) pairs}: repeated k are summed,
-    zeros dropped, pairs sorted by k. An exact Fraction is kept as it is;
-    any other value is converted. An index i, j or k outside [0, dim)
-    raises ValueError."""
+    """(products, scale, int_products) from {(i, j): (k, c) pairs}, in one
+    pass over the constants: repeated k are summed, zeros dropped, pairs
+    sorted by k. A whole sum is kept as an int, and each distinct sum
+    becomes one Fraction shared by every product holding it (an exact
+    Fraction that is not whole is kept as it is). `scale` is the lcm of
+    the denominators of the sums; when it is 1, `int_products` is the sums
+    themselves. A constant that is not an int or a Fraction raises
+    TypeError, and an index i, j or k outside [0, dim) raises ValueError,
+    each naming the pair."""
     products = [[()] * dim for _ in range(dim)]
+    ints = [[()] * dim for _ in range(dim)]
+    shared: dict = {}  # each distinct sum -> its one Fraction
+    seen: dict = {}  # each distinct product's sums -> its two stored forms
     for (i, j), pairs in terms.items():
         for x in (i, j):
             if not 0 <= x < dim:
                 raise _index_error(dim, i, j, x)
-        acc: dict[int, Fraction] = {}
+        acc: dict = {}
         for k, c in pairs:
             if not 0 <= k < dim:
                 raise _index_error(dim, i, j, k)
+            if type(c) is not int and type(c) is not Fraction:
+                c = _exact(c, i, j)
             if c:
-                c = c if type(c) is Fraction else Fraction(c)
                 acc[k] = acc[k] + c if k in acc else c
-        products[i][j] = tuple((k, acc[k]) for k in sorted(acc) if acc[k])
-    return tuple(map(tuple, products))
+        whole = tuple((k, v if type(v) is int or v.denominator != 1
+                       else v.numerator) for k, v in sorted(acc.items()) if v)
+        if whole not in seen:
+            for _, v in whole:
+                if v not in shared:
+                    shared[v] = Fraction(v) if type(v) is int else v
+            seen[whole] = tuple((k, shared[v]) for k, v in whole), whole
+        products[i][j], ints[i][j] = seen[whole]
+    products = tuple(map(tuple, products))
+    scale = lcm(*(f.denominator for f in shared.values()))
+    if scale > 1:
+        return products, scale, _scaled(products, scale)
+    return products, scale, tuple(map(tuple, ints))
 
 
 @cached
@@ -232,17 +275,42 @@ def generators(a: Algebra) -> tuple[int, ...]:
 
 def _nonassociative(a: Algebra, middles):
     """Each basis triple (i, j, k) with j in `middles` and
-    (b_i b_j) b_k != b_i (b_j b_k), i outermost and k innermost. Both sides
-    are quadratic in the structure constants, so the scan runs exactly on
-    the integer-scaled ones."""
+    (b_i b_j) b_k != b_i (b_j b_k), i outermost and k innermost.
+
+    Both sides are quadratic in the structure constants, so the scan runs
+    exactly on the integer-scaled ones. Where b_i b_j = b_m and every
+    b_j b_k is zero or some b_m', both rows over k are tuples of stored
+    products: the left row ((b_i b_j) b_k)_k is the stored row of b_m, and
+    the right row (b_i (b_j b_k))_k gathers b_i b_m' at each k in one C
+    call. One tuple equality then decides the n triples, and only a row
+    that differs is walked for its k. Any other triple is summed on its
+    own, over the nonzero products only.
+    """
     n = a.dim
     prod = a.int_products
+    # each row gets a zero product at index n, read where b_j b_k = 0
+    padded = [row + ((),) for row in prod]
+    # gather[j](padded[i]) = (b_i (b_j b_k))_k, or None when some b_j b_k
+    # is neither zero nor a unit product
+    gather = {}
+    for j in middles:
+        reads = [n if not p else p[0][0] if len(p) == 1 and p[0][1] == 1
+                 else None for p in prod[j]]
+        gather[j] = None if None in reads else itemgetter(*reads, n)
     # with b_i b_j = 0, only the k with b_j b_k != 0 can give a nonzero
     # side: every other triple compares two empty sums
     nonempty = {j: [k for k in range(n) if prod[j][k]] for j in middles}
     for i in range(n):
         for j in middles:
             left_factors = prod[i][j]
+            if (gather[j] and len(left_factors) == 1
+                    and left_factors[0][1] == 1):
+                left = padded[left_factors[0][0]]
+                right = gather[j](padded[i])
+                if left != right:
+                    yield from ((i, j, k) for k in range(n)
+                                if left[k] != right[k])
+                continue
             for k in range(n) if left_factors else nonempty[j]:
                 acc: dict[int, int] = {}
                 for m, c in left_factors:
@@ -262,19 +330,29 @@ def _check_associativity(a: Algebra) -> None:
     Light's associativity test: the elements m with (xm)y = x(my) for all
     x, y form a subalgebra, so the algebra is associative as soon as the
     triples with j in `generators(a)` pass. Only when one of them fails
-    does the scan run over every j, to name the first failing triple.
+    does the scan run over every j, to name the first failing triple; when
+    every basis element is a generator, that scan has just run.
     """
-    if next(_nonassociative(a, generators(a)), None) is not None:
-        raise NonAssociativeError(next(_nonassociative(a, range(a.dim))))
+    gens = generators(a)
+    triple = next(_nonassociative(a, gens), None)
+    if triple is not None:
+        if len(gens) < a.dim:
+            triple = next(_nonassociative(a, range(a.dim)))
+        raise NonAssociativeError(triple)
 
 
 def algebra_from_terms(dim: int, terms, *, name: str = "") -> Algebra:
     """Build a validated algebra from {(i, j): (k, c) pairs} of the basis
     products b_i * b_j; omitted pairs multiply to zero. An index outside
-    [0, dim) raises ValueError naming the pair and the index."""
+    [0, dim) raises ValueError naming the pair and the index, and a
+    constant that is not an int or a Fraction raises TypeError naming the
+    pair."""
     if dim < 1:
         raise ValueError("algebra dimension must be at least 1")
-    a = Algebra(dim, normalize_products(dim, terms), name)
+    products, scale, int_products = normalize_products(dim, terms)
+    a = Algebra(dim, products, name)
+    # the normalising pass's integer form, where the cached properties keep it
+    vars(a).update(scale=scale, int_products=int_products)
     _check_associativity(a)
     return a
 

@@ -30,10 +30,13 @@ from .algebras import Algebra, algebra_from_terms
 from .groups import CayleyTable, cayley_table
 
 # Largest `dim` or `order` a header may ask for. Work grows as n^2 products
-# and an associativity scan of n^2 |S| triples for a generating set S (n^3
-# when a failure must be located), so a huge header would hang or exhaust
-# memory; 256 is twice the order-120 group algebra the solvers aim at. One
-# value serves every caller, so it is a constant rather than an option.
+# and an associativity scan of n |S| rows of n products for a generating
+# set S (n^2 rows when a failure must be located), so a huge header would
+# hang or exhaust memory; 256 is twice the order-120 group algebra the
+# solvers aim at. At 256 the worst rejection, a table whose first failing
+# triple is (255, 0, 0), takes 0.5-0.8 s of CPU on a shared 2-vCPU Xeon
+# guest. One value serves every caller, so it is a constant rather than an
+# option.
 MAX_DIM = 256
 
 

@@ -14,7 +14,6 @@ by the conjugacy class sums.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from typing import Optional
@@ -98,8 +97,7 @@ def _algebra(t: CayleyTable) -> Algebra:
     """The table's algebra, b_i b_j = b_table[i][j], built and scanned for
     associativity once per table: NonAssociativeError when the table is
     not associative, and the group algebra when it is a group."""
-    one = Fraction(1)
-    terms = {(i, j): ((k, one),)
+    terms = {(i, j): ((k, 1),)
              for i, row in enumerate(t.table) for j, k in enumerate(row)}
     return algebra_from_terms(t.order, terms, name=f"group[{t.name or t.order}]")
 

@@ -489,7 +489,7 @@ def _witness(check, table):
     n = len(table)
     try:
         check(Algebra(dim=n,
-                      products=normalize_products(n, _dense_terms(table))))
+                      products=normalize_products(n, _dense_terms(table))[0]))
     except NonAssociativeError as exc:
         return exc.triple
     return None
@@ -518,7 +518,7 @@ def _scan_inputs():
 def test_integer_scan_matches_fraction_scan():
     tables = _scan_inputs()
     assert any(c.denominator != 1 and c < 0 for _, c in normalize_products(
-        4, _dense_terms(tables["rescaled matrix2"]))[1][2])
+        4, _dense_terms(tables["rescaled matrix2"]))[0][1][2])
     for name, table in tables.items():
         assert _witness(_check_associativity, table) is None, name
         assert _witness(_ref_check_associativity, table) is None, name
@@ -572,13 +572,67 @@ def test_normalize_table_keeps_fractions_and_converts_the_rest():
     class Half(Fraction):
         pass
 
+    class Count(int):
+        pass
+
     half, two = F(1, 2), F(2)
-    ((((_, c),),),) = normalize_products(1, {(0, 0): [(0, half)]})
+    ((((_, c),),),) = normalize_products(1, {(0, 0): [(0, half)]})[0]
     assert c is half
-    ((((_, c),),),) = normalize_products(1, {(0, 0): [(0, Half(1, 2))]})
+    ((((_, c),),),) = normalize_products(1, {(0, 0): [(0, Half(1, 2))]})[0]
     assert type(c) is Fraction and c == half
-    ((((_, c),),),) = normalize_products(1, {(0, 0): [(0, 2)]})
-    assert type(c) is Fraction and c == two
+    for value in (2, Count(2), Half(2), two):
+        products, scale, ints = normalize_products(1, {(0, 0): [(0, value)]})
+        ((((_, c),),),), ((((_, v),),),) = products, ints
+        assert type(c) is Fraction and c == two and scale == 1
+        assert type(v) is int and v == 2
+
+
+@pytest.mark.parametrize("value", [0.1, 0.0, "1/2", True, False,
+                                   float("inf"), None],
+                         ids=repr)
+def test_inexact_constants_are_rejected_naming_the_pair(value):
+    table = [[[0, 0], [0, 0]], [[value, 0], [0, 0]]]
+    with pytest.raises(TypeError, match=r"product \(1, 0\)"):
+        make_algebra(2, table)
+    with pytest.raises(TypeError, match=r"product \(1, 0\)"):
+        normalize_products(2, {(1, 0): [(0, value)]})
+
+
+def test_integer_form_comes_from_the_normalising_pass():
+    # the constructor fills scale and int_products in its one pass; an
+    # algebra built directly from the same products derives both alike
+    algebras = dict(fixtures())
+    for name, table in _scan_inputs().items():
+        algebras[f"table {name}"] = make_algebra(len(table), table)
+    rng = random.Random(29)
+    for d in range(20):
+        algebras[f"random_algebra {d}"] = random_algebra(rng)
+    assert any(a.scale > 1 for a in algebras.values())
+    for name, a in algebras.items():
+        assert {"scale", "int_products"} <= set(vars(a)), name
+        direct = Algebra(a.dim, a.products)
+        assert a.scale == direct.scale, name
+        assert a.int_products == direct.int_products, name
+        assert all(type(c) is Fraction for row in a.products
+                   for pairs in row for _, c in pairs), name
+
+
+def test_constants_are_summed_before_scaling():
+    a = parse_algebra_text("dim 1\nmul 0 0 = 1/2 @0 + 1/2 @0\n")
+    assert a.products == ((((0, Fraction(1)),),),)
+    assert a.scale == 1 and a.int_products == ((((0, 1),),),)
+    assert type(a.int_products[0][0][0][1]) is int
+    z = parse_algebra_text("dim 1\nmul 0 0 = 1 @0 + -1 @0\n")
+    assert z.products == (((),),) and z.int_products == (((),),)
+    assert z.scale == 1
+    # a sum with a denominator sets the scale; one that cancels does not
+    b = parse_algebra_text("dim 2\nmul 0 0 = 1 @0\nmul 0 1 = 1 @1\n"
+                           "mul 1 0 = 1 @1\nmul 1 1 = 1/3 @1 + 2/3 @1\n")
+    assert b.scale == 1
+    c = parse_algebra_text("dim 2\nmul 0 0 = 1 @0\nmul 0 1 = 1 @1\n"
+                           "mul 1 0 = 1 @1\nmul 1 1 = 1/6 @1 + 1/6 @1\n")
+    assert c.scale == 3 and c.int_products[1][1] == ((1, 1),)
+    assert c.int_products[0][0] == ((0, 3),)
 
 
 # ---------------------------------------------------------------------------

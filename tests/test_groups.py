@@ -277,7 +277,7 @@ def test_table_generators_reach_every_element(name, data):
     # and generators reads products only
     gens = generators(Algebra(n, normalize_products(n, {
         (i, j): ((k, 1),) for i, row in enumerate(table)
-        for j, k in enumerate(row)})))
+        for j, k in enumerate(row)})[0]))
     assert _ref_words(table, gens) == set(range(n))
     # greedy: no generator is reached from the ones before it
     for r, g in enumerate(gens):
@@ -292,3 +292,15 @@ def test_generator_scan_inputs_cover_both_verdicts():
     shifted = [row[1:] + row[:1] for row in s3]
     assert _ref_failing_triple(shifted) is not None
     assert not is_valid_group(cayley_table(shifted))
+
+
+def test_late_failure_is_named_by_the_full_scan():
+    # rows 0..n-2 all 0 and the last row all 1: every triple associates
+    # until i = n - 1, so the full scan walks n^2 rows before the witness
+    n = 48
+    table = [[0] * n for _ in range(n - 1)] + [[1] * n]
+    expected = _ref_failing_triple(table)
+    assert expected == (n - 1, 0, 0)
+    (got,) = (a for a in validate_group(cayley_table(table)).assertions
+              if a.name == "multiplication is associative")
+    assert got.witness == f"failing triple {expected}"
