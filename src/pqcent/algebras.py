@@ -12,14 +12,15 @@ under products needs checking only on a generating set: the center, the
 right and two-sided identities here, and the one-sided centralizer rows in
 `centralizers`, all quantify over `generators(a)`.
 
-Every statement computed here is homogeneous in the constants, so every
-computation reads them multiplied once by the lcm of their denominators:
-the integer `int_products` and its two regroupings by one factor. The
-constructor's one normalising pass yields both forms, and the constants
-must be exact, ints or Fractions. The Fraction `products` are kept for the
-parser, the serializer and `table`. Where products are basis elements
-or zero, Light's test compares whole rows over the last factor, one tuple
-equality per pair of the first two.
+Every statement computed here is homogeneous in the constants, so an
+algebra stores them once, multiplied by the lcm of their denominators: the
+integer `int_products` with its `scale`, which every computation reads,
+with its two regroupings by one factor. The constants must be exact, ints
+or Fractions. The Fraction `products` are a view derived from the integers
+on first read, for `table`, the serializer and the fixtures that rebuild
+an algebra. Where products are basis elements or zero, Light's test
+compares whole rows over the last factor, one tuple equality per pair of
+the first two.
 """
 
 from __future__ import annotations
@@ -77,15 +78,18 @@ def cached(fn):
 # results are its own; an equal but distinct algebra is solved afresh.
 @dataclass(frozen=True, eq=False)
 class Algebra:
-    """products[i][j] = (k, c[i][j][k]) pairs of b_i * b_j, sorted by k,
-    with no zeros: the one stored form of the structure constants.
+    """int_products[i][j] = (k, scale * c[i][j][k]) pairs of b_i * b_j as
+    ints, sorted by k, with no zeros, where `scale` is the lcm of the
+    denominators of the constants: the one stored form of the structure
+    constants, as `normalize_products` returns it.
 
-    Computations read `int_products`, the same pairs times `scale` as ints,
-    and its regroupings `int_by_right_factor` and `int_by_left_factor`;
-    the Fraction `products` serve the parser, the serializer and
-    `table`."""
+    Computations read `int_products` and its regroupings
+    `int_by_right_factor` and `int_by_left_factor`; the Fraction
+    `products` are derived from it for `table`, the serializer and the
+    fixtures."""
     dim: int
-    products: tuple
+    int_products: tuple
+    scale: int
     name: str = ""
 
     @property
@@ -103,23 +107,17 @@ class Algebra:
         return tuple(dense)
 
     @cached_property
-    def scale(self) -> int:
-        """The lcm of the denominators of all structure constants."""
-        return lcm(*(c.denominator for plane in self.products
-                     for pairs in plane for _, c in pairs))
-
-    @cached_property
-    def int_products(self) -> tuple:
-        """products with every constant multiplied by `scale`, as ints.
-
-        Associativity and every centralizer identity are homogeneous in the
-        structure constants, so scaling them all by one nonzero integer
-        leaves each verdict and each solution space alone: denominators are
-        cleared once per algebra, not per product. `algebra_from_terms`
-        fills this and `scale` in its normalising pass; an algebra built
-        directly derives both here.
-        """
-        return _scaled(self.products, self.scale)
+    def products(self) -> tuple:
+        """products[i][j] = (k, c[i][j][k]) pairs with Fraction constants,
+        built from `int_products` on first read: one Fraction per distinct
+        value and one tuple per distinct product."""
+        distinct = dict.fromkeys(p for row in self.int_products for p in row)
+        fractions = {c: Fraction(c, self.scale)
+                     for pairs in distinct for _, c in pairs}
+        views = {pairs: tuple((k, fractions[c]) for k, c in pairs)
+                 for pairs in distinct}
+        return tuple(tuple(map(views.__getitem__, row))
+                     for row in self.int_products)
 
     def _regroup(self, by_right: bool) -> tuple:
         """int_products regrouped by one factor in one pass over the
@@ -155,19 +153,10 @@ def _index_error(dim: int, i: int, j: int, x: int) -> ValueError:
         f"product ({i}, {j}): index {x} out of range for dimension {dim}")
 
 
-def _scaled(products, s: int) -> tuple:
-    """products with every constant multiplied by s, as ints."""
-    return tuple(
-        tuple(tuple((k, c.numerator * (s // c.denominator))
-                    for k, c in pairs) for pairs in row)
-        for row in products
-    )
-
-
 def _exact(c, i: int, j: int):
-    """The constant c of product (i, j), neither an int nor a Fraction, as
-    one: a subclass of either is converted, and anything else, a bool
-    included, raises TypeError."""
+    """The constant c of product (i, j) as an exact int or Fraction: a
+    subclass of either is converted, and anything else, a bool included,
+    raises TypeError."""
     if isinstance(c, Fraction):
         return Fraction(c)
     if isinstance(c, int) and not isinstance(c, bool):
@@ -177,19 +166,15 @@ def _exact(c, i: int, j: int):
 
 
 def normalize_products(dim: int, terms) -> tuple:
-    """(products, scale, int_products) from {(i, j): (k, c) pairs}, in one
-    pass over the constants: repeated k are summed, zeros dropped, pairs
-    sorted by k. A whole sum is kept as an int, and each distinct sum
-    becomes one Fraction shared by every product holding it (an exact
-    Fraction that is not whole is kept as it is). `scale` is the lcm of
-    the denominators of the sums; when it is 1, `int_products` is the sums
-    themselves. A constant that is not an int or a Fraction raises
-    TypeError, and an index i, j or k outside [0, dim) raises ValueError,
-    each naming the pair."""
-    products = [[()] * dim for _ in range(dim)]
-    ints = [[()] * dim for _ in range(dim)]
-    shared: dict = {}  # each distinct sum -> its one Fraction
-    seen: dict = {}  # each distinct product's sums -> its two stored forms
+    """(int_products, scale) from {(i, j): (k, c) pairs}, in one pass over
+    the constants: repeated k are summed, zeros dropped, pairs sorted by k,
+    and each distinct product is stored once. The sums stay exact ints or
+    Fractions; `scale` is the lcm of their denominators, and only the
+    distinct products are then multiplied by it. A constant that is not an
+    int or a Fraction raises TypeError, and an index i, j or k outside
+    [0, dim) raises ValueError, each naming the pair."""
+    seen: dict = {(): 0}  # each distinct product's sums -> its number
+    cells = [[0] * dim for _ in range(dim)]
     for (i, j), pairs in terms.items():
         for x in (i, j):
             if not 0 <= x < dim:
@@ -202,19 +187,12 @@ def normalize_products(dim: int, terms) -> tuple:
                 c = _exact(c, i, j)
             if c:
                 acc[k] = acc[k] + c if k in acc else c
-        whole = tuple((k, v if type(v) is int or v.denominator != 1
-                       else v.numerator) for k, v in sorted(acc.items()) if v)
-        if whole not in seen:
-            for _, v in whole:
-                if v not in shared:
-                    shared[v] = Fraction(v) if type(v) is int else v
-            seen[whole] = tuple((k, shared[v]) for k, v in whole), whole
-        products[i][j], ints[i][j] = seen[whole]
-    products = tuple(map(tuple, products))
-    scale = lcm(*(f.denominator for f in shared.values()))
-    if scale > 1:
-        return products, scale, _scaled(products, scale)
-    return products, scale, tuple(map(tuple, ints))
+        sums = tuple((k, v) for k, v in sorted(acc.items()) if v)
+        cells[i][j] = seen.setdefault(sums, len(seen))
+    scale = lcm(*(v.denominator for sums in seen for _, v in sums))
+    forms = [tuple((k, v.numerator * (scale // v.denominator))
+                   for k, v in sums) for sums in seen]
+    return tuple(tuple(map(forms.__getitem__, row)) for row in cells), scale
 
 
 @cached
@@ -349,10 +327,7 @@ def algebra_from_terms(dim: int, terms, *, name: str = "") -> Algebra:
     pair."""
     if dim < 1:
         raise ValueError("algebra dimension must be at least 1")
-    products, scale, int_products = normalize_products(dim, terms)
-    a = Algebra(dim, products, name)
-    # the normalising pass's integer form, where the cached properties keep it
-    vars(a).update(scale=scale, int_products=int_products)
+    a = Algebra(dim, *normalize_products(dim, terms), name)
     _check_associativity(a)
     return a
 

@@ -45,8 +45,6 @@ dim J = dim Z. Check 2.1's W = Z, its two-sided space inside the right
 multiplications, and the containments of check `chain` can then fail only
 through a solver bug; a certificate of the dimension
 that shares no code with the solver is still open (ROADMAP.md, item 2).
-The left rows also cut the right multiplications that are two-sided out
-of the right multiplication space.
 
 The left and right identities are imposed only on the pairs (g, b) with
 g in the algebra's generating set `generators(a)`: for a fixed T, the
@@ -505,19 +503,6 @@ def two_sided_centralizers(a: Algebra) -> OperatorSpace:
     central elements.
     """
     return _solve(a, LEFT, within=right_centralizers(a))
-
-
-@cached
-def two_sided_right_mul_space(a: Algebra) -> OperatorSpace:
-    """The right multiplications that are two-sided centralizers, solved
-    inside the right multiplication space.
-
-    A right multiplication is a right centralizer by associativity, so the
-    left rows alone cut out the two-sided ones: R_v with (xy)v = (xv)y on
-    all basis pairs. On a unital algebra these are the multiplications by
-    central elements; without a unit there can be more.
-    """
-    return _solve(a, LEFT, within=right_mul_space(a))
 
 
 # ---------------------------------------------------------------------------

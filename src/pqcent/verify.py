@@ -48,7 +48,6 @@ from .centralizers import (
     right_mul_int,
     right_mul_space,
     two_sided_centralizers,
-    two_sided_right_mul_space,
     weighted,
 )
 from .linalg import (
@@ -137,9 +136,11 @@ def verify_right_identity_collapse(a: Algebra, w: Weights) -> Report:
             None if inside
             else f"two-sided dim {cts.dim} not inside image dim {rms.dim}",
         ),
+        # with a right identity the right centralizers are the right
+        # multiplications, and the two-sided space is solved inside them
         _spaces_equal(
             "weighted space equals right multiplications by two-sided multiplier elements",
-            cpq, two_sided_right_mul_space(a),
+            cpq, cts,
         ),
     ]
 

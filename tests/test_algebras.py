@@ -488,8 +488,7 @@ def _witness(check, table):
     """The triple `check` raises on for an unvalidated algebra, or None."""
     n = len(table)
     try:
-        check(Algebra(dim=n,
-                      products=normalize_products(n, _dense_terms(table))[0]))
+        check(Algebra(n, *normalize_products(n, _dense_terms(table))))
     except NonAssociativeError as exc:
         return exc.triple
     return None
@@ -517,8 +516,8 @@ def _scan_inputs():
 
 def test_integer_scan_matches_fraction_scan():
     tables = _scan_inputs()
-    assert any(c.denominator != 1 and c < 0 for _, c in normalize_products(
-        4, _dense_terms(tables["rescaled matrix2"]))[0][1][2])
+    ints, scale = normalize_products(4, _dense_terms(tables["rescaled matrix2"]))
+    assert any(c % scale and c < 0 for _, c in ints[1][2])
     for name, table in tables.items():
         assert _witness(_check_associativity, table) is None, name
         assert _witness(_ref_check_associativity, table) is None, name
@@ -575,16 +574,16 @@ def test_normalize_table_keeps_fractions_and_converts_the_rest():
     class Count(int):
         pass
 
-    half, two = F(1, 2), F(2)
-    ((((_, c),),),) = normalize_products(1, {(0, 0): [(0, half)]})[0]
-    assert c is half
-    ((((_, c),),),) = normalize_products(1, {(0, 0): [(0, Half(1, 2))]})[0]
-    assert type(c) is Fraction and c == half
-    for value in (2, Count(2), Half(2), two):
-        products, scale, ints = normalize_products(1, {(0, 0): [(0, value)]})
-        ((((_, c),),),), ((((_, v),),),) = products, ints
-        assert type(c) is Fraction and c == two and scale == 1
-        assert type(v) is int and v == 2
+    # every constant is stored as an int times 1/scale, and the Fraction
+    # view holds plain Fractions
+    for value, v_want, scale_want in (
+            (F(1, 2), 1, 2), (Half(1, 2), 1, 2), (2, 2, 1), (Count(2), 2, 1),
+            (Half(2), 2, 1), (F(2), 2, 1)):
+        ints, scale = normalize_products(1, {(0, 0): [(0, value)]})
+        ((((_, v),),),) = ints
+        assert type(v) is int and (v, scale) == (v_want, scale_want)
+        ((((_, c),),),) = Algebra(1, ints, scale).products
+        assert type(c) is Fraction and c == value
 
 
 @pytest.mark.parametrize("value", [0.1, 0.0, "1/2", True, False,
@@ -599,8 +598,8 @@ def test_inexact_constants_are_rejected_naming_the_pair(value):
 
 
 def test_integer_form_comes_from_the_normalising_pass():
-    # the constructor fills scale and int_products in its one pass; an
-    # algebra built directly from the same products derives both alike
+    # the constructor stores the normalising pass's integer form, and the
+    # Fraction view normalises back to it
     algebras = dict(fixtures())
     for name, table in _scan_inputs().items():
         algebras[f"table {name}"] = make_algebra(len(table), table)
@@ -609,10 +608,10 @@ def test_integer_form_comes_from_the_normalising_pass():
         algebras[f"random_algebra {d}"] = random_algebra(rng)
     assert any(a.scale > 1 for a in algebras.values())
     for name, a in algebras.items():
-        assert {"scale", "int_products"} <= set(vars(a)), name
-        direct = Algebra(a.dim, a.products)
-        assert a.scale == direct.scale, name
-        assert a.int_products == direct.int_products, name
+        assert all(type(c) is int for row in a.int_products
+                   for pairs in row for _, c in pairs), name
+        assert normalize_products(a.dim, _sparse_terms(a)) == \
+            (a.int_products, a.scale), name
         assert all(type(c) is Fraction for row in a.products
                    for pairs in row for _, c in pairs), name
 
@@ -633,6 +632,53 @@ def test_constants_are_summed_before_scaling():
                            "mul 1 0 = 1 @1\nmul 1 1 = 1/6 @1 + 1/6 @1\n")
     assert c.scale == 3 and c.int_products[1][1] == ((1, 1),)
     assert c.int_products[0][0] == ((0, 3),)
+
+
+def _assert_fraction_view(a, label):
+    """`products` is Fraction(c, scale) entry by entry, with one tuple per
+    distinct product and one Fraction per distinct value, and the
+    serializer's text parses back to the same integer form."""
+    s = a.scale
+    assert a.products == tuple(
+        tuple(tuple((k, F(c, s)) for k, c in pairs) for pairs in row)
+        for row in a.int_products), label
+    tuples, values = {}, {}
+    for row in a.products:
+        for pairs in row:
+            assert tuples.setdefault(pairs, pairs) is pairs, label
+            for _, c in pairs:
+                assert values.setdefault(c, c) is c, label
+    again = parse_algebra_text(serialize_algebra(a))
+    assert (again.int_products, again.scale) == (a.int_products, s), label
+
+
+def test_fraction_view_is_derived_on_first_read():
+    # each builder stores the integer form alone; the Fraction view is
+    # made only when something reads it
+    builds = {"group c4": group_algebra(cyclic_table(4))}
+    for name, table in SCAN_TABLES.items():
+        if name.startswith("rescaled"):
+            a = algebra_from_terms(len(table), _dense_terms(table))
+            builds[name] = a
+            builds[f"parsed {name}"] = parse_algebra_text(
+                f"dim {a.dim}\n" + "".join(
+                    f"mul {i} {j} = " + " + ".join(
+                        f"{F(c, a.scale)} @{k}" for k, c in pairs) + "\n"
+                    for i, row in enumerate(a.int_products)
+                    for j, pairs in enumerate(row) if pairs))
+    assert any(a.scale > 1 for a in builds.values())
+    for name, a in builds.items():
+        assert "products" not in vars(a), name
+        _assert_fraction_view(a, name)
+        assert "products" in vars(a), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 30))
+def test_fraction_view_of_random_algebras(seed):
+    a = random_algebra(random.Random(seed))
+    assert "products" not in vars(a)
+    _assert_fraction_view(a, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,6 @@ from pqcent.centralizers import (
     right_mul_int,
     right_mul_space,
     two_sided_centralizers,
-    two_sided_right_mul_space,
     weighted,
 )
 from pqcent.fixtures import (
@@ -301,13 +300,14 @@ def test_unital_dimension_matches_center():
         assert pq_centralizers(a, Weights(1, 2)).dim == center(a).dim, name
 
 
-def test_two_sided_right_mul_space():
-    # on a unital algebra the two-sided right multiplications are those by
-    # central elements; on colmat2 every right multiplication is two-sided
+def test_two_sided_space_is_the_two_sided_right_multiplications():
+    # with a right identity the two-sided space is solved inside the right
+    # multiplications: on a unital algebra it is the multiplications by
+    # central elements, and on colmat2 every right multiplication
     m = matrix_algebra(2)
-    assert two_sided_right_mul_space(m) == right_mul_image(m, center(m))
+    assert two_sided_centralizers(m) == right_mul_image(m, center(m))
     c = colmat(2)
-    assert two_sided_right_mul_space(c) == right_mul_space(c)
+    assert two_sided_centralizers(c) == right_mul_space(c)
 
 
 def test_two_sided_is_meet_of_one_sided_spaces():
@@ -339,7 +339,7 @@ def test_fractional_constants_give_the_rescaled_spaces():
         for solve in (lambda x: pq_centralizers(x, Weights(1, 2)),
                       lambda x: pq_jordan_centralizers(x, Weights(3, 5)),
                       left_centralizers, right_centralizers,
-                      two_sided_centralizers, two_sided_right_mul_space):
+                      two_sided_centralizers):
             moved = [[t[k * n + m] * s[m] / s[k] for k in range(n) for m in range(n)]
                      for t in solve(a).space.basis]
             assert solve(b) == operator_space(n, moved), name
@@ -398,9 +398,10 @@ def _ref_solve(a, *identities):
 
 
 # `_ref_two_sided_mul_elements` is how check 2.1 found the two-sided right
-# multiplications before they were solved inside the right multiplication
-# space: the elements v with (xy)v = (xv)y, from all n^3 basis triples at
-# once, eliminated in the n coordinates of v.
+# multiplications before they were solved: the elements v with
+# (xy)v = (xv)y, from all n^3 basis triples at once, eliminated in the n
+# coordinates of v. With a right identity their right multiplications are
+# the two-sided space.
 
 def _solve_each(a, *identities):
     """Each identity imposed in turn, each solved inside the space of the
@@ -505,8 +506,9 @@ def test_staged_solves_match_full_row_solves(seed, commutative):
         assert _solve(a, weighted(w)) == pq, w
         assert _solve(a, weighted(w), within=j, upper=True) == pq, w
         assert pq_centralizers(a, w) == pq, w
-    assert two_sided_right_mul_space(a) == \
-        right_mul_image(a, _ref_two_sided_mul_elements(a))
+    if right_identities(a) is not None:
+        assert two_sided == \
+            right_mul_image(a, _ref_two_sided_mul_elements(a))
 
 
 def test_solve_takes_one_identity():
@@ -531,10 +533,14 @@ def test_weighted_refine_on_pairs_above_the_diagonal(name):
             _solve(a, weighted(w), within=j), w
 
 
-@pytest.mark.parametrize("name", sorted(UPPER_ALGEBRAS))
-def test_two_sided_right_mul_space_matches_the_element_solve(name):
+@pytest.mark.parametrize("name", sorted(
+    name for name, a in UPPER_ALGEBRAS.items()
+    if right_identities(a) is not None))
+def test_two_sided_space_matches_the_element_solve(name):
+    # with a right identity, check 2.1 reads the two-sided space as the
+    # right multiplications that are two-sided centralizers
     a = UPPER_ALGEBRAS[name]
-    assert two_sided_right_mul_space(a) == \
+    assert two_sided_centralizers(a) == \
         right_mul_image(a, _ref_two_sided_mul_elements(a))
 
 
@@ -564,8 +570,9 @@ def test_generator_quantifiers_match_every_basis_element(name):
     assert subspace_contains(_ref_solve(a, LEFT).space, left_mul_space(a).space)
     assert subspace_contains(_ref_solve(a, RIGHT).space, right_mul_space(a).space)
     assert two_sided_centralizers(a) == _ref_solve(a, LEFT, RIGHT)
-    assert two_sided_right_mul_space(a) == \
-        right_mul_image(a, _ref_two_sided_mul_elements(a))
+    if right_identities(a) is not None:
+        assert two_sided_centralizers(a) == \
+            right_mul_image(a, _ref_two_sided_mul_elements(a))
 
 
 def _recorded_systems(monkeypatch, a, e):

@@ -275,9 +275,9 @@ def test_table_generators_reach_every_element(name, data):
     table = [[base[rows[i]][cols[j]] for j in range(n)] for i in range(n)]
     # the isotope's algebra, unvalidated: a Latin square need not associate,
     # and generators reads products only
-    gens = generators(Algebra(n, normalize_products(n, {
+    gens = generators(Algebra(n, *normalize_products(n, {
         (i, j): ((k, 1),) for i, row in enumerate(table)
-        for j, k in enumerate(row)})[0]))
+        for j, k in enumerate(row)})))
     assert _ref_words(table, gens) == set(range(n))
     # greedy: no generator is reached from the ones before it
     for r, g in enumerate(gens):

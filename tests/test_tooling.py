@@ -17,7 +17,8 @@ too: a defaulted parameter of a package function or method counts as used
 only when a call in a reader passes it, by keyword or by position, so a
 knob that only tests set is debris as well. `__init__` re-exports exactly
 the names it lists in `__all__`, and the README's quick start runs as
-printed.
+printed. Only `Algebra.table`, the serializer and the fixtures read the
+Fraction `products` view; every computation reads the integer form.
 """
 
 import ast
@@ -181,6 +182,31 @@ def test_every_defaulted_parameter_is_passed_by_a_reader():
                                              node.args.kw_defaults)
                      if default is not None and arg.arg not in keywords]
     assert not dead, f"defaulted parameters no reader passes: {dead}"
+
+
+def _attribute_readers(node, attr, scope=()):
+    """The qualified name of the function or class around each read of
+    `x.attr` under node, one per read."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            inner = scope + (child.name,)
+        elif isinstance(child, ast.Attribute) and child.attr == attr:
+            yield ".".join(scope)
+        yield from _attribute_readers(child, attr, inner)
+
+
+def test_only_the_fraction_readers_read_products():
+    # computations stay on the integer form; the Fraction `products` view
+    # serves the dense `table`, the serializer and the fixtures that
+    # rebuild an algebra from another's constants
+    readers = {f"{module}.{scope}" for module, tree in MODULES.items()
+               for scope in _attribute_readers(tree, "products")}
+    assert "fileio.serialize_algebra" in readers
+    allowed = {"algebras.Algebra.table", "fileio.serialize_algebra"}
+    assert {r for r in readers
+            if r not in allowed and not r.startswith("fixtures.")} == set()
 
 
 def test_init_reexports_exactly_all():
