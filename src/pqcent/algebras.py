@@ -31,6 +31,7 @@ from functools import cached_property, wraps
 from math import lcm
 from operator import itemgetter
 from typing import Optional, Sequence
+from weakref import WeakValueDictionary
 
 from .linalg import (
     DimensionMismatch,
@@ -59,13 +60,33 @@ class NonAssociativeError(ValueError):
         )
 
 
+class _Store(dict):
+    """One object's `cached` results: a dict that can be weakly referenced."""
+    __slots__ = ("__weakref__",)
+
+
+# every live algebra's store, by its stored constants: an entry goes with
+# the last algebra that holds its store
+_STORES: WeakValueDictionary = WeakValueDictionary()
+
+
 def cached(fn):
     """Cache fn(x, *args) in x.__dict__, beside the cached_property tables,
-    keyed by (fn, *args): a derived result is freed with its object.
-    Arguments are positional and hashable."""
+    keyed by (fn, *args). Arguments are positional and hashable.
+
+    An algebra's store is shared by every live algebra with the same
+    `(dim, int_products, scale)`: the first cached call on an algebra looks
+    it up in `_STORES` by that key, once per object. That is exact because
+    a cached function reads only the constants and its arguments, never
+    `name`. A store is freed with the last algebra that holds it. Any other
+    object, a `CayleyTable`, keeps a store of its own."""
     @wraps(fn)
     def wrapper(x, *args):
-        store = x.__dict__.setdefault("_cache", {})
+        store = x.__dict__.get("_cache")
+        if store is None:
+            store = x.__dict__["_cache"] = (
+                _STORES.setdefault((x.dim, x.int_products, x.scale), _Store())
+                if isinstance(x, Algebra) else {})
         key = (fn, *args)
         if key not in store:
             store[key] = fn(x, *args)
@@ -74,8 +95,8 @@ def cached(fn):
     return wrapper
 
 
-# eq=False: algebras hash and compare by identity, so an algebra's cached
-# results are its own; an equal but distinct algebra is solved afresh.
+# eq=False: algebras hash and compare by identity, but `cached` shares
+# results between algebras with equal constants, whatever their names.
 @dataclass(frozen=True, eq=False)
 class Algebra:
     """int_products[i][j] = (k, scale * c[i][j][k]) pairs of b_i * b_j as

@@ -128,7 +128,10 @@ def _run_algebra_checks(a: Algebra) -> list[Report]:
 def run_suite(seed: int = 0) -> RunReport:
     """Run the full battery: every check on the fixture catalog, check 4.2
     on the group tables, then the seeded random algebras, each at every
-    pair of `DEFAULT_WEIGHT_PAIRS`."""
+    pair of `DEFAULT_WEIGHT_PAIRS`. The random algebras are all drawn, in
+    order, before any of them is checked, and live for the run, so one
+    whose constants repeat an earlier algebra's, or a fixture's, reads the
+    solves already made (see `algebras.cached`)."""
     reports: list[Report] = []
     for a in fixtures().values():
         reports.extend(_run_algebra_checks(a))
@@ -137,14 +140,16 @@ def run_suite(seed: int = 0) -> RunReport:
             reports.append(verify_group_centralizer_structure(t, Weights(*pair)))
 
     rng = Random(seed)
-    for i in range(RANDOM_COMMUTATIVE_COUNT):
-        a = random_poly_quotient(rng, name=f"rand_poly_{i:02d}")
+    polys = [random_poly_quotient(rng, name=f"rand_poly_{i:02d}")
+             for i in range(RANDOM_COMMUTATIVE_COUNT)]
+    mixed = [random_algebra(rng, name=f"rand_mix_{i:02d}")
+             for i in range(RANDOM_MIXED_COUNT)]
+    for a in polys:
         for pair in DEFAULT_WEIGHT_PAIRS:
             w = Weights(*pair)
             reports.append(inclusion_chain_check(a, w))
             reports.append(verify_commutative_weights_coincide(a, w))
-    for i in range(RANDOM_MIXED_COUNT):
-        a = random_algebra(rng, name=f"rand_mix_{i:02d}")
+    for a in mixed:
         for pair in DEFAULT_WEIGHT_PAIRS:
             reports.append(inclusion_chain_check(a, Weights(*pair)))
 

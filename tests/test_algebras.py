@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from dense_ref import (_ref_by_left_factor, _ref_by_right_factor, _ref_vec,
                        basis_vector)
 from solver_ref import RIGHT_IDENTITY_SEMIGROUPS, _table_algebra
+from pqcent import algebras
 from pqcent.algebras import (
     Algebra,
     NonAssociativeError,
@@ -829,8 +830,16 @@ def test_identity_implies_unique_right_identity():
 
 
 # ---------------------------------------------------------------------------
-# per-object cache
+# the algebra cache, shared by equal constants
 # ---------------------------------------------------------------------------
+
+def _sevenths(a, name):
+    """a with every constant divided by 7: scale 7, which no catalog or
+    seeded algebra has, so no other live algebra shares its store."""
+    return algebra_from_terms(
+        a.dim, {ij: [(k, c / 7) for k, c in pairs]
+                for ij, pairs in _sparse_terms(a).items()}, name=name)
+
 
 def test_cached_results_are_freed_with_their_object():
     a = matrix_algebra(2)
@@ -845,14 +854,45 @@ def test_cached_results_are_freed_with_their_object():
     del a, t, g
     gc.collect()
     assert [r() for r in refs] == [None, None, None]
+    # twins share one store, which lives as long as either of them
+    first = _sevenths(matrix_algebra(2), "first")
+    second = _sevenths(matrix_algebra(2), "second")
+    key = (first.dim, first.int_products, first.scale)
+    space = pq_centralizers(first, Weights(1, 2))
+    assert pq_centralizers(second, Weights(1, 2)) is space
+    store = weakref.ref(first.__dict__["_cache"])
+    assert second.__dict__["_cache"] is store() is algebras._STORES[key]
+    first_ref = weakref.ref(first)
+    del first, space
+    gc.collect()
+    assert first_ref() is None
+    assert algebras._STORES[key] is store() is not None
+    del second
+    gc.collect()
+    assert store() is None and key not in algebras._STORES
 
 
-def test_cache_is_keyed_by_object_and_argument_values():
+def test_random_algebras_leave_no_store_behind():
+    rng = random.Random(31)
+    before = set(algebras._STORES)
+    for _ in range(200):
+        a = random_algebra(rng)
+        pq_centralizers(a, Weights(1, 2))
+        center(a)
+        del a
+    gc.collect()
+    # a draw equal to a live algebra (a catalog fixture) used that
+    # algebra's entry; no entry made for a draw outlives it
+    assert set(algebras._STORES) <= before
+
+
+def test_cache_is_keyed_by_constants_and_argument_values():
     a = matrix_algebra(2)
     assert pq_centralizers(a, Weights(1, 2)) is pq_centralizers(a, Weights(1, 2))
     assert pq_centralizers(a, Weights(2, 1)) is not pq_centralizers(a, Weights(1, 2))
+    # an equal but distinct algebra reads the same store
     twin = algebra_from_terms(a.dim, _sparse_terms(a), name=a.name)
-    assert pq_centralizers(twin, Weights(1, 2)) is not pq_centralizers(a, Weights(1, 2))
+    assert pq_centralizers(twin, Weights(1, 2)) is pq_centralizers(a, Weights(1, 2))
     assert pq_centralizers(twin, Weights(1, 2)) == pq_centralizers(a, Weights(1, 2))
 
 

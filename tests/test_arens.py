@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cache_ref import own_store
 from dense_ref import (Matrix, _ref_matmul, _ref_rescaled, _ref_transpose,
                        _ref_vec, basis_vector)
 from report_ref import report_doc
@@ -178,7 +179,7 @@ def test_bidual_holds_the_dual_module_and_a_second_check_runs_no_stage(
 
     for name in calls:
         monkeypatch.setattr(arens, name, counted(name, getattr(arens, name)))
-    a = matrix_algebra(2)
+    a = own_store(matrix_algebra(2))
     n = a.dim
     verify_bidual_extension(a, W12)
     # stage 1 once per (basis functional, basis element); the basis table
@@ -399,8 +400,8 @@ STAGE_MUTANTS = [
 def test_bidual_extension_fails_on_a_mutated_stage(
         monkeypatch, stage, mutant, failing):
     monkeypatch.setattr(arens, stage, mutant(getattr(arens, stage)))
-    # a fresh algebra, so its basis table is built by the mutated stages
-    rep = verify_bidual_extension(matrix_algebra(2), W12)
+    # an empty store, so its basis table is built by the mutated stages
+    rep = verify_bidual_extension(own_store(matrix_algebra(2)), W12)
     assert rep.status == FAIL, stage
     assert any(failing in x.name and not x.passed for x in rep.assertions), stage
 

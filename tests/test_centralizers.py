@@ -7,6 +7,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from cache_ref import own_store
 from dense_ref import (
     Matrix,
     _ref_apply_matrix,
@@ -635,9 +636,11 @@ def test_solves_enter_linalg_through_its_public_entries(monkeypatch):
                     return real(*args)
 
                 monkeypatch.setattr(module, name, recording)
-    # fresh, so no solve below is cached: M2 is unital, the gap table is not
-    unital = matrix_algebra(2)
-    gap = _table_algebra(((0,) * 4, (0,) * 4) + SEMIGROUP_GAPS["sg4_nil"])
+    # empty stores, so no solve below is cached: M2 is unital, the gap
+    # table is not
+    unital = own_store(matrix_algebra(2))
+    gap = own_store(
+        _table_algebra(((0,) * 4, (0,) * 4) + SEMIGROUP_GAPS["sg4_nil"]))
     for a in (unital, gap):
         for solve, entry in (
                 (center, "pqcent.algebras.nullspace_of_rows"),
@@ -722,7 +725,7 @@ def test_one_sided_walks_stop_at_the_multiplications(monkeypatch, name):
     # centralizers and are the floors of their walks; with the unit its
     # enclosure needs, the enclosure is the floor and no block is walked
     a = GENERATOR_ALGEBRAS[name]
-    fresh = make_algebra(a.dim, a.table)  # nothing of it is cached
+    fresh = own_store(make_algebra(a.dim, a.table))  # nothing of it is cached
     for solve, e, enclosed in (
             (left_centralizers, LEFT, identity(a) is not None),
             (right_centralizers, RIGHT, right_identities(a) is not None)):
@@ -751,7 +754,7 @@ def test_floor_stops_the_walks_at_the_two_sided_space(monkeypatch):
 
 def _fresh(a):
     """A copy of a with nothing cached on it."""
-    return make_algebra(a.dim, a.table, name=a.name)
+    return own_store(make_algebra(a.dim, a.table, name=a.name))
 
 
 def _recorded_mul_spans(monkeypatch, solve):
@@ -781,7 +784,7 @@ def test_jordan_solve_skips_the_enclosure_when_the_floor_fills_it(
                     for name in ("trunc_poly3", "group_c3")]
     else:
         rng = Random(seed)
-        algebras = [random_poly_quotient(rng) for _ in range(3)]
+        algebras = [own_store(random_poly_quotient(rng)) for _ in range(3)]
     for a in algebras:
         z = two_sided_centralizers(a)
         assert z.dim == a.dim

@@ -27,6 +27,23 @@ def seed0():
     return run_suite(seed=0)
 
 
+def test_run_solves_no_identity_twice_on_equal_constants(monkeypatch):
+    # the random algebras live for the run and share their cached solves
+    # with every live algebra of equal constants, so a repeated draw (seed 1
+    # draws 42 distinct algebras among 75) is not solved again
+    import pqcent.centralizers as centralizers
+    solved = []
+    real = centralizers._solve
+
+    def recording(a, e, **kw):
+        solved.append((a.dim, a.int_products, a.scale, e, tuple(sorted(kw))))
+        return real(a, e, **kw)
+
+    monkeypatch.setattr(centralizers, "_solve", recording)
+    run_suite(seed=1)
+    assert solved and len(set(solved)) == len(solved)
+
+
 def test_every_check_id_runs(seed0):
     assert {r.check_id for r in seed0.reports} == set(CHECK_IDS) | {"4.2"}
 

@@ -1,15 +1,18 @@
 """Structural checks: frozen oracle cases plus catalog-wide status sweeps."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from cache_ref import own_store
 from dense_ref import (Matrix, _ref_identity_matrix, _ref_zero_matrix,
                        basis_vector, int_operator)
 from report_ref import report_doc
 from solver_ref import SEMIGROUP_GAPS
 from pqcent import verify
 from pqcent.algebras import (
+    center,
     identity,
     is_commutative,
     make_algebra,
@@ -21,6 +24,7 @@ from pqcent.algebras import (
 from pqcent.centralizers import (
     Weights,
     pq_centralizers,
+    pq_jordan_centralizers,
     residual,
     right_mul_int,
     two_sided_centralizers,
@@ -33,6 +37,7 @@ from pqcent.fixtures import (
     field,
     fixtures,
     matrix_algebra,
+    poly_quotient,
 )
 from pqcent.linalg import Subspace
 from pqcent.reports import PASS, PRECONDITION_UNMET, Assertion
@@ -210,7 +215,7 @@ def test_range_conditions_driver_runs_residual_once_per_operator(
     # once per distinct operator and weight pair, not once per (operator,
     # sample); the identity operator is also the solved basis of a space of
     # scalars
-    a, w = build(), W12  # fresh, so nothing of check 3.1 is cached
+    a, w = own_store(build()), W12  # nothing of check 3.1 is cached
     operators = dict.fromkeys(
         t for _, t in _operator_candidates(a, pq_centralizers(a, w)))
     calls = []
@@ -240,7 +245,7 @@ def test_square_zero_driver_runs_operator_half_once_per_operator(
     # the half of check 3.2 that reads no weight (range, range products,
     # nilpotency, radical, squares of images) runs once per distinct
     # operator over the four weight pairs; it takes one range product
-    a = build()  # fresh, so nothing of check 3.2 is cached
+    a = own_store(build())  # nothing of check 3.2 is cached
     operators = dict.fromkeys(
         t for pair in DEFAULT_WEIGHT_PAIRS
         for _, t in _operator_candidates(a, pq_centralizers(a, Weights(*pair))))
@@ -457,11 +462,11 @@ def test_check_registry_complete():
 def test_checks_read_no_other_entry_of_the_algebra_cache(catalog, name):
     # the checks cache what reads neither the weights nor the sample on the
     # algebra; each report on an algebra that ran every check at every pair
-    # must equal the report on a fresh copy of it
+    # must equal the report on a fresh copy of it, with a store of its own
     a = catalog[name]
 
     def fresh():
-        return make_algebra(a.dim, a.table, name=a.name)
+        return own_store(make_algebra(a.dim, a.table, name=a.name))
 
     warm = fresh()
     for pair in DEFAULT_WEIGHT_PAIRS:
@@ -471,6 +476,46 @@ def test_checks_read_no_other_entry_of_the_algebra_cache(catalog, name):
         w = Weights(*pair)
         for cid, check in CHECK_IDS.items():
             assert check(warm, w) == check(fresh(), w), (cid, pair)
+
+
+@pytest.mark.parametrize("name", sorted(fixtures()))
+def test_reports_depend_on_the_constants_not_the_name(catalog, name):
+    # a copy with equal constants and another name shares the original's
+    # cached results; its reports are the original's with its own target,
+    # and equal those on a copy that solves everything afresh, so no cached
+    # result carries the name it was first computed under
+    a = catalog[name]
+    twin = make_algebra(a.dim, a.table, name=f"twin of {name}")
+    alone = own_store(make_algebra(a.dim, a.table, name=twin.name))
+    for pair in DEFAULT_WEIGHT_PAIRS:
+        w = Weights(*pair)
+        for cid, check in CHECK_IDS.items():
+            rep = check(a, w)
+            assert check(twin, w) == replace(rep, target=twin.name), (cid, pair)
+            assert check(alone, w) == check(twin, w), (cid, pair)
+        assert pq_centralizers(twin, w) is pq_centralizers(a, w)
+        assert pq_jordan_centralizers(twin, w) is pq_jordan_centralizers(a, w)
+    assert two_sided_centralizers(twin) is two_sided_centralizers(a)
+    assert radical(twin) is radical(a)
+    # the constants divided by 7: the same int_products at scale 7
+    scaled = make_algebra(a.dim, [[[c / 7 for c in line] for line in plane]
+                                  for plane in a.table])
+    if scaled.scale != a.scale:
+        assert scaled.int_products == a.int_products
+        assert pq_centralizers(scaled, W12) is not pq_centralizers(a, W12)
+        assert two_sided_centralizers(scaled) is not two_sided_centralizers(a)
+
+
+def test_algebras_one_constant_apart_share_no_solve(catalog):
+    # Q[x]/(x^2 - x) differs from the dual numbers only in c[1][1][1]
+    a, b = catalog["dual_numbers"], poly_quotient([0, -1])
+    assert [(i, j) for i in range(2) for j in range(2)
+            if a.int_products[i][j] != b.int_products[i][j]] == [(1, 1)]
+    for pair in DEFAULT_WEIGHT_PAIRS:
+        w = Weights(*pair)
+        assert pq_centralizers(b, w) is not pq_centralizers(a, w)
+    assert two_sided_centralizers(b) is not two_sided_centralizers(a)
+    assert center(b) is not center(a)
 
 
 def test_registry_dispatch_matches_direct_call(catalog):
