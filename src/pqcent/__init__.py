@@ -62,7 +62,11 @@ from .groups import (
 from .linalg import Subspace
 from .reports import FAIL, PASS, PRECONDITION_UNMET, Assertion, Report
 from .suite import RunReport, run_suite
-from .verify import CHECK_DESCRIPTIONS, CHECK_IDS
+from .verify import (
+    CHECK_DESCRIPTIONS,
+    CHECK_IDS,
+    verify_equivalent_range_conditions,
+)
 
 __version__ = "0.1.0"
 
@@ -116,5 +120,6 @@ __all__ = [
     "two_sided_centralizers",
     "validate_group",
     "verify_bidual_extension",
+    "verify_equivalent_range_conditions",
     "verify_group_centralizer_structure",
 ]

@@ -69,6 +69,9 @@ class _Store(dict):
 # the last algebra that holds its store
 _STORES: WeakValueDictionary = WeakValueDictionary()
 
+# what a store's `get` returns for a key it lacks: a cached result may be None
+_MISSING = object()
+
 
 def cached(fn):
     """Cache fn(x, *args) in x.__dict__, beside the cached_property tables,
@@ -79,7 +82,10 @@ def cached(fn):
     it up in `_STORES` by that key, once per object. That is exact because
     a cached function reads only the constants and its arguments, never
     `name`. A store is freed with the last algebra that holds it. Any other
-    object, a `CayleyTable`, keeps a store of its own."""
+    object, a `CayleyTable`, keeps a store of its own.
+
+    A hit hashes its key once: keys often hold Fraction samples, whose
+    hash is not cheap."""
     @wraps(fn)
     def wrapper(x, *args):
         store = x.__dict__.get("_cache")
@@ -88,9 +94,10 @@ def cached(fn):
                 _STORES.setdefault((x.dim, x.int_products, x.scale), _Store())
                 if isinstance(x, Algebra) else {})
         key = (fn, *args)
-        if key not in store:
-            store[key] = fn(x, *args)
-        return store[key]
+        value = store.get(key, _MISSING)
+        if value is _MISSING:
+            value = store[key] = fn(x, *args)
+        return value
 
     return wrapper
 

@@ -31,6 +31,12 @@ on all basis pairs, the two dense samples, and the adjoint scan, whose
 functionals e_r*.e_i are those products regrouped by left factor. The
 table is computed from the staged actions, never read off the structure
 constants: that equality is what check 2.4 asserts.
+
+Each per-operator statement (p+q) A = p B + q C is p (A - B) + q (A - C)
+= 0, so the two parts are evaluated once per operator, as a
+`centralizers.pencil`, and every weight pair is read off them: the
+weighted identity through `residual`, the adjoint scan and the dense
+samples through their own cached pencils.
 """
 
 from __future__ import annotations
@@ -45,6 +51,8 @@ from .centralizers import (
     IntOperator,
     Weights,
     combine_columns,
+    pencil,
+    pencil_failure,
     pq_centralizers,
     residual,
     weighted,
@@ -185,11 +193,12 @@ def arens_basis_products(a: Algebra) -> tuple:
     return tuple(tuple(map(tuple, row)) for row in table)
 
 
-def _adjoint_witness(a: Algebra, t: IntOperator, p: int, q: int
-                     ) -> Optional[tuple[int, int]]:
-    """The first (r, i), in row-major order, on which the adjoint of t
-    fails (p+q)(T*f_r).e_i = p f_r.(T e_i) + q T*(f_r.e_i) on the dual
-    basis f_r and the basis e_i; None if it holds on every pair.
+def _adjoint_parts(a: Algebra, t: IntOperator):
+    """((r, i), A - B, A - C) for the (r, i) in row-major order where the
+    two are not both zero, with
+    A = (T*f_r).e_i, B = f_r.(T e_i) and C = T*(f_r.e_i) on the dual basis
+    f_r and the basis e_i: the transposed weighted identity at (r, i) is
+    (p+q)A = pB + qC, that is p(A - B) + q(A - C) = 0.
 
     The functional f_r.e_i is j -> (e_i** * e_j**)(f_r) on the staged
     table, which check 2.4 compares with the algebra's constants, so
@@ -206,21 +215,36 @@ def _adjoint_witness(a: Algebra, t: IntOperator, p: int, q: int
         for k, v in col:
             rows[k].append((m, v))
     for r in range(n):
-        lhs_terms = [(k, (p + q) * v) for k, v in rows[r]]
         for i in range(n):
-            res = [0] * n
-            for k, v in lhs_terms:
+            lhs, by_p, by_q = [0] * n, [0] * n, [0] * n
+            for k, v in rows[r]:
                 for j, c in dual[i][k]:
-                    res[j] += v * c
+                    lhs[j] += v * c
             for m, v in cols[i]:
                 for j, c in dual[m][r]:
-                    res[j] -= p * v * c
+                    by_p[j] += v * c
             for l, c in dual[i][r]:
                 for j, v in rows[l]:
-                    res[j] -= q * c * v
-            if any(res):
-                return r, i
-    return None
+                    by_q[j] += c * v
+            if lhs != by_p or lhs != by_q:
+                yield ((r, i), [x - y for x, y in zip(lhs, by_p)],
+                       [x - z for x, z in zip(lhs, by_q)])
+
+
+@cached
+def _adjoint_pencil(a: Algebra, t: IntOperator) -> tuple:
+    """The `pencil` of `_adjoint_parts`, once per operator for every
+    weight pair."""
+    return pencil(_adjoint_parts(a, t))
+
+
+def _adjoint_witness(a: Algebra, t: IntOperator, p: int, q: int
+                     ) -> Optional[tuple[int, int]]:
+    """The first (r, i), in row-major order, on which the adjoint of t
+    fails (p+q)(T*f_r).e_i = p f_r.(T e_i) + q T*(f_r.e_i) on the dual
+    basis f_r and the basis e_i; None if it holds on every pair. Read off
+    the operator's cached adjoint pencil."""
+    return pencil_failure(_adjoint_pencil(a, t), p, q)
 
 
 class _Sample(NamedTuple):
@@ -233,18 +257,36 @@ class _Sample(NamedTuple):
     fh: list
 
 
-def _sample_holds(a: Algebra, t: IntOperator, s: _Sample, p: int,
-                  q: int) -> bool:
-    """(p+q) T(F * H) = p (TF)*H + q F*(TH), where F * H is the staged
-    sample product and the products on the right read the algebra's
-    constants; both sides are multiplied by t.den and a.scale, so those
-    are its integer constants as they are."""
+def _sample_parts(a: Algebra, t: IntOperator, s: _Sample
+                  ) -> tuple[list, list]:
+    """X - Y and X - Z for the sample s, with X = T(F * H), Y = (TF)*H
+    and Z = F*(TH), where F * H is the staged sample product and the
+    products Y and Z read the algebra's constants: the weighted identity
+    (p+q) X = p Y + q Z on the sample is p(X - Y) + q(X - Z) = 0. All are
+    multiplied by t.den and a.scale, so those are the algebra's integer
+    constants as they are."""
     tf, th, lhs = (combine_columns(t.cols, enumerate(x))
                    for x in (s.f, s.h, s.fh))
     rhs_p = int_multiply(a, enumerate(tf), enumerate(s.h))
     rhs_q = int_multiply(a, enumerate(s.f), enumerate(th))
-    return all((p + q) * x == p * y + q * z
-               for x, y, z in zip(lhs, rhs_p, rhs_q))
+    return ([x - y for x, y in zip(lhs, rhs_p)],
+            [x - z for x, z in zip(lhs, rhs_q)])
+
+
+@cached
+def _sample_pencils(a: Algebra, t: IntOperator) -> tuple:
+    """One `pencil` per dense sample of `_staged_samples`, of its two
+    parts: once per operator for every weight pair."""
+    _, samples = _staged_samples(a)
+    return tuple(pencil([(k, *_sample_parts(a, t, s))])
+                 for k, s in enumerate(samples))
+
+
+def _sample_holds(a: Algebra, t: IntOperator, k: int, p: int,
+                  q: int) -> bool:
+    """(p+q) T(F * H) = p (TF)*H + q F*(TH) on dense sample k, read off
+    the operator's cached sample pencils."""
+    return pencil_failure(_sample_pencils(a, t)[k], p, q) is None
 
 
 @cached
@@ -257,7 +299,8 @@ def _staged_samples(a: Algebra) -> tuple:
     The staged table is scaled like `a.int_products`, so where the
     embedding assertion holds the bidual's integer constants are the
     algebra's own, and the per-operator statements read them from `a`:
-    its weighted residuals are the ones check 3.1 caches. A wrong stage
+    its weighted residuals are read off the operator pencils that checks
+    2.1, 3.1 and 3.2 read too. A wrong stage
     shows in the embedding assertion (stages 1 and 2, which build the
     table) or in the dense samples (stage 3)."""
     n = a.dim
@@ -306,7 +349,7 @@ def verify_bidual_extension(a: Algebra, w: Weights) -> Report:
         ))
 
         for k, sample in enumerate(samples):
-            ok = _sample_holds(a, t, sample, p, q)
+            ok = _sample_holds(a, t, k, p, q)
             assertions.append(Assertion(
                 f"basis operator {idx}: weighted identity holds on dense "
                 f"pipeline sample {k}",

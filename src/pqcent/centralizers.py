@@ -52,7 +52,12 @@ first factors a for which one of them holds with every b form a
 subalgebra, and a subalgebra that contains the generators is the whole
 algebra. The weighted and Jordan identities mix both sides and keep every
 pair, and `residual`, the independent check, evaluates every pair of any
-identity.
+identity. It evaluates the left and the right identity once per operator,
+on every pair, and reads every identity with s = p + q off those two
+parts: a weighted identity's residual is p times the left one plus q
+times the right one, so the operator's pencil, the pairs where the parts
+are not both zero, each with the weights that cancel there, answers every
+weight pair.
 
 Every solve imposes one identity and is staged. It starts from its
 enclosing space K (for a root solve, the unit enclosure or else the full
@@ -510,9 +515,95 @@ def two_sided_centralizers(a: Algebra) -> OperatorSpace:
 #
 # Direct evaluation of an identity on basis pairs, independent of the
 # solvers; the first failing (i, j, residual) serves as a report witness.
+# Every identity with s = p + q is p times the left one plus q times the
+# right one, so one evaluation of both parts per operator, its pencil,
+# answers all of them.
 # ---------------------------------------------------------------------------
 
+def pencil(entries) -> tuple:
+    """The pencil of integer vector pairs (x, y): for each (key, x, y) of
+    `entries` in order, with x and y not both zero, the pair (key, d).
+    Here d is the primitive (p0, q0), first nonzero entry positive, with
+    p0 x + q0 y = 0, or None when x and y are independent. Then
+    p x + q y = 0 exactly when (p, q) is a multiple of d, or when d is
+    None, exactly when p = q = 0."""
+    out = []
+    for key, x, y in entries:
+        if not (any(x) or any(y)):
+            continue
+        k = next(k for k, (u, v) in enumerate(zip(x, y)) if u or v)
+        p0, q0 = y[k], -x[k]
+        if any(p0 * u + q0 * v for u, v in zip(x, y)):
+            out.append((key, None))
+            continue
+        g = gcd(p0, q0)
+        if p0 < 0 or p0 == 0 and q0 < 0:
+            g = -g
+        out.append((key, (p0 // g, q0 // g)))
+    return tuple(out)
+
+
+def pencil_failure(entries: Sequence, p: int, q: int):
+    """The key of the first entry of a `pencil` on which p x + q y != 0,
+    or None when there is none."""
+    for key, d in entries:
+        if (p or q) if d is None else p * d[1] != q * d[0]:
+            return key
+    return None
+
+
+def _pair_products(a: Algebra, t: IntOperator, x: int, y: int
+                   ) -> tuple[list[int], list[int], list[int]]:
+    """T(ab), T(a)b and aT(b) at the basis pair (b_x, b_y), each times
+    a.scale * t.den: read off the integer columns of t and the
+    integer-scaled constants."""
+    n = a.dim
+    prods, cols = a.int_products, t.cols
+    tab, tab_b, atb = [0] * n, [0] * n, [0] * n
+    for m, c in prods[x][y]:
+        for k, v in cols[m]:
+            tab[k] += c * v
+    for m, v in cols[x]:
+        for k, c in prods[m][y]:
+            tab_b[k] += v * c
+    for m, v in cols[y]:
+        for k, c in prods[x][m]:
+            atb[k] += v * c
+    return tab, tab_b, atb
+
+
+def _pair_residual(a: Algebra, t: IntOperator, e: Identity, orders
+                   ) -> list[int]:
+    """s T(ab) - p T(a)b - q a T(b) at one basis pair, summed over its
+    `orders`, scaled as `_pair_products`."""
+    res = [0] * a.dim
+    for x, y in orders:
+        res = [r + e.s * u - e.p * v - e.q * w
+               for r, u, v, w in zip(res, *_pair_products(a, t, x, y))]
+    return res
+
+
+def _left_right_parts(a: Algebra, t: IntOperator):
+    """((i, j), L, R) on the basis pairs, row-major, where
+    L = T(ab) - T(a)b and R = T(ab) - aT(b) are not both zero, scaled as
+    `_pair_products`: only a pair where the three products differ is
+    subtracted."""
+    n = a.dim
+    for i in range(n):
+        for j in range(n):
+            tab, tab_b, atb = _pair_products(a, t, i, j)
+            if tab != tab_b or tab != atb:
+                yield ((i, j), [x - y for x, y in zip(tab, tab_b)],
+                       [x - z for x, z in zip(tab, atb)])
+
+
 @cached
+def _operator_pencil(a: Algebra, t: IntOperator) -> tuple:
+    """The `pencil` of the left and right parts of t, keyed by the basis
+    pair: two integers, or None, for each pair where L or R is nonzero."""
+    return pencil(_left_right_parts(a, t))
+
+
 def residual(a: Algebra, t: IntOperator, e: Identity
              ) -> Optional[tuple[int, int, Vector]]:
     """The first basis pair (i, j), in row-major order, on which the
@@ -520,11 +611,15 @@ def residual(a: Algebra, t: IntOperator, e: Identity
     over ab and ba when e is symmetric); None if t satisfies e on every
     pair.
 
-    Cached on the algebra by (t, e): both are canonical, so equal operators
-    and identities share one entry. The first call evaluates e on every
-    pair up to the first that fails, and later calls read its result; so
-    checks that meet the same operator at several weight pairs evaluate
-    each weight-free identity once."""
+    An identity with s = p + q that is not symmetric, as the left, the
+    right and every weighted one, and a T(b) = T(a) b, has the residual
+    p (T(ab) - T(a)b) + q (T(ab) - aT(b)) at each pair. It is read off
+    the operator's pencil, cached on the algebra by t: the pairs where the
+    two parts are not both zero, each with the weights that cancel there.
+    So the first identity asked evaluates both parts on every pair, once
+    per operator, and the others read the pencil. Only the witness pair
+    is evaluated again, for its residual. Any other identity is evaluated
+    directly, pair by pair up to the first that fails."""
     n = a.dim
     if len(t.cols) != n:
         raise DimensionMismatch(
@@ -532,27 +627,17 @@ def residual(a: Algebra, t: IntOperator, e: Identity
     # the residual is linear in t and in the structure constants, so reading
     # both scaled changes no zero pattern, and Fractions are made only for
     # a witness
-    prods = a.int_products
-    # nonzero (index, weight * entry) of each column of t, per nonzero weight
-    s_cols, p_cols, q_cols = (
-        [[(m, w * v) for m, v in col] for col in t.cols] if w else None
-        for w in (e.s, e.p, e.q)
-    )
-    for i, j, orders in _pairs(n, e):
-        res = [0] * n
-        for x, y in orders:
-            if s_cols is not None:
-                for m, c in prods[x][y]:
-                    for k, v in s_cols[m]:
-                        res[k] += c * v
-            if p_cols is not None:
-                for m, v in p_cols[x]:
-                    for k, c in prods[m][y]:
-                        res[k] -= v * c
-            if q_cols is not None:
-                for m, v in q_cols[y]:
-                    for k, c in prods[x][m]:
-                        res[k] -= v * c
-        if any(res):
-            return i, j, tuple(Fraction(x, a.scale * t.den) for x in res)
-    return None
+    if e.symmetric or e.s != e.p + e.q:
+        for i, j, orders in _pairs(n, e):
+            res = _pair_residual(a, t, e, orders)
+            if any(res):
+                break
+        else:
+            return None
+    else:
+        pair = pencil_failure(_operator_pencil(a, t), e.p, e.q)
+        if pair is None:
+            return None
+        i, j = pair
+        res = _pair_residual(a, t, e, ((i, j),))
+    return i, j, tuple(Fraction(x, a.scale * t.den) for x in res)

@@ -11,7 +11,6 @@ associative by design; raw random structure constants almost never are.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -34,7 +33,7 @@ def matrix_algebra(n: int) -> Algebra:
     return algebra_from_terms(n * n, terms, name=f"matrix{n}")
 
 
-def colmat(n: int) -> Algebra:
+def colmat(n: int, name: str = "") -> Algebra:
     """First-column matrices: f_i f_j = f_i when j = 0, else 0.
 
     Identify f_i with the matrix unit E_{i+1,1}. Every f_0 + (span of the
@@ -42,7 +41,7 @@ def colmat(n: int) -> Algebra:
     makes this the canonical non-unital testbed.
     """
     terms = {(i, 0): ((i, _ONE),) for i in range(n)}
-    return algebra_from_terms(n, terms, name=f"colmat{n}")
+    return algebra_from_terms(n, terms, name=name or f"colmat{n}")
 
 
 def poly_quotient(monic_tail, name: str = "") -> Algebra:
@@ -79,9 +78,9 @@ def dual_numbers() -> Algebra:
     return poly_quotient([0, 0], name="dual_numbers")
 
 
-def zero_product(n: int) -> Algebra:
+def zero_product(n: int, name: str = "") -> Algebra:
     """All products vanish."""
-    return algebra_from_terms(n, {}, name=f"zero{n}")
+    return algebra_from_terms(n, {}, name=name or f"zero{n}")
 
 
 def direct_sum(a: Algebra, b: Algebra, name: str = "") -> Algebra:
@@ -92,11 +91,12 @@ def direct_sum(a: Algebra, b: Algebra, name: str = "") -> Algebra:
     return algebra_from_terms(a.dim + b.dim, terms, name=label)
 
 
-def opposite(a: Algebra) -> Algebra:
+def opposite(a: Algebra, name: str = "") -> Algebra:
     """Same space, reversed multiplication."""
     n = a.dim
     terms = {(i, j): a.products[j][i] for i in range(n) for j in range(n)}
-    return algebra_from_terms(n, terms, name=f"opposite({a.name or '?'})")
+    return algebra_from_terms(
+        n, terms, name=name or f"opposite({a.name or '?'})")
 
 
 def fixtures() -> dict[str, Algebra]:
@@ -145,22 +145,21 @@ def random_poly_quotient(rng: random.Random, name: str = "") -> Algebra:
 
 
 def random_algebra(rng: random.Random, name: str = "") -> Algebra:
-    """A random member of the associative-by-construction families, dim <= 6."""
+    """A random member of the associative-by-construction families, dim <= 6.
+
+    The name is given to the algebra as it is built, so the results cached
+    while validating it, its generating set, stay with it."""
     kind = rng.randrange(6)
     if kind == 0:
-        a = random_poly_quotient(rng)
-    elif kind == 1:
+        return random_poly_quotient(rng, name)
+    if kind == 1:
         small = [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]
         other = [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]
-        a = direct_sum(poly_quotient(small), poly_quotient(other))
-    elif kind == 2:
-        a = colmat(rng.randint(2, 4))
-    elif kind == 3:
-        a = opposite(colmat(rng.randint(2, 4)))
-    elif kind == 4:
-        a = zero_product(rng.randint(1, 4))
-    else:
-        a = direct_sum(field(), colmat(rng.randint(2, 3)))
-    if name:
-        a = replace(a, name=name)
-    return a
+        return direct_sum(poly_quotient(small), poly_quotient(other), name)
+    if kind == 2:
+        return colmat(rng.randint(2, 4), name)
+    if kind == 3:
+        return opposite(colmat(rng.randint(2, 4)), name)
+    if kind == 4:
+        return zero_product(rng.randint(1, 4), name)
+    return direct_sum(field(), colmat(rng.randint(2, 3)), name)

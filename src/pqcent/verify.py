@@ -106,25 +106,11 @@ def _operator_candidates(a: Algebra, space: OperatorSpace):
 # ---------------------------------------------------------------------------
 
 @cached
-def _is_right_mul_by_value(a: Algebra, t: IntOperator, u) -> bool:
-    """Whether T is right multiplication by T(u)."""
-    return right_mul_int(a, apply_operator(t, u)) == t
-
-
-def verify_right_identity_collapse(a: Algebra, w: Weights) -> Report:
-    """With a right identity, the weighted space collapses to the two-sided
-    space, and consists exactly of right multiplications by the elements
-    whose right multiplication is two-sided.
-
-    Also checks, for every solved basis operator T and every sampled right
-    identity u: T = right multiplication by T(u), and the pair symmetry
-    a T(b) = T(a) b on all basis pairs.
-    """
+def _right_identity_collapse(a: Algebra, cpq: OperatorSpace
+                             ) -> tuple[tuple[Assertion, ...], str]:
+    """Check 2.1's assertions and note on the weighted space cpq of an
+    algebra with a right identity, which read no weight."""
     samples = right_identity_samples(a)
-    if not samples:
-        return precondition_unmet("2.1", target_name(a), w.pair, "no right identity")
-
-    cpq = pq_centralizers(a, w)
     cts = two_sided_centralizers(a)
     rms = right_mul_space(a)
     inside = subspace_contains(rms.space, cts.space)
@@ -160,7 +146,8 @@ def verify_right_identity_collapse(a: Algebra, w: Weights) -> Report:
         ))
 
         for k, u in enumerate(samples):
-            ok = _is_right_mul_by_value(a, t, u)
+            # whether T is right multiplication by T(u)
+            ok = right_mul_int(a, apply_operator(t, u)) == t
             assertions.append(Assertion(
                 f"basis operator {idx} equals right multiplication by its "
                 f"value at right identity sample {k}",
@@ -168,10 +155,25 @@ def verify_right_identity_collapse(a: Algebra, w: Weights) -> Report:
                 None if ok else f"u = {fmt_vector(u)}",
             ))
 
-    return report_from_assertions(
-        "2.1", target_name(a), w.pair, assertions,
-        f"space dim {cpq.dim}; {len(samples)} right identity samples",
-    )
+    return (tuple(assertions),
+            f"space dim {cpq.dim}; {len(samples)} right identity samples")
+
+
+def verify_right_identity_collapse(a: Algebra, w: Weights) -> Report:
+    """With a right identity, the weighted space collapses to the two-sided
+    space, and consists exactly of right multiplications by the elements
+    whose right multiplication is two-sided.
+
+    Also checks, for every solved basis operator T and every sampled right
+    identity u: T = right multiplication by T(u), and the pair symmetry
+    a T(b) = T(a) b on all basis pairs. Only the solved space reads the
+    weights; the rest is `_right_identity_collapse`, once per space.
+    """
+    if not right_identity_samples(a):
+        return precondition_unmet("2.1", target_name(a), w.pair, "no right identity")
+    assertions, note = _right_identity_collapse(a, pq_centralizers(a, w))
+    return report_from_assertions("2.1", target_name(a), w.pair, assertions,
+                                  note)
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +264,9 @@ def verify_unital_center_correspondence(a: Algebra, w: Weights) -> Report:
 
 # check 3.1 runs every (operator, sample) pair at every weight pair; what
 # depends on less is cached on the algebra: the left ideal once per sample,
-# the range and left-multiplication test once per operator, the four
-# conditions once per (operator, sample), and whether the operator is a
-# weighted centralizer once per weight pair and operator, so `residual` is
-# asked once per operator and pair
+# the range and left-multiplication test once per operator, and the four
+# conditions once per (operator, sample). Whether the operator is a
+# weighted centralizer is read off its pencil (see `residual`)
 
 @cached
 def _left_ideal(a: Algebra, u) -> Optional[Subspace]:
@@ -283,11 +284,6 @@ def _operator_range(a: Algebra, t: IntOperator) -> tuple[Subspace, bool]:
 
 
 @cached
-def _is_weighted_centralizer(a: Algebra, w: Weights, t: IntOperator) -> bool:
-    return residual(a, t, weighted(w)) is None
-
-
-@cached
 def _range_conditions(a: Algebra, t: IntOperator, u
                       ) -> tuple[bool, bool, bool, bool]:
     """Conditions (a) to (d) of check 3.1 for T and the right identity u."""
@@ -295,6 +291,23 @@ def _range_conditions(a: Algebra, t: IntOperator, u
     tu = apply_operator(t, u)
     return (subspace_contains(_left_ideal(a, u), ran), cond_b,
             left_mul_int(a, tu) == t, center(a).contains_vector(tu))
+
+
+_RANGE_ASSERTION = "four range conditions share one truth value"
+
+
+def _range_detail(conds: tuple[bool, bool, bool, bool]) -> str:
+    cond_a, cond_b, cond_c, cond_d = conds
+    return (
+        f"range in u*A: {cond_a}; left multiplication: {cond_b}; "
+        f"left multiplication by T(u): {cond_c}; T(u) central: {cond_d}"
+    )
+
+
+def _range_assertion(name: str, conds: tuple[bool, bool, bool, bool]
+                     ) -> Assertion:
+    shared = len(set(conds)) == 1
+    return Assertion(name, shared, None if shared else _range_detail(conds))
 
 
 def verify_equivalent_range_conditions(a: Algebra, w: Weights,
@@ -311,45 +324,49 @@ def verify_equivalent_range_conditions(a: Algebra, w: Weights,
         return precondition_unmet(
             "3.1", target_name(a), w.pair, f"{fmt_vector(u)} is not a right identity"
         )
-    if not _is_weighted_centralizer(a, w, t):
+    if residual(a, t, weighted(w)) is not None:
         return precondition_unmet(
             "3.1", target_name(a), w.pair, "operator is not a weighted centralizer"
         )
-    cond_a, cond_b, cond_c, cond_d = _range_conditions(a, t, u)
-    shared = len({cond_a, cond_b, cond_c, cond_d}) == 1
-    detail = (
-        f"range in u*A: {cond_a}; left multiplication: {cond_b}; "
-        f"left multiplication by T(u): {cond_c}; T(u) central: {cond_d}"
-    )
-    assertions = [Assertion(
-        "four range conditions share one truth value", shared,
-        None if shared else detail,
-    )]
+    conds = _range_conditions(a, t, u)
     return report_from_assertions(
-        "3.1", target_name(a), w.pair, assertions, detail
+        "3.1", target_name(a), w.pair,
+        [_range_assertion(_RANGE_ASSERTION, conds)], _range_detail(conds)
     )
 
 
 def run_range_conditions_check(a: Algebra, w: Weights) -> Report:
-    """Check id 3.1: the assertions of `verify_equivalent_range_conditions`
+    """Check id 3.1: the assertion of `verify_equivalent_range_conditions`
     for zero, identity and the solved basis at every sampled right
-    identity, relabelled with the operator and the sample."""
+    identity, relabelled with the operator and the sample, read straight
+    from the cached conditions."""
     samples = right_identity_samples(a)
     if not samples:
         return precondition_unmet("3.1", target_name(a), w.pair, "no right identity")
-    assertions = [
-        Assertion(f"{label}, right identity sample {k}: {asrt.name}",
-                  asrt.passed, asrt.witness)
-        for label, t in _operator_candidates(a, pq_centralizers(a, w))
-        for k, u in enumerate(samples)
-        for asrt in verify_equivalent_range_conditions(a, w, t, u).assertions
-    ]
+    assertions = []
+    for label, t in _operator_candidates(a, pq_centralizers(a, w)):
+        if residual(a, t, weighted(w)) is not None:
+            continue
+        for k, u in enumerate(samples):
+            if _left_ideal(a, u) is None:
+                continue
+            assertions.append(_range_assertion(
+                f"{label}, right identity sample {k}: {_RANGE_ASSERTION}",
+                _range_conditions(a, t, u)))
     return report_from_assertions("3.1", target_name(a), w.pair, assertions)
 
 
 # ---------------------------------------------------------------------------
 # check id 3.2
 # ---------------------------------------------------------------------------
+
+def _product_free(a: Algebra, s: Subspace) -> bool:
+    """Whether every product of two elements of s vanishes. The products
+    of the primitive rows of s span them, so the scan stops at the first
+    nonzero product of two rows, and nothing is spanned."""
+    rows = [pairs for _, pairs in s.rows]
+    return not any(any(int_multiply(a, u, v)) for u in rows for v in rows)
+
 
 @cached
 def _square_zero_facts(a: Algebra, t: IntOperator
@@ -362,8 +379,11 @@ def _square_zero_facts(a: Algebra, t: IntOperator
     # den^2 T(T(b_m)) = sum over the (k, v) of column m of v * den T(b_k)
     square_zero = not any(any(combine_columns(t.cols, col)) for col in t.cols)
     ran = Subspace.span(n, map(dict, t.cols))
-    range_products = subspace_product(a, ran, ran)
-    product_free = range_products.dim == 0
+    product_free = _product_free(a, ran)
+
+    # only a witness spans the range products, for their dimension
+    def product_dim() -> int:
+        return subspace_product(a, ran, ran).dim
 
     assertions = []
     if right_identity_samples(a):
@@ -372,13 +392,13 @@ def _square_zero_facts(a: Algebra, t: IntOperator
             square_zero == product_free,
             None if square_zero == product_free
             else f"square zero: {square_zero}, range product dim "
-                 f"{range_products.dim}",
+                 f"{product_dim()}",
         ))
     note = f"square zero: {square_zero}; range dim {ran.dim}"
     if square_zero:
         assertions.append(Assertion(
             "square-zero operator has product-free range", product_free,
-            None if product_free else f"range product dim {range_products.dim}",
+            None if product_free else f"range product dim {product_dim()}",
         ))
         nilpotent, index = is_nilpotent_subspace(a, ran)
         ok_idx = nilpotent and index <= 2
@@ -519,13 +539,12 @@ def _reconstruction_residual(a: Algebra, t: IntOperator, u
     return None
 
 
-def verify_jordan_reconstruction(a: Algebra, w: Weights) -> Report:
-    """Every Jordan-centralizer value decomposes against a right identity:
-    T(a) = (a - ua) T(u) + u T(a) for all basis a and sampled u."""
+@cached
+def _jordan_reconstruction(a: Algebra, cj: OperatorSpace
+                           ) -> tuple[tuple[Assertion, ...], str]:
+    """Check 5.2's assertions and note on the Jordan space cj of an
+    algebra with a right identity, which read no weight."""
     samples = right_identity_samples(a)
-    if not samples:
-        return precondition_unmet("5.2", target_name(a), w.pair, "no right identity")
-    cj = pq_jordan_centralizers(a, w)
     assertions = []
     for idx, t in enumerate(cj.int_operators):
         for k, u in enumerate(samples):
@@ -537,10 +556,19 @@ def verify_jordan_reconstruction(a: Algebra, w: Weights) -> Report:
                 None if bad is None
                 else f"basis index {bad[0]}: residual {fmt_vector(bad[1])}",
             ))
-    return report_from_assertions(
-        "5.2", target_name(a), w.pair, assertions,
-        f"Jordan dim {cj.dim}; {len(samples)} right identity samples",
-    )
+    return (tuple(assertions),
+            f"Jordan dim {cj.dim}; {len(samples)} right identity samples")
+
+
+def verify_jordan_reconstruction(a: Algebra, w: Weights) -> Report:
+    """Every Jordan-centralizer value decomposes against a right identity:
+    T(a) = (a - ua) T(u) + u T(a) for all basis a and sampled u. Only the
+    solved Jordan space reads the weights."""
+    if not right_identity_samples(a):
+        return precondition_unmet("5.2", target_name(a), w.pair, "no right identity")
+    assertions, note = _jordan_reconstruction(a, pq_jordan_centralizers(a, w))
+    return report_from_assertions("5.2", target_name(a), w.pair, assertions,
+                                  note)
 
 
 # ---------------------------------------------------------------------------
@@ -564,19 +592,13 @@ def _central_image_part(space: OperatorSpace, one: Vector, z: Subspace
     return lift(space.space, nullspace_of_rows(rows, space.dim))
 
 
-def verify_central_image_implies_two_sided(a: Algebra, w: Weights) -> Report:
-    """On a unital algebra, the Jordan centralizers whose value at the
-    identity is central form a subspace contained in the two-sided space.
-
-    The subspace is cut out exactly (the condition is linear in T), so this
-    covers every such operator, not just basis members.
-    """
-    one = identity(a)
-    if one is None:
-        return precondition_unmet("5.3", target_name(a), w.pair, "no two-sided identity")
-    cj = pq_jordan_centralizers(a, w)
+@cached
+def _central_image_facts(a: Algebra, cj: OperatorSpace
+                         ) -> tuple[tuple[Assertion, ...], str]:
+    """Check 5.3's assertions and note on the Jordan space cj of a unital
+    algebra, which read no weight."""
     cts = two_sided_centralizers(a)
-    central_part = _central_image_part(cj, one, center(a))
+    central_part = _central_image_part(cj, identity(a), center(a))
 
     contained = subspace_contains(cts.space, central_part)
     assertions = [Assertion(
@@ -591,11 +613,24 @@ def verify_central_image_implies_two_sided(a: Algebra, w: Weights) -> Report:
         sanity,
         None if sanity else "a two-sided centralizer fell outside the cut",
     ))
-    return report_from_assertions(
-        "5.3", target_name(a), w.pair, assertions,
-        f"Jordan dim {cj.dim}; central-image part dim {central_part.dim}; "
-        f"two-sided dim {cts.dim}",
-    )
+    return (tuple(assertions),
+            f"Jordan dim {cj.dim}; central-image part dim {central_part.dim}; "
+            f"two-sided dim {cts.dim}")
+
+
+def verify_central_image_implies_two_sided(a: Algebra, w: Weights) -> Report:
+    """On a unital algebra, the Jordan centralizers whose value at the
+    identity is central form a subspace contained in the two-sided space.
+
+    The subspace is cut out exactly (the condition is linear in T), so this
+    covers every such operator, not just basis members. Only the solved
+    Jordan space reads the weights.
+    """
+    if identity(a) is None:
+        return precondition_unmet("5.3", target_name(a), w.pair, "no two-sided identity")
+    assertions, note = _central_image_facts(a, pq_jordan_centralizers(a, w))
+    return report_from_assertions("5.3", target_name(a), w.pair, assertions,
+                                  note)
 
 
 # ---------------------------------------------------------------------------

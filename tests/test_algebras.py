@@ -10,6 +10,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from cache_ref import own_store
 from dense_ref import (_ref_by_left_factor, _ref_by_right_factor, _ref_vec,
                        basis_vector)
 from solver_ref import RIGHT_IDENTITY_SEMIGROUPS, _table_algebra
@@ -884,6 +885,34 @@ def test_random_algebras_leave_no_store_behind():
     # a draw equal to a live algebra (a catalog fixture) used that
     # algebra's entry; no entry made for a draw outlives it
     assert set(algebras._STORES) <= before
+
+
+def test_named_random_algebras_keep_their_generating_set():
+    # the name is given as the algebra is built, so the generating set
+    # that Light's test found at construction is in the returned algebra's
+    # store, not dropped with an unnamed draw
+    rng = random.Random(7)
+    kinds = set()
+    for d in range(24):
+        a = random_algebra(rng, name=f"named_{d}")
+        assert a.name == f"named_{d}"
+        assert (generators.__wrapped__,) in a.__dict__.get("_cache", {}), d
+        kinds.add((a.dim, is_commutative(a), is_unital(a)))
+    assert len(kinds) > 6
+
+
+def test_cached_reads_a_stored_none():
+    # a result of None is a hit like any other: the body runs once
+    calls = []
+
+    @algebras.cached
+    def nothing(a, x):
+        calls.append(x)
+
+    a = own_store(matrix_algebra(2))
+    assert nothing(a, 1) is None and nothing(a, 1) is None
+    assert nothing(a, 2) is None
+    assert calls == [1, 2]
 
 
 def test_cache_is_keyed_by_constants_and_argument_values():

@@ -344,8 +344,8 @@ def test_inputs_cover_fractional_constants_and_failures():
              for t in ops}
     assert holds == {True, False}
     _, samples = _staged_samples(a)
-    assert {_sample_holds(a, int_operator(t), s, 1, 2)
-            for t in ops for s in samples} == {True, False}
+    assert {_sample_holds(a, int_operator(t), k, 1, 2)
+            for t in ops for k in range(len(samples))} == {True, False}
 
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
@@ -363,10 +363,10 @@ def test_integer_dense_samples_match_the_fraction_samples(name):
     _, samples = _staged_samples(a)
     for t in _operators(name):
         it = int_operator(t)
-        for s in samples:
+        for k, s in enumerate(samples):
             fh = tuple(Fraction(v, a.scale) for v in s.fh)
             for p, q in DEFAULT_WEIGHT_PAIRS:
-                assert _sample_holds(a, it, s, p, q) == \
+                assert _sample_holds(a, it, k, p, q) == \
                     _ref_dense_sample(a, t, _ref_vec(s.f), _ref_vec(s.h),
                                       fh, p, q), \
                     (name, t, p, q)

@@ -2,10 +2,13 @@
 report shape and exit-code contract, and the pinned reports of seeds 1-4."""
 
 import hashlib
+import importlib
 import json
+from collections import Counter
 
 import pytest
 
+from pqcent.algebras import cached
 from pqcent.fixtures import fixtures
 from pqcent.groups import group_tables
 from pqcent.reports import (
@@ -42,6 +45,52 @@ def test_run_solves_no_identity_twice_on_equal_constants(monkeypatch):
     monkeypatch.setattr(centralizers, "_solve", recording)
     run_suite(seed=1)
     assert solved and len(set(solved)) == len(solved)
+
+
+@pytest.mark.parametrize("module, pencil, parts, per_operator", [
+    ("centralizers", "_operator_pencil", "_left_right_parts", 1),
+    ("arens", "_adjoint_pencil", "_adjoint_parts", 1),
+    ("arens", "_sample_pencils", "_sample_parts", 2)])
+def test_run_evaluates_each_pencil_once(monkeypatch, module, pencil, parts,
+                                        per_operator):
+    # the pencils of an operator (its left and right parts, its adjoint
+    # scan, its two dense samples) are cached per (constants, operator),
+    # so over the four weight pairs and the repeated draws a seed-1 run
+    # evaluates the parts of each once; the pencil is cached afresh here,
+    # so the count starts cold
+    owner = importlib.import_module(f"pqcent.{module}")
+    real = getattr(owner, parts)
+    evaluated = Counter()
+
+    def recording(a, t, *sample):
+        evaluated[a.dim, a.int_products, a.scale, t] += 1
+        return real(a, t, *sample)
+
+    body = getattr(owner, pencil).__wrapped__
+    monkeypatch.setattr(owner, pencil, cached(lambda a, t: body(a, t)))
+    monkeypatch.setattr(owner, parts, recording)
+    run_suite(seed=1)
+    assert evaluated and set(evaluated.values()) == {per_operator}
+
+
+@pytest.mark.parametrize("attr", [
+    "_right_identity_collapse", "_center_correspondence",
+    "_jordan_reconstruction", "_central_image_facts"])
+def test_run_evaluates_each_space_fact_once(monkeypatch, attr):
+    # the checks' facts that read no weight are cached per (constants,
+    # solved space), so a seed-1 run evaluates each once; the body is
+    # cached afresh here, so the count starts cold
+    import pqcent.verify as verify
+    body = getattr(verify, attr).__wrapped__
+    evaluated = []
+
+    def recording(a, space):
+        evaluated.append((a.dim, a.int_products, a.scale, space))
+        return body(a, space)
+
+    monkeypatch.setattr(verify, attr, cached(recording))
+    run_suite(seed=1)
+    assert evaluated and len(set(evaluated)) == len(evaluated)
 
 
 def test_every_check_id_runs(seed0):

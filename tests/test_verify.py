@@ -1,17 +1,20 @@
 """Structural checks: frozen oracle cases plus catalog-wide status sweeps."""
 
+import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cache_ref import own_store
 from dense_ref import (Matrix, _ref_identity_matrix, _ref_zero_matrix,
                        basis_vector, int_operator)
 from report_ref import report_doc
 from solver_ref import SEMIGROUP_GAPS
-from pqcent import verify
+from pqcent import centralizers, verify
 from pqcent.algebras import (
+    cached,
     center,
     identity,
     is_commutative,
@@ -23,9 +26,11 @@ from pqcent.algebras import (
 )
 from pqcent.centralizers import (
     Weights,
+    left_centralizers,
     pq_centralizers,
     pq_jordan_centralizers,
     residual,
+    right_centralizers,
     right_mul_int,
     two_sided_centralizers,
     weighted,
@@ -38,9 +43,15 @@ from pqcent.fixtures import (
     fixtures,
     matrix_algebra,
     poly_quotient,
+    random_algebra,
 )
 from pqcent.linalg import Subspace
-from pqcent.reports import PASS, PRECONDITION_UNMET, Assertion
+from pqcent.reports import (
+    PASS,
+    PRECONDITION_UNMET,
+    Assertion,
+    report_from_assertions,
+)
 from pqcent.verify import (
     CHECK_DESCRIPTIONS,
     CHECK_IDS,
@@ -183,7 +194,8 @@ def test_range_conditions_driver(catalog):
 def test_range_conditions_driver_relabels_one_report_per_pair(
         catalog, monkeypatch, name, pair):
     # the driver's assertions are those of one
-    # `verify_equivalent_range_conditions` report per (operator, sample)
+    # `verify_equivalent_range_conditions` report per (operator, sample),
+    # relabelled, and the driver builds no report but its own
     a, w = catalog[name], Weights(*pair)
     samples = right_identity_samples(a)
     assert len(samples) == {"colmat3": 4, "sum_field_colmat2": 2, "matrix2": 1}[name]
@@ -194,42 +206,43 @@ def test_range_conditions_driver_relabels_one_report_per_pair(
         for label, t in candidates for k, u in enumerate(samples)
         for asrt in verify_equivalent_range_conditions(a, w, t, u).assertions
     ]
-    calls = []
+    built = []
 
     def counted(*args):
-        calls.append(args)
-        return verify_equivalent_range_conditions(*args)
+        built.append(args[0])
+        return report_from_assertions(*args)
 
-    monkeypatch.setattr(verify, "verify_equivalent_range_conditions", counted)
+    monkeypatch.setattr(verify, "report_from_assertions", counted)
     rep = run_range_conditions_check(a, w)
     assert rep.status == PASS and list(rep.assertions) == expected
-    assert calls == [(a, w, t, u) for _, t in candidates for u in samples]
+    assert built == ["3.1"]
 
 
 @pytest.mark.parametrize("build", [
     lambda: colmat(3), lambda: direct_sum(field(), colmat(2)),
     lambda: matrix_algebra(2)], ids=["colmat3", "sum_field_colmat2", "matrix2"])
-def test_range_conditions_driver_runs_residual_once_per_operator(
+def test_range_conditions_driver_evaluates_each_operator_once(
         monkeypatch, build):
-    # what depends on the operator alone, `residual` first, is evaluated
-    # once per distinct operator and weight pair, not once per (operator,
-    # sample); the identity operator is also the solved basis of a space of
-    # scalars
-    a, w = own_store(build()), W12  # nothing of check 3.1 is cached
+    # the weighted-centralizer test reads the operator's pencil, whose left
+    # and right parts are evaluated once per distinct operator over every
+    # weight pair, not once per (operator, sample) or per pair; the
+    # identity operator is also the solved basis of a space of scalars
+    a = own_store(build())  # nothing of check 3.1 is cached
     operators = dict.fromkeys(
-        t for _, t in _operator_candidates(a, pq_centralizers(a, w)))
-    calls = []
+        t for pair in DEFAULT_WEIGHT_PAIRS
+        for _, t in _operator_candidates(a, pq_centralizers(a, Weights(*pair))))
+    evaluated = []
+    real = centralizers._left_right_parts
 
-    def counted(*args):
-        calls.append(args)
-        return residual(*args)
+    def counted(b, t):
+        evaluated.append(t)
+        return real(b, t)
 
-    monkeypatch.setattr(verify, "residual", counted)
-    assert run_range_conditions_check(a, w).status == PASS
-    assert calls == [(a, t, weighted(w)) for t in operators]
-    calls.clear()
-    assert run_range_conditions_check(a, w).status == PASS
-    assert calls == []
+    monkeypatch.setattr(centralizers, "_left_right_parts", counted)
+    for _ in range(2):
+        for pair in DEFAULT_WEIGHT_PAIRS:
+            assert run_range_conditions_check(a, Weights(*pair)).status == PASS
+    assert evaluated == list(operators)
 
 
 # ---------------------------------------------------------------------------
@@ -244,22 +257,79 @@ def test_square_zero_driver_runs_operator_half_once_per_operator(
         monkeypatch, build):
     # the half of check 3.2 that reads no weight (range, range products,
     # nilpotency, radical, squares of images) runs once per distinct
-    # operator over the four weight pairs; it takes one range product
+    # operator over the four weight pairs; it decides the range products
+    # without spanning them, as no witness asks their dimension
     a = own_store(build())  # nothing of check 3.2 is cached
     operators = dict.fromkeys(
         t for pair in DEFAULT_WEIGHT_PAIRS
         for _, t in _operator_candidates(a, pq_centralizers(a, Weights(*pair))))
-    ranges = []
+    facts, spanned = [], []
+    body = verify._square_zero_facts.__wrapped__
 
-    def counted(b, s, t):
-        ranges.append(s)
+    def counted_facts(b, t):
+        facts.append(t)
+        return body(b, t)
+
+    def counted_span(b, s, t):
+        spanned.append(s)
         return subspace_product(b, s, t)
 
-    monkeypatch.setattr(verify, "subspace_product", counted)
+    monkeypatch.setattr(verify, "_square_zero_facts", cached(counted_facts))
+    monkeypatch.setattr(verify, "subspace_product", counted_span)
     for pair in DEFAULT_WEIGHT_PAIRS:
         assert run_square_zero_check(a, Weights(*pair)).status == PASS
-    assert ranges == [Subspace.span(a.dim, map(dict, t.cols))
-                      for t in operators]
+    assert facts == list(operators) and spanned == []
+
+
+def _product_free_agrees(a, s) -> bool:
+    """Whether the early-exit scan agrees with the spanned products on s;
+    returns its verdict."""
+    free = verify._product_free(a, s)
+    assert free == (subspace_product(a, s, s).dim == 0), (a, s)
+    return free
+
+
+@pytest.mark.parametrize("name", sorted(fixtures()))
+def test_product_free_scan_matches_the_spanned_products(catalog, name):
+    # check 3.2 decides "products of range elements vanish" by the first
+    # nonzero product of two range rows; on every candidate range of the
+    # solved spaces, on the radical, and on the span of each two basis
+    # elements, whose squares may vanish while their products do not
+    # (E12 and E21 in M2), it agrees with spanning them
+    a = catalog[name]
+    n = a.dim
+    spaces = [pq_centralizers(a, W12), two_sided_centralizers(a),
+              left_centralizers(a), right_centralizers(a)]
+    ranges = [Subspace.span(n, map(dict, t.cols))
+              for space in spaces for _, t in _operator_candidates(a, space)]
+    ranges += [Subspace.span(n, [{i: 1}, {j: 1}])
+               for i in range(n) for j in range(i, n)]
+    for s in ranges + [radical(a)]:
+        _product_free_agrees(a, s)
+
+
+def test_product_free_inputs_meet_both_verdicts(catalog):
+    verdicts = {verify._product_free(a, s) for a in catalog.values()
+                for s in (radical(a), Subspace.span(a.dim, [[1] * a.dim]))}
+    assert verdicts == {True, False}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 30), st.data())
+def test_product_free_scan_matches_on_random_algebras(seed, data):
+    a = random_algebra(random.Random(seed))
+    n = a.dim
+    # integer vectors, some drawn from the radical, whose products often
+    # vanish
+    small = st.integers(-2, 2)
+    vectors = data.draw(st.lists(st.lists(small, min_size=n, max_size=n),
+                                 max_size=3))
+    rad = radical(a).basis
+    coeffs = data.draw(st.lists(st.lists(small, min_size=len(rad),
+                                         max_size=len(rad)), max_size=3))
+    vectors += [[sum((c * v[k] for c, v in zip(cs, rad)), Fraction(0))
+                 for k in range(n)] for cs in coeffs]
+    _product_free_agrees(a, Subspace.span(n, vectors))
 
 
 def test_square_zero_on_dual_numbers(catalog):
