@@ -15,7 +15,8 @@ solved first, the Jordan solve starts from the span of the p L_t + q R_t
 and stops once it is down to the two-sided space, and the weighted solve
 reuses the Jordan space and evaluates no row.
 
-On S4 and S4 x C2 it then runs the check battery in a fresh interpreter:
+On S4, S4 x C2 and S5 it then runs the check battery in a fresh
+interpreter:
 every check of `CHECK_IDS` at each pair of `DEFAULT_WEIGHT_PAIRS`, as the
 suite runs it on a catalog algebra.
 
@@ -71,7 +72,7 @@ SOLVES = {
     "Z": two_sided_centralizers,
 }
 RUNS = ("J", "W", "Z", "JWZ")
-BATTERY_RUNGS = ("S4", "S4xC2")
+BATTERY_RUNGS = ("S4", "S4xC2", "S5")
 
 
 def _solve(rung: str, run: str) -> None:

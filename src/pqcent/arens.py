@@ -33,10 +33,12 @@ table is computed from the staged actions, never read off the structure
 constants: that equality is what check 2.4 asserts.
 
 Each per-operator statement (p+q) A = p B + q C is p (A - B) + q (A - C)
-= 0, so the two parts are evaluated once per operator, as a
-`centralizers.pencil`, and every weight pair is read off them: the
-weighted identity through `residual`, the adjoint scan and the dense
-samples through their own cached pencils.
+= 0, so its two parts are evaluated once per operator and every weight
+pair is read off them. The weighted identity on basis pairs and the
+adjoint scan read the same parts, T(ab) - T(a)b and T(ab) - aT(b) on the
+basis pairs (`centralizers._left_right_parts`): the adjoint scan at
+(r, i) is coordinate r of those parts at the pairs (i, j). The dense
+samples keep their two parts per operator too.
 """
 
 from __future__ import annotations
@@ -50,9 +52,8 @@ from .centralizers import (
     RIGHT,
     IntOperator,
     Weights,
+    _left_right_parts,
     combine_columns,
-    pencil,
-    pencil_failure,
     pq_centralizers,
     residual,
     weighted,
@@ -193,58 +194,21 @@ def arens_basis_products(a: Algebra) -> tuple:
     return tuple(tuple(map(tuple, row)) for row in table)
 
 
-def _adjoint_parts(a: Algebra, t: IntOperator):
-    """((r, i), A - B, A - C) for the (r, i) in row-major order where the
-    two are not both zero, with
-    A = (T*f_r).e_i, B = f_r.(T e_i) and C = T*(f_r.e_i) on the dual basis
-    f_r and the basis e_i: the transposed weighted identity at (r, i) is
-    (p+q)A = pB + qC, that is p(A - B) + q(A - C) = 0.
-
-    The functional f_r.e_i is j -> (e_i** * e_j**)(f_r) on the staged
-    table, which check 2.4 compares with the algebra's constants, so
-    a.int_by_left_factor[i][r] holds its (j, c) pairs, scaled to
-    integers; the identity is linear in them, so the scaling changes no
-    verdict. T*f_r is row r of t, T e_i is column i, and T*
-    applied to a functional g is sum_l g_l row l.
-    """
-    n = a.dim
-    dual = a.int_by_left_factor
-    cols = t.cols
-    rows: list = [[] for _ in range(n)]
-    for m, col in enumerate(cols):
-        for k, v in col:
-            rows[k].append((m, v))
-    for r in range(n):
-        for i in range(n):
-            lhs, by_p, by_q = [0] * n, [0] * n, [0] * n
-            for k, v in rows[r]:
-                for j, c in dual[i][k]:
-                    lhs[j] += v * c
-            for m, v in cols[i]:
-                for j, c in dual[m][r]:
-                    by_p[j] += v * c
-            for l, c in dual[i][r]:
-                for j, v in rows[l]:
-                    by_q[j] += c * v
-            if lhs != by_p or lhs != by_q:
-                yield ((r, i), [x - y for x, y in zip(lhs, by_p)],
-                       [x - z for x, z in zip(lhs, by_q)])
-
-
-@cached
-def _adjoint_pencil(a: Algebra, t: IntOperator) -> tuple:
-    """The `pencil` of `_adjoint_parts`, once per operator for every
-    weight pair."""
-    return pencil(_adjoint_parts(a, t))
-
-
 def _adjoint_witness(a: Algebra, t: IntOperator, p: int, q: int
                      ) -> Optional[tuple[int, int]]:
     """The first (r, i), in row-major order, on which the adjoint of t
     fails (p+q)(T*f_r).e_i = p f_r.(T e_i) + q T*(f_r.e_i) on the dual
-    basis f_r and the basis e_i; None if it holds on every pair. Read off
-    the operator's cached adjoint pencil."""
-    return pencil_failure(_adjoint_pencil(a, t), p, q)
+    basis f_r and the basis e_i; None if it holds on every pair.
+
+    The functional f_r.e_i is j -> (e_i** * e_j**)(f_r) on the staged
+    table, which check 2.4 compares with the algebra's constants. So at
+    e_j the three functionals read f_r(T(e_i e_j)), f_r(T(e_i) e_j) and
+    f_r(e_i T(e_j)): coordinate r of T(ab), T(a)b and aT(b) at the basis
+    pair (e_i, e_j). The transposed identity at (r, i) is then
+    p L_r + q R_r = 0 at every pair (i, j), for the left and right parts
+    L and R of t, and is read off the operator's `_left_right_parts`."""
+    return min(((r, i) for (i, _), coords in _left_right_parts(a, t).items()
+                for r, x, y in coords if p * x + q * y), default=None)
 
 
 class _Sample(NamedTuple):
@@ -257,36 +221,32 @@ class _Sample(NamedTuple):
     fh: list
 
 
-def _sample_parts(a: Algebra, t: IntOperator, s: _Sample
-                  ) -> tuple[list, list]:
-    """X - Y and X - Z for the sample s, with X = T(F * H), Y = (TF)*H
-    and Z = F*(TH), where F * H is the staged sample product and the
-    products Y and Z read the algebra's constants: the weighted identity
-    (p+q) X = p Y + q Z on the sample is p(X - Y) + q(X - Z) = 0. All are
-    multiplied by t.den and a.scale, so those are the algebra's integer
-    constants as they are."""
-    tf, th, lhs = (combine_columns(t.cols, enumerate(x))
-                   for x in (s.f, s.h, s.fh))
-    rhs_p = int_multiply(a, enumerate(tf), enumerate(s.h))
-    rhs_q = int_multiply(a, enumerate(s.f), enumerate(th))
-    return ([x - y for x, y in zip(lhs, rhs_p)],
-            [x - z for x, z in zip(lhs, rhs_q)])
-
-
 @cached
-def _sample_pencils(a: Algebra, t: IntOperator) -> tuple:
-    """One `pencil` per dense sample of `_staged_samples`, of its two
-    parts: once per operator for every weight pair."""
-    _, samples = _staged_samples(a)
-    return tuple(pencil([(k, *_sample_parts(a, t, s))])
-                 for k, s in enumerate(samples))
+def _sample_parts(a: Algebra, t: IntOperator) -> tuple:
+    """X - Y and X - Z for each dense sample of `_staged_samples`, with
+    X = T(F * H), Y = (TF)*H and Z = F*(TH), where F * H is the staged
+    sample product and the products Y and Z read the algebra's constants:
+    the weighted identity (p+q) X = p Y + q Z on a sample is
+    p(X - Y) + q(X - Z) = 0. All are multiplied by t.den and a.scale, so
+    those are the algebra's integer constants as they are. Once per
+    operator, for every weight pair."""
+    out = []
+    for s in _staged_samples(a)[1]:
+        tf, th, lhs = (combine_columns(t.cols, enumerate(x))
+                       for x in (s.f, s.h, s.fh))
+        rhs_p = int_multiply(a, enumerate(tf), enumerate(s.h))
+        rhs_q = int_multiply(a, enumerate(s.f), enumerate(th))
+        out.append(([x - y for x, y in zip(lhs, rhs_p)],
+                    [x - z for x, z in zip(lhs, rhs_q)]))
+    return tuple(out)
 
 
 def _sample_holds(a: Algebra, t: IntOperator, k: int, p: int,
                   q: int) -> bool:
     """(p+q) T(F * H) = p (TF)*H + q F*(TH) on dense sample k, read off
-    the operator's cached sample pencils."""
-    return pencil_failure(_sample_pencils(a, t)[k], p, q) is None
+    the operator's cached `_sample_parts`."""
+    xs, ys = _sample_parts(a, t)[k]
+    return not any(p * x + q * y for x, y in zip(xs, ys))
 
 
 @cached
@@ -299,8 +259,8 @@ def _staged_samples(a: Algebra) -> tuple:
     The staged table is scaled like `a.int_products`, so where the
     embedding assertion holds the bidual's integer constants are the
     algebra's own, and the per-operator statements read them from `a`:
-    its weighted residuals are read off the operator pencils that checks
-    2.1, 3.1 and 3.2 read too. A wrong stage
+    its weighted residuals and adjoint scan are read off the operator
+    records that checks 2.1, 3.1 and 3.2 read too. A wrong stage
     shows in the embedding assertion (stages 1 and 2, which build the
     table) or in the dense samples (stage 3)."""
     n = a.dim

@@ -2,12 +2,12 @@
 
 Every space solved here is the set of linear operators T satisfying
 
-    s T(ab) = p T(a)b + q a T(b)      for all a, b,
+    (p+q) T(ab) = p T(a)b + q a T(b)      for all a, b,
 
-for one integer triple (s, p, q), or the same identity on squares. Its
-instances are the weighted centralizers, (p+q, p, q) for a weight pair;
-left centralizers, (1, 1, 0); right centralizers, (1, 0, 1); and the Jordan
-variant, the weighted identity imposed only on squares. Two-sided
+for one integer pair (p, q), or the same identity on squares. Its
+instances are the weighted centralizers, for a weight pair; left
+centralizers, (1, 0); right centralizers, (0, 1); and the Jordan variant,
+the weighted identity imposed only on squares. Two-sided
 centralizers satisfy the left and right identities at once.
 
 Each space is cut out by linear equations on the n^2 matrix entries of T,
@@ -52,12 +52,11 @@ first factors a for which one of them holds with every b form a
 subalgebra, and a subalgebra that contains the generators is the whole
 algebra. The weighted and Jordan identities mix both sides and keep every
 pair, and `residual`, the independent check, evaluates every pair of any
-identity. It evaluates the left and the right identity once per operator,
-on every pair, and reads every identity with s = p + q off those two
-parts: a weighted identity's residual is p times the left one plus q
-times the right one, so the operator's pencil, the pairs where the parts
-are not both zero, each with the weights that cancel there, answers every
-weight pair.
+identity. Every identity's residual is p times the left one,
+T(ab) - T(a)b, plus q times the right one, T(ab) - aT(b), so `residual`
+evaluates the two parts once per operator, on every pair, and keeps
+their nonzero coordinates: that record answers every identity, symmetric
+ones included, and check 2.4 reads its adjoint scan off it too.
 
 Every solve imposes one identity and is staged. It starts from its
 enclosing space K (for a root solve, the unit enclosure or else the full
@@ -71,13 +70,13 @@ time, never the n^3 rows of its identity.
 The defining conditions quantify over additive maps, but an additive map on
 a Q-vector space is automatically Q-linear, so solving for linear operators
 loses nothing. An identity on squares is solved through its polarized form
-s T(ab+ba) = p T(a)b + p T(b)a + q a T(b) + q b T(a), which is equivalent to
+(p+q) T(ab+ba) = p T(a)b + p T(b)a + q a T(b) + q b T(a), which is equivalent to
 the square condition for linear T because 2 is invertible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -137,31 +136,30 @@ class Weights:
 
 @dataclass(frozen=True)
 class Identity:
-    """The identity s T(ab) = p T(a)b + q a T(b) on basis pairs a, b.
+    """The identity (p+q) T(ab) = p T(a)b + q a T(b) on basis pairs a, b.
 
     With `symmetric`, both sides are summed over ab and ba and the identity
     is imposed on pairs i <= j: the polarized form of the identity on
     squares.
     """
 
-    s: int
     p: int
     q: int
-    symmetric: bool = False
+    symmetric: bool = field(default=False, kw_only=True)
 
 
-LEFT = Identity(1, 1, 0)
-RIGHT = Identity(1, 0, 1)
+LEFT = Identity(1, 0)
+RIGHT = Identity(0, 1)
 
 
 def weighted(w: Weights) -> Identity:
     """(p+q) T(ab) = p T(a)b + q a T(b)."""
-    return Identity(w.p + w.q, w.p, w.q)
+    return Identity(w.p, w.q)
 
 
 def jordan(w: Weights) -> Identity:
     """The weighted identity on squares."""
-    return Identity(w.p + w.q, w.p, w.q, symmetric=True)
+    return Identity(w.p, w.q, symmetric=True)
 
 
 def _block(n: int, e: Identity, i: int, upper: bool = False):
@@ -170,12 +168,6 @@ def _block(n: int, e: Identity, i: int, upper: bool = False):
     (i, j) and (j, i). With `upper`, only the pairs with i < j."""
     for j in range(i + 1 if upper else i if e.symmetric else 0, n):
         yield i, j, ((i, j), (j, i)) if e.symmetric else ((i, j),)
-
-
-def _pairs(n: int, e: Identity):
-    """Each basis pair (i, j) that e is imposed on, in row-major order."""
-    for i in range(n):
-        yield from _block(n, e, i)
 
 
 class IntOperator(NamedTuple):
@@ -347,10 +339,10 @@ def _rows(a: Algebra, e: Identity, pairs, index):
     n = a.dim
     prods, by_right, by_left = (
         a.int_products, a.int_by_right_factor, a.int_by_left_factor)
-    s, p, q = e.s, -e.p, -e.q
+    s, p, q = e.p + e.q, -e.p, -e.q
     for _, _, orders in pairs:
         for k in range(n):
-            # the s T(ab), -p T(a)b and -q a T(b) terms of one row: each
+            # the (p+q) T(ab), -p T(a)b and -q a T(b) terms of one row: each
             # (m, c) of the constants adds weight * c times the index
             # entries of the unknown it multiplies
             row: dict[int, int] = {}
@@ -378,28 +370,28 @@ def _enclosure(a: Algebra, e: Identity,
     solution of e: None when the algebra has no unit of the kind needed.
 
     With a unit 1, the polarized rows at the pairs (1, b) read
-    (2s - p - q) T = p L_{T(1)} + q R_{T(1)}, and the rows of e itself at
-    (1, b) read (s - q) T = p L_{T(1)}. With a right identity u, the rows at
-    (a, u) read (s - p) T = q R_{T(u)}. So a Jordan solve (s = p + q) lies
-    in the span of p L_t + q R_t, a left or weighted one in the left
-    multiplications, and a right one in the right multiplications: spans
-    of n operators, one per basis element.
+    (p+q) T = p L_{T(1)} + q R_{T(1)}, and the rows of e itself at (1, b)
+    read p T = p L_{T(1)}. With a right identity u, the rows at (a, u) read
+    q T = q R_{T(u)}. So a Jordan solve with p + q != 0 lies in the span
+    of p L_t + q R_t, a left or weighted one (p != 0) in the left
+    multiplications, and a right one (q != 0) in the right
+    multiplications: spans of n operators, one per basis element.
 
-    The Jordan span with p + q != 0 and the left multiplications have
-    dimension n, as T -> T(1) is injective on them: (p L_t + q R_t)(1) =
-    (p+q) t and L_t(1) = t. A `floor` of dimension n, known to lie inside
-    the solutions, is then that span, and is returned without building it.
+    The Jordan span and the left multiplications have dimension n, as
+    T -> T(1) is injective on them: (p L_t + q R_t)(1) = (p+q) t and
+    L_t(1) = t. A `floor` of dimension n, known to lie inside the
+    solutions, is then that span, and is returned without building it.
     """
     full = floor is not None and floor.dim == a.dim
     if e.symmetric:
-        if 2 * e.s == e.p + e.q or not is_unital(a):
+        if not e.p + e.q or not is_unital(a):
             return None
-        return floor if full and e.p + e.q else _mul_span(a, e.p, e.q)
-    if e.s != e.q:
+        return floor if full else _mul_span(a, e.p, e.q)
+    if e.p:
         if not is_unital(a):
             return None
         return floor if full else left_mul_space(a)
-    unit = e.s != e.p and right_identities(a) is not None
+    unit = e.q != 0 and right_identities(a) is not None
     return right_mul_space(a) if unit else None
 
 
@@ -515,111 +507,51 @@ def two_sided_centralizers(a: Algebra) -> OperatorSpace:
 #
 # Direct evaluation of an identity on basis pairs, independent of the
 # solvers; the first failing (i, j, residual) serves as a report witness.
-# Every identity with s = p + q is p times the left one plus q times the
-# right one, so one evaluation of both parts per operator, its pencil,
-# answers all of them.
+# Every identity is p times the left one plus q times the right one, so one
+# record of both parts per operator answers all of them.
 # ---------------------------------------------------------------------------
 
-def pencil(entries) -> tuple:
-    """The pencil of integer vector pairs (x, y): for each (key, x, y) of
-    `entries` in order, with x and y not both zero, the pair (key, d).
-    Here d is the primitive (p0, q0), first nonzero entry positive, with
-    p0 x + q0 y = 0, or None when x and y are independent. Then
-    p x + q y = 0 exactly when (p, q) is a multiple of d, or when d is
-    None, exactly when p = q = 0."""
-    out = []
-    for key, x, y in entries:
-        if not (any(x) or any(y)):
-            continue
-        k = next(k for k, (u, v) in enumerate(zip(x, y)) if u or v)
-        p0, q0 = y[k], -x[k]
-        if any(p0 * u + q0 * v for u, v in zip(x, y)):
-            out.append((key, None))
-            continue
-        g = gcd(p0, q0)
-        if p0 < 0 or p0 == 0 and q0 < 0:
-            g = -g
-        out.append((key, (p0 // g, q0 // g)))
-    return tuple(out)
-
-
-def pencil_failure(entries: Sequence, p: int, q: int):
-    """The key of the first entry of a `pencil` on which p x + q y != 0,
-    or None when there is none."""
-    for key, d in entries:
-        if (p or q) if d is None else p * d[1] != q * d[0]:
-            return key
-    return None
-
-
-def _pair_products(a: Algebra, t: IntOperator, x: int, y: int
-                   ) -> tuple[list[int], list[int], list[int]]:
-    """T(ab), T(a)b and aT(b) at the basis pair (b_x, b_y), each times
-    a.scale * t.den: read off the integer columns of t and the
-    integer-scaled constants."""
+@cached
+def _left_right_parts(a: Algebra, t: IntOperator) -> dict:
+    """The left and right parts L = T(ab) - T(a)b and R = T(ab) - aT(b) of
+    t on the basis pairs, each times a.scale * t.den: {(i, j): ((r, L_r,
+    R_r), ...)}, row-major, on the pairs where L or R is nonzero, with the
+    coordinates r where one of them is. The products are read off the
+    integer columns of t and the integer-scaled constants, once per
+    operator."""
     n = a.dim
     prods, cols = a.int_products, t.cols
-    tab, tab_b, atb = [0] * n, [0] * n, [0] * n
-    for m, c in prods[x][y]:
-        for k, v in cols[m]:
-            tab[k] += c * v
-    for m, v in cols[x]:
-        for k, c in prods[m][y]:
-            tab_b[k] += v * c
-    for m, v in cols[y]:
-        for k, c in prods[x][m]:
-            atb[k] += v * c
-    return tab, tab_b, atb
-
-
-def _pair_residual(a: Algebra, t: IntOperator, e: Identity, orders
-                   ) -> list[int]:
-    """s T(ab) - p T(a)b - q a T(b) at one basis pair, summed over its
-    `orders`, scaled as `_pair_products`."""
-    res = [0] * a.dim
-    for x, y in orders:
-        res = [r + e.s * u - e.p * v - e.q * w
-               for r, u, v, w in zip(res, *_pair_products(a, t, x, y))]
-    return res
-
-
-def _left_right_parts(a: Algebra, t: IntOperator):
-    """((i, j), L, R) on the basis pairs, row-major, where
-    L = T(ab) - T(a)b and R = T(ab) - aT(b) are not both zero, scaled as
-    `_pair_products`: only a pair where the three products differ is
-    subtracted."""
-    n = a.dim
+    out = {}
     for i in range(n):
         for j in range(n):
-            tab, tab_b, atb = _pair_products(a, t, i, j)
+            tab, tab_b, atb = [0] * n, [0] * n, [0] * n
+            for m, c in prods[i][j]:
+                for k, v in cols[m]:
+                    tab[k] += c * v
+            for m, v in cols[i]:
+                for k, c in prods[m][j]:
+                    tab_b[k] += v * c
+            for m, v in cols[j]:
+                for k, c in prods[i][m]:
+                    atb[k] += v * c
             if tab != tab_b or tab != atb:
-                yield ((i, j), [x - y for x, y in zip(tab, tab_b)],
-                       [x - z for x, z in zip(tab, atb)])
-
-
-@cached
-def _operator_pencil(a: Algebra, t: IntOperator) -> tuple:
-    """The `pencil` of the left and right parts of t, keyed by the basis
-    pair: two integers, or None, for each pair where L or R is nonzero."""
-    return pencil(_left_right_parts(a, t))
+                out[i, j] = tuple((r, x - y, x - z) for r, (x, y, z)
+                                  in enumerate(zip(tab, tab_b, atb))
+                                  if x != y or x != z)
+    return out
 
 
 def residual(a: Algebra, t: IntOperator, e: Identity
              ) -> Optional[tuple[int, int, Vector]]:
     """The first basis pair (i, j), in row-major order, on which the
-    operator t violates e, with s T(ab) - p T(a)b - q a T(b) there (summed
-    over ab and ba when e is symmetric); None if t satisfies e on every
-    pair.
+    operator t violates e, with (p+q) T(ab) - p T(a)b - q a T(b) there
+    (summed over ab and ba, and on pairs i <= j, when e is symmetric); None
+    if t satisfies e on every pair.
 
-    An identity with s = p + q that is not symmetric, as the left, the
-    right and every weighted one, and a T(b) = T(a) b, has the residual
-    p (T(ab) - T(a)b) + q (T(ab) - aT(b)) at each pair. It is read off
-    the operator's pencil, cached on the algebra by t: the pairs where the
-    two parts are not both zero, each with the weights that cancel there.
-    So the first identity asked evaluates both parts on every pair, once
-    per operator, and the others read the pencil. Only the witness pair
-    is evaluated again, for its residual. Any other identity is evaluated
-    directly, pair by pair up to the first that fails."""
+    That residual is p (T(ab) - T(a)b) + q (T(ab) - aT(b)), so it is read
+    off the operator's `_left_right_parts`, cached on the algebra by t:
+    the first identity asked walks the basis pairs once, and every other
+    identity, symmetric or not, reads the record."""
     n = a.dim
     if len(t.cols) != n:
         raise DimensionMismatch(
@@ -627,17 +559,13 @@ def residual(a: Algebra, t: IntOperator, e: Identity
     # the residual is linear in t and in the structure constants, so reading
     # both scaled changes no zero pattern, and Fractions are made only for
     # a witness
-    if e.symmetric or e.s != e.p + e.q:
-        for i, j, orders in _pairs(n, e):
-            res = _pair_residual(a, t, e, orders)
-            if any(res):
-                break
-        else:
-            return None
-    else:
-        pair = pencil_failure(_operator_pencil(a, t), e.p, e.q)
-        if pair is None:
-            return None
-        i, j = pair
-        res = _pair_residual(a, t, e, ((i, j),))
-    return i, j, tuple(Fraction(x, a.scale * t.den) for x in res)
+    parts = _left_right_parts(a, t)
+    pairs = sorted({(min(k), max(k)) for k in parts}) if e.symmetric else parts
+    for i, j in pairs:
+        res = [0] * n
+        for key in ((i, j), (j, i)) if e.symmetric else ((i, j),):
+            for r, x, y in parts.get(key, ()):
+                res[r] += e.p * x + e.q * y
+        if any(res):
+            return i, j, tuple(Fraction(x, a.scale * t.den) for x in res)
+    return None

@@ -23,7 +23,6 @@ from .algebras import (
     radical,
     right_identities,
 )
-from .arens import verify_bidual_extension
 from .centralizers import (
     Weights,
     left_centralizers,
@@ -184,11 +183,6 @@ def _cmd_group(args) -> int:
     return code
 
 
-def _cmd_arens_check(args) -> int:
-    a = _load_algebra(args.file)
-    return _print_report(verify_bidual_extension(a, _weights(args)))
-
-
 def _cmd_verify(args) -> int:
     w = _weights(args)
     if args.theorem == "4.2":
@@ -255,11 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit-algebra", metavar="OUT", default=None,
                    help="write the rational group algebra to OUT")
     p.set_defaults(func=_cmd_group)
-
-    p = algebra_cmd("arens-check", _cmd_arens_check,
-                    "check the staged bidual extension")
-    p.add_argument("--p", type=int, default=None, help="first weight")
-    p.add_argument("--q", type=int, default=None, help="second weight")
 
     p = sub.add_parser(
         "verify",

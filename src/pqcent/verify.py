@@ -137,8 +137,8 @@ def _right_identity_collapse(a: Algebra, cpq: OperatorSpace
         assertions.append(_residual_assertion(
             f"basis operator {idx} is a right centralizer", residual(a, t, RIGHT)
         ))
-        # a T(b) = T(a) b is the identity with (s, p, q) = (0, 1, -1)
-        res = residual(a, t, Identity(0, 1, -1))
+        # a T(b) = T(a) b is the identity with (p, q) = (1, -1)
+        res = residual(a, t, Identity(1, -1))
         assertions.append(Assertion(
             f"basis operator {idx} satisfies a*T(b) = T(a)*b on basis pairs",
             res is None,
@@ -266,7 +266,7 @@ def verify_unital_center_correspondence(a: Algebra, w: Weights) -> Report:
 # depends on less is cached on the algebra: the left ideal once per sample,
 # the range and left-multiplication test once per operator, and the four
 # conditions once per (operator, sample). Whether the operator is a
-# weighted centralizer is read off its pencil (see `residual`)
+# weighted centralizer is read off its left/right record (see `residual`)
 
 @cached
 def _left_ideal(a: Algebra, u) -> Optional[Subspace]:

@@ -1,11 +1,14 @@
-"""The per-weight scans that the pencils replaced, kept as references.
+"""The per-weight scans that the per-operator records replaced, kept as
+references.
 
 `residual`, check 2.4's adjoint scan and its dense samples once evaluated
 their identity afresh for every weight pair: (p+q) A = p B + q C, walked
 in integers up to the first pair that fails. The package now evaluates the
-two parts A - B and A - C once per operator and answers every weight pair
-from them (`centralizers.pencil`). These are the scans as they were, for
-the differential tests.
+two parts A - B and A - C once per operator and answers every identity
+from them: the left and right parts T(ab) - T(a)b and T(ab) - aT(b) on
+the basis pairs (`centralizers._left_right_parts`), which the adjoint
+scan reads too, and the two parts of each dense sample. These are the
+scans as they were, for the differential tests.
 """
 
 from fractions import Fraction
@@ -21,13 +24,13 @@ def _ref_pairs(n, e):
 
 
 def _ref_scan_residual(a, t, e):
-    """The first (i, j, s T(ab) - p T(a)b - q a T(b)) of identity e on the
+    """The first (i, j, (p+q) T(ab) - p T(a)b - q a T(b)) of identity e on the
     integer operator t, row-major, or None."""
     n = a.dim
     prods = a.int_products
     s_cols, p_cols, q_cols = (
         [[(m, w * v) for m, v in col] for col in t.cols] if w else None
-        for w in (e.s, e.p, e.q)
+        for w in (e.p + e.q, e.p, e.q)
     )
     for i, j, orders in _ref_pairs(n, e):
         res = [0] * n

@@ -13,13 +13,19 @@ here quantify over every basis element, as the package did before.
 """
 
 from pqcent.algebras import _commutant_rows, algebra_from_terms
-from pqcent.centralizers import _pairs, _rows
+from pqcent.centralizers import _block, _rows
 from pqcent.linalg import (
     column_index,
     full_space,
     nullspace_of_rows,
     solve_affine_rows,
 )
+
+
+def _pairs(n, e):
+    """Each basis pair (i, j) that e is imposed on, in row-major order."""
+    for i in range(n):
+        yield from _block(n, e, i)
 
 
 def _full_rows(a, e):

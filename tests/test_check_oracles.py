@@ -134,7 +134,7 @@ def _ref_residual(a, t, e):
                for col in _ref_columns(t)]
     s_cols, p_cols, q_cols = (
         [[(m, w * v) for m, v in col] for col in nonzero] if w else None
-        for w in (e.s, e.p, e.q)
+        for w in (e.p + e.q, e.p, e.q)
     )
     for i, j, orders in _ref_pairs(n, e):
         res = [_ZERO] * n
@@ -263,7 +263,7 @@ ALGEBRAS = _algebras()
 IDENTITIES = tuple(
     [f(Weights(*pair)) for pair in DEFAULT_WEIGHT_PAIRS
      for f in (weighted, jordan)]
-    + [LEFT, RIGHT, Identity(0, 1, -1)]
+    + [LEFT, RIGHT, Identity(1, -1)]
 )
 
 

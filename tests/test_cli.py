@@ -193,24 +193,27 @@ def test_emit_algebra_to_a_directory_is_an_input_error(tmp_path, capsys):
     assert captured.err == f"error: {tmp_path}: Is a directory\n"
 
 
-def test_arens_check(capsys):
-    assert main(["arens-check", "colmat2", "--p", "2", "--q", "3"]) == 0
+def test_verify_bidual_extension(capsys):
+    assert main(["verify", "colmat2", "--theorem", "2.4",
+                 "--p", "2", "--q", "3"]) == 0
     assert "PASS check=2.4" in capsys.readouterr().out
 
 
-def test_arens_check_on_fractional_constants(tmp_path, capsys):
+def test_verify_bidual_extension_on_fractional_constants(tmp_path, capsys):
     a = _ref_rescaled(fixtures()["matrix2"],
                       [Fraction(1, 2), 3, Fraction(-2, 5), 1])
     text = serialize_algebra(a)
     assert "/" in text
     path = tmp_path / "rescaled.alg"
     path.write_text(text, encoding="utf-8")
-    assert main(["arens-check", str(path), "--p", "1", "--q", "2"]) == 0
+    assert main(["verify", str(path), "--theorem", "2.4",
+                 "--p", "1", "--q", "2"]) == 0
     assert "PASS check=2.4" in capsys.readouterr().out
 
 
-def test_arens_check_unmet_is_not_failure(capsys):
-    assert main(["arens-check", "zero2", "--p", "1", "--q", "2"]) == 0
+def test_verify_bidual_extension_unmet_is_not_failure(capsys):
+    assert main(["verify", "zero2", "--theorem", "2.4",
+                 "--p", "1", "--q", "2"]) == 0
     assert "PRECONDITION_UNMET" in capsys.readouterr().out
 
 

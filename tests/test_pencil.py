@@ -1,15 +1,18 @@
-"""The weight pencils of the check layer against the per-weight scans.
+"""The per-operator left/right record of the check layer against the
+per-weight scans.
 
-An identity s T(ab) = p T(a)b + q a T(b) with s = p + q has the residual
-p (T(ab) - T(a)b) + q (T(ab) - aT(b)), and check 2.4's adjoint scan and
-dense samples are linear in (p, q) the same way. So one evaluation of the
-two parts per operator (`centralizers.pencil`) answers every weight pair.
-Here `residual`, `_adjoint_witness` and `_sample_holds` are compared with
-the scans they replaced (`scan_ref`) on hypothesis integer operators:
-members of solved spaces, the same bumped in a few entries, and arbitrary
-sparse ones, so failing pairs and their witnesses are exercised. The
-checks' space-keyed facts are compared with their uncached bodies on
-several spaces of one algebra.
+An identity (p+q) T(ab) = p T(a)b + q a T(b) has the residual
+p (T(ab) - T(a)b) + q (T(ab) - aT(b)), its polarized form the sum of that
+over ab and ba, and check 2.4's adjoint scan reads the same two parts
+regrouped, while its dense samples are linear in (p, q) the same way. So
+one record of the two parts per operator
+(`centralizers._left_right_parts`) answers every identity. Here
+`residual`, `_adjoint_witness` and `_sample_holds` are compared with the
+scans they replaced (`scan_ref`) on hypothesis integer operators: members
+of solved spaces, the same bumped in a few entries, and arbitrary sparse
+ones, so failing pairs and their witnesses are exercised. The checks'
+space-keyed facts are compared with their uncached bodies on several
+spaces of one algebra.
 """
 
 from fractions import Fraction
@@ -26,23 +29,16 @@ from solver_ref import (
 )
 from pqcent import verify
 from pqcent.algebras import identity, right_identity_samples
-from pqcent.arens import (
-    _adjoint_pencil,
-    _adjoint_witness,
-    _sample_holds,
-    _staged_samples,
-)
+from pqcent.arens import _adjoint_witness, _sample_holds, _staged_samples
 from pqcent.centralizers import (
     LEFT,
     RIGHT,
     Identity,
     Weights,
-    _operator_pencil,
+    _left_right_parts,
     jordan,
     left_centralizers,
     left_mul_space,
-    pencil,
-    pencil_failure,
     pq_centralizers,
     pq_jordan_centralizers,
     residual,
@@ -55,17 +51,16 @@ from pqcent.fixtures import fixtures
 from pqcent.verify import DEFAULT_WEIGHT_PAIRS
 
 # the default pairs, equal weights, and pairs no check asks, with a zero
-# or a negative weight: the pencil answers every (p, q)
+# or a negative weight: the record answers every (p, q)
 PAIRS = DEFAULT_WEIGHT_PAIRS + ((1, 1),)
 OTHER_PAIRS = ((1, 0), (0, 1), (1, -1), (2, -3), (-1, -2), (0, 0))
 IDENTITIES = (
-    (LEFT, RIGHT, Identity(0, 1, -1))
+    (LEFT, RIGHT, Identity(1, -1))
     + tuple(weighted(Weights(p, q, allow_equal=True)) for p, q in PAIRS)
-    + tuple(Identity(p + q, p, q) for p, q in OTHER_PAIRS)
+    + tuple(Identity(p, q) for p, q in OTHER_PAIRS)
+    + tuple(jordan(Weights(p, q, allow_equal=True)) for p, q in PAIRS)
+    + tuple(Identity(p, q, symmetric=True) for p, q in OTHER_PAIRS)
 )
-# identities off the pencil: symmetric ones and s != p + q
-DIRECT = (jordan(Weights(1, 2)), Identity(1, 1, 1), Identity(2, 1, 0),
-          Identity(1, 0, 0))
 
 
 def _algebras():
@@ -113,16 +108,16 @@ def operators(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(operators())
-def test_pencil_residual_matches_the_scan(op):
+def test_record_residual_matches_the_scan(op):
     name, t = op
     a = ALGEBRAS[name]
-    for e in IDENTITIES + DIRECT:
+    for e in IDENTITIES:
         assert residual(a, t, e) == _ref_scan_residual(a, t, e), (name, t, e)
 
 
 @settings(max_examples=200, deadline=None)
 @given(operators())
-def test_adjoint_and_sample_pencils_match_the_scans(op):
+def test_adjoint_and_sample_parts_match_the_scans(op):
     name, t = op
     a = ALGEBRAS[name]
     _, samples = _staged_samples(a)
@@ -134,53 +129,63 @@ def test_adjoint_and_sample_pencils_match_the_scans(op):
                 _ref_scan_sample(a, t, s, p, q), (name, t, p, q, k)
 
 
-def test_pencil_directions():
-    entries = [
-        ("zero", [0, 0], [0, 0]),
-        ("left", [0, 2], [0, 0]),     # only 0 L + q R vanishes
-        ("right", [0, 0], [3, 0]),
-        ("mixed", [2, 4], [-1, -2]),  # L + 2R = 0
-        ("equal", [0, 3, 3], [0, 3, 3]),
-        ("free", [1, 0], [0, 1]),
-    ]
-    got = pencil(entries)
-    assert got == (("left", (0, 1)), ("right", (1, 0)), ("mixed", (1, 2)),
-                   ("equal", (1, -1)), ("free", None))
-    assert pencil_failure(got, 0, 5) == "right"
-    assert pencil_failure(got, 1, 2) == "left"
-    assert pencil_failure(got[1:], -3, 0) == "mixed"
-    assert pencil_failure(got[2:], 2, 4) == "equal"
-    assert pencil_failure(got[3:], 1, -1) == "free"
-    assert pencil_failure(got, 0, 0) is None
-    assert pencil_failure(got[4:], 1, 0) == "free"
-    assert pencil_failure((), 1, 2) is None
+def test_identity_takes_two_weights_and_a_keyword():
+    # an old (s, p, q) call is refused, not read as a symmetric identity
+    with pytest.raises(TypeError):
+        Identity(1, 1, 1)
+    assert jordan(Weights(1, 2)) == Identity(1, 2, symmetric=True)
+    assert (LEFT, RIGHT) == (Identity(1, 0), Identity(0, 1))
 
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
-def test_pencils_hold_two_integers_per_pair(name):
+def test_record_holds_nonzero_int_triples(name):
+    # row-major basis pairs, each with its coordinates r ascending as int
+    # triples (r, L_r, R_r), L_r and R_r not both zero
     a = ALGEBRAS[name]
-    for space in _spaces(a):
-        for t in space.int_operators:
-            for entries in (_operator_pencil(a, t), _adjoint_pencil(a, t)):
-                for key, d in entries:
-                    assert len(key) == 2
-                    assert d is None or (len(d) == 2 and all(
-                        type(x) is int for x in d))
+    n = a.dim
+    bumped = int_operator(Matrix(n, n, tuple(map(Fraction, range(n * n)))))
+    for t in [t for space in _spaces(a) for t in space.int_operators] + [bumped]:
+        record = _left_right_parts(a, t)
+        assert list(record) == sorted(record)
+        for (i, j), coords in record.items():
+            assert 0 <= i < n and 0 <= j < n and coords
+            assert [r for r, *_ in coords] == sorted({r for r, *_ in coords})
+            for triple in coords:
+                assert len(triple) == 3
+                assert all(type(x) is int for x in triple)
+                assert triple[1] or triple[2]
 
 
-def test_inputs_meet_every_kind_of_direction():
-    # one-sided parts (1, 0) and (0, 1), parts cancelled by the weights
-    # (1, 1) of the semigroup gaps, and on a bumped operator, none
+def _kind(coords):
+    """How the parts L and R of one pair meet: one side only, cancelled
+    by the weights (1, 1), or independent."""
+    ls, rs = [x for _, x, _ in coords], [y for *_, y in coords]
+    if not any(rs):
+        return "left only"
+    if not any(ls):
+        return "right only"
+    if all(x + y == 0 for x, y in zip(ls, rs)):
+        return "cancelled by (1, 1)"
+    if any(ls[u] * rs[v] != ls[v] * rs[u]
+           for u in range(len(ls)) for v in range(u)):
+        return "independent"
+    return "proportional"
+
+
+def test_inputs_meet_every_kind_of_parts():
+    # parts on one side only, parts cancelled by the weights (1, 1) of the
+    # semigroup gaps, and on a bumped operator, independent ones
     kinds = set()
     for name in ("matrix2", "sg4_swap"):
         a = ALGEBRAS[name]
         for space in _spaces(a):
             for t in space.int_operators:
-                kinds.update(d for _, d in _operator_pencil(a, t))
+                kinds.update(map(_kind, _left_right_parts(a, t).values()))
     a = ALGEBRAS["matrix2"]
     bumped = int_operator(Matrix(4, 4, tuple(map(Fraction, range(16)))))
-    kinds.update(d for _, d in _operator_pencil(a, bumped))
-    assert {(1, 0), (0, 1), (1, 1), None} <= kinds
+    kinds.update(map(_kind, _left_right_parts(a, bumped).values()))
+    assert {"left only", "right only", "cancelled by (1, 1)",
+            "independent"} <= kinds
 
 
 # each space-keyed fact of the checks, with the precondition its check

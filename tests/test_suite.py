@@ -2,12 +2,12 @@
 report shape and exit-code contract, and the pinned reports of seeds 1-4."""
 
 import hashlib
-import importlib
 import json
 from collections import Counter
 
 import pytest
 
+from pqcent import arens, centralizers
 from pqcent.algebras import cached
 from pqcent.fixtures import fixtures
 from pqcent.groups import group_tables
@@ -34,7 +34,6 @@ def test_run_solves_no_identity_twice_on_equal_constants(monkeypatch):
     # the random algebras live for the run and share their cached solves
     # with every live algebra of equal constants, so a repeated draw (seed 1
     # draws 42 distinct algebras among 75) is not solved again
-    import pqcent.centralizers as centralizers
     solved = []
     real = centralizers._solve
 
@@ -47,30 +46,63 @@ def test_run_solves_no_identity_twice_on_equal_constants(monkeypatch):
     assert solved and len(set(solved)) == len(solved)
 
 
-@pytest.mark.parametrize("module, pencil, parts, per_operator", [
-    ("centralizers", "_operator_pencil", "_left_right_parts", 1),
-    ("arens", "_adjoint_pencil", "_adjoint_parts", 1),
-    ("arens", "_sample_pencils", "_sample_parts", 2)])
-def test_run_evaluates_each_pencil_once(monkeypatch, module, pencil, parts,
-                                        per_operator):
-    # the pencils of an operator (its left and right parts, its adjoint
-    # scan, its two dense samples) are cached per (constants, operator),
-    # so over the four weight pairs and the repeated draws a seed-1 run
-    # evaluates the parts of each once; the pencil is cached afresh here,
-    # so the count starts cold
-    owner = importlib.import_module(f"pqcent.{module}")
-    real = getattr(owner, parts)
+def _fresh(monkeypatch, name, fn):
+    """Cache fn afresh, so its count starts cold, as the `name` of every
+    module that reads it."""
+    fresh = cached(fn)
+    for module in (centralizers, arens):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, fresh)
+
+
+@pytest.mark.parametrize("module, parts", [
+    (centralizers, "_left_right_parts"), (arens, "_sample_parts")])
+def test_run_evaluates_each_operator_once(monkeypatch, module, parts):
+    # an operator's left and right parts on the basis pairs, and the parts
+    # of its two dense samples, are cached per (constants, operator), so
+    # over the four weight pairs, the checks and the repeated draws a
+    # seed-1 run evaluates each once
+    body = getattr(module, parts).__wrapped__
     evaluated = Counter()
 
-    def recording(a, t, *sample):
+    def recording(a, t):
         evaluated[a.dim, a.int_products, a.scale, t] += 1
-        return real(a, t, *sample)
+        return body(a, t)
 
-    body = getattr(owner, pencil).__wrapped__
-    monkeypatch.setattr(owner, pencil, cached(lambda a, t: body(a, t)))
-    monkeypatch.setattr(owner, parts, recording)
+    _fresh(monkeypatch, parts, recording)
     run_suite(seed=1)
-    assert evaluated and set(evaluated.values()) == {per_operator}
+    assert evaluated and set(evaluated.values()) == {1}
+
+
+def test_run_reads_check_2_4_basis_pairs_off_the_records(monkeypatch):
+    # check 2.4 evaluates no basis pair beyond the operators' left/right
+    # records: with every record replaced by one that fails at the pair
+    # (0, 0) and walks no pair, each operator of a seed-1 run fails the
+    # weighted identity, the adjoint scan and the two-sided restriction at
+    # that pair, and still passes the staged dense samples
+    _fresh(monkeypatch, "_left_right_parts",
+           lambda a, t: {(0, 0): ((0, 1, 0),)})
+    reports = [r for r in run_suite(seed=1).reports
+               if r.check_id == "2.4" and r.status != PRECONDITION_UNMET]
+    assert reports
+    witnesses = {
+        "weighted identity holds on all double-dual basis pairs":
+            "basis pair (0, 0)",
+        "adjoint satisfies the transposed weighted identity on the dual":
+            "dual basis, basis pair (0, 0)",
+        "extension restricts to a two-sided centralizer of the algebra":
+            "one-sided residual",
+    }
+    seen = set()
+    for r in reports:
+        for asrt in r.assertions[1:]:
+            kind = asrt.name.split(": ", 1)[1]
+            seen.add(kind)
+            if kind in witnesses:
+                assert not asrt.passed and asrt.witness == witnesses[kind]
+            else:
+                assert asrt.passed and "dense pipeline sample" in kind
+    assert set(witnesses) <= seen
 
 
 @pytest.mark.parametrize("attr", [

@@ -223,22 +223,22 @@ def test_range_conditions_driver_relabels_one_report_per_pair(
     lambda: matrix_algebra(2)], ids=["colmat3", "sum_field_colmat2", "matrix2"])
 def test_range_conditions_driver_evaluates_each_operator_once(
         monkeypatch, build):
-    # the weighted-centralizer test reads the operator's pencil, whose left
-    # and right parts are evaluated once per distinct operator over every
-    # weight pair, not once per (operator, sample) or per pair; the
+    # the weighted-centralizer test reads the operator's record of left
+    # and right parts, which is evaluated once per distinct operator over
+    # every weight pair, not once per (operator, sample) or per pair; the
     # identity operator is also the solved basis of a space of scalars
     a = own_store(build())  # nothing of check 3.1 is cached
     operators = dict.fromkeys(
         t for pair in DEFAULT_WEIGHT_PAIRS
         for _, t in _operator_candidates(a, pq_centralizers(a, Weights(*pair))))
     evaluated = []
-    real = centralizers._left_right_parts
+    body = centralizers._left_right_parts.__wrapped__
 
     def counted(b, t):
         evaluated.append(t)
-        return real(b, t)
+        return body(b, t)
 
-    monkeypatch.setattr(centralizers, "_left_right_parts", counted)
+    monkeypatch.setattr(centralizers, "_left_right_parts", cached(counted))
     for _ in range(2):
         for pair in DEFAULT_WEIGHT_PAIRS:
             assert run_range_conditions_check(a, Weights(*pair)).status == PASS
